@@ -50,7 +50,6 @@ fn to_json(
             .map(|n| n.get())
             .unwrap_or(1)
     ));
-    out.push_str("  \"denormals_flushed\": true,\n");
     out.push_str("  \"dispatch\": ");
     out.push_str(&dispatch_json(isa));
     out.push_str(",\n");
@@ -73,14 +72,6 @@ fn to_json(
 }
 
 fn main() {
-    // Flush denormals for the whole measurement thread: the synthetic
-    // fixed-batch workload converges until Adam's second moments sit in the
-    // denormal range, and the microcode assists (~10× on the optimizer pass,
-    // scalar and vector alike) would otherwise dominate every steady-state
-    // window. All arms — naive, blocked-scalar, SIMD — run under the same FP
-    // environment, so the bit-identity assertions below still compare
-    // like with like.
-    surrogate_nn::simd::flush_denormals();
     let quick = std::env::args().any(|a| a == "--quick");
     let batch = arg_usize("--batch", 10);
     let min_seconds = arg_f64("--min-seconds", if quick { 0.05 } else { 2.0 });

@@ -53,7 +53,7 @@ impl ReferenceAdam {
             let v_hat = self.second_moment[k] / bias2;
             delta[k] = -learning_rate * m_hat / (v_hat.sqrt() + self.config.epsilon);
         }
-        model.apply_delta(&delta);
+        model.apply_delta(surrogate_nn::simd::detect(), &delta);
     }
 }
 

@@ -145,14 +145,13 @@ impl OfflineExperiment {
                         floor: config.training.lr_floor,
                     };
                     let loss_fn = MseLoss;
-                    // Reused hot-path state: workspace, batch and gradient vector.
+                    // Reused hot-path state: workspace and batch.
                     let mut ws = model
                         .workspace(batch_size)
                         .with_threads(config.training.effective_gemm_threads())
                         .with_isa(config.training.kernel_isa);
                     let mut batch =
                         Batch::with_capacity(batch_size, model.input_size(), model.output_size());
-                    let mut grads: Vec<f32> = Vec::with_capacity(model.param_count());
                     let mut tracker = ThroughputTracker::new(10);
                     let mut losses = Vec::new();
                     let mut batches = 0usize;
@@ -180,13 +179,12 @@ impl OfflineExperiment {
                             let loss = loss_fn.evaluate_into(prediction, &batch.targets, grad_out);
                             // backward_ws overwrites the gradients in place.
                             model.backward_ws(&mut ws);
-                            model.grads_flat_into(&mut grads);
-                            grad_sync.all_reduce_mean(&mut grads);
+                            grad_sync.all_reduce_mean(model.grads_mut());
                             batches += 1;
                             samples_trained += samples.len();
                             let nominal_samples = batches * batch_size * num_ranks;
                             let lr = schedule.learning_rate(batches, nominal_samples);
-                            optimizer.step(&mut model, &grads, lr);
+                            optimizer.step_in_place(&mut model, lr);
                             let stall = if config.training.device.extra_batch_delay().is_zero() {
                                 std::time::Duration::ZERO
                             } else {
@@ -301,6 +299,7 @@ impl OfflineExperiment {
             durable_checkpoints: 0,
             durable_error: None,
             kernel_isa: config.training.kernel_isa.resolve().name().to_string(),
+            fp_mode: surrogate_nn::simd::fp_mode().to_string(),
         };
 
         (model, report)

@@ -84,6 +84,10 @@ pub struct ExperimentReport {
     /// "neon"); empty in reports written before the SIMD dispatch existed.
     #[serde(default)]
     pub kernel_isa: String,
+    /// The floating-point mode the kernels ran in (`simd::fp_mode`): "ftz+daz",
+    /// "fz" or "ieee"; empty in reports written before it was recorded.
+    #[serde(default)]
+    pub fp_mode: String,
 }
 
 impl ExperimentReport {
@@ -192,6 +196,7 @@ mod tests {
             durable_checkpoints: 0,
             durable_error: None,
             kernel_isa: "scalar".to_string(),
+            fp_mode: "ieee".to_string(),
         }
     }
 

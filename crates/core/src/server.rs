@@ -612,6 +612,7 @@ impl OnlineExperiment {
             durable_error: durable.as_ref().and_then(|d| d.first_error()),
             launcher: launcher_report,
             kernel_isa: config.training.kernel_isa.resolve().name().to_string(),
+            fp_mode: surrogate_nn::simd::fp_mode().to_string(),
         };
 
         (model, report, store.latest())

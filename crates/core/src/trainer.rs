@@ -104,7 +104,6 @@ pub fn merge_occurrences(outcomes: &[RankOutcome]) -> HashMap<(u64, usize), u32>
 /// The reusable per-rank training state threaded through every round.
 struct RoundState {
     ws: Workspace,
-    grads: Vec<f32>,
     tracker: ThroughputTracker,
     losses: Vec<LossPoint>,
     occurrences: HashMap<(u64, usize), u32>,
@@ -184,8 +183,8 @@ impl RankTrainer {
     /// The loop is allocation-free in steady state: the forward/backward
     /// passes borrow a per-trainer [`surrogate_nn::Workspace`], the batch
     /// matrices are filled straight from the buffer and reused across rounds,
-    /// the flattened-gradient vector is reused, and the optimizer keeps its
-    /// own update buffer.
+    /// and the gradients stay in the model's arena from the backward pass
+    /// through the all-reduce to the optimizer step.
     pub fn run(self, start: Instant) -> RankOutcome {
         if self.config.prefetch {
             self.run_prefetch(start)
@@ -294,7 +293,6 @@ impl RankTrainer {
                 .workspace(batch_size)
                 .with_threads(self.config.effective_gemm_threads())
                 .with_isa(self.config.kernel_isa),
-            grads: Vec::with_capacity(self.model.param_count()),
             tracker: ThroughputTracker::new(10),
             losses: Vec::new(),
             occurrences: HashMap::new(),
@@ -367,10 +365,11 @@ impl RankTrainer {
             0.0
         };
 
-        // Synchronous data parallelism: average the gradients and apply the
-        // identical update on every replica.
-        self.model.grads_flat_into(&mut state.grads);
-        self.shared.grad_sync.all_reduce_mean(&mut state.grads);
+        // Synchronous data parallelism: average the gradients in place and
+        // apply the identical update on every replica.
+        self.shared
+            .grad_sync
+            .all_reduce_mean(self.model.grads_mut());
 
         // Learning-rate decay is scheduled in *sample* space so that runs
         // with different rank counts decay at the same point (§4.5). The
@@ -383,7 +382,7 @@ impl RankTrainer {
         let lr = self
             .schedule
             .learning_rate(progress_rounds, nominal_samples_seen);
-        self.optimizer.step(&mut self.model, &state.grads, lr);
+        self.optimizer.step_in_place(&mut self.model, lr);
 
         // The emulated-device stall is measured so throughput reports can
         // separate kernel time from what the device emulation adds.

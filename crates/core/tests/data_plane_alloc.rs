@@ -186,7 +186,6 @@ fn steady_state_data_plane_allocates_nothing() {
 
     let mut ws = model.workspace(batch_size).with_threads(1);
     let mut batch = Batch::with_capacity(batch_size, model.input_size(), model.output_size());
-    let mut grads: Vec<f32> = Vec::with_capacity(model.param_count());
 
     let mut step = |model: &mut Mlp, optimizer: &mut Adam, ws: &mut surrogate_nn::Workspace| {
         let served = fill_batch_from_buffer(&train_buffer, &mut batch, batch_size);
@@ -198,13 +197,13 @@ fn steady_state_data_plane_allocates_nothing() {
         for key in &batch.keys {
             *occurrences.entry(*key).or_default() += 1;
         }
-        model.grads_flat_into(&mut grads);
-        sync.all_reduce_mean(&mut grads);
-        optimizer.step(model, &grads, 1e-3);
+        // The trainer's round: the gradients never leave the model's arena.
+        sync.all_reduce_mean(model.grads_mut());
+        optimizer.step_in_place(model, 1e-3);
         loss
     };
 
-    // Warm up the lazily sized buffers (gradients, optimizer scratch).
+    // Warm up the lazily sized buffers (batch, occurrence map).
     for _ in 0..3 {
         step(&mut model, &mut optimizer, &mut ws);
     }

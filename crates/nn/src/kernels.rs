@@ -36,6 +36,8 @@
 // them into structs would obscure the BLAS-style calling convention.
 #![allow(clippy::too_many_arguments)]
 
+use crate::simd::FlushGuard;
+
 /// Register-tile height: output rows processed together per pass.
 pub const MR: usize = 4;
 
@@ -83,6 +85,7 @@ pub fn gemm_nn<F>(
     crossbeam::scope(|scope| {
         for (a_chunk, out_chunk) in a.chunks(rows_per * k).zip(out.chunks_mut(rows_per * n)) {
             scope.spawn(move |_| {
+                let _flush = FlushGuard::enter();
                 gemm_nn_serial(a_chunk, a_chunk.len() / k, k, b, n, out_chunk, epi);
             });
         }
@@ -259,6 +262,7 @@ pub fn gemm_nt<F>(
     crossbeam::scope(|scope| {
         for (a_chunk, out_chunk) in a.chunks(rows_per * k).zip(out.chunks_mut(rows_per * n)) {
             scope.spawn(move |_| {
+                let _flush = FlushGuard::enter();
                 gemm_nt_serial(a_chunk, a_chunk.len() / k, k, b, n, out_chunk, epi);
             });
         }
@@ -343,6 +347,7 @@ pub fn gemm_tn(
             let i0 = chunk_idx * rows_per;
             let i1 = i0 + out_chunk.len() / n;
             scope.spawn(move |_| {
+                let _flush = FlushGuard::enter();
                 gemm_tn_serial(a, m, k, i0, i1, b, n, out_chunk, accumulate);
             });
         }

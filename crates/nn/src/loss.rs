@@ -1,7 +1,7 @@
 //! Loss functions returning both the scalar loss and its output gradient.
 
 use crate::matrix::Matrix;
-use crate::simd;
+use crate::simd::{self, FlushGuard};
 
 /// A differentiable loss over a batch of predictions and targets.
 pub trait Loss: Send + Sync {
@@ -20,6 +20,7 @@ pub trait Loss: Send + Sync {
     /// # Panics
     /// Implementations panic when `grad` does not match the prediction shape.
     fn evaluate_into(&self, prediction: &Matrix, target: &Matrix, grad: &mut Matrix) -> f32 {
+        let _flush = FlushGuard::enter();
         let (loss, g) = self.evaluate(prediction, target);
         assert_eq!(grad.rows(), g.rows(), "gradient buffer rows");
         assert_eq!(grad.cols(), g.cols(), "gradient buffer cols");
@@ -55,6 +56,7 @@ impl Loss for MseLoss {
     /// gradient, bit-compatible with [`MseLoss::evaluate`] (same element order,
     /// same `diff · 2/n` scaling).
     fn evaluate_into(&self, prediction: &Matrix, target: &Matrix, grad: &mut Matrix) -> f32 {
+        let _flush = FlushGuard::enter();
         assert_eq!(prediction.rows(), target.rows(), "batch size mismatch");
         assert_eq!(prediction.cols(), target.cols(), "output size mismatch");
         assert_eq!(grad.rows(), prediction.rows(), "gradient buffer rows");

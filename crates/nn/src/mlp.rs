@@ -8,7 +8,7 @@
 
 use crate::init::{InitScheme, WeightInit};
 use crate::matrix::Matrix;
-use crate::simd::{self, Epilogue, ResolvedIsa};
+use crate::simd::{self, Epilogue, FlushGuard, ResolvedIsa};
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 
@@ -86,7 +86,8 @@ impl Activation {
     }
 }
 
-/// One fully connected layer with its activation and gradient buffers.
+/// One fully connected layer with its activation. Its parameter gradients
+/// live in the owning [`Mlp`]'s gradient arena, not on the layer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DenseLayer {
     /// Weight matrix, shape `fan_in × fan_out`.
@@ -95,12 +96,6 @@ pub struct DenseLayer {
     pub biases: Vec<f32>,
     /// Activation applied after the affine map.
     pub activation: Activation,
-    /// Gradient of the loss with respect to `weights` (accumulated).
-    #[serde(skip)]
-    pub grad_weights: Option<Matrix>,
-    /// Gradient of the loss with respect to `biases` (accumulated).
-    #[serde(skip)]
-    pub grad_biases: Vec<f32>,
     /// Cached input of the last forward pass (needed by backward).
     #[serde(skip)]
     input_cache: Option<Matrix>,
@@ -121,8 +116,6 @@ impl DenseLayer {
             weights: Matrix::from_vec(fan_in, fan_out, init.weights(fan_in, fan_out)),
             biases: init.biases(fan_out),
             activation,
-            grad_weights: None,
-            grad_biases: vec![0.0; fan_out],
             input_cache: None,
             preact_cache: None,
         }
@@ -184,12 +177,19 @@ impl DenseLayer {
         );
     }
 
-    /// Backward pass: accumulates parameter gradients and returns the gradient
-    /// with respect to the layer input.
+    /// Backward pass: accumulates the parameter gradients into `grad_weights`
+    /// (row-major `fan_in × fan_out`) and `grad_biases`, and returns the
+    /// gradient with respect to the layer input.
     ///
     /// # Panics
-    /// Panics when called before `forward`.
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+    /// Panics when called before `forward`, or when a gradient slice does not
+    /// match the layer's shape.
+    pub fn backward(
+        &mut self,
+        grad_output: &Matrix,
+        grad_weights: &mut [f32],
+        grad_biases: &mut [f32],
+    ) -> Matrix {
         let input = self
             .input_cache
             .as_ref()
@@ -207,31 +207,21 @@ impl DenseLayer {
 
         // Parameter gradients (accumulated across backward calls until zeroed).
         let gw = input.transpose_matmul(&grad_pre);
-        match &mut self.grad_weights {
-            Some(acc) => {
-                for (a, g) in acc.data_mut().iter_mut().zip(gw.data()) {
-                    *a += g;
-                }
-            }
-            None => self.grad_weights = Some(gw),
+        assert_eq!(
+            grad_weights.len(),
+            gw.data().len(),
+            "weight-gradient length"
+        );
+        for (a, g) in grad_weights.iter_mut().zip(gw.data()) {
+            *a += g;
         }
-        for (b, g) in self.grad_biases.iter_mut().zip(grad_pre.column_sums()) {
+        assert_eq!(grad_biases.len(), self.biases.len(), "bias-gradient length");
+        for (b, g) in grad_biases.iter_mut().zip(grad_pre.column_sums()) {
             *b += g;
         }
 
         // Gradient w.r.t. the input: grad_pre · Wᵀ.
         grad_pre.matmul_transpose(&self.weights)
-    }
-
-    /// Clears accumulated gradients and cached activations.
-    ///
-    /// An already-allocated weight-gradient buffer is zeroed in place rather
-    /// than dropped, so the steady-state training loop never reallocates it.
-    pub fn zero_grads(&mut self) {
-        if let Some(gw) = &mut self.grad_weights {
-            gw.data_mut().iter_mut().for_each(|g| *g = 0.0);
-        }
-        self.grad_biases.iter_mut().for_each(|g| *g = 0.0);
     }
 }
 
@@ -271,10 +261,18 @@ impl MlpConfig {
 }
 
 /// A multilayer perceptron with flattened parameter/gradient access.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Serialisable for inspection; to persist and restore a model use
+/// [`crate::ModelCheckpoint`], which rebuilds it through [`Mlp::new`].
+#[derive(Debug, Clone, Serialize)]
 pub struct Mlp {
     config: MlpConfig,
     layers: Vec<DenseLayer>,
+    /// The gradient arena: every parameter gradient in [`Mlp::params_flat`]
+    /// order, allocated once at construction. The backward passes write into
+    /// it, the trainer all-reduces it in place and
+    /// [`crate::Optimizer::step_in_place`] reads it — no flattening copy.
+    #[serde(skip)]
+    grads: Vec<f32>,
 }
 
 impl Mlp {
@@ -303,7 +301,12 @@ impl Mlp {
                 &mut init,
             ));
         }
-        Self { config, layers }
+        let grads = vec![0.0; layers.iter().map(DenseLayer::param_count).sum()];
+        Self {
+            config,
+            layers,
+            grads,
+        }
     }
 
     /// The construction configuration.
@@ -329,7 +332,7 @@ impl Mlp {
 
     /// Total number of trainable parameters.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
+        self.grads.len()
     }
 
     /// Forward pass with caching (training).
@@ -354,8 +357,12 @@ impl Mlp {
     /// Accumulates parameter gradients; returns the gradient w.r.t. the input.
     pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
         let mut grad = grad_output.clone();
+        let mut end = self.grads.len();
         for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+            let start = end - layer.param_count();
+            let (gw, gb) = self.grads[start..end].split_at_mut(layer.weights.data().len());
+            grad = layer.backward(&grad, gw, gb);
+            end = start;
         }
         grad
     }
@@ -378,6 +385,7 @@ impl Mlp {
     /// the input width does not match.
     // analysis: hot_path
     pub fn forward_ws<'w>(&self, input: &Matrix, ws: &'w mut Workspace) -> &'w Matrix {
+        let _flush = FlushGuard::enter();
         assert_eq!(
             ws.layer_sizes, self.config.layer_sizes,
             "workspace architecture mismatch"
@@ -409,8 +417,8 @@ impl Mlp {
     /// [`Mlp::forward_ws`] left in `ws`, with dLoss/dOutput already written to
     /// [`Workspace::output_grad_mut`] (e.g. by [`crate::Loss::evaluate_into`]).
     ///
-    /// **Overwrites** the parameter gradients — unlike [`Mlp::backward`],
-    /// which accumulates. A training loop that zeroes gradients before every
+    /// **Overwrites** the gradient arena — unlike [`Mlp::backward`], which
+    /// accumulates. A training loop that zeroes gradients before every
     /// backward pass gets bit-for-bit the values `zero_grads` + `backward`
     /// would produce, without paying a zeroing pass plus a read-modify-write
     /// over every parameter. The gradient w.r.t. the network input is left in
@@ -419,6 +427,7 @@ impl Mlp {
     /// the identity output layer skips the derivative pass entirely.
     // analysis: hot_path
     pub fn backward_ws(&mut self, ws: &mut Workspace) {
+        let _flush = FlushGuard::enter();
         assert_eq!(
             ws.layer_sizes, self.config.layer_sizes,
             "workspace architecture mismatch"
@@ -426,23 +435,24 @@ impl Mlp {
         let threads = ws.threads();
         let isa = ws.isa();
         let rows = ws.input.rows();
+        let mut end = self.grads.len();
         for l in (0..self.layers.len()).rev() {
-            let layer = &mut self.layers[l];
+            let layer = &self.layers[l];
             let (lower, upper) = ws.grads.split_at_mut(l);
             let grad_l = &mut upper[0];
 
             // dLoss/d preact in place: grad ⊙ act'(output).
             simd::act_derivative_mul(isa, grad_l.data_mut(), ws.acts[l].data(), layer.activation);
 
-            // Parameter gradients (overwritten; buffers reused once allocated).
+            // Parameter gradients, written straight into this layer's slice
+            // of the arena (overwritten, never accumulated).
             let input = if l == 0 { &ws.input } else { &ws.acts[l - 1] };
-            let gw = layer
-                .grad_weights
-                // analysis: allow(alloc, reason = "lazy one-time gradient-buffer init; every later step reuses the allocation")
-                .get_or_insert_with(|| Matrix::zeros(layer.weights.rows(), layer.weights.cols()));
+            let start = end - layer.param_count();
+            let (gw, gb) = self.grads[start..end].split_at_mut(layer.weights.data().len());
+            end = start;
             if rows == 1 {
                 // Single-sample batches reduce to a rank-1 update.
-                simd::fill_outer(isa, input.row(0), grad_l.row(0), gw.data_mut());
+                simd::fill_outer(isa, input.row(0), grad_l.row(0), gw);
             } else {
                 simd::gemm_tn(
                     isa,
@@ -452,12 +462,12 @@ impl Mlp {
                     input.cols(),
                     grad_l.data(),
                     grad_l.cols(),
-                    gw.data_mut(),
+                    gw,
                     false,
                 );
             }
-            layer.grad_biases.iter_mut().for_each(|g| *g = 0.0);
-            grad_l.add_column_sums_to(&mut layer.grad_biases);
+            gb.fill(0.0);
+            grad_l.add_column_sums_to(gb);
 
             // Gradient w.r.t. the layer input: grad_pre · Wᵀ. Both variants
             // keep the per-element summation in ascending fan-out order, so
@@ -508,11 +518,9 @@ impl Mlp {
         }
     }
 
-    /// Clears accumulated gradients.
+    /// Clears the gradient arena.
     pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
+        self.grads.fill(0.0);
     }
 
     /// Flattened copy of all parameters (layer order: weights then biases).
@@ -551,50 +559,67 @@ impl Mlp {
         }
     }
 
-    /// Flattened copy of the accumulated gradients (zeros where no gradient was
-    /// accumulated yet), in the same order as [`Mlp::params_flat`].
-    pub fn grads_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        self.grads_flat_into(&mut out);
-        out
+    /// The gradient arena: the gradients the last backward pass left (zeros
+    /// before the first), in the same order as [`Mlp::params_flat`].
+    pub fn grads(&self) -> &[f32] {
+        &self.grads
     }
 
-    /// Writes the flattened gradients into a reused vector (cleared first);
+    /// The gradient arena, mutably (the trainer all-reduces it in place).
+    pub fn grads_mut(&mut self) -> &mut [f32] {
+        &mut self.grads
+    }
+
+    /// Flattened copy of the gradient arena.
+    pub fn grads_flat(&self) -> Vec<f32> {
+        self.grads.clone()
+    }
+
+    /// Copies the gradient arena into a reused vector (cleared first);
     /// allocation-free once the vector has reached its steady-state capacity.
     pub fn grads_flat_into(&self, out: &mut Vec<f32>) {
         out.clear();
-        out.reserve(self.param_count());
-        for layer in &self.layers {
-            match &layer.grad_weights {
-                Some(g) => out.extend_from_slice(g.data()),
-                None => out.extend(std::iter::repeat_n(0.0, layer.weights.data().len())),
-            }
-            out.extend_from_slice(&layer.grad_biases);
-        }
+        out.extend_from_slice(&self.grads);
     }
 
     /// Visits every parameter slice mutably in flat order (per layer: weights,
-    /// then biases — the order of [`Mlp::params_flat`]). Lets optimizers fuse
-    /// their state update and the parameter update into one pass instead of
+    /// then biases — the order of [`Mlp::params_flat`]) with its flat offset
+    /// and the matching slice of `grads` (`None`: of the gradient arena), so
+    /// optimizers fuse state and parameter update into one pass instead of
     /// materialising a delta vector.
-    pub fn for_each_param_slice_mut(&mut self, mut f: impl FnMut(&mut [f32])) {
+    ///
+    /// # Panics
+    /// Panics when `grads` is not [`Mlp::param_count`] long.
+    pub fn for_each_param_slice_mut(
+        &mut self,
+        grads: Option<&[f32]>,
+        mut f: impl FnMut(usize, &mut [f32], &[f32]),
+    ) {
+        let grads = grads.unwrap_or(&self.grads);
+        assert_eq!(
+            grads.len(),
+            self.grads.len(),
+            "gradient length does not match the model"
+        );
+        let mut offset = 0;
         for layer in &mut self.layers {
-            f(layer.weights.data_mut());
-            f(&mut layer.biases);
+            for params in [layer.weights.data_mut(), layer.biases.as_mut_slice()] {
+                f(offset, params, &grads[offset..offset + params.len()]);
+                offset += params.len();
+            }
         }
     }
 
-    /// Adds `delta` to every parameter (the optimizer computes the delta).
+    /// Adds `delta` to every parameter (the optimizer computes the delta),
+    /// on the kernel path `isa` names.
     ///
     /// # Panics
     /// Panics when the length does not match [`Mlp::param_count`].
-    pub fn apply_delta(&mut self, delta: &[f32]) {
+    pub fn apply_delta(&mut self, isa: ResolvedIsa, delta: &[f32]) {
         assert_eq!(delta.len(), self.param_count(), "delta length mismatch");
-        let isa = simd::detect();
-        let mut offset = 0;
-        self.for_each_param_slice_mut(|params| {
-            simd::add_assign(isa, params, &delta[offset..offset + params.len()]);
-            offset += params.len();
+        let _flush = FlushGuard::enter();
+        self.for_each_param_slice_mut(Some(delta), |_, params, delta| {
+            simd::add_assign(isa, params, delta);
         });
     }
 }
@@ -752,7 +777,7 @@ mod tests {
         let mut mlp = tiny_mlp(5);
         let before = mlp.params_flat();
         let delta = vec![0.25; mlp.param_count()];
-        mlp.apply_delta(&delta);
+        mlp.apply_delta(simd::detect(), &delta);
         let after = mlp.params_flat();
         for (b, a) in before.iter().zip(&after) {
             assert!((a - b - 0.25).abs() < 1e-6);
@@ -840,6 +865,31 @@ mod tests {
             .copy_from_slice(grad_out.data());
         mlp.backward_ws(&mut ws);
         assert_eq!(mlp.grads_flat(), once);
+    }
+
+    #[test]
+    fn the_arena_holds_the_gradients_in_params_flat_order() {
+        let mut mlp = tiny_mlp(8);
+        assert_eq!(mlp.grads(), vec![0.0; mlp.param_count()]);
+        let mut ws = mlp.workspace(2);
+        let x = Matrix::from_rows(&[vec![0.4, -0.1, 0.7], vec![0.2, 0.5, -0.3]]);
+        mlp.forward_ws(&x, &mut ws);
+        ws.output_grad_mut()
+            .data_mut()
+            .copy_from_slice(&[1.0, -1.0, 0.5, 0.25]);
+        mlp.backward_ws(&mut ws);
+        // Layer 0: 3×5 weights + 5 biases, layer 1: 5×2 weights + 2 biases; the
+        // output-layer bias gradient is the column sum of dLoss/dOutput.
+        assert_eq!(mlp.grads().len(), 15 + 5 + 10 + 2);
+        assert_eq!(mlp.grads()[30..], [1.5, -0.75]);
+        let mut exported = vec![9.0; 3];
+        mlp.grads_flat_into(&mut exported);
+        assert_eq!(exported, mlp.grads());
+        assert_eq!(mlp.grads_flat(), mlp.grads());
+        mlp.grads_mut()[0] = 7.0;
+        assert_eq!(mlp.grads()[0], 7.0);
+        mlp.zero_grads();
+        assert!(mlp.grads().iter().all(|&g| g == 0.0));
     }
 
     #[test]

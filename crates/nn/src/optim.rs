@@ -4,13 +4,26 @@
 //! momentum is kept as a baseline for ablations.
 
 use crate::mlp::Mlp;
-use crate::simd::{self, KernelIsa};
+use crate::simd::{self, FlushGuard, KernelIsa};
 use serde::{Deserialize, Serialize};
 
 /// An optimizer consuming flattened gradients and updating the model in place.
 pub trait Optimizer: Send {
-    /// Applies one update step with the given learning rate.
-    fn step(&mut self, model: &mut Mlp, grads: &[f32], learning_rate: f32);
+    /// Applies one update step with the given learning rate, reading the
+    /// gradients from `grads` or, when `None`, from the model's own gradient
+    /// arena ([`Mlp::grads`]), with subnormals flushed (see "Numeric
+    /// contracts" in [`crate::simd`]).
+    fn update(&mut self, model: &mut Mlp, grads: Option<&[f32]>, learning_rate: f32);
+
+    /// One update step from an external gradient vector.
+    fn step(&mut self, model: &mut Mlp, grads: &[f32], learning_rate: f32) {
+        self.update(model, Some(grads), learning_rate);
+    }
+
+    /// One update step from the model's gradient arena, copying nothing.
+    fn step_in_place(&mut self, model: &mut Mlp, learning_rate: f32) {
+        self.update(model, None, learning_rate);
+    }
 
     /// Number of update steps applied so far.
     fn steps_taken(&self) -> usize;
@@ -47,9 +60,9 @@ impl Default for AdamConfig {
 ///
 /// The step is fully fused: moment update, bias correction, optional
 /// decoupled weight decay and the parameter update run in a single pass over
-/// the parameters via [`Mlp::for_each_param_slice_mut`] — no delta vector is
-/// ever materialised, so a step performs zero allocations and touches each
-/// parameter-sized buffer the minimum number of times. The arithmetic per
+/// (parameters, gradients) via [`Mlp::for_each_param_slice_mut`] — no delta
+/// vector is ever materialised, so a step performs zero allocations and
+/// touches each parameter-sized buffer the minimum number of times. The arithmetic per
 /// element is identical to the classic compute-delta-then-apply formulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
@@ -90,16 +103,12 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, model: &mut Mlp, grads: &[f32], learning_rate: f32) {
+    fn update(&mut self, model: &mut Mlp, grads: Option<&[f32]>, learning_rate: f32) {
+        let _flush = FlushGuard::enter();
         assert_eq!(
-            grads.len(),
+            grads.map_or(model.param_count(), <[f32]>::len),
             self.first_moment.len(),
             "gradient length does not match optimizer state"
-        );
-        assert_eq!(
-            grads.len(),
-            model.param_count(),
-            "gradient length does not match the model"
         );
         self.steps += 1;
         let t = self.steps as f32;
@@ -117,15 +126,11 @@ impl Optimizer for Adam {
         let isa = self.isa.resolve();
         let first = &mut self.first_moment;
         let second = &mut self.second_moment;
-        let mut offset = 0usize;
-        model.for_each_param_slice_mut(|params| {
-            let g = &grads[offset..offset + params.len()];
+        model.for_each_param_slice_mut(grads, |offset, params, g| {
             let m = &mut first[offset..offset + params.len()];
             let v = &mut second[offset..offset + params.len()];
             simd::adam_update(isa, params, g, m, v, step);
-            offset += params.len();
         });
-        debug_assert_eq!(offset, grads.len());
     }
 
     fn steps_taken(&self) -> usize {
@@ -159,7 +164,8 @@ impl Sgd {
         }
     }
 
-    /// Sets the kernel-ISA request the velocity update dispatches on.
+    /// Sets the kernel-ISA request the velocity and parameter updates
+    /// dispatch on.
     pub fn with_isa(mut self, isa: KernelIsa) -> Self {
         self.isa = isa;
         self
@@ -167,21 +173,18 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut Mlp, grads: &[f32], learning_rate: f32) {
+    fn update(&mut self, model: &mut Mlp, grads: Option<&[f32]>, learning_rate: f32) {
+        let _flush = FlushGuard::enter();
+        let grads = grads.unwrap_or(model.grads());
         assert_eq!(
             grads.len(),
             self.velocity.len(),
             "gradient length does not match optimizer state"
         );
         self.steps += 1;
-        simd::sgd_velocity(
-            self.isa.resolve(),
-            &mut self.velocity,
-            grads,
-            self.momentum,
-            learning_rate,
-        );
-        model.apply_delta(&self.velocity);
+        let isa = self.isa.resolve();
+        simd::sgd_velocity(isa, &mut self.velocity, grads, self.momentum, learning_rate);
+        model.apply_delta(isa, &self.velocity);
     }
 
     fn steps_taken(&self) -> usize {
@@ -297,6 +300,42 @@ mod tests {
             if b.abs() > 1e-6 {
                 assert!(a.abs() < b.abs());
             }
+        }
+    }
+
+    #[test]
+    fn in_place_and_external_steps_are_one_update() {
+        // The same gradients through `step` (an external copy) and through
+        // `step_in_place` (the model's arena) move the model identically, on
+        // every ISA: one kernel loop serves both.
+        fn run(mut optimizer: impl Optimizer, in_place: bool) -> Vec<u32> {
+            let mut m = model();
+            for round in 0..5 {
+                for (i, g) in m.grads_mut().iter_mut().enumerate() {
+                    *g = ((i + round) % 7) as f32 * 0.01 - 0.03;
+                }
+                if in_place {
+                    optimizer.step_in_place(&mut m, 0.05);
+                } else {
+                    let grads = m.grads_flat();
+                    m.zero_grads();
+                    optimizer.step(&mut m, &grads, 0.05);
+                }
+            }
+            assert_eq!(optimizer.steps_taken(), 5);
+            m.params_flat().iter().map(|p| p.to_bits()).collect()
+        }
+        let n = model().param_count();
+        let adam = |isa| Adam::new(AdamConfig::default(), n).with_isa(isa);
+        let sgd = |isa| Sgd::new(0.9, n).with_isa(isa);
+        let reference_adam = run(adam(KernelIsa::Scalar), false);
+        let reference_sgd = run(sgd(KernelIsa::Scalar), false);
+        assert_ne!(reference_adam, reference_sgd);
+        for isa in [KernelIsa::Scalar, KernelIsa::Auto] {
+            assert_eq!(run(adam(isa), true), reference_adam);
+            assert_eq!(run(adam(isa), false), reference_adam);
+            assert_eq!(run(sgd(isa), true), reference_sgd);
+            assert_eq!(run(sgd(isa), false), reference_sgd);
         }
     }
 

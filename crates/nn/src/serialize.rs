@@ -87,7 +87,7 @@ mod tests {
     fn checkpoint_captures_parameter_changes() {
         let mut m = model();
         let before = ModelCheckpoint::capture(&m, 0, 0);
-        m.apply_delta(&vec![0.1; m.param_count()]);
+        m.apply_delta(crate::simd::detect(), &vec![0.1; m.param_count()]);
         let after = ModelCheckpoint::capture(&m, 1, 10);
         assert_ne!(before.params, after.params);
         assert_eq!(before.params.len(), after.params.len());

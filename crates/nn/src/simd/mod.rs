@@ -22,8 +22,28 @@
 //!
 //! # Numeric contracts
 //!
-//! Two classes of kernels, mirroring the versioned-stream convention the
-//! buffer crate uses for its seed policies:
+//! **Floating-point mode.** Subnormals are flushed to zero, by contract and
+//! not by the caller's choice: every training- and validation-path entry
+//! point of the crate — [`crate::Mlp::forward_ws`] /
+//! [`predict_ws`](crate::Mlp::predict_ws) /
+//! [`backward_ws`](crate::Mlp::backward_ws), [`crate::Loss::evaluate_into`],
+//! [`crate::Optimizer::update`] (hence `step` and `step_in_place`) and every
+//! GEMM worker thread spawned under `gemm_threads > 1` — sets FTZ+DAZ
+//! (x86_64 MXCSR) or FZ (aarch64 FPCR) on entry and puts the calling
+//! thread's control word back on exit. There is no knob; [`fp_mode`] names
+//! what the hardware offers. Without it, the Adam moments of parameters
+//! whose gradient is exactly zero (dead ReLUs) decay into the subnormal
+//! range, stick there under round-to-nearest, and every later optimizer pass
+//! pays microcode assists on them. Consequences: no subnormal ever appears
+//! in parameters or optimizer state; results do not depend on the
+//! MXCSR/FPCR of whichever thread calls in; a checkpoint written before this
+//! contract loads unchanged (weights only — a subnormal weight reads as
+//! zero). The naive reference paths (`Mlp::forward`/`backward`,
+//! [`crate::Matrix`]) run in the caller's mode and agree with the kernels bit
+//! for bit wherever no subnormal arises.
+//!
+//! **Bit-identity.** Two classes of kernels, mirroring the versioned-stream
+//! convention the buffer crate uses for its seed policies:
 //!
 //! * **Bit-identical** (the default): [`gemm_nn`], [`gemm_tn`], [`transpose`],
 //!   and all element-wise streams ([`act_derivative_mul`], [`mse_fused`],
@@ -33,7 +53,10 @@
 //!   order, and use separate multiply + add instructions (never FMA — a fused
 //!   multiply-add rounds once where the scalar reference rounds twice), so the
 //!   results match the scalar kernels bit for bit (modulo the sign of exact
-//!   zeros, the tolerance [`crate::kernels`] already documents).
+//!   zeros, the tolerance [`crate::kernels`] already documents). Flushing is
+//!   applied per operation, identically by scalar and vector instructions, so
+//!   through the entry points above bit-identity holds across ISAs, across
+//!   GEMM thread counts *and* across calling-thread FP modes.
 //! * **Contract-versioned**: [`gemm_nt`] ("gemm-nt-v2"). Its reduction runs
 //!   along the contiguous dimension, so the vector path keeps eight FMA
 //!   partial sums folded in ascending lane order plus an ascending scalar
@@ -52,8 +75,12 @@ use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+mod flush;
 #[cfg(target_arch = "aarch64")]
 mod neon;
+
+pub use flush::fp_mode;
+pub(crate) use flush::FlushGuard;
 
 /// The configured kernel-ISA request (`TrainingConfig::kernel_isa`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -239,49 +266,6 @@ pub fn detect() -> ResolvedIsa {
     })
 }
 
-/// Enables flush-to-zero / denormals-are-zero floating-point mode for the
-/// **calling thread**. No-op on architectures without a known control bit.
-///
-/// Long training runs on slowly-varying data drive Adam's second moments
-/// exponentially toward zero (`v ← β₂·v + (1−β₂)·g²` with vanishing `g`),
-/// parking them in the denormal range where every multiply takes a microcode
-/// assist — a measured ~10× slowdown of the fused optimizer pass at steady
-/// state, on the scalar and vector paths alike. FTZ+DAZ removes the assists
-/// by flushing those denormals to zero.
-///
-/// This intentionally changes numerics (denormals become zero), so it is
-/// opt-in and never set by the kernels themselves: the bit-identical
-/// cross-ISA contract holds *within* whatever FP environment the thread has,
-/// because every path performs the same per-element operation sequence and
-/// FTZ/DAZ is applied per operation, deterministically. Callers comparing
-/// runs must use the same setting on both sides, as `bench_throughput` does.
-pub fn flush_denormals() {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let mut csr: u32 = 0;
-        // SAFETY: stmxcsr/ldmxcsr write/read a caller-owned u32 and only
-        // toggle the FTZ (bit 15) and DAZ (bit 6) MXCSR bits, which alter
-        // denormal handling for this thread and nothing else; no memory
-        // other than `csr` is touched and the stack is not used.
-        unsafe {
-            core::arch::asm!("stmxcsr [{0}]", in(reg) &mut csr, options(nostack));
-            csr |= (1 << 15) | (1 << 6);
-            core::arch::asm!("ldmxcsr [{0}]", in(reg) &csr, options(nostack, readonly));
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        let mut fpcr: u64;
-        // SAFETY: reads and writes only the FPCR flush-to-zero bit (FZ,
-        // bit 24) for this thread; no memory is touched.
-        unsafe {
-            core::arch::asm!("mrs {0}, fpcr", out(reg) fpcr, options(nostack, nomem));
-            fpcr |= 1 << 24;
-            core::arch::asm!("msr fpcr, {0}", in(reg) fpcr, options(nostack, nomem));
-        }
-    }
-}
-
 /// Fused GEMM epilogue, the enum counterpart of the closure
 /// [`crate::kernels::gemm_nn`] takes — an enum the vector kernels can match
 /// on, where a generic closure would force them back to scalar calls.
@@ -349,6 +333,7 @@ pub fn gemm_nn(
                 for (a_chunk, out_chunk) in a.chunks(rows_per * k).zip(out.chunks_mut(rows_per * n))
                 {
                     scope.spawn(move |_| {
+                        let _flush = FlushGuard::enter();
                         // SAFETY: AVX2+FMA availability was asserted before
                         // spawning; each chunk is a consistent row range of A
                         // and C with the dimensions recomputed from it.
@@ -422,6 +407,7 @@ pub fn gemm_tn(
                     let i0 = chunk_idx * rows_per;
                     let i1 = i0 + out_chunk.len() / n;
                     scope.spawn(move |_| {
+                        let _flush = FlushGuard::enter();
                         // SAFETY: AVX2+FMA availability was asserted before
                         // spawning; [i0, i1) is the row range this chunk of C
                         // covers.
@@ -481,6 +467,7 @@ pub fn gemm_nt(
                 for (a_chunk, out_chunk) in a.chunks(rows_per * k).zip(out.chunks_mut(rows_per * n))
                 {
                     scope.spawn(move |_| {
+                        let _flush = FlushGuard::enter();
                         // SAFETY: AVX2+FMA availability was asserted before
                         // spawning; each chunk is a consistent row range of A
                         // and C.
@@ -694,7 +681,8 @@ pub(crate) fn adam_update_scalar(
 }
 
 /// SGD momentum update `v = momentum · v − lr · g` (the parameter add happens
-/// via [`crate::Mlp::apply_delta`] / [`add_assign`]). Bit-identical streaming.
+/// via [`crate::Mlp::apply_delta`] / [`add_assign`] on the same ISA).
+/// Bit-identical streaming.
 ///
 /// # Panics
 /// Panics when the slice lengths differ.
@@ -885,20 +873,6 @@ mod tests {
     fn auto_resolves_to_the_detected_isa() {
         assert_eq!(KernelIsa::Auto.resolve(), detect());
         assert!(detect().lane_width() >= 1);
-    }
-
-    #[test]
-    fn flush_denormals_flushes_on_this_thread() {
-        // The test harness runs each test on its own thread, so toggling the
-        // thread FP environment here cannot leak into other tests.
-        flush_denormals();
-        flush_denormals(); // idempotent
-        let denormal = std::hint::black_box(f32::from_bits(1));
-        let product = denormal * std::hint::black_box(2.0f32);
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-        assert_eq!(product, 0.0, "denormal input should flush to zero");
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        let _ = product; // no control bit to assert on
     }
 
     #[test]

@@ -426,3 +426,77 @@ fn training_is_bit_identical_across_dispatch() {
         assert_eq!(s.to_bits(), v.to_bits(), "param {i} diverged: {s} vs {v}");
     }
 }
+
+/// The same end-to-end check on a sequence that underflows: batch rows span
+/// twenty orders of magnitude, so activation products, loss gradients and
+/// squared gradients land in and around the subnormal range, where flushing
+/// decides the result. Scalar and detected kernels, one and two GEMM threads
+/// (layers sized past the parallel threshold, so the workers really run) all
+/// end on the same bits — the flush is applied per operation by every path,
+/// worker threads included.
+#[test]
+fn underflowing_training_is_bit_identical_across_dispatch_and_threads() {
+    use surrogate_nn::{
+        Adam, AdamConfig, InitScheme, Loss, Matrix, Mlp, MlpConfig, MseLoss, Optimizer,
+    };
+
+    const ROWS: usize = 16;
+    let config = MlpConfig {
+        layer_sizes: vec![6, 128, 512, 128],
+        activation: Activation::ReLU,
+        init: InitScheme::HeUniform,
+        seed: 17,
+    };
+    let scaled = |len: usize, cols: usize, seed: u64| -> Vec<f32> {
+        let (values, _) = seeded_operands(len, 0, seed);
+        values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v * 10.0f32.powi(-((i / cols) as i32) - 8))
+            .collect()
+    };
+    let inputs = Matrix::from_vec(ROWS, 6, scaled(ROWS * 6, 6, 5));
+    let targets = Matrix::from_vec(ROWS, 128, scaled(ROWS * 128, 128, 6));
+
+    let run = |isa: KernelIsa, threads: usize| -> (Vec<u32>, Vec<u32>) {
+        let mut model = Mlp::new(config.clone());
+        let mut ws = model.workspace(ROWS).with_isa(isa).with_threads(threads);
+        let mut optimizer = Adam::new(AdamConfig::default(), model.param_count()).with_isa(isa);
+        let mut first_grads = Vec::new();
+        for step in 0..6 {
+            model.forward_ws(&inputs, &mut ws);
+            let (pred, grad) = ws.output_and_grad_mut();
+            MseLoss.evaluate_into(pred, &targets, grad);
+            model.backward_ws(&mut ws);
+            if step == 0 {
+                first_grads = model.grads().iter().map(|g| g.to_bits()).collect();
+            }
+            optimizer.step_in_place(&mut model, 1e-3);
+        }
+        let params = model.params_flat().iter().map(|p| p.to_bits()).collect();
+        (params, first_grads)
+    };
+
+    let (reference, reference_grads) = run(KernelIsa::Scalar, 1);
+    // The sequence is what it claims to be: some first-step gradients sit
+    // within a few orders of magnitude of the smallest normal number, so
+    // their squares (and the terms summed into them) underflow.
+    let smallest = reference_grads
+        .iter()
+        .map(|&b| f32::from_bits(b).abs())
+        .filter(|&g| g > 0.0)
+        .fold(f32::MAX, f32::min);
+    assert!(smallest < 1.0e-30, "smallest gradient {smallest:e}");
+    for (isa, threads) in [
+        (KernelIsa::Scalar, 2),
+        (KernelIsa::Auto, 1),
+        (KernelIsa::Auto, 2),
+    ] {
+        let (params, grads) = run(isa, threads);
+        assert!(
+            grads == reference_grads,
+            "{isa}, {threads} threads: gradients"
+        );
+        assert!(params == reference, "{isa}, {threads} threads: parameters");
+    }
+}

@@ -1,7 +1,8 @@
 //! Asserts the central perf invariant of the workspace training path: once the
 //! buffers reached steady state, a full training step — batch refill, forward,
-//! loss, backward, flattened-gradient export, all-reduce and optimizer step —
-//! performs **zero heap allocations**.
+//! loss, backward into the gradient arena, in-place all-reduce and in-place
+//! optimizer step — performs **zero heap allocations**, and so does the
+//! retained flattened-gradient export with the external-gradient step.
 //!
 //! A counting global allocator makes the claim falsifiable instead of
 //! aspirational. The file holds exactly one test so no concurrent test thread
@@ -65,20 +66,30 @@ fn steady_state_training_step_allocates_nothing() {
         })
         .collect();
 
+    // Even steps take the trainer's path (the arena all the way); odd steps
+    // the retained one (`grads_flat_into` + external-gradient `step`).
+    let mut steps = 0usize;
     let mut step = |model: &mut Mlp, optimizer: &mut Adam, ws: &mut surrogate_nn::Workspace| {
         batch.fill_owned(&samples);
         model.forward_ws(&batch.inputs, ws);
         let (prediction, grad_out) = ws.output_and_grad_mut();
         let loss = loss_fn.evaluate_into(prediction, &batch.targets, grad_out);
         model.backward_ws(ws);
-        model.grads_flat_into(&mut grads);
-        sync.all_reduce_mean(&mut grads);
-        optimizer.step(model, &grads, 1e-3);
+        steps += 1;
+        if steps.is_multiple_of(2) {
+            sync.all_reduce_mean(model.grads_mut());
+            optimizer.step_in_place(model, 1e-3);
+        } else {
+            model.grads_flat_into(&mut grads);
+            assert!(grads == model.grads(), "the export is the arena");
+            sync.all_reduce_mean(&mut grads);
+            optimizer.step(model, &grads, 1e-3);
+        }
         loss
     };
 
-    // Warm up: lazily allocated buffers (weight gradients, optimizer scratch,
-    // gradient vector) reach their steady-state capacity.
+    // Warm up: the exported gradient vector reaches its capacity (the arena
+    // itself was allocated with the model).
     for _ in 0..3 {
         step(&mut model, &mut optimizer, &mut ws);
     }

@@ -39,15 +39,15 @@ fn train_workspace(
 ) -> Vec<f32> {
     let mut optimizer = Adam::new(AdamConfig::default(), model.param_count());
     let mut ws = model.workspace(inputs.rows()).with_threads(threads);
-    let mut grads = Vec::new();
     for _ in 0..steps {
         model.forward_ws(inputs, &mut ws);
         let (prediction, grad_out) = ws.output_and_grad_mut();
         MseLoss.evaluate_into(prediction, targets, grad_out);
-        // backward_ws overwrites the gradients, so no zero_grads pass.
+        // backward_ws overwrites the gradient arena (no zero_grads pass) and
+        // the optimizer reads it in place — the reference path above goes
+        // through a flattened copy and the external-gradient `step`.
         model.backward_ws(&mut ws);
-        model.grads_flat_into(&mut grads);
-        optimizer.step(&mut model, &grads, 1e-3);
+        optimizer.step_in_place(&mut model, 1e-3);
     }
     model.params_flat()
 }

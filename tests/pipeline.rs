@@ -4,7 +4,10 @@
 //! source is driven exclusively through the physics-agnostic `Workload` trait.
 
 use heat_solver::{SolverConfig, SyntheticWorkload};
-use melissa::{payload_to_sample, step_to_payload};
+use melissa::{
+    payload_to_sample, step_to_payload, ExperimentConfig, OnlineExperiment, WorkloadSpec,
+};
+use melissa_ensemble::CampaignPlan;
 use melissa_transport::{ClientApi, Fabric, FabricConfig, Message, MessageLog};
 use melissa_workload::{ParamPoint, Workload};
 use std::sync::Arc;
@@ -184,4 +187,28 @@ fn buffer_is_shareable_between_producer_and_consumer_threads() {
         "at least every unique step is served"
     );
     assert_eq!(buffer.len(), 0);
+}
+
+#[test]
+fn report_records_the_numeric_identity_of_the_run() {
+    // A report must say which kernels computed it and under which
+    // floating-point mode — without either, two reports cannot be compared.
+    let config = ExperimentConfig::builder()
+        .workload(WorkloadSpec::heat_analytic(solver_config()))
+        .campaign(CampaignPlan::single_series(2, 2))
+        .build()
+        .expect("config must validate");
+    let (_, report) = OnlineExperiment::new(config)
+        .expect("config must validate")
+        .run();
+    assert_eq!(report.kernel_isa, surrogate_nn::simd::detect().name());
+    assert_eq!(report.fp_mode, surrogate_nn::simd::fp_mode());
+    let expected = if cfg!(target_arch = "x86_64") {
+        "ftz+daz"
+    } else if cfg!(target_arch = "aarch64") {
+        "fz"
+    } else {
+        "ieee"
+    };
+    assert_eq!(report.fp_mode, expected);
 }
