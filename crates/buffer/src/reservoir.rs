@@ -18,7 +18,7 @@
 //!
 //! Batch serving (`get_batch` / `get_batch_with`) selects with serve stream
 //! **"reservoir-draw-v2"**: one seeded RNG draw per batch, expanded to one
-//! index per sample with [`splitmix64`]. Single `get`s and the eviction draws
+//! index per sample with `splitmix64`. Single `get`s and the eviction draws
 //! on the insertion side keep the original per-call v1 stream.
 
 use crate::lock_order;
@@ -146,7 +146,7 @@ impl<T: Clone> ReservoirBuffer<T> {
     /// The borrow-based batch-serving core behind
     /// [`TrainingBuffer::get_batch_with`]: selections and population moves
     /// mirror sequential `get`s, but the batch draws its selections from the
-    /// per-batch serve stream ("reservoir-draw-v2" — see [`splitmix64`]) and
+    /// per-batch serve stream ("reservoir-draw-v2" — see `splitmix64`) and
     /// the served sample is handed to `visit` as a borrow, so **no clone
     /// happens at all** — the one clone per pre-drain `get` disappears
     /// entirely on this path.
@@ -359,7 +359,7 @@ impl<T: Clone + Send> TrainingBuffer<T> for ReservoirBuffer<T> {
     /// and clone-vs-move behaviour mirror sequential `get`s (a pre-drain
     /// serve clones once, a post-drain serve moves the sample out), while the
     /// selections come from the per-batch serve stream "reservoir-draw-v2"
-    /// (see [`splitmix64`]): one RNG draw per batch, not one per sample.
+    /// (see `splitmix64`): one RNG draw per batch, not one per sample.
     // analysis: hot_path
     fn get_batch(&self, n: usize, out: &mut Vec<T>) -> usize {
         if n == 0 {

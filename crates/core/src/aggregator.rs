@@ -287,6 +287,10 @@ impl ShardWorker<'_> {
                                 if !log.is_finalized(client_id) {
                                     log.mark_finalized(client_id);
                                     if let Some(tracker) = &self.control.tracker {
+                                        // The samples that preceded the
+                                        // finalize are counted first (see
+                                        // below).
+                                        self.flush_burst_counts(&mut burst_counts);
                                         // analysis: allow(blocking, reason = "short per-sim map update under an uncontended mutex; at most once per client per rank")
                                         tracker.record_finalized(client_id);
                                     }
@@ -296,8 +300,15 @@ impl ShardWorker<'_> {
                             }
                         }
                     }
-                    self.buffer.put_many_shard(shard, &mut scratch);
+                    // The tracker must never see a simulation ahead of its
+                    // data: samples are counted as received before the
+                    // learner can train on them, and before the finalize
+                    // that followed them is recorded. A simulation can then
+                    // only complete through a trained batch or a finalize —
+                    // never while its samples are still on their way into
+                    // the buffer, uncounted.
                     self.flush_burst_counts(&mut burst_counts);
+                    self.buffer.put_many_shard(shard, &mut scratch);
                     // If this burst contained the rank's last expected
                     // finalize, stop immediately instead of sleeping through
                     // one more poll.
@@ -358,8 +369,8 @@ impl ShardWorker<'_> {
                     }
                 }
             }
-            self.buffer.put_many_shard(shard, &mut scratch);
             self.flush_burst_counts(&mut burst_counts);
+            self.buffer.put_many_shard(shard, &mut scratch);
         }
         ShardOutcome {
             accepted,

@@ -23,10 +23,12 @@
 //!   an older checkpoint (per-simulation sample accounting stays
 //!   exactly-once across incarnations).
 //! * [`DurableRecorder`] — the bundle handed to the training loop through
-//!   [`crate::recovery::RecoveryHooks`]. All disk I/O runs on rank 0's
-//!   training thread between batches (never on the ingest hot path); a disk
-//!   error latches the recorder into a degraded mode that stops writing
-//!   instead of aborting training.
+//!   [`crate::recovery::RecoveryHooks`]. All disk I/O of a run happens on
+//!   rank 0's sidecar thread (`crate::sidecar`), fed snapshots by the
+//!   learning thread — never on the learner, never on the ingest hot path —
+//!   plus one direct call for the server's final checkpoint after the ranks
+//!   have joined; a disk error latches the recorder into a degraded mode that
+//!   stops writing instead of aborting training.
 //!
 //! ## On-disk formats (version 1, all integers little-endian)
 //!
@@ -826,10 +828,14 @@ struct RecorderLedger {
 /// The durable sink handed to the training loop: checkpoints go to the
 /// [`DurableCheckpointStore`], completion deltas to the [`CompletionJournal`].
 ///
-/// All methods are called from rank 0's training thread between batches —
-/// never from the ingest path — and never panic: a disk failure flips the
-/// recorder into a degraded mode that skips further writes and surfaces the
-/// first error through [`DurableRecorder::first_error`].
+/// During training the recording methods are called from rank 0's sidecar
+/// thread, one job at a time and in the order the learner captured the
+/// snapshots (a job's completions before its checkpoint), so the directory
+/// trails the learner by at most the sidecar's queue depth and is complete
+/// once `RankTrainer::run` has returned; the server then records the final
+/// checkpoint directly. No method panics: a disk failure flips the recorder
+/// into a degraded mode that skips further writes and surfaces the first
+/// error through [`DurableRecorder::first_error`].
 #[derive(Debug)]
 pub struct DurableRecorder {
     store: DurableCheckpointStore,
@@ -856,45 +862,52 @@ impl DurableRecorder {
         }
     }
 
-    /// Journals every id of `completed` not yet durable. Errors latch the
-    /// degraded mode instead of propagating into the training loop.
-    pub fn record_completions(&self, completed: &[u64]) {
+    /// Journals every id of `completed` not yet durable and flushes them;
+    /// returns how many records were appended. Errors latch the degraded
+    /// mode instead of propagating into the caller.
+    pub fn record_completions(&self, completed: &[u64]) -> usize {
         let mut ledger = self.ledger.lock();
         if ledger.first_error.is_some() {
-            return;
+            return 0;
         }
-        let mut appended = false;
+        let mut appended = 0;
         for &simulation_id in completed {
             if !ledger.journaled.insert(simulation_id) {
                 continue;
             }
             if let Err(error) = self.journal.append(simulation_id) {
                 ledger.first_error = Some(error);
-                return;
+                return appended;
             }
-            appended = true;
+            appended += 1;
         }
-        if appended {
+        if appended > 0 {
             if let Err(error) = self.journal.flush() {
                 ledger.first_error = Some(error);
             }
         }
+        appended
     }
 
     /// Durably saves `checkpoint`; its completed set is marked journaled
-    /// (the checkpoint subsumes it). Errors latch the degraded mode.
-    pub fn record_checkpoint(&self, checkpoint: &ServerCheckpoint) {
+    /// (the checkpoint subsumes it). Returns whether the save landed; errors
+    /// latch the degraded mode.
+    pub fn record_checkpoint(&self, checkpoint: &ServerCheckpoint) -> bool {
         let mut ledger = self.ledger.lock();
         if ledger.first_error.is_some() {
-            return;
+            return false;
         }
         match self.store.save(checkpoint) {
             Ok(_) => {
                 for &simulation_id in &checkpoint.completed_simulations {
                     ledger.journaled.insert(simulation_id);
                 }
+                true
             }
-            Err(error) => ledger.first_error = Some(error),
+            Err(error) => {
+                ledger.first_error = Some(error);
+                false
+            }
         }
     }
 

@@ -19,6 +19,8 @@
 //!           │  forward/backward on the MLP replica
 //!           ▼
 //!      gradient all-reduce across ranks, identical weight update everywhere
+//!      rank 0 only: sidecar thread ◀── snapshots ── training thread
+//!           validation, checkpoint persistence, completion journal
 //! ```
 //!
 //! * [`ExperimentConfig`] describes one experiment (workload, surrogate,
@@ -49,6 +51,7 @@ pub mod recovery;
 pub mod report;
 pub mod sample;
 pub mod server;
+mod sidecar;
 pub mod trainer;
 pub mod validation;
 pub mod workload_spec;
@@ -70,7 +73,7 @@ pub use metrics::{
 };
 pub use offline::OfflineExperiment;
 pub use recovery::{CheckpointStore, IngestControl, ReceptionGate, RecoveryHooks, RecoveryTracker};
-pub use report::ExperimentReport;
+pub use report::{ExperimentReport, SidecarReport};
 pub use sample::{
     fill_batch_from_buffer, payload_into_sample, payload_to_sample, step_to_payload, step_to_sample,
 };

@@ -300,6 +300,7 @@ impl OfflineExperiment {
             durable_error: None,
             kernel_isa: config.training.kernel_isa.resolve().name().to_string(),
             fp_mode: surrogate_nn::simd::fp_mode().to_string(),
+            sidecar: Default::default(),
         };
 
         (model, report)

@@ -84,6 +84,39 @@ struct SimProgress {
     finalized_ranks: usize,
     /// Pre-seeded from a checkpoint: completed in a previous incarnation.
     restored: bool,
+    /// Already handed out through [`RecoveryTracker::take_newly_completed`].
+    announced: bool,
+}
+
+impl SimProgress {
+    /// The completion criterion of [`RecoveryTracker`] for one simulation.
+    fn is_complete(&self, num_ranks: usize) -> bool {
+        self.restored
+            || (self.finalized_ranks >= num_ranks
+                && self.received > 0
+                && self.dropped_untrained == 0
+                && self.trained_steps.len() >= self.received)
+    }
+
+    /// True exactly once per simulation: the first time the criterion holds
+    /// in this incarnation. Restored simulations are already durable and are
+    /// never announced.
+    fn newly_complete(&mut self, num_ranks: usize) -> bool {
+        if self.announced || self.restored || !self.is_complete(num_ranks) {
+            return false;
+        }
+        self.announced = true;
+        true
+    }
+}
+
+/// The tracker's state under its one lock.
+#[derive(Debug, Default)]
+struct TrackerState {
+    sims: HashMap<u64, SimProgress>,
+    /// Simulations that completed in this incarnation and were not yet taken
+    /// by [`RecoveryTracker::take_newly_completed`], in completion order.
+    newly_completed: Vec<u64>,
 }
 
 /// Cross-rank per-simulation accounting, from which the completed-simulation
@@ -99,10 +132,18 @@ struct SimProgress {
 /// while some of its samples sat unseen in the buffer and would be lost by a
 /// crash). A simulation that had samples dropped untrained (crash shutdown
 /// with a full queue) is pinned incomplete so a restart reruns it.
+///
+/// Only two events can complete a simulation — a trained batch
+/// ([`RecoveryTracker::record_consumed`]) and a rank's finalize
+/// ([`RecoveryTracker::record_finalized`]) — and both queue the id the moment
+/// the criterion first holds, so rank 0 journals completions in O(new) per
+/// batch through [`RecoveryTracker::take_newly_completed`] instead of
+/// scanning every simulation. [`RecoveryTracker::completed_simulations`]
+/// keeps the full scan for checkpoint capture.
 #[derive(Debug)]
 pub struct RecoveryTracker {
     num_ranks: usize,
-    progress: Mutex<HashMap<u64, SimProgress>>,
+    progress: Mutex<TrackerState>,
 }
 
 impl RecoveryTracker {
@@ -110,7 +151,7 @@ impl RecoveryTracker {
     pub fn new(num_ranks: usize) -> Self {
         Self {
             num_ranks,
-            progress: Mutex::new(HashMap::new()),
+            progress: Mutex::new(TrackerState::default()),
         }
     }
 
@@ -118,7 +159,7 @@ impl RecoveryTracker {
     /// the next checkpoint of the resumed run carries it forward.
     pub fn restore_completed(&self, simulation_id: u64) {
         let mut progress = self.progress.lock();
-        let entry = progress.entry(simulation_id).or_default();
+        let entry = progress.sims.entry(simulation_id).or_default();
         entry.restored = true;
     }
 
@@ -126,6 +167,7 @@ impl RecoveryTracker {
     pub fn record_received(&self, simulation_id: u64, count: usize) {
         self.progress
             .lock()
+            .sims
             .entry(simulation_id)
             .or_default()
             .received += count;
@@ -133,22 +175,36 @@ impl RecoveryTracker {
 
     /// Records that one rank processed `simulation_id`'s finalize message.
     pub fn record_finalized(&self, simulation_id: u64) {
-        self.progress
-            .lock()
-            .entry(simulation_id)
-            .or_default()
-            .finalized_ranks += 1;
+        let progress = &mut *self.progress.lock();
+        let entry = progress.sims.entry(simulation_id).or_default();
+        entry.finalized_ranks += 1;
+        if entry.newly_complete(self.num_ranks) {
+            progress.newly_completed.push(simulation_id);
+        }
     }
 
     /// Records one trained batch's sample keys (`(simulation, step)`): bumps
     /// the serve tally and marks each step as trained at least once.
     pub fn record_consumed(&self, keys: &[(u64, usize)]) {
-        let mut progress = self.progress.lock();
+        let progress = &mut *self.progress.lock();
         for (simulation_id, step) in keys {
-            let entry = progress.entry(*simulation_id).or_default();
+            let entry = progress.sims.entry(*simulation_id).or_default();
             entry.consumed += 1;
-            entry.trained_steps.insert(*step);
+            if entry.trained_steps.insert(*step) && entry.newly_complete(self.num_ranks) {
+                progress.newly_completed.push(*simulation_id);
+            }
         }
+    }
+
+    /// Moves the simulations that completed since the last call onto the end
+    /// of `out`, in completion order. Accumulated over a run (plus the
+    /// restored ones) this is exactly
+    /// [`RecoveryTracker::completed_simulations`]; it costs O(new) and, once
+    /// `out` has grown to its working size, allocates nothing.
+    pub fn take_newly_completed(&self, out: &mut Vec<u64>) {
+        // A path call on purpose: `melissa_analysis` resolves a bare
+        // `.append(…)` by name to `CompletionJournal::append`.
+        Vec::append(out, &mut self.progress.lock().newly_completed);
     }
 
     /// Records a buffer permanently removing one of `simulation_id`'s samples
@@ -158,7 +214,7 @@ impl RecoveryTracker {
     /// incomplete, so a restart reruns it).
     pub fn record_evicted(&self, simulation_id: u64, trained: bool) {
         let mut progress = self.progress.lock();
-        let entry = progress.entry(simulation_id).or_default();
+        let entry = progress.sims.entry(simulation_id).or_default();
         if trained {
             entry.evicted_trained += 1;
         } else {
@@ -170,7 +226,7 @@ impl RecoveryTracker {
     /// simulations — diagnostics for tests and reports.
     pub fn eviction_totals(&self) -> (usize, usize) {
         let progress = self.progress.lock();
-        progress.values().fold((0, 0), |(t, u), p| {
+        progress.sims.values().fold((0, 0), |(t, u), p| {
             (t + p.evicted_trained, u + p.dropped_untrained)
         })
     }
@@ -180,14 +236,9 @@ impl RecoveryTracker {
     pub fn completed_simulations(&self) -> Vec<u64> {
         let progress = self.progress.lock();
         let mut completed: Vec<u64> = progress
+            .sims
             .iter()
-            .filter(|(_, p)| {
-                p.restored
-                    || (p.finalized_ranks >= self.num_ranks
-                        && p.received > 0
-                        && p.dropped_untrained == 0
-                        && p.trained_steps.len() >= p.received)
-            })
+            .filter(|(_, p)| p.is_complete(self.num_ranks))
             .map(|(&sim, _)| sim)
             .collect();
         completed.sort_unstable();
@@ -203,7 +254,7 @@ pub struct CheckpointStore {
 
 #[derive(Debug, Default)]
 struct StoreState {
-    latest: Option<ServerCheckpoint>,
+    latest: Option<Arc<ServerCheckpoint>>,
     taken: usize,
 }
 
@@ -213,16 +264,19 @@ impl CheckpointStore {
         Self::default()
     }
 
-    /// Records a freshly captured checkpoint as the latest.
-    pub fn record(&self, checkpoint: ServerCheckpoint) {
+    /// Records a freshly captured checkpoint as the latest. Takes the
+    /// checkpoint by value or already shared: rank 0 hands the same `Arc` to
+    /// its sidecar for persistence, so the parameter copy is made once.
+    pub fn record(&self, checkpoint: impl Into<Arc<ServerCheckpoint>>) {
         let mut inner = self.inner.lock();
-        inner.latest = Some(checkpoint);
+        inner.latest = Some(checkpoint.into());
         inner.taken += 1;
     }
 
     /// The latest checkpoint, if any was taken.
     pub fn latest(&self) -> Option<ServerCheckpoint> {
-        self.inner.lock().latest.clone()
+        let latest = self.inner.lock().latest.clone();
+        latest.map(Arc::unwrap_or_clone)
     }
 
     /// Number of checkpoints taken so far.
@@ -254,8 +308,8 @@ pub struct RecoveryHooks {
     /// continues where it left off instead of restarting hot.
     pub resume_rounds: usize,
     /// On-disk durability sink (checkpoint store + completion journal),
-    /// written by rank 0's training thread between batches; `None` keeps the
-    /// in-memory-only behaviour.
+    /// written by rank 0's sidecar thread from the snapshots the learner
+    /// hands it; `None` keeps the in-memory-only behaviour.
     pub durable: Option<Arc<crate::durable::DurableRecorder>>,
 }
 

@@ -6,6 +6,25 @@ use melissa_transport::TransportStats;
 use serde::{Deserialize, Serialize};
 use training_buffer::{BufferKind, BufferStats};
 
+/// What rank 0's sidecar thread did during an online run: the validation,
+/// checkpoint persistence and journal work taken off the learning thread, and
+/// what handing it over cost the learner. When a slow disk turns the sidecar
+/// back into a stall, `learner_blocked_seconds` is where it shows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct SidecarReport {
+    /// Periodic validation passes run.
+    pub validations: usize,
+    /// Checkpoints written to the durability directory.
+    pub checkpoints_persisted: usize,
+    /// Journal flushes: jobs that appended at least one completion record.
+    pub journal_flushes: usize,
+    /// Seconds the sidecar spent working (not waiting for a job).
+    pub busy_seconds: f64,
+    /// Seconds rank 0's learning thread waited because the sidecar's queue
+    /// was full — the in-program counterpart of a batch-gap tail.
+    pub learner_blocked_seconds: f64,
+}
+
 /// A complete record of one experiment (online or offline).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentReport {
@@ -88,6 +107,10 @@ pub struct ExperimentReport {
     /// "fz" or "ieee"; empty in reports written before it was recorded.
     #[serde(default)]
     pub fp_mode: String,
+    /// What rank 0's sidecar did (all zero offline and in reports written
+    /// before it existed).
+    #[serde(default)]
+    pub sidecar: SidecarReport,
 }
 
 impl ExperimentReport {
@@ -197,6 +220,7 @@ mod tests {
             durable_error: None,
             kernel_isa: "scalar".to_string(),
             fp_mode: "ieee".to_string(),
+            sidecar: SidecarReport::default(),
         }
     }
 
@@ -217,6 +241,26 @@ mod tests {
         assert!(row2.contains("5,120C"));
         assert!(row2.contains("2500"));
         assert!(!r.summary().is_empty());
+    }
+
+    #[test]
+    fn sidecar_block_roundtrips_and_defaults_in_older_reports() {
+        let mut r = report();
+        r.sidecar = SidecarReport {
+            validations: 13,
+            checkpoints_persisted: 12,
+            journal_flushes: 250,
+            busy_seconds: 0.75,
+            learner_blocked_seconds: 0.01,
+        };
+        let json = serde_json::to_string(&r).unwrap();
+        let back: ExperimentReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.sidecar, r.sidecar);
+        // A report written before the sidecar existed carries no such key.
+        let start = json.find(",\"sidecar\"").expect("the block is serialised");
+        let older = format!("{}}}", &json[..start]);
+        let back: ExperimentReport = serde_json::from_str(&older).unwrap();
+        assert_eq!(back.sidecar, SidecarReport::default());
     }
 
     #[test]

@@ -86,7 +86,10 @@ impl OnlineExperiment {
     /// the configuration carries a [`DurabilityConfig`], checkpoints and the
     /// completion journal are additionally persisted to its directory, so a
     /// *process* kill can be resumed with
-    /// [`OnlineExperiment::resume_from_dir`].
+    /// [`OnlineExperiment::resume_from_dir`]. Persistence runs on rank 0's
+    /// sidecar thread, which is joined before this returns — after a crash
+    /// too — so the directory is quiescent (no write in flight, as many
+    /// durable checkpoints as were taken) and can be resumed from at once.
     pub fn run_recoverable(&self) -> (Mlp, ExperimentReport, Option<ServerCheckpoint>) {
         self.run_with_durability(None)
     }
@@ -613,6 +616,7 @@ impl OnlineExperiment {
             launcher: launcher_report,
             kernel_isa: config.training.kernel_isa.resolve().name().to_string(),
             fp_mode: surrogate_nn::simd::fp_mode().to_string(),
+            sidecar: rank_outcomes.first().map(|o| o.sidecar).unwrap_or_default(),
         };
 
         (model, report, store.latest())

@@ -21,16 +21,30 @@
 //! runs batch N; the prefetcher is the buffer's only consumer, so the sample
 //! stream — and therefore the trained parameters — is bit-identical to the
 //! non-prefetch path.
+//!
+//! The learning thread only learns. Everything else rank 0 owes a round —
+//! periodic validation, persisting the checkpoint it captured, journalling
+//! the simulations that completed — is handed as a snapshot to one sidecar
+//! thread (`crate::sidecar`) that lives exactly as long as
+//! [`RankTrainer::run`]. What stays on the learner is O(memcpy): the
+//! parameter copy a checkpoint capture makes anyway (shared with validation
+//! when the cadences coincide), or a copy into a recycled buffer. The values
+//! are unchanged: the sidecar validates the snapshot on a shadow model of the
+//! same architecture, workspace, GEMM threading and ISA, jobs are served in
+//! submission order and never dropped, and a loss point keeps the time its
+//! batch finished — only its `validation_loss` arrives a little later.
 
 use crate::checkpoint::ServerCheckpoint;
 use crate::config::{DeviceProfile, TrainingConfig};
 use crate::metrics::{LossPoint, ThroughputPoint, ThroughputTracker};
 use crate::recovery::RecoveryHooks;
+use crate::report::SidecarReport;
 use crate::sample::fill_batch_from_buffer;
+use crate::sidecar::{self, SidecarHandle};
 use crate::validation::ValidationSet;
 use crossbeam::channel::bounded;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use surrogate_nn::{
@@ -88,6 +102,8 @@ pub struct RankOutcome {
     pub mean_throughput: f64,
     /// Mean throughput with emulated-device stall time subtracted.
     pub mean_compute_throughput: f64,
+    /// What this rank's sidecar did (all zero on ranks without one).
+    pub sidecar: SidecarReport,
 }
 
 /// Merges per-rank occurrence counts into one experiment-wide map.
@@ -110,6 +126,32 @@ struct RoundState {
     rounds: usize,
     batches_with_data: usize,
     samples_consumed: usize,
+    /// Rank 0's end of its sidecar; `None` on the other ranks and when the
+    /// run has neither periodic validation nor a durable recorder.
+    sidecar: Option<SidecarHandle>,
+}
+
+/// Armed for the life of a rank (or sidecar) thread: if the thread unwinds,
+/// it declares the server down and ends reception on the rank's buffer. The
+/// aggregators and the launcher of an [`crate::OnlineExperiment`] would
+/// otherwise stay blocked on a full buffer or channel that nobody drains, the
+/// experiment's thread scope would never join, and the panic would never be
+/// re-raised.
+struct UnwindGuard {
+    server_down: Option<Arc<AtomicBool>>,
+    buffer: Arc<dyn TrainingBuffer<Sample>>,
+}
+
+impl Drop for UnwindGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            if let Some(server_down) = &self.server_down {
+                // ordering: Release — same publication as the scripted crash: aggregators and clients Acquire-load the flag and stop feeding a dead server
+                server_down.store(true, Ordering::Release);
+            }
+            self.buffer.mark_reception_over();
+        }
+    }
 }
 
 /// The contribution a crashing rank makes to the status all-reduce: so
@@ -185,19 +227,63 @@ impl RankTrainer {
     /// matrices are filled straight from the buffer and reused across rounds,
     /// and the gradients stay in the model's arena from the backward pass
     /// through the all-reduce to the optimizer step.
+    ///
+    /// Rank 0's sidecar thread is spawned here and joined before this
+    /// returns — crash round included — so the caller never observes an
+    /// in-flight checkpoint write or an unfilled validation point.
     pub fn run(self, start: Instant) -> RankOutcome {
-        if self.config.prefetch {
-            self.run_prefetch(start)
-        } else {
-            self.run_direct(start)
-        }
+        let guard = || UnwindGuard {
+            server_down: self
+                .recovery
+                .as_ref()
+                .map(|hooks| Arc::clone(&hooks.server_down)),
+            buffer: Arc::clone(&self.buffer),
+        };
+        let _guard = guard();
+        let durable = self.recovery.as_ref().and_then(|h| h.durable.clone());
+        let periodic_validation = self
+            .validation
+            .clone()
+            .filter(|_| self.config.validation_interval_batches > 0);
+        let (handle, worker) =
+            if self.rank == 0 && (periodic_validation.is_some() || durable.is_some()) {
+                let (handle, worker) =
+                    sidecar::pair(&self.model, &self.config, periodic_validation, durable);
+                (Some(handle), Some((worker, guard())))
+            } else {
+                (None, None)
+            };
+        std::thread::scope(|scope| {
+            let worker = worker.map(|(worker, guard)| {
+                scope.spawn(move || {
+                    let _guard = guard;
+                    worker.run()
+                })
+            });
+            let mut outcome = if self.config.prefetch {
+                self.run_prefetch(start, handle)
+            } else {
+                self.run_direct(start, handle)
+            };
+            if let Some(worker) = worker {
+                // `finish` filled in the learner's side of the report.
+                let learner_blocked_seconds = outcome.sidecar.learner_blocked_seconds;
+                outcome.sidecar = SidecarReport {
+                    learner_blocked_seconds,
+                    ..worker
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                };
+            }
+            outcome
+        })
     }
 
     /// The direct path: the training thread assembles each batch itself, then
     /// runs the round on it.
-    fn run_direct(mut self, start: Instant) -> RankOutcome {
+    fn run_direct(mut self, start: Instant, sidecar: Option<SidecarHandle>) -> RankOutcome {
         let batch_size = self.config.batch_size.max(1);
-        let mut state = self.new_state(batch_size);
+        let mut state = self.new_state(batch_size, sidecar);
         let mut batch = Batch::with_capacity(
             batch_size,
             self.model.input_size(),
@@ -219,9 +305,9 @@ impl RankTrainer {
     /// batch ahead and no batch is ever allocated in steady state. The stage
     /// is the buffer's only consumer, which keeps the sample stream — and the
     /// trained parameters — bit-identical to [`RankTrainer::run_direct`].
-    fn run_prefetch(mut self, start: Instant) -> RankOutcome {
+    fn run_prefetch(mut self, start: Instant, sidecar: Option<SidecarHandle>) -> RankOutcome {
         let batch_size = self.config.batch_size.max(1);
-        let mut state = self.new_state(batch_size);
+        let mut state = self.new_state(batch_size, sidecar);
         let make_batch = || {
             Batch::with_capacity(
                 batch_size,
@@ -286,7 +372,7 @@ impl RankTrainer {
         outcome.expect("the prefetch scope always produces an outcome")
     }
 
-    fn new_state(&mut self, batch_size: usize) -> RoundState {
+    fn new_state(&mut self, batch_size: usize, sidecar: Option<SidecarHandle>) -> RoundState {
         RoundState {
             ws: self
                 .model
@@ -299,6 +385,7 @@ impl RankTrainer {
             rounds: 0,
             batches_with_data: 0,
             samples_consumed: 0,
+            sidecar,
         }
     }
 
@@ -306,6 +393,7 @@ impl RankTrainer {
     /// zero-gradient contribution), gradient all-reduce, optimizer step and
     /// metrics. Returns `false` once every rank has drained. Identical for
     /// the direct and prefetch paths — only who assembled `batch` differs.
+    // analysis: hot_path
     fn round(&mut self, state: &mut RoundState, batch: Option<&Batch>, start: Instant) -> bool {
         let loss_fn = MseLoss;
         let device: DeviceProfile = self.config.device;
@@ -316,13 +404,16 @@ impl RankTrainer {
         // scripted server crash rides the same vote: rank 0 contributes a
         // sentinel so negative that the mean is unmistakably a crash, and
         // every rank exits this very round — the replicas (and therefore any
-        // checkpoint already captured) stay bit-identical across ranks.
+        // checkpoint already captured) stay bit-identical across ranks. A
+        // sidecar that died takes the same exit, so no peer is left waiting
+        // in a collective while rank 0 re-raises the sidecar's panic.
         let crash_now = self.rank == 0
-            && self
-                .recovery
-                .as_ref()
-                .and_then(|h| h.crash_after_batches)
-                .is_some_and(|after| state.batches_with_data >= after);
+            && (state.sidecar.as_ref().is_some_and(SidecarHandle::lost)
+                || self
+                    .recovery
+                    .as_ref()
+                    .and_then(|h| h.crash_after_batches)
+                    .is_some_and(|after| state.batches_with_data >= after));
         let mut active_flag = [if crash_now {
             SERVER_CRASH_SENTINEL
         } else if has_data {
@@ -330,6 +421,7 @@ impl RankTrainer {
         } else {
             0.0
         }];
+        // analysis: allow(blocking, reason = "the collective is the round: synchronous data parallelism waits for every rank by design")
         self.shared.status_sync.all_reduce_mean(&mut active_flag);
         if active_flag[0] < CRASH_THRESHOLD {
             if let Some(hooks) = &self.recovery {
@@ -339,6 +431,7 @@ impl RankTrainer {
             // This rank stops consuming for good: lift the buffer's producer
             // backpressure so no ingest worker stays blocked on a full queue
             // it will never drain (they drop data once reception is over).
+            // analysis: allow(blocking, reason = "crash exit, once per run: takes the buffer lock to wake blocked producers")
             self.buffer.mark_reception_over();
             return false;
         }
@@ -367,6 +460,7 @@ impl RankTrainer {
 
         // Synchronous data parallelism: average the gradients in place and
         // apply the identical update on every replica.
+        // analysis: allow(blocking, reason = "the collective is the round: synchronous data parallelism waits for every rank by design")
         self.shared
             .grad_sync
             .all_reduce_mean(self.model.grads_mut());
@@ -390,6 +484,7 @@ impl RankTrainer {
             Duration::ZERO
         } else {
             let stall_start = Instant::now();
+            // analysis: allow(blocking, reason = "the emulated device delay is the configured behaviour; zero on every production profile")
             std::thread::sleep(device.extra_batch_delay());
             stall_start.elapsed()
         };
@@ -406,64 +501,83 @@ impl RankTrainer {
         }
 
         // Recovery bookkeeping, after the weight update so a checkpoint never
-        // captures a half-applied batch: record what this batch consumed, and
-        // capture a checkpoint at the configured cadence. Capture runs on the
-        // training thread between batches — the ingest path is never stalled.
-        if let Some(hooks) = &self.recovery {
-            if let Some(batch) = batch {
-                hooks.tracker.record_consumed(&batch.keys);
-            }
-            if self.rank == 0 && has_data {
-                // Journal newly completed simulations every data batch: the
-                // journal shrinks the re-simulation window of a crash to
-                // "since the last flush", not "since the last checkpoint".
-                if let Some(durable) = &hooks.durable {
-                    durable.record_completions(&hooks.tracker.completed_simulations());
-                }
-                if hooks.checkpoint_every_batches > 0
+        // sees a half-applied batch: record what this batch consumed.
+        if let (Some(hooks), Some(batch)) = (&self.recovery, batch) {
+            // analysis: allow(blocking, reason = "one short critical section per batch on the cross-rank progress map; per-step sets grow by amortised doubling until a simulation's steps were all seen once")
+            hooks.tracker.record_consumed(&batch.keys);
+        }
+        if let Some(sidecar) = &mut state.sidecar {
+            sidecar.poll(&mut state.losses);
+        }
+        if self.rank != 0 || !has_data {
+            return true;
+        }
+
+        // Rank 0 records the loss history and decides what this round owes
+        // besides the SGD step. None of it runs here: the learner captures a
+        // snapshot and the sidecar does the work, in the order this code used
+        // to — journal the completions, persist the checkpoint, validate.
+        // A checkpoint at the configured cadence. Capturing is the parameter
+        // copy; the in-memory store takes it by move, the sidecar shares it.
+        let checkpoint = self
+            .recovery
+            .as_ref()
+            .filter(|hooks| {
+                hooks.checkpoint_every_batches > 0
                     && state
                         .batches_with_data
                         .is_multiple_of(hooks.checkpoint_every_batches)
-                {
-                    let checkpoint = ServerCheckpoint::capture(
-                        &self.model,
-                        self.resume_rounds() + state.rounds,
-                        nominal_samples_seen,
-                        hooks.tracker.completed_simulations(),
-                        hooks.experiment_seed,
-                    );
-                    if let Some(durable) = &hooks.durable {
-                        durable.record_checkpoint(&checkpoint);
-                    }
-                    hooks.store.record(checkpoint);
-                }
-            }
-        }
-
-        // Rank 0 records the loss history and runs periodic validation. On
-        // the direct path validation stalls batch consumption exactly as in
-        // the paper; with prefetch enabled the stage may assemble one batch
-        // ahead while validation runs.
-        if self.rank == 0 && has_data {
-            let validation_loss = if self.config.validation_interval_batches > 0
+            })
+            .map(|hooks| {
+                // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the store keeps the copy, so it cannot be recycled")
+                let checkpoint = Arc::new(ServerCheckpoint::capture(
+                    &self.model,
+                    self.resume_rounds() + state.rounds,
+                    nominal_samples_seen,
+                    // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the full scan collects and sorts the completed ids")
+                    // analysis: allow(blocking, reason = "checkpoint cadence, not per batch: the full scan holds the progress map's lock")
+                    hooks.tracker.completed_simulations(),
+                    hooks.experiment_seed,
+                ));
+                hooks.store.record(Arc::clone(&checkpoint));
+                checkpoint
+            });
+        if let Some(sidecar) = &mut state.sidecar {
+            let validate = self.validation.is_some()
+                && self.config.validation_interval_batches > 0
                 && state
                     .rounds
-                    .is_multiple_of(self.config.validation_interval_batches)
-            {
-                self.validation
-                    .as_ref()
-                    .map(|v| v.evaluate_with(&self.model, &mut state.ws))
-            } else {
-                None
-            };
-            state.losses.push(LossPoint {
-                batches: state.rounds,
-                samples_seen: nominal_samples_seen,
-                train_loss,
-                validation_loss,
-                elapsed_seconds: start.elapsed().as_secs_f64(),
-            });
+                    .is_multiple_of(self.config.validation_interval_batches);
+            let durable = self.recovery.as_ref().filter(|h| h.durable.is_some());
+            if let Some(hooks) = durable {
+                // Journal newly completed simulations every data batch: the
+                // journal shrinks the re-simulation window of a crash to
+                // "since the last flush", not "since the last checkpoint".
+                let completions = &mut sidecar.staging.completions;
+                // analysis: allow(blocking, reason = "one short critical section per batch; moves O(new) ids, none on most batches")
+                hooks.tracker.take_newly_completed(completions);
+            }
+            if validate {
+                sidecar.staging.validate = Some(state.losses.len());
+                if checkpoint.is_none() {
+                    sidecar.snapshot_params(&self.model);
+                }
+            }
+            if durable.is_some() || validate {
+                sidecar.staging.checkpoint = checkpoint;
+            }
+            // Never waits unless the queue is full; then waiting for the
+            // sidecar is the old synchronous behaviour as the worst case.
+            sidecar.submit(&mut state.losses);
         }
+        state.losses.push(LossPoint {
+            batches: state.rounds,
+            samples_seen: nominal_samples_seen,
+            train_loss,
+            // Filled in by index when the sidecar hands the job back.
+            validation_loss: None,
+            elapsed_seconds: start.elapsed().as_secs_f64(),
+        });
         true
     }
 
@@ -488,6 +602,15 @@ impl RankTrainer {
             }
         }
 
+        // Close the sidecar's queue and wait out its backlog (it kept working
+        // through the final validation above): from here every due validation
+        // point is filled and every captured checkpoint is on disk.
+        let mut sidecar_report = SidecarReport::default();
+        if let Some(sidecar) = &mut state.sidecar {
+            sidecar.drain(&mut state.losses);
+            sidecar_report.learner_blocked_seconds = sidecar.blocked_seconds();
+        }
+
         let mean_throughput = state.tracker.mean_throughput();
         let mean_compute_throughput = state.tracker.mean_compute_throughput();
         RankOutcome {
@@ -501,6 +624,7 @@ impl RankTrainer {
             throughput: state.tracker.into_points(),
             mean_throughput,
             mean_compute_throughput,
+            sidecar: sidecar_report,
         }
     }
 }

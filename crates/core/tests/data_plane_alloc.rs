@@ -8,7 +8,12 @@
 //! * the trainer round: direct buffer→batch assembly through the borrow-based
 //!   `get_batch_with` visitor (no per-sample clone, even for the Reservoir),
 //!   forward/backward through the reused workspace, rank-local occurrence
-//!   accounting, gradient all-reduce and the fused optimizer step.
+//!   accounting, gradient all-reduce and the fused optimizer step;
+//! * the real thing: rank 0's learning thread inside [`RankTrainer::run`]
+//!   with recovery hooks, a durable recorder and periodic validation on —
+//!   consumption accounting, the O(new) completion drain, the snapshot
+//!   hand-off to the sidecar and the loss history included. A round that is
+//!   neither a checkpoint nor a validation round allocates nothing.
 //!
 //! A counting global allocator makes the claim falsifiable. The file follows
 //! the `workspace_alloc.rs` pattern: a single test so no concurrent test
@@ -16,10 +21,18 @@
 //! harness-side buffering noise cannot fail the run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
-use melissa::{fill_batch_from_buffer, payload_into_sample};
+use melissa::trainer::{RankTrainer, TrainerShared};
+use melissa::{
+    fill_batch_from_buffer, payload_into_sample, CheckpointStore, CompletionJournal,
+    DurableCheckpointStore, DurableIdentity, DurableRecorder, RecoveryHooks, RecoveryTracker,
+    TrainingConfig, ValidationSet,
+};
 use melissa_transport::{MessageLog, SamplePayload};
 use surrogate_nn::{
     Activation, Adam, AdamConfig, Batch, GradientSynchronizer, InitScheme, InputNormalizer, Loss,
@@ -31,10 +44,29 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+/// Allocations made by the one thread that set [`IS_LEARNER`]: phase 3 counts
+/// rank 0's learning thread apart from its sidecar, which allocates
+/// concurrently, and from the test thread that feeds it.
+static LEARNER_ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static IS_LEARNER: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_allocation() {
+    // ordering: Relaxed — a pure allocation tally; the test thread triggers the allocations it counts, so program order already covers the reads
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    // `try_with`: a thread being torn down may still allocate after its
+    // thread-locals are gone.
+    if IS_LEARNER.try_with(Cell::get).unwrap_or(false) {
+        // ordering: Relaxed — a tally; the reader synchronises with the learner through the buffer's lock before it loads
+        LEARNER_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // ordering: Relaxed — a pure allocation tally; the test thread triggers the allocations it counts, so program order already covers the reads
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -43,8 +75,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // ordering: Relaxed — a pure allocation tally; the test thread triggers the allocations it counts, so program order already covers the reads
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -90,6 +121,132 @@ fn min_allocations_over(attempts: usize, mut body: impl FnMut()) -> usize {
         }
     }
     min_allocations
+}
+
+/// Phase 3: per-round allocations of rank 0's learning thread inside a real
+/// `RankTrainer::run` with recovery hooks, durability and validation on.
+/// Returns `(round, allocations)` for rounds `1..=ROUNDS`.
+///
+/// The calling thread paces the learner through a FIFO buffer with reception
+/// open: it feeds exactly one batch, waits until the learner has trained on it
+/// and is parked waiting for the next, and reads the learner's tally in
+/// between. One reading therefore spans one whole round — the batch fill, the
+/// step, the recovery bookkeeping and the hand-off to the sidecar.
+fn learner_allocations_per_round() -> Vec<(usize, usize)> {
+    const ROUNDS: usize = 128;
+    const BATCH: usize = 8;
+    const STEPS: usize = 16;
+    let model = || {
+        Mlp::new(MlpConfig {
+            layer_sizes: vec![PARAM_DIM + 1, 32, 32, FIELD_LEN],
+            activation: Activation::ReLU,
+            init: InitScheme::HeUniform,
+            seed: 3,
+        })
+    };
+    let sample = |simulation: u64, step: usize| {
+        let k = simulation as usize * STEPS + step;
+        Sample::new(
+            (0..=PARAM_DIM)
+                .map(|d| ((k + d) % 9) as f32 / 9.0)
+                .collect(),
+            (0..FIELD_LEN)
+                .map(|d| ((k * 3 + d) % 11) as f32 / 11.0)
+                .collect(),
+            simulation,
+            step,
+        )
+    };
+
+    // Two finalized simulations of 16 steps, served round-robin over and over
+    // (as a Reservoir would re-serve them): after four rounds every sample
+    // was trained once, both simulations have completed and been journalled,
+    // and the occurrence map and the tracker's step sets stop growing.
+    let pool: Vec<Sample> = (0..2u64)
+        .flat_map(|simulation| (0..STEPS).map(move |step| (simulation, step)))
+        .map(|(simulation, step)| sample(simulation, step))
+        .collect();
+    let tracker = Arc::new(RecoveryTracker::new(1));
+    for simulation in 0..2u64 {
+        tracker.record_received(simulation, STEPS);
+        tracker.record_finalized(simulation);
+    }
+
+    let dir = std::env::temp_dir().join(format!("melissa-alloc-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let identity = DurableIdentity {
+        experiment_seed: 3,
+        config_fingerprint: 1,
+    };
+    let store = DurableCheckpointStore::open(&dir, identity, 2).unwrap();
+    let (journal, _) = CompletionJournal::open(&dir, identity, 1).unwrap();
+    let recorder = Arc::new(DurableRecorder::new(store, journal, []));
+    let hooks = RecoveryHooks {
+        checkpoint_every_batches: 25,
+        store: Arc::new(CheckpointStore::new()),
+        tracker,
+        crash_after_batches: None,
+        server_down: Arc::new(AtomicBool::new(false)),
+        experiment_seed: 3,
+        resume_rounds: 0,
+        durable: Some(Arc::clone(&recorder)),
+    };
+    let validation = Arc::new(ValidationSet::from_samples(
+        (0..8).map(|step| sample(9, step)).collect(),
+        BATCH,
+    ));
+    let config = TrainingConfig {
+        batch_size: BATCH,
+        num_ranks: 1,
+        validation_interval_batches: 10,
+        gemm_threads: 1,
+        ..TrainingConfig::default()
+    };
+    let shared = Arc::new(TrainerShared::new(1, model().param_count()));
+    let fifo = Arc::new(FifoBuffer::new(64));
+    let buffer: Arc<dyn TrainingBuffer<Sample>> = Arc::clone(&fifo) as _;
+    let trainer =
+        RankTrainer::new(0, model(), buffer, config, Some(validation), shared).with_recovery(hooks);
+    let learner = std::thread::spawn(move || {
+        IS_LEARNER.with(|flag| flag.set(true));
+        trainer.run(Instant::now())
+    });
+
+    // The learner is parked in its batch fill (a consumer wait it has not
+    // been woken from) exactly when it has served everything fed so far and
+    // started one more wait than at the previous reading.
+    let parked_after = |served: usize, waits_before: usize| loop {
+        let stats = fifo.stats();
+        if stats.gets == served && stats.consumer_waits > waits_before {
+            return stats.consumer_waits;
+        }
+        std::thread::yield_now();
+    };
+    let mut waits = parked_after(0, 0);
+    // ordering: Relaxed — the stats read above took the buffer's lock after the learner released it, which orders the learner's increments before this load
+    let mut tally = LEARNER_ALLOCATIONS.load(Ordering::Relaxed);
+    let mut per_round = Vec::with_capacity(ROUNDS);
+    for round in 1..=ROUNDS {
+        let mut batch: Vec<Sample> = (0..BATCH)
+            .map(|k| pool[((round - 1) * BATCH + k) % pool.len()].clone())
+            .collect();
+        fifo.put_many(&mut batch);
+        waits = parked_after(round * BATCH, waits);
+        // ordering: Relaxed — ordered after the learner's increments by the buffer's lock, as above
+        let now = LEARNER_ALLOCATIONS.load(Ordering::Relaxed);
+        per_round.push((round, now - tally));
+        tally = now;
+    }
+    fifo.mark_reception_over();
+    let outcome = learner.join().unwrap();
+
+    assert_eq!(outcome.batches_with_data, ROUNDS);
+    assert_eq!(recorder.first_error(), None);
+    assert_eq!(outcome.sidecar.checkpoints_persisted, ROUNDS / 25);
+    assert_eq!(outcome.sidecar.journal_flushes, 2, "one per simulation");
+    assert_eq!(outcome.sidecar.validations, ROUNDS / 10);
+    let _ = std::fs::remove_dir_all(&dir);
+    per_round
 }
 
 #[test]
@@ -219,5 +376,26 @@ fn steady_state_data_plane_allocates_nothing() {
         trainer_allocations, 0,
         "the steady-state trainer round must not allocate \
          (best window: {trainer_allocations} allocations in 10 rounds)"
+    );
+
+    // ---- Phase 3: rank 0's learning thread with recovery and durability. ----
+    // Rounds 66..=128 are steady state: every sample was trained (and both
+    // simulations journalled) long before, and the loss history last doubled
+    // its capacity at round 65. Checkpoints fall on 75, 100 and 125 and keep
+    // their copy. A validation round (every tenth) hands the sidecar a
+    // recycled parameter buffer; it may allocate a second one only while the
+    // sidecar is still busy with a checkpoint's fsyncs and the first has not
+    // come back.
+    let allocating: Vec<(usize, usize)> = learner_allocations_per_round()
+        .into_iter()
+        .filter(|&(round, allocations)| {
+            let allowed = usize::from(round % 10 == 0);
+            round >= 66 && round % 25 != 0 && allocations > allowed
+        })
+        .collect();
+    assert!(
+        allocating.is_empty(),
+        "steady-state rounds of rank 0 that capture no checkpoint must not allocate on the \
+         learning thread; (round, allocations): {allocating:?}"
     );
 }

@@ -526,11 +526,19 @@ impl Mlp {
     /// Flattened copy of all parameters (layer order: weights then biases).
     pub fn params_flat(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
+        self.params_flat_into(&mut out);
+        out
+    }
+
+    /// Copies all parameters into a reused vector (cleared first), in
+    /// [`Mlp::params_flat`] order; allocation-free once the vector has
+    /// reached its steady-state capacity.
+    pub fn params_flat_into(&self, out: &mut Vec<f32>) {
+        out.clear();
         for layer in &self.layers {
             out.extend_from_slice(layer.weights.data());
             out.extend_from_slice(&layer.biases);
         }
-        out
     }
 
     /// Overwrites all parameters from a flattened vector.

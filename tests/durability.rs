@@ -28,7 +28,7 @@ use melissa::{
     DurableIdentity, ExperimentConfig, OnlineExperiment, WorkloadSpec,
 };
 use melissa_ensemble::CampaignPlan;
-use melissa_transport::Checksum64;
+use melissa_transport::{Checksum64, FaultPlan};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::fs;
@@ -265,6 +265,63 @@ fn sigkill_mid_run_then_resume_from_disk_reruns_only_missing_sims() {
         "checkpoint + journal + rerun must cover the whole campaign"
     );
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The in-process counterpart of the SIGKILL test: persistence runs on rank
+/// 0's sidecar thread, so a scripted server crash must not return while a
+/// checkpoint write is still in flight — an immediate `resume_from_dir` in
+/// the same process would race it.
+#[test]
+fn scripted_crash_returns_a_quiescent_directory_that_resumes_at_once() {
+    let dir = temp_dir("crash-quiescent");
+    let mut config = durable_config(&dir, false);
+    config.fault.plan = FaultPlan::none().with_server_crash(6);
+    let (_, report, checkpoint) = OnlineExperiment::new(config)
+        .expect("valid configuration")
+        .run_recoverable();
+    assert!(report.crashed, "the scripted server crash must fire");
+    assert_eq!(report.durable_error, None);
+    assert_eq!(report.checkpoints_taken, 6, "one per batch until the crash");
+    assert_eq!(report.durable_checkpoints, report.checkpoints_taken);
+    assert_eq!(report.sidecar.checkpoints_persisted, 6);
+
+    // Nothing half-written is left behind, and the newest file on disk is
+    // the checkpoint the learner captured last.
+    let leftovers: Vec<PathBuf> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with(".tmp-")
+        })
+        .collect();
+    assert!(leftovers.is_empty(), "in-flight temp files: {leftovers:?}");
+    let checkpoint = checkpoint.expect("checkpoints were being captured");
+    let fast = durable_config(&dir, false);
+    let latest = DurableCheckpointStore::open(&dir, identity_of(&fast), 3)
+        .unwrap()
+        .load_latest()
+        .unwrap();
+    assert!(latest.rejected.is_empty(), "{:?}", latest.rejected);
+    let (_, on_disk) = latest.latest.expect("six checkpoints were persisted");
+    assert_eq!(on_disk.batches_trained, checkpoint.batches_trained);
+    assert_eq!(on_disk.model.params, checkpoint.model.params);
+
+    let (_, resume_report, final_checkpoint) =
+        OnlineExperiment::resume_from_dir(&dir, fast).expect("resume straight after the crash");
+    assert!(!resume_report.crashed);
+    assert_eq!(resume_report.durable_error, None);
+    assert_eq!(
+        resume_report.resumed_from_batches,
+        Some(checkpoint.batches_trained)
+    );
+    assert_eq!(
+        final_checkpoint.unwrap().completed_simulations,
+        (0..CLIENTS as u64).collect::<Vec<_>>()
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -212,3 +212,34 @@ fn report_records_the_numeric_identity_of_the_run() {
     };
     assert_eq!(report.fp_mode, expected);
 }
+
+#[test]
+fn report_accounts_for_the_work_rank_zero_handed_to_its_sidecar() {
+    let config = ExperimentConfig::builder()
+        .workload(WorkloadSpec::heat_analytic(solver_config()))
+        .campaign(CampaignPlan::single_series(4, 2))
+        .batch_size(4)
+        .validation(2, 3)
+        .build()
+        .expect("config must validate");
+    let (_, report) = OnlineExperiment::new(config)
+        .expect("config must validate")
+        .run();
+    // Every periodic validation point came from the sidecar; the one point
+    // more is the final validation the learner runs itself.
+    let validated = report
+        .metrics
+        .losses
+        .iter()
+        .filter(|point| point.validation_loss.is_some())
+        .count();
+    assert!(report.sidecar.validations >= 1);
+    assert_eq!(report.sidecar.validations + 1, validated);
+    assert!(report.sidecar.busy_seconds > 0.0);
+    assert!(report.sidecar.busy_seconds < report.total_seconds);
+    assert!(report.sidecar.learner_blocked_seconds >= 0.0);
+    assert!(report.sidecar.learner_blocked_seconds < report.total_seconds);
+    // No durability configured: nothing was persisted or journalled.
+    assert_eq!(report.sidecar.checkpoints_persisted, 0);
+    assert_eq!(report.sidecar.journal_flushes, 0);
+}
