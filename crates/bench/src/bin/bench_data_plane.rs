@@ -31,7 +31,8 @@
 
 use melissa::trainer::{RankTrainer, TrainerShared};
 use melissa::{
-    fill_batch_from_buffer, payload_into_sample, Aggregator, IngestControl, TrainingConfig,
+    fill_batch_from_buffer, payload_into_sample, Aggregator, IngestControl, OccurrenceTable,
+    TrainingConfig,
 };
 use melissa_bench::train_step;
 use melissa_bench::{arg_value, print_series};
@@ -530,7 +531,8 @@ fn prefetch_train_run(prefetch: bool, sizes: &Sizes) -> (f64, Vec<f32>) {
     };
     let shared = Arc::new(TrainerShared::new(1, model.param_count()));
     let start = Instant::now();
-    let outcome = RankTrainer::new(0, model, buffer, config, None, shared).run(start);
+    let occurrences = OccurrenceTable::with_shape(8, total);
+    let outcome = RankTrainer::new(0, model, buffer, config, None, shared, occurrences).run(start);
     let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(outcome.samples_consumed, total);
     (total as f64 / elapsed, outcome.model.params_flat().to_vec())

@@ -69,7 +69,8 @@ pub use durable::{
 };
 pub use error::{ConfigError, ExperimentError};
 pub use metrics::{
-    ExperimentMetrics, LossPoint, OccurrenceHistogram, ThroughputPoint, ThroughputTracker,
+    ExperimentMetrics, LossPoint, OccurrenceHistogram, OccurrenceTable, ThroughputPoint,
+    ThroughputTracker,
 };
 pub use offline::OfflineExperiment;
 pub use recovery::{CheckpointStore, IngestControl, ReceptionGate, RecoveryHooks, RecoveryTracker};

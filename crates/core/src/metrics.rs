@@ -2,7 +2,6 @@
 //! sample-occurrence histograms — the raw material of every figure and table.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use training_buffer::OccupancySnapshot;
 
@@ -162,6 +161,52 @@ pub struct LossPoint {
     pub elapsed_seconds: f64,
 }
 
+/// How many times each sample `(simulation, step)` was served to training:
+/// one dense row of per-step counts per simulation id. Simulation ids are the
+/// campaign's client ids `0..simulations` and steps are `0..steps`, so a run
+/// sizes the table once and counting a sample is two indexings; a key outside
+/// the shape is a caller's bug and panics.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OccurrenceTable {
+    rows: Vec<Vec<u32>>,
+}
+
+impl OccurrenceTable {
+    /// An all-zero table for `simulations` simulations of `steps` steps.
+    pub fn with_shape(simulations: usize, steps: usize) -> Self {
+        Self {
+            rows: vec![vec![0; steps]; simulations],
+        }
+    }
+
+    /// Counts one more serve of the sample `key`.
+    pub fn record(&mut self, (simulation, step): (u64, usize)) {
+        self.rows[simulation as usize][step] += 1;
+    }
+
+    /// The sum of per-rank tables of one shape. The first table becomes the
+    /// result, so a single rank's counts are moved, not copied.
+    pub fn merged(tables: impl IntoIterator<Item = Self>) -> Self {
+        let mut tables = tables.into_iter();
+        let mut total = tables.next().unwrap_or_default();
+        for table in tables {
+            assert_eq!(table.rows.len(), total.rows.len());
+            for (sums, counts) in total.rows.iter_mut().zip(&table.rows) {
+                assert_eq!(counts.len(), sums.len());
+                for (sum, count) in sums.iter_mut().zip(counts) {
+                    *sum += count;
+                }
+            }
+        }
+        total
+    }
+
+    /// The count of every sample served at least once.
+    pub fn counts(&self) -> impl Iterator<Item = u32> + '_ {
+        self.rows.iter().flatten().copied().filter(|&n| n > 0)
+    }
+}
+
 /// Histogram of how many times each unique sample appeared in training batches
 /// (Figure 3 of the paper).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -172,10 +217,10 @@ pub struct OccurrenceHistogram {
 }
 
 impl OccurrenceHistogram {
-    /// Builds the histogram from a per-sample occurrence map.
-    pub fn from_occurrences(occurrences: &HashMap<(u64, usize), u32>) -> Self {
+    /// Builds the histogram from the per-sample occurrence counts.
+    pub fn from_occurrences(occurrences: &OccurrenceTable) -> Self {
         let mut counts = Vec::new();
-        for &n in occurrences.values() {
+        for n in occurrences.counts() {
             let n = n as usize;
             if counts.len() <= n {
                 counts.resize(n + 1, 0);
@@ -340,12 +385,34 @@ mod tests {
     }
 
     #[test]
+    fn occurrence_tables_merge_by_adding_counts() {
+        let mut rank0 = OccurrenceTable::with_shape(2, 3);
+        let mut rank1 = rank0.clone();
+        for key in [(0, 0), (0, 0), (1, 1)] {
+            rank0.record(key);
+        }
+        for key in [(0, 0), (1, 2)] {
+            rank1.record(key);
+        }
+        let only = OccurrenceTable::merged([rank0.clone()]);
+        assert_eq!(only, rank0);
+        let merged = OccurrenceTable::merged([rank0, rank1]);
+        let mut counts: Vec<u32> = merged.counts().collect();
+        counts.sort_unstable();
+        assert_eq!(counts, vec![1, 1, 3]);
+        assert_eq!(OccurrenceTable::merged([]).counts().count(), 0);
+    }
+
+    #[test]
     fn occurrence_histogram_from_map() {
-        let mut occurrences = HashMap::new();
-        occurrences.insert((0, 0), 1u32);
-        occurrences.insert((0, 1), 2);
-        occurrences.insert((1, 0), 2);
-        occurrences.insert((1, 1), 5);
+        // Most of the 5 × 8 samples are never served and are not counted.
+        let mut occurrences = OccurrenceTable::with_shape(5, 8);
+        for (key, serves) in [((0, 0), 1), ((0, 1), 2), ((1, 0), 2), ((4, 7), 5)] {
+            for _ in 0..serves {
+                occurrences.record(key);
+            }
+        }
+        assert_eq!(occurrences.counts().count(), 4);
         let histogram = OccurrenceHistogram::from_occurrences(&occurrences);
         assert_eq!(histogram.counts[1], 1);
         assert_eq!(histogram.counts[2], 2);

@@ -10,7 +10,9 @@
 use crate::config::ExperimentConfig;
 use crate::disk::{DiskConfig, SimulatedDisk};
 use crate::error::ExperimentError;
-use crate::metrics::{ExperimentMetrics, LossPoint, OccurrenceHistogram, ThroughputTracker};
+use crate::metrics::{
+    ExperimentMetrics, LossPoint, OccurrenceHistogram, OccurrenceTable, ThroughputTracker,
+};
 use crate::report::ExperimentReport;
 use crate::sample::step_to_sample;
 use crate::validation::ValidationSet;
@@ -19,7 +21,6 @@ use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use surrogate_nn::{
@@ -117,8 +118,7 @@ impl OfflineExperiment {
         // What each training rank reports back: (rank, model replica, loss
         // history, samples trained, mean wall-clock and compute throughput,
         // rank-local occurrence counts).
-        type OccurrenceMap = HashMap<(u64, usize), u32>;
-        type RankOutcome = (usize, Mlp, Vec<LossPoint>, usize, f64, f64, OccurrenceMap);
+        type RankOutcome = (usize, Mlp, Vec<LossPoint>, usize, f64, f64, OccurrenceTable);
 
         // Epoch schedules: shuffled once per epoch with a common seed, then
         // partitioned into equally sized rank shards (PyTorch DistributedSampler).
@@ -158,7 +158,10 @@ impl OfflineExperiment {
                     let mut samples_trained = 0usize;
                     // Rank-local occurrence counts, merged after the join —
                     // the epoch loop takes no cross-rank lock.
-                    let mut occurrences: OccurrenceMap = HashMap::new();
+                    let mut occurrences = OccurrenceTable::with_shape(
+                        config.total_simulations(),
+                        config.workload.steps(),
+                    );
 
                     for epoch in 0..epochs {
                         // Same permutation on every rank (seeded by epoch).
@@ -171,7 +174,7 @@ impl OfflineExperiment {
                             let batch_indices = &indices[offset..offset + batch_size];
                             let samples = disk.read_batch(batch_indices);
                             for s in &samples {
-                                *occurrences.entry(s.key()).or_default() += 1;
+                                occurrences.record(s.key());
                             }
                             batch.fill_owned(&samples);
                             model.forward_ws(&batch.inputs, &mut ws);
@@ -256,12 +259,11 @@ impl OfflineExperiment {
         let mean_compute_throughput: f64 = outcomes.iter().map(|(_, _, _, _, _, c, _)| *c).sum();
 
         // Merge the rank-local occurrence counts gathered after the join.
-        let mut occurrences: OccurrenceMap = HashMap::new();
-        for (.., rank_occurrences) in &outcomes {
-            for (key, count) in rank_occurrences {
-                *occurrences.entry(*key).or_default() += count;
-            }
-        }
+        let occurrences = OccurrenceTable::merged(
+            outcomes
+                .iter_mut()
+                .map(|(.., rank_occurrences)| std::mem::take(rank_occurrences)),
+        );
         let metrics = ExperimentMetrics {
             losses,
             throughput: Vec::new(),
@@ -276,7 +278,7 @@ impl OfflineExperiment {
             batch_size,
             simulations: config.total_simulations(),
             unique_samples_produced: config.total_unique_samples(),
-            unique_samples_trained: occurrences.len(),
+            unique_samples_trained: occurrences.counts().count(),
             samples_trained,
             batches,
             dataset_bytes: disk.bytes_written(),

@@ -25,7 +25,7 @@
 
 use crate::checkpoint::ServerCheckpoint;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -69,9 +69,13 @@ struct SimProgress {
     /// Serve events of this simulation in some rank's training loop (counts
     /// Reservoir repeats; kept for diagnostics, not for completion).
     consumed: usize,
-    /// Distinct time steps of this simulation trained at least once — the
-    /// exact completion measure for every buffer policy.
-    trained_steps: HashSet<usize>,
+    /// `trained[step]`: that time step of this simulation was trained at
+    /// least once.
+    trained: Vec<bool>,
+    /// Number of distinct time steps trained at least once (the `true`
+    /// entries of `trained`) — the exact completion measure for every
+    /// buffer policy.
+    trained_steps: usize,
     /// Samples evicted by a buffer *after* being trained (Reservoir making
     /// room): they stay counted in `trained_steps`, so eviction never makes a
     /// completed simulation look unfinished.
@@ -89,13 +93,20 @@ struct SimProgress {
 }
 
 impl SimProgress {
+    /// Marks `step` as trained; true the first time it is.
+    fn mark_trained(&mut self, step: usize) -> bool {
+        let first = !std::mem::replace(&mut self.trained[step], true);
+        self.trained_steps += usize::from(first);
+        first
+    }
+
     /// The completion criterion of [`RecoveryTracker`] for one simulation.
     fn is_complete(&self, num_ranks: usize) -> bool {
         self.restored
             || (self.finalized_ranks >= num_ranks
                 && self.received > 0
                 && self.dropped_untrained == 0
-                && self.trained_steps.len() >= self.received)
+                && self.trained_steps >= self.received)
     }
 
     /// True exactly once per simulation: the first time the criterion holds
@@ -111,12 +122,28 @@ impl SimProgress {
 }
 
 /// The tracker's state under its one lock.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct TrackerState {
     sims: HashMap<u64, SimProgress>,
+    /// Steps per simulation: a simulation's `trained` row is sized once, when
+    /// it is first heard of.
+    steps: usize,
     /// Simulations that completed in this incarnation and were not yet taken
     /// by [`RecoveryTracker::take_newly_completed`], in completion order.
     newly_completed: Vec<u64>,
+}
+
+impl TrackerState {
+    fn sim(&mut self, simulation_id: u64) -> &mut SimProgress {
+        let steps = self.steps;
+        self.sims
+            .entry(simulation_id)
+            .or_insert_with(|| SimProgress {
+                // analysis: allow(alloc, reason = "once per simulation, when it is first heard of: the row every one of its steps is then marked in")
+                trained: vec![false; steps],
+                ..SimProgress::default()
+            })
+    }
 }
 
 /// Cross-rank per-simulation accounting, from which the completed-simulation
@@ -147,36 +174,34 @@ pub struct RecoveryTracker {
 }
 
 impl RecoveryTracker {
-    /// A tracker for a run with `num_ranks` server ranks.
-    pub fn new(num_ranks: usize) -> Self {
+    /// A tracker for a run with `num_ranks` server ranks over a campaign of
+    /// `simulations` simulations of `steps` steps each (indices `0..steps`).
+    pub fn new(num_ranks: usize, simulations: usize, steps: usize) -> Self {
         Self {
             num_ranks,
-            progress: Mutex::new(TrackerState::default()),
+            progress: Mutex::new(TrackerState {
+                sims: HashMap::with_capacity(simulations),
+                steps,
+                newly_completed: Vec::new(),
+            }),
         }
     }
 
     /// Pre-seeds a simulation as completed (restored from a checkpoint), so
     /// the next checkpoint of the resumed run carries it forward.
     pub fn restore_completed(&self, simulation_id: u64) {
-        let mut progress = self.progress.lock();
-        let entry = progress.sims.entry(simulation_id).or_default();
-        entry.restored = true;
+        self.progress.lock().sim(simulation_id).restored = true;
     }
 
     /// Records `count` samples of `simulation_id` accepted into a buffer.
     pub fn record_received(&self, simulation_id: u64, count: usize) {
-        self.progress
-            .lock()
-            .sims
-            .entry(simulation_id)
-            .or_default()
-            .received += count;
+        self.progress.lock().sim(simulation_id).received += count;
     }
 
     /// Records that one rank processed `simulation_id`'s finalize message.
     pub fn record_finalized(&self, simulation_id: u64) {
         let progress = &mut *self.progress.lock();
-        let entry = progress.sims.entry(simulation_id).or_default();
+        let entry = progress.sim(simulation_id);
         entry.finalized_ranks += 1;
         if entry.newly_complete(self.num_ranks) {
             progress.newly_completed.push(simulation_id);
@@ -188,9 +213,9 @@ impl RecoveryTracker {
     pub fn record_consumed(&self, keys: &[(u64, usize)]) {
         let progress = &mut *self.progress.lock();
         for (simulation_id, step) in keys {
-            let entry = progress.sims.entry(*simulation_id).or_default();
+            let entry = progress.sim(*simulation_id);
             entry.consumed += 1;
-            if entry.trained_steps.insert(*step) && entry.newly_complete(self.num_ranks) {
+            if entry.mark_trained(*step) && entry.newly_complete(self.num_ranks) {
                 progress.newly_completed.push(*simulation_id);
             }
         }
@@ -214,7 +239,7 @@ impl RecoveryTracker {
     /// incomplete, so a restart reruns it).
     pub fn record_evicted(&self, simulation_id: u64, trained: bool) {
         let mut progress = self.progress.lock();
-        let entry = progress.sims.entry(simulation_id).or_default();
+        let entry = progress.sim(simulation_id);
         if trained {
             entry.evicted_trained += 1;
         } else {
@@ -365,7 +390,7 @@ mod tests {
 
     #[test]
     fn tracker_completes_only_fully_consumed_finalized_sims() {
-        let tracker = RecoveryTracker::new(2);
+        let tracker = RecoveryTracker::new(2, 3, 10);
         // Sim 0: fully received, consumed and finalized on both ranks.
         tracker.record_received(0, 10);
         tracker.record_finalized(0);
@@ -391,7 +416,7 @@ mod tests {
         // Reservoir behaviour: step 0 served three times, step 1 never. The
         // raw consumed tally (3) reaches received (2), but only one distinct
         // step was trained — the simulation must stay incomplete.
-        let tracker = RecoveryTracker::new(1);
+        let tracker = RecoveryTracker::new(1, 8, 2);
         tracker.record_received(0, 2);
         tracker.record_finalized(0);
         tracker.record_consumed(&[(0, 0), (0, 0), (0, 0)]);
@@ -401,10 +426,25 @@ mod tests {
     }
 
     #[test]
+    fn step_rows_count_distinct_steps_once() {
+        let tracker = RecoveryTracker::new(1, 4, 4);
+        tracker.record_received(2, 4);
+        tracker.record_finalized(2);
+        // A repeated step adds nothing: three distinct steps of four.
+        tracker.record_consumed(&[(2, 0), (2, 1), (2, 2), (2, 1)]);
+        assert!(tracker.completed_simulations().is_empty());
+        tracker.record_consumed(&[(2, 3)]);
+        assert_eq!(tracker.completed_simulations(), vec![2]);
+        let mut announced = Vec::new();
+        tracker.take_newly_completed(&mut announced);
+        assert_eq!(announced, vec![2]);
+    }
+
+    #[test]
     fn trained_evictions_do_not_undo_completion() {
         // Both steps trained, then one sample evicted (Reservoir making
         // room): the simulation's contribution to the model is intact.
-        let tracker = RecoveryTracker::new(1);
+        let tracker = RecoveryTracker::new(1, 8, 2);
         tracker.record_received(5, 2);
         tracker.record_finalized(5);
         tracker.record_consumed(&[(5, 0), (5, 1)]);
@@ -418,7 +458,7 @@ mod tests {
         // All received samples trained, but one extra sample was dropped
         // before ever reaching training (crash shutdown): data was lost, the
         // simulation must be rerun.
-        let tracker = RecoveryTracker::new(1);
+        let tracker = RecoveryTracker::new(1, 8, 2);
         tracker.record_received(6, 2);
         tracker.record_finalized(6);
         tracker.record_consumed(&[(6, 0), (6, 1)]);
@@ -429,7 +469,7 @@ mod tests {
 
     #[test]
     fn tracker_carries_restored_completions_forward() {
-        let tracker = RecoveryTracker::new(1);
+        let tracker = RecoveryTracker::new(1, 8, 2);
         tracker.restore_completed(7);
         tracker.record_received(3, 2);
         tracker.record_finalized(3);
@@ -439,7 +479,7 @@ mod tests {
 
     #[test]
     fn sims_with_no_data_never_complete_without_restore() {
-        let tracker = RecoveryTracker::new(1);
+        let tracker = RecoveryTracker::new(1, 8, 2);
         // Finalized but nothing received (e.g. every message dropped):
         // consumed >= received holds vacuously, the received>0 guard rejects it.
         tracker.record_finalized(4);

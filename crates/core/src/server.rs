@@ -20,7 +20,7 @@ use crate::durable::{
     CompletionJournal, DurabilityError, DurableCheckpointStore, DurableIdentity, DurableRecorder,
 };
 use crate::error::ExperimentError;
-use crate::metrics::{ExperimentMetrics, OccurrenceHistogram};
+use crate::metrics::{ExperimentMetrics, OccurrenceHistogram, OccurrenceTable};
 use crate::recovery::{
     CheckpointStore, IngestControl, ReceptionGate, RecoveryHooks, RecoveryTracker,
 };
@@ -305,7 +305,12 @@ impl OnlineExperiment {
         let production_done = Arc::new(AtomicBool::new(false));
         let server_down = Arc::new(AtomicBool::new(false));
         let gate = Arc::new(ReceptionGate::new(expected_clients));
-        let tracker = Arc::new(RecoveryTracker::new(config.training.num_ranks));
+        let (simulations, steps) = (config.total_simulations(), config.workload.steps());
+        let tracker = Arc::new(RecoveryTracker::new(
+            config.training.num_ranks,
+            simulations,
+            steps,
+        ));
         let completed: Arc<Vec<u64>> = Arc::new(completed_union);
         for &simulation_id in completed.iter() {
             tracker.restore_completed(simulation_id);
@@ -399,6 +404,7 @@ impl OnlineExperiment {
                     config.training.clone(),
                     (rank == 0).then(|| Arc::clone(&validation)),
                     Arc::clone(&shared),
+                    OccurrenceTable::with_shape(simulations, steps),
                 )
                 .with_recovery(hooks.clone());
                 let outcomes = &rank_outcomes;
@@ -547,7 +553,11 @@ impl OnlineExperiment {
 
         // Occurrences are counted rank-locally in the hot loop and merged
         // here, after the rank threads have joined — no cross-rank lock.
-        let occurrences = crate::trainer::merge_occurrences(&rank_outcomes);
+        let occurrences = OccurrenceTable::merged(
+            rank_outcomes
+                .iter_mut()
+                .map(|outcome| std::mem::take(&mut outcome.occurrences)),
+        );
         let histogram = OccurrenceHistogram::from_occurrences(&occurrences);
 
         let mut losses = Vec::new();
@@ -586,7 +596,7 @@ impl OnlineExperiment {
             batch_size: config.training.batch_size,
             simulations: config.total_simulations(),
             unique_samples_produced: config.total_unique_samples(),
-            unique_samples_trained: occurrences.len(),
+            unique_samples_trained: occurrences.counts().count(),
             samples_trained,
             batches,
             dataset_bytes: config.dataset_bytes() as u64,

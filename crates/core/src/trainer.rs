@@ -36,14 +36,13 @@
 
 use crate::checkpoint::ServerCheckpoint;
 use crate::config::{DeviceProfile, TrainingConfig};
-use crate::metrics::{LossPoint, ThroughputPoint, ThroughputTracker};
+use crate::metrics::{LossPoint, OccurrenceTable, ThroughputPoint, ThroughputTracker};
 use crate::recovery::RecoveryHooks;
 use crate::report::SidecarReport;
 use crate::sample::fill_batch_from_buffer;
 use crate::sidecar::{self, SidecarHandle};
 use crate::validation::ValidationSet;
 use crossbeam::channel::bounded;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,7 +92,7 @@ pub struct RankOutcome {
     /// Per-sample occurrence counts of this rank (Figure 3). Counted locally
     /// in the hot loop and merged across ranks by the orchestrator after the
     /// rank threads join, replacing the former global occurrence mutex.
-    pub occurrences: HashMap<(u64, usize), u32>,
+    pub occurrences: OccurrenceTable,
     /// Loss history (rank 0 only; empty on other ranks).
     pub losses: Vec<LossPoint>,
     /// Throughput measurements of this rank.
@@ -106,23 +105,12 @@ pub struct RankOutcome {
     pub sidecar: SidecarReport,
 }
 
-/// Merges per-rank occurrence counts into one experiment-wide map.
-pub fn merge_occurrences(outcomes: &[RankOutcome]) -> HashMap<(u64, usize), u32> {
-    let mut merged = HashMap::new();
-    for outcome in outcomes {
-        for (key, count) in &outcome.occurrences {
-            *merged.entry(*key).or_default() += count;
-        }
-    }
-    merged
-}
-
 /// The reusable per-rank training state threaded through every round.
 struct RoundState {
     ws: Workspace,
     tracker: ThroughputTracker,
     losses: Vec<LossPoint>,
-    occurrences: HashMap<(u64, usize), u32>,
+    occurrences: OccurrenceTable,
     rounds: usize,
     batches_with_data: usize,
     samples_consumed: usize,
@@ -173,11 +161,14 @@ pub struct RankTrainer {
     validation: Option<Arc<ValidationSet>>,
     shared: Arc<TrainerShared>,
     recovery: Option<RecoveryHooks>,
+    /// This rank's occurrence counts, moved into the round state by `run`.
+    occurrences: OccurrenceTable,
 }
 
 impl RankTrainer {
     /// Creates the trainer of one rank. Every rank must be given a model built
-    /// from the same configuration and seed so the replicas start identical.
+    /// from the same configuration and seed so the replicas start identical,
+    /// and an all-zero `occurrences` table with the campaign's shape.
     pub fn new(
         rank: usize,
         model: Mlp,
@@ -185,6 +176,7 @@ impl RankTrainer {
         config: TrainingConfig,
         validation: Option<Arc<ValidationSet>>,
         shared: Arc<TrainerShared>,
+        occurrences: OccurrenceTable,
     ) -> Self {
         let optimizer =
             Adam::new(AdamConfig::default(), model.param_count()).with_isa(config.kernel_isa);
@@ -203,6 +195,7 @@ impl RankTrainer {
             validation,
             shared,
             recovery: None,
+            occurrences,
         }
     }
 
@@ -381,7 +374,7 @@ impl RankTrainer {
                 .with_isa(self.config.kernel_isa),
             tracker: ThroughputTracker::new(10),
             losses: Vec::new(),
-            occurrences: HashMap::new(),
+            occurrences: std::mem::take(&mut self.occurrences),
             rounds: 0,
             batches_with_data: 0,
             samples_consumed: 0,
@@ -450,7 +443,7 @@ impl RankTrainer {
             // Rank-local occurrence accounting: merged after the join, so the
             // hot loop takes no cross-rank lock.
             for key in &batch.keys {
-                *state.occurrences.entry(*key).or_default() += 1;
+                state.occurrences.record(*key);
             }
             loss
         } else {
@@ -650,6 +643,11 @@ mod tests {
         })
     }
 
+    /// Room for every `(simulation, step)` the tests below serve.
+    fn table() -> OccurrenceTable {
+        OccurrenceTable::with_shape(8, 64)
+    }
+
     fn config(num_ranks: usize) -> TrainingConfig {
         TrainingConfig {
             batch_size: 4,
@@ -667,7 +665,15 @@ mod tests {
         }
         buffer.mark_reception_over();
         let shared = Arc::new(TrainerShared::new(1, model().param_count()));
-        let trainer = RankTrainer::new(0, model(), Arc::clone(&buffer), config(1), None, shared);
+        let trainer = RankTrainer::new(
+            0,
+            model(),
+            Arc::clone(&buffer),
+            config(1),
+            None,
+            shared,
+            table(),
+        );
         let outcome = trainer.run(Instant::now());
         assert_eq!(outcome.samples_consumed, 40);
         assert_eq!(outcome.batches_with_data, 10);
@@ -703,6 +709,7 @@ mod tests {
                 config(2),
                 None,
                 Arc::clone(&shared),
+                table(),
             );
             handles.push(std::thread::spawn(move || trainer.run(Instant::now())));
         }
@@ -717,8 +724,8 @@ mod tests {
         let total: usize = outcomes.iter().map(|o| o.samples_consumed).sum();
         assert_eq!(total, 36);
         // The merged occurrence map accounts for every consumed sample.
-        let merged = merge_occurrences(&outcomes);
-        assert_eq!(merged.values().map(|&v| v as usize).sum::<usize>(), 36);
+        let merged = OccurrenceTable::merged(outcomes.into_iter().map(|o| o.occurrences));
+        assert_eq!(merged.counts().sum::<u32>(), 36);
     }
 
     #[test]
@@ -732,7 +739,7 @@ mod tests {
         let shared = Arc::new(TrainerShared::new(1, model().param_count()));
         let mut cfg = config(1);
         cfg.initial_learning_rate = 5e-3;
-        let trainer = RankTrainer::new(0, model(), buffer, cfg, None, shared);
+        let trainer = RankTrainer::new(0, model(), buffer, cfg, None, shared, table());
         let outcome = trainer.run(Instant::now());
         assert!(!outcome.losses.is_empty());
         let first = outcome.losses.first().unwrap().train_loss;
@@ -751,14 +758,22 @@ mod tests {
         }
         buffer.mark_reception_over();
         let shared = Arc::new(TrainerShared::new(1, model().param_count()));
-        let trainer = RankTrainer::new(0, model(), buffer, config(1), None, Arc::clone(&shared));
+        let trainer = RankTrainer::new(
+            0,
+            model(),
+            buffer,
+            config(1),
+            None,
+            Arc::clone(&shared),
+            table(),
+        );
         let outcome = trainer.run(Instant::now());
         assert_eq!(
-            outcome.occurrences.len(),
+            outcome.occurrences.counts().count(),
             16,
             "every sample trained on at least once"
         );
-        let total: u32 = outcome.occurrences.values().sum();
+        let total: u32 = outcome.occurrences.counts().sum();
         assert_eq!(total as usize, outcome.samples_consumed);
     }
 
@@ -776,7 +791,7 @@ mod tests {
         let shared = Arc::new(TrainerShared::new(1, model().param_count()));
         let mut cfg = config(1);
         cfg.validation_interval_batches = 3;
-        let trainer = RankTrainer::new(0, model(), buffer, cfg, Some(validation), shared);
+        let trainer = RankTrainer::new(0, model(), buffer, cfg, Some(validation), shared, table());
         let outcome = trainer.run(Instant::now());
         let validated: Vec<&LossPoint> = outcome
             .losses
@@ -796,7 +811,7 @@ mod tests {
         let shared = Arc::new(TrainerShared::new(1, model().param_count()));
         let mut cfg = config(1);
         cfg.prefetch = true;
-        let trainer = RankTrainer::new(0, model(), buffer, cfg, None, shared);
+        let trainer = RankTrainer::new(0, model(), buffer, cfg, None, shared, table());
         let outcome = trainer.run(Instant::now());
         assert_eq!(outcome.samples_consumed, 40);
         assert_eq!(outcome.batches_with_data, 10);
@@ -829,6 +844,7 @@ mod tests {
                 cfg,
                 None,
                 Arc::clone(&shared),
+                table(),
             );
             handles.push(std::thread::spawn(move || trainer.run(Instant::now())));
         }

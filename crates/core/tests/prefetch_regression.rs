@@ -8,7 +8,7 @@
 //! exactly.
 
 use melissa::trainer::{RankOutcome, RankTrainer, TrainerShared};
-use melissa::TrainingConfig;
+use melissa::{OccurrenceTable, TrainingConfig};
 use std::sync::Arc;
 use std::time::Instant;
 use surrogate_nn::{Activation, InitScheme, Mlp, MlpConfig, Sample};
@@ -62,7 +62,8 @@ fn run(kind: BufferKind, total_samples: usize, prefetch: bool) -> RankOutcome {
         ..TrainingConfig::default()
     };
     let shared = Arc::new(TrainerShared::new(1, model().param_count()));
-    RankTrainer::new(0, model(), buffer, config, None, shared).run(Instant::now())
+    let occurrences = OccurrenceTable::with_shape(16, total_samples);
+    RankTrainer::new(0, model(), buffer, config, None, shared, occurrences).run(Instant::now())
 }
 
 fn assert_bit_identical(direct: &RankOutcome, prefetched: &RankOutcome, label: &str) {

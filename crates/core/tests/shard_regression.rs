@@ -14,7 +14,7 @@
 //!    identical trained models across runs.
 
 use melissa::trainer::{RankOutcome, RankTrainer, TrainerShared};
-use melissa::{ExperimentConfig, OnlineExperiment, TrainingConfig, WorkloadSpec};
+use melissa::{ExperimentConfig, OccurrenceTable, OnlineExperiment, TrainingConfig, WorkloadSpec};
 use std::sync::Arc;
 use std::time::Instant;
 use surrogate_nn::{Activation, InitScheme, Mlp, MlpConfig, Sample};
@@ -75,7 +75,9 @@ fn train(buffer: Arc<dyn TrainingBuffer<Sample>>) -> RankOutcome {
         ..TrainingConfig::default()
     };
     let shared = Arc::new(TrainerShared::new(1, model().param_count()));
-    RankTrainer::new(0, model(), buffer, config, None, shared).run(Instant::now())
+    // Every test below serves simulations 0..16 and fewer than 128 steps.
+    let occurrences = OccurrenceTable::with_shape(16, 128);
+    RankTrainer::new(0, model(), buffer, config, None, shared, occurrences).run(Instant::now())
 }
 
 fn assert_outcomes_bit_identical(a: &RankOutcome, b: &RankOutcome, label: &str) {

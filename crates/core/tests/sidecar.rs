@@ -6,7 +6,7 @@
 use melissa::trainer::{RankOutcome, RankTrainer, TrainerShared};
 use melissa::{
     CheckpointStore, CompletionJournal, DurableCheckpointStore, DurableIdentity, DurableRecorder,
-    RecoveryHooks, RecoveryTracker, TrainingConfig, ValidationSet,
+    OccurrenceTable, RecoveryHooks, RecoveryTracker, TrainingConfig, ValidationSet,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,6 +15,9 @@ use surrogate_nn::{Activation, InitScheme, Mlp, MlpConfig, Sample};
 use training_buffer::{FifoBuffer, TrainingBuffer};
 
 const BATCH_SIZE: usize = 4;
+/// The campaign shape the trackers and occurrence tables are sized for.
+const SIMULATIONS: usize = 16;
+const STEPS: usize = 256;
 
 fn sample(sim: u64, step: usize, inputs: usize) -> Sample {
     let x = (sim as f32 * 0.37 + step as f32 * 0.013).fract();
@@ -51,7 +54,7 @@ fn hooks(checkpoint_every_batches: usize, durable: Option<Arc<DurableRecorder>>)
     RecoveryHooks {
         checkpoint_every_batches,
         store: Arc::new(CheckpointStore::new()),
-        tracker: Arc::new(RecoveryTracker::new(1)),
+        tracker: Arc::new(RecoveryTracker::new(1, SIMULATIONS, STEPS)),
         crash_after_batches: None,
         server_down: Arc::new(AtomicBool::new(false)),
         experiment_seed: 9,
@@ -76,6 +79,7 @@ fn train(batches: usize, interval: usize, validation: &Arc<ValidationSet>) -> Ra
         config(interval),
         Some(Arc::clone(validation)),
         shared,
+        OccurrenceTable::with_shape(SIMULATIONS, STEPS),
     )
     .run(Instant::now())
 }
@@ -148,7 +152,8 @@ fn a_disk_error_on_the_sidecar_degrades_durability_but_training_completes() {
     buffer.mark_reception_over();
     let hooks = hooks(2, Some(Arc::clone(&recorder)));
     let shared = Arc::new(TrainerShared::new(1, model().param_count()));
-    let outcome = RankTrainer::new(0, model(), buffer, config(0), None, shared)
+    let occurrences = OccurrenceTable::with_shape(SIMULATIONS, STEPS);
+    let outcome = RankTrainer::new(0, model(), buffer, config(0), None, shared, occurrences)
         .with_recovery(hooks.clone())
         .run(Instant::now());
 
@@ -186,7 +191,7 @@ fn a_panic_on_the_sidecar_ends_the_run_instead_of_hanging_it() {
             std::thread::spawn(move || {
                 let mut step = 0;
                 while !buffer.is_reception_over() {
-                    buffer.put(sample(0, step, 4));
+                    buffer.put(sample(0, step % STEPS, 4));
                     step += 1;
                 }
             })
@@ -206,6 +211,7 @@ fn a_panic_on_the_sidecar_ends_the_run_instead_of_hanging_it() {
                     },
                     (rank == 0).then(|| Arc::clone(&validation)),
                     Arc::clone(&shared),
+                    OccurrenceTable::with_shape(SIMULATIONS, STEPS),
                 )
                 .with_recovery(hooks.clone());
                 std::thread::spawn(move || trainer.run(Instant::now()))

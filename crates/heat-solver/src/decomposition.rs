@@ -19,7 +19,7 @@
 
 use crate::boundary::BoundaryConditions;
 use crate::grid::{Field, Grid2D};
-use crate::linalg::dot;
+use crate::linalg::{CgWorkspace, ConjugateGradient, HeatOperator};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::Barrier;
@@ -354,6 +354,9 @@ impl DistributedImplicitSolver {
     }
 
     /// One distributed implicit-Euler step; returns the CG iteration count.
+    /// The iteration is [`ConjugateGradient`]'s: every rank runs it on its own
+    /// rows, exchanging halos before each mat-vec and all-reducing each dot
+    /// product, so all ranks take the same branches.
     fn distributed_step(
         &self,
         state: &mut RankState,
@@ -361,85 +364,38 @@ impl DistributedImplicitSolver {
         link: &HaloLinks,
         reducer: &AllReducer,
     ) -> usize {
-        let n = state.u.len();
-        debug_assert!(n > 0, "empty ranks are clamped away by the decomposition");
-
+        debug_assert!(
+            !state.u.is_empty(),
+            "empty ranks are clamped away by the decomposition"
+        );
         // Right-hand side: u^n + α Δt * Dirichlet contributions (global edges only).
         let rhs = self.local_rhs(state, bc);
-        let norm_b2 = reducer.sum(dot(&rhs, &rhs));
-        let norm_b = norm_b2.sqrt();
-        if norm_b == 0.0 {
-            state.u.iter_mut().for_each(|v| *v = 0.0);
-            return 0;
-        }
-        let tol = self.tolerance * norm_b;
-
         // Warm start from u^n.
-        let mut x = state.u.clone();
-        let mut ax = vec![0.0; n];
-        self.exchange_halos(&x, state, link, reducer);
-        self.local_matvec(&x, state, &mut ax);
-        let mut r: Vec<f64> = rhs.iter().zip(&ax).map(|(b, a)| b - a).collect();
-        let mut p = r.clone();
-        let mut rs_old = reducer.sum(dot(&r, &r));
-        let mut iterations = 0;
-
-        while rs_old.sqrt() > tol && iterations < self.max_iterations {
-            self.exchange_halos(&p, state, link, reducer);
-            let mut ap = vec![0.0; n];
-            self.local_matvec(&p, state, &mut ap);
-            let p_ap = reducer.sum(dot(&p, &ap));
-            if p_ap == 0.0 {
-                break;
-            }
-            let alpha = rs_old / p_ap;
-            for k in 0..n {
-                x[k] += alpha * p[k];
-                r[k] -= alpha * ap[k];
-            }
-            let rs_new = reducer.sum(dot(&r, &r));
-            let beta = rs_new / rs_old;
-            for k in 0..n {
-                p[k] = r[k] + beta * p[k];
-            }
-            rs_old = rs_new;
-            iterations += 1;
-        }
-
+        let mut x = std::mem::take(&mut state.u);
+        let matvec = |v: &[f64], out: &mut [f64]| {
+            self.exchange_halos(v, state, link, reducer);
+            self.local_matvec(v, state, out);
+        };
+        let report = ConjugateGradient::new(self.tolerance, self.max_iterations).solve_with(
+            matvec,
+            |local| reducer.sum(local),
+            &rhs,
+            &mut x,
+            &mut CgWorkspace::default(),
+        );
         state.u = x;
-        iterations
+        report.iterations
     }
 
     /// Local right-hand side with Dirichlet boundary contributions.
     fn local_rhs(&self, state: &RankState, bc: &BoundaryConditions) -> Vec<f64> {
-        let grid = state.grid;
-        let block = state.block;
-        let nx = grid.nx;
-        let inv_dx2 = 1.0 / (grid.dx() * grid.dx());
-        let inv_dy2 = 1.0 / (grid.dy() * grid.dy());
+        let (grid, block) = (state.grid, state.block);
         let c = self.alpha * self.dt;
-        let mut rhs = Vec::with_capacity(state.u.len());
-        for local_j in 0..block.j_count {
-            let global_j = block.j_start + local_j;
-            for i in 0..nx {
-                let k = local_j * nx + i;
-                let mut contribution = 0.0;
-                if i == 0 {
-                    contribution += bc.west * inv_dx2;
-                }
-                if i + 1 == nx {
-                    contribution += bc.east * inv_dx2;
-                }
-                if global_j == 0 {
-                    contribution += bc.south * inv_dy2;
-                }
-                if global_j + 1 == grid.ny {
-                    contribution += bc.north * inv_dy2;
-                }
-                rhs.push(state.u[k] + c * contribution);
-            }
-        }
-        rhs
+        let nodes = (0..block.j_count).flat_map(|j| (0..grid.nx).map(move |i| (i, j)));
+        nodes
+            .zip(&state.u)
+            .map(|((i, j), u)| u + c * bc.laplacian_contribution(&grid, i, block.j_start + j))
+            .collect()
     }
 
     /// Exchanges halo rows of `v` with the neighbouring ranks.
@@ -483,39 +439,25 @@ impl DistributedImplicitSolver {
         reducer.barrier();
     }
 
-    /// Local part of `A·v` using the freshly exchanged halos.
+    /// Local part of `A·v` using the freshly exchanged halos: the rows of
+    /// [`HeatOperator`], whose neighbours at the block's edges are the halos.
     fn local_matvec(&self, v: &[f64], state: &RankState, out: &mut [f64]) {
-        let grid = state.grid;
-        let nx = grid.nx;
+        let op = HeatOperator::new(state.grid, self.alpha, self.dt);
+        let nx = state.grid.nx;
         let rows = state.block.j_count;
-        let inv_dx2 = 1.0 / (grid.dx() * grid.dx());
-        let inv_dy2 = 1.0 / (grid.dy() * grid.dy());
-        let c = self.alpha * self.dt;
-        let diag = 1.0 + 2.0 * c * (inv_dx2 + inv_dy2);
-        for j in 0..rows {
-            for i in 0..nx {
-                let k = j * nx + i;
-                let mut acc = diag * v[k];
-                if i > 0 {
-                    acc -= c * inv_dx2 * v[k - 1];
-                }
-                if i + 1 < nx {
-                    acc -= c * inv_dx2 * v[k + 1];
-                }
-                let south = if j > 0 {
-                    v[k - nx]
-                } else {
-                    state.halo_south[i]
-                };
-                let north = if j + 1 < rows {
-                    v[k + nx]
-                } else {
-                    state.halo_north[i]
-                };
-                acc -= c * inv_dy2 * south;
-                acc -= c * inv_dy2 * north;
-                out[k] = acc;
-            }
+        let v_row = |j: usize| &v[j * nx..(j + 1) * nx];
+        for (j, out_row) in out.chunks_exact_mut(nx).enumerate() {
+            let south = if j > 0 {
+                v_row(j - 1)
+            } else {
+                &state.halo_south
+            };
+            let north = if j + 1 < rows {
+                v_row(j + 1)
+            } else {
+                &state.halo_north
+            };
+            op.stencil_row(v_row(j), Some(south), Some(north), out_row);
         }
     }
 }

@@ -10,7 +10,7 @@ use crate::boundary::BoundaryConditions;
 use crate::decomposition::DistributedImplicitSolver;
 use crate::grid::{Field, Grid2D};
 use crate::params::SimulationParams;
-use crate::scheme::{AdiScheme, ExplicitEuler, ImplicitEuler, TimeScheme};
+use crate::scheme::{AdiScheme, ExplicitEuler, ImplicitEuler, ImplicitStepper, TimeScheme};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -116,6 +116,12 @@ impl SolverConfig {
                 "domain lengths must be positive".into(),
             ));
         }
+        if !(self.cg_tolerance > 0.0 && self.cg_tolerance < 1.0) {
+            return Err(SolverError::InvalidConfig(format!(
+                "cg_tolerance must lie in (0, 1), got {}",
+                self.cg_tolerance
+            )));
+        }
         if self.scheme == SchemeKind::ExplicitEuler {
             let grid = self.grid();
             let explicit = ExplicitEuler::new(self.alpha, self.dt);
@@ -211,33 +217,39 @@ impl HeatSolver {
         &self.params
     }
 
-    fn make_scheme(&self) -> Box<dyn TimeScheme> {
-        match self.config.scheme {
-            SchemeKind::ImplicitEuler => {
-                let mut scheme = ImplicitEuler::new(self.config.alpha, self.config.dt);
-                scheme.cg.tolerance = self.config.cg_tolerance;
-                Box::new(scheme)
-            }
-            SchemeKind::ExplicitEuler => {
-                Box::new(ExplicitEuler::new(self.config.alpha, self.config.dt))
-            }
-            SchemeKind::Adi => Box::new(AdiScheme::new(self.config.alpha, self.config.dt)),
-        }
-    }
-
     /// Runs the full trajectory, returning an iterator over the emitted steps.
     ///
     /// The iterator is lazy: each `next()` advances the simulation by one step,
     /// which lets callers interleave solving and streaming exactly like the
     /// instrumented clients of the paper.
     pub fn run(&self) -> Result<TrajectoryIter, SolverError> {
-        self.config.validate()?;
+        let SolverConfig { alpha, dt, .. } = self.config;
         let grid = self.config.grid();
-        let field = Field::constant(grid, self.params.t_initial);
+        let bc = BoundaryConditions::from_params(&self.params);
+        // The implicit scheme carries per-trajectory state (its stepper); the
+        // other two are stateless.
+        let advance: Box<dyn FnMut(&mut Field) + Send> = match self.config.scheme {
+            SchemeKind::ImplicitEuler => {
+                let mut scheme = ImplicitEuler::new(alpha, dt);
+                scheme.cg.tolerance = self.config.cg_tolerance;
+                let mut stepper = ImplicitStepper::new(&scheme, grid, &bc);
+                Box::new(move |field| {
+                    let report = stepper.step(field);
+                    debug_assert!(report.converged, "CG did not converge: {report:?}");
+                })
+            }
+            SchemeKind::ExplicitEuler => {
+                let scheme = ExplicitEuler::new(alpha, dt);
+                Box::new(move |field| scheme.step(field, &bc))
+            }
+            SchemeKind::Adi => {
+                let scheme = AdiScheme::new(alpha, dt);
+                Box::new(move |field| scheme.step(field, &bc))
+            }
+        };
         Ok(TrajectoryIter {
-            scheme: self.make_scheme(),
-            bc: BoundaryConditions::from_params(&self.params),
-            field,
+            advance,
+            field: Field::constant(grid, self.params.t_initial),
             config: self.config,
             params: self.params,
             next_step: 0,
@@ -264,7 +276,6 @@ impl HeatSolver {
         &self,
         num_ranks: usize,
     ) -> Result<Vec<TimeStepField>, SolverError> {
-        self.config.validate()?;
         let grid = self.config.grid();
         let initial = Field::constant(grid, self.params.t_initial);
         let bc = BoundaryConditions::from_params(&self.params);
@@ -291,8 +302,7 @@ impl HeatSolver {
 
 /// Lazy iterator over the time steps of one trajectory.
 pub struct TrajectoryIter {
-    scheme: Box<dyn TimeScheme>,
-    bc: BoundaryConditions,
+    advance: Box<dyn FnMut(&mut Field) + Send>,
     field: Field,
     config: SolverConfig,
     params: SimulationParams,
@@ -306,7 +316,7 @@ impl Iterator for TrajectoryIter {
         if self.next_step >= self.config.steps {
             return None;
         }
-        self.scheme.step(&mut self.field, &self.bc);
+        (self.advance)(&mut self.field);
         let step = self.next_step;
         self.next_step += 1;
         Some(TimeStepField {
@@ -364,6 +374,28 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_cg_tolerances_that_cannot_converge() {
+        // Each of these used to pass validation and then run all 10,000 CG
+        // iterations of every step without converging.
+        for cg_tolerance in [0.0, -1e-8, 1.0, 2.0, f64::NAN, f64::INFINITY] {
+            let c = SolverConfig {
+                cg_tolerance,
+                ..Default::default()
+            };
+            assert!(
+                matches!(c.validate(), Err(SolverError::InvalidConfig(_))),
+                "cg_tolerance {cg_tolerance} must be rejected"
+            );
+            assert!(HeatSolver::new(c, params()).is_err());
+        }
+        let c = SolverConfig {
+            cg_tolerance: 1e-12,
+            ..Default::default()
+        };
+        assert!(c.validate().is_ok());
     }
 
     #[test]

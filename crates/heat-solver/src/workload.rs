@@ -8,7 +8,7 @@
 //! cheap closed-form approximation ([`WorkloadKind::Analytic`]) with an optional
 //! per-step artificial compute delay to emulate a given solver cost.
 
-use crate::analytic::approximate_transient;
+use crate::analytic::TransientTable;
 use crate::boundary::BoundaryConditions;
 use crate::params::SimulationParams;
 use crate::solver::{HeatSolver, SolverConfig, SolverError, TimeStepField};
@@ -117,11 +117,25 @@ impl SyntheticWorkload {
             }
             WorkloadKind::Analytic => {
                 self.config.validate()?;
+                let table = TransientTable::new(
+                    self.config.grid(),
+                    &BoundaryConditions::from_params(&params),
+                    params.t_initial,
+                    self.config.alpha,
+                );
                 for step in 0..self.config.steps {
                     if !self.step_delay.is_zero() {
                         std::thread::sleep(self.step_delay);
                     }
-                    sink(self.analytic_step(params, step));
+                    let time = (step as f64 + 1.0) * self.config.dt;
+                    sink(TimeStepField {
+                        step,
+                        time,
+                        params,
+                        nx: self.config.nx,
+                        ny: self.config.ny,
+                        values: table.at(time),
+                    });
                 }
                 Ok(())
             }
@@ -133,36 +147,6 @@ impl SyntheticWorkload {
         let mut out = Vec::with_capacity(self.config.steps);
         self.generate(params, |s| out.push(s))?;
         Ok(out)
-    }
-
-    /// One closed-form step.
-    fn analytic_step(&self, params: SimulationParams, step: usize) -> TimeStepField {
-        let grid = self.config.grid();
-        let bc = BoundaryConditions::from_params(&params);
-        let time = (step as f64 + 1.0) * self.config.dt;
-        let mut values = Vec::with_capacity(grid.len());
-        for j in 0..grid.ny {
-            for i in 0..grid.nx {
-                let (x, y) = grid.coords(i, j);
-                values.push(approximate_transient(
-                    grid,
-                    &bc,
-                    params.t_initial,
-                    self.config.alpha,
-                    time,
-                    x,
-                    y,
-                ) as f32);
-            }
-        }
-        TimeStepField {
-            step,
-            time,
-            params,
-            nx: self.config.nx,
-            ny: self.config.ny,
-            values,
-        }
     }
 
     /// Total number of bytes one trajectory of this workload produces.

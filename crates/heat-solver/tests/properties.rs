@@ -1,5 +1,6 @@
 //! Property-based tests of the heat-equation solver substrate.
 
+use heat_solver::analytic::approximate_transient;
 use heat_solver::{
     BoundaryConditions, ConjugateGradient, DomainDecomposition, Field, Grid2D, ImplicitEuler,
     ParameterSpace, SimulationParams, SolverConfig, SyntheticWorkload, TimeScheme,
@@ -113,6 +114,41 @@ proptest! {
             for &v in &step.values {
                 prop_assert!(v.is_finite());
                 prop_assert!((99.0..=501.0).contains(&(v as f64)));
+            }
+        }
+    }
+
+    /// The analytic workload's per-trajectory tables reproduce the per-cell
+    /// closed form bit for bit: every emitted `f32` and every `time`, on
+    /// square and non-square grids and domains.
+    #[test]
+    fn analytic_tables_are_bit_equal_to_the_per_cell_closed_form(
+        t_ic in temperature(),
+        west in temperature(),
+        east in temperature(),
+        south in temperature(),
+        north in temperature(),
+        nx in 1usize..14,
+        ny in 1usize..14,
+        lx in 0.3f64..3.0,
+        ly in 0.3f64..3.0,
+        alpha in 0.1f64..4.0,
+        dt in 1e-3f64..0.1,
+    ) {
+        let params = SimulationParams::new([t_ic, west, south, east, north]);
+        let config = SolverConfig { nx, ny, lx, ly, alpha, dt, steps: 7, ..SolverConfig::default() };
+        let grid = config.grid();
+        let bc = BoundaryConditions::from_params(&params);
+        let trajectory = SyntheticWorkload::analytic(config).trajectory(params).unwrap();
+        prop_assert_eq!(trajectory.len(), 7);
+        for (k, step) in trajectory.iter().enumerate() {
+            let time = (k as f64 + 1.0) * dt;
+            prop_assert_eq!(step.time.to_bits(), time.to_bits());
+            prop_assert_eq!(step.values.len(), grid.len());
+            for ((i, j), value) in grid.nodes().zip(&step.values) {
+                let (x, y) = grid.coords(i, j);
+                let cell = approximate_transient(grid, &bc, t_ic, alpha, time, x, y) as f32;
+                prop_assert_eq!(value.to_bits(), cell.to_bits(), "step {} cell ({}, {})", k, i, j);
             }
         }
     }

@@ -535,6 +535,8 @@ impl Mlp {
     /// reached its steady-state capacity.
     pub fn params_flat_into(&self, out: &mut Vec<f32>) {
         out.clear();
+        // A fresh vector gets its final size in one allocation.
+        out.reserve(self.param_count());
         for layer in &self.layers {
             out.extend_from_slice(layer.weights.data());
             out.extend_from_slice(&layer.biases);

@@ -28,7 +28,8 @@ proptest! {
         restored in 0u64..=1,
         choices in prop::collection::vec(any::<u32>(), 50..400),
     ) {
-        let tracker = RecoveryTracker::new(ranks);
+        // No simulation can receive more samples than there are events.
+        let tracker = RecoveryTracker::new(ranks, SIMULATIONS as usize + 1, choices.len());
         // Simulation ids from SIMULATIONS up are restored from a checkpoint.
         let mut accumulated: Vec<u64> = (SIMULATIONS..SIMULATIONS + restored).collect();
         for &simulation in &accumulated {
