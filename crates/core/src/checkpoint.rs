@@ -3,12 +3,12 @@
 //! §3.1: *"The server is regularly checkpointed. If a server failure is
 //! detected by the launcher, it first kills all running clients and next
 //! restarts a new server instance from the last checkpoint."* A checkpoint
-//! captures the model weights, the training progress counters and the number
-//! of simulations already fully received, so a restarted server can request
-//! the launcher to rerun only the missing clients.
+//! captures the model weights, the optimizer state, the progress counters and
+//! the simulations already fully received, so a restarted server continues the
+//! same optimization and asks the launcher to rerun only the missing clients.
 
 use serde::{Deserialize, Serialize};
-use surrogate_nn::{Mlp, ModelCheckpoint};
+use surrogate_nn::{Adam, Mlp, ModelCheckpoint};
 
 /// A restartable snapshot of the training server.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -23,10 +23,16 @@ pub struct ServerCheckpoint {
     pub completed_simulations: Vec<u64>,
     /// The experiment seed, to re-derive samplers and buffers on restart.
     pub experiment_seed: u64,
+    /// The optimizer (identical on every rank) when the checkpoint was taken;
+    /// a resumed rank continues from a copy of it. `None` — a bare `capture`,
+    /// or a file older than durable format 2 — resumes with a fresh one.
+    #[serde(default)]
+    pub optimizer: Option<Adam>,
 }
 
 impl ServerCheckpoint {
-    /// Captures a checkpoint.
+    /// Captures a checkpoint without optimizer state; the training loop sets
+    /// [`ServerCheckpoint::optimizer`] on what it captures.
     pub fn capture(
         model: &Mlp,
         batches_trained: usize,
@@ -40,6 +46,7 @@ impl ServerCheckpoint {
             samples_seen,
             completed_simulations,
             experiment_seed,
+            optimizer: None,
         }
     }
 

@@ -30,20 +30,33 @@
 //!   have joined; a disk error latches the recorder into a degraded mode that
 //!   stops writing instead of aborting training.
 //!
-//! ## On-disk formats (version 1, all integers little-endian)
+//! ## On-disk formats (all integers and floats little-endian)
 //!
-//! Checkpoint file `ckpt-<epoch>` (epoch = zero-padded decimal):
+//! Checkpoint file `ckpt-<epoch>` (epoch = zero-padded decimal), version
+//! [`DURABLE_FORMAT_VERSION`] = 2:
 //!
 //! ```text
 //! magic "MELCKPT\0" | version u32 | reserved u32 | experiment_seed u64
 //! | config_fingerprint u64 | epoch u64 | payload_len u64
-//! | payload (ServerCheckpoint JSON) | checksum u64 over all prior bytes
+//! | payload | checksum u64 over all prior bytes
+//! payload = meta_len u64 | completed u64 | params u64 | moments u64
+//! | meta (JSON, meta_len bytes: MlpConfig, progress counters, seed,
+//!   AdamConfig + step count when moments > 0)
+//! | completed simulation ids (u64 each) | params (f32 each)
+//! | Adam first moments, then second moments (moments f32 each)
 //! ```
+//!
+//! Nothing that grows with the model or the campaign passes through a text
+//! formatter: a section is its values' own bytes. `moments` is 0 (no
+//! optimizer state) or equal to `params`, and the four counts must account
+//! for `payload_len` exactly. Version 1 — the same header around one
+//! `ServerCheckpoint` JSON document, no optimizer — is still *read*, so older
+//! directories resume, but never written; ROADMAP item 4 deletes that arm.
 //!
 //! Journal file `journal`:
 //!
 //! ```text
-//! magic "MELJRNL\0" | version u32 | reserved u32 | experiment_seed u64
+//! magic "MELJRNL\0" | version u32 = 1 | reserved u32 | experiment_seed u64
 //! | config_fingerprint u64 | checksum u64 over all prior bytes
 //! | record* , record = seq u64 | simulation_id u64 | checksum u64
 //! ```
@@ -56,13 +69,17 @@ use crate::checkpoint::ServerCheckpoint;
 use crate::error::ExperimentError;
 use melissa_transport::Checksum64;
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use surrogate_nn::{Adam, AdamConfig, MlpConfig, ModelCheckpoint, Optimizer};
 
-/// Current version of both on-disk formats.
-pub const DURABLE_FORMAT_VERSION: u32 = 1;
+/// The checkpoint file version this build writes; it also reads version 1.
+pub const DURABLE_FORMAT_VERSION: u32 = 2;
+/// The journal's version: its layout did not change with checkpoint format 2.
+const JOURNAL_FORMAT_VERSION: u32 = 1;
 
 const CHECKPOINT_MAGIC: &[u8; 8] = b"MELCKPT\0";
 const JOURNAL_MAGIC: &[u8; 8] = b"MELJRNL\0";
@@ -84,13 +101,14 @@ pub enum CorruptKind {
     TruncatedHeader,
     /// The magic bytes are not this format's.
     BadMagic,
-    /// The format version is not [`DURABLE_FORMAT_VERSION`].
+    /// The format version is not one this build reads.
     UnsupportedVersion,
     /// The payload length field points past the end of the file.
     TruncatedPayload,
     /// The embedded checksum does not match the stored bytes.
     ChecksumMismatch,
-    /// The checksummed payload does not deserialize.
+    /// The checksummed payload does not deserialize, or its section counts
+    /// disagree with its length or with the model it describes.
     BadPayload,
 }
 
@@ -270,6 +288,29 @@ pub struct DurableIdentity {
     pub config_fingerprint: u64,
 }
 
+impl DurableIdentity {
+    /// Rejects the identity `found` in the header of `path` unless it is this
+    /// one. Callers verify the header's checksum first, so a bit flip in the
+    /// seed field reads as corruption, not as a different experiment.
+    fn expect_in(self, path: &Path, found: DurableIdentity) -> Result<(), DurabilityError> {
+        let mismatch = |field, expected, found| DurabilityError::IdentityMismatch {
+            path: path.to_path_buf(),
+            field,
+            expected,
+            found,
+        };
+        if found.experiment_seed != self.experiment_seed {
+            let (expected, found) = (self.experiment_seed, found.experiment_seed);
+            return Err(mismatch("experiment_seed", expected, found));
+        }
+        if found.config_fingerprint != self.config_fingerprint {
+            let (expected, found) = (self.config_fingerprint, found.config_fingerprint);
+            return Err(mismatch("config_fingerprint", expected, found));
+        }
+        Ok(())
+    }
+}
+
 /// Little-endian integer append helpers shared by both writers.
 fn push_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -316,29 +357,166 @@ fn fsync_dir(dir: &Path) -> Result<(), DurabilityError> {
     handle.sync_all().map_err(|e| io_err(dir, e))
 }
 
-/// Serialises `checkpoint` into the version-1 checkpoint file format.
+/// The O(1) part of a version-2 payload. It stays JSON so no enum codec is
+/// hand-written; everything O(parameters) or O(simulations) is a raw section.
+#[derive(Serialize, Deserialize)]
+struct CheckpointMeta {
+    config: MlpConfig,
+    batches_trained: usize,
+    samples_seen: usize,
+    experiment_seed: u64,
+    /// Adam's configuration and step count, with the two moment sections.
+    adam: Option<(AdamConfig, usize)>,
+}
+
+/// Bytes of the version-2 section table: the metadata length and three counts.
+const SECTION_TABLE_LEN: usize = 4 * 8;
+
+/// Appends `values` as raw little-endian bytes.
+fn push_f32s(buf: &mut Vec<u8>, values: &[f32]) {
+    let start = buf.len();
+    buf.resize(start + 4 * values.len(), 0);
+    for (raw, value) in buf[start..].chunks_exact_mut(4).zip(values) {
+        raw.copy_from_slice(&value.to_le_bytes());
+    }
+}
+
+fn read_f32s(raw: &[u8]) -> Vec<f32> {
+    raw.chunks_exact(4)
+        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect()
+}
+
+/// Serialises `checkpoint` into `bytes` (cleared first) as a version-2 file.
 fn encode_checkpoint(
+    bytes: &mut Vec<u8>,
     checkpoint: &ServerCheckpoint,
     identity: DurableIdentity,
     epoch: u64,
-) -> Result<Vec<u8>, DurabilityError> {
-    let payload = checkpoint.to_json().map_err(|_| DurabilityError::Corrupt {
+) -> Result<(), DurabilityError> {
+    let adam = checkpoint.optimizer.as_ref();
+    let meta = serde_json::to_string(&CheckpointMeta {
+        config: checkpoint.model.config.clone(),
+        batches_trained: checkpoint.batches_trained,
+        samples_seen: checkpoint.samples_seen,
+        experiment_seed: checkpoint.experiment_seed,
+        adam: adam.map(|adam| (*adam.config(), adam.steps_taken())),
+    })
+    .map_err(|_| DurabilityError::Corrupt {
         path: PathBuf::from("<in-memory checkpoint>"),
         kind: CorruptKind::BadPayload,
     })?;
-    let payload = payload.into_bytes();
-    let mut bytes = Vec::with_capacity(CHECKPOINT_HEADER_LEN + payload.len() + 8);
+    let (first, second) = adam.map_or((&[][..], &[][..]), Adam::moments);
+    let (completed, params) = (&checkpoint.completed_simulations, &checkpoint.model.params);
+    let sections = 8 * completed.len() + 4 * (params.len() + first.len() + second.len());
+    let payload_len = SECTION_TABLE_LEN + meta.len() + sections;
+    bytes.clear();
+    bytes.reserve(CHECKPOINT_HEADER_LEN + payload_len + 8);
     bytes.extend_from_slice(CHECKPOINT_MAGIC);
-    push_u32(&mut bytes, DURABLE_FORMAT_VERSION);
-    push_u32(&mut bytes, 0); // reserved
-    push_u64(&mut bytes, identity.experiment_seed);
-    push_u64(&mut bytes, identity.config_fingerprint);
-    push_u64(&mut bytes, epoch);
-    push_u64(&mut bytes, payload.len() as u64);
-    bytes.extend_from_slice(&payload);
-    let checksum = Checksum64::digest(&bytes);
-    push_u64(&mut bytes, checksum);
-    Ok(bytes)
+    push_u32(bytes, DURABLE_FORMAT_VERSION);
+    push_u32(bytes, 0); // reserved
+    push_u64(bytes, identity.experiment_seed);
+    push_u64(bytes, identity.config_fingerprint);
+    push_u64(bytes, epoch);
+    push_u64(bytes, payload_len as u64);
+    push_u64(bytes, meta.len() as u64);
+    push_u64(bytes, completed.len() as u64);
+    push_u64(bytes, params.len() as u64);
+    push_u64(bytes, first.len() as u64);
+    bytes.extend_from_slice(meta.as_bytes());
+    for &simulation_id in completed {
+        push_u64(bytes, simulation_id);
+    }
+    push_f32s(bytes, params);
+    push_f32s(bytes, first);
+    push_f32s(bytes, second);
+    let checksum = Checksum64::digest(bytes);
+    push_u64(bytes, checksum);
+    Ok(())
+}
+
+/// A checkpoint file that passed every structural check: magic, a version
+/// this build reads, a payload length inside the file, the checksum.
+struct CheckpointFrame<'a> {
+    version: u32,
+    identity: DurableIdentity,
+    epoch: u64,
+    payload: &'a [u8],
+}
+
+fn checkpoint_frame(bytes: &[u8]) -> Result<CheckpointFrame<'_>, CorruptKind> {
+    if bytes.len() < CHECKPOINT_HEADER_LEN + 8 {
+        return Err(CorruptKind::TruncatedHeader);
+    }
+    if &bytes[..8] != CHECKPOINT_MAGIC {
+        return Err(CorruptKind::BadMagic);
+    }
+    let version = read_u32(bytes, 8);
+    if !(1..=DURABLE_FORMAT_VERSION).contains(&version) {
+        return Err(CorruptKind::UnsupportedVersion);
+    }
+    // The length field is untrusted until the checksum it locates has been
+    // verified: compare it against the room the file has, never add to it.
+    let room = (bytes.len() - CHECKPOINT_HEADER_LEN - 8) as u64;
+    let payload_len = read_u64(bytes, 40);
+    if payload_len > room {
+        return Err(CorruptKind::TruncatedPayload);
+    }
+    let payload_end = CHECKPOINT_HEADER_LEN + payload_len as usize;
+    if Checksum64::digest(&bytes[..payload_end]) != read_u64(bytes, payload_end) {
+        return Err(CorruptKind::ChecksumMismatch);
+    }
+    Ok(CheckpointFrame {
+        version,
+        identity: DurableIdentity {
+            experiment_seed: read_u64(bytes, 16),
+            config_fingerprint: read_u64(bytes, 24),
+        },
+        epoch: read_u64(bytes, 32),
+        payload: &bytes[CHECKPOINT_HEADER_LEN..payload_end],
+    })
+}
+
+/// Splits the next `count` elements of `width` bytes off `rest`; `None` when
+/// the count — read from disk — overruns what is left of the payload.
+fn take<'a>(rest: &mut &'a [u8], count: u64, width: usize) -> Option<&'a [u8]> {
+    let len = usize::try_from(count).ok()?.checked_mul(width)?;
+    let (head, tail) = rest.split_at_checked(len)?;
+    *rest = tail;
+    Some(head)
+}
+
+/// Parses a version-2 payload. Every count is checked against the bytes that
+/// remain before anything is sized by it, and the counts must use the payload
+/// up exactly.
+fn decode_payload_v2(payload: &[u8]) -> Option<ServerCheckpoint> {
+    let mut rest = payload;
+    let table = take(&mut rest, 1, SECTION_TABLE_LEN)?;
+    let meta = std::str::from_utf8(take(&mut rest, read_u64(table, 0), 1)?).ok()?;
+    let meta: CheckpointMeta = serde_json::from_str(meta).ok()?;
+    let completed = take(&mut rest, read_u64(table, 8), 8)?;
+    let params = take(&mut rest, read_u64(table, 16), 4)?;
+    let first = take(&mut rest, read_u64(table, 24), 4)?;
+    let second = take(&mut rest, read_u64(table, 24), 4)?;
+    let moments = if meta.adam.is_some() { params.len() } else { 0 };
+    if !rest.is_empty() || first.len() != moments {
+        return None;
+    }
+    Some(ServerCheckpoint {
+        model: ModelCheckpoint {
+            config: meta.config,
+            params: read_f32s(params),
+            batches_trained: meta.batches_trained,
+            samples_seen: meta.samples_seen,
+        },
+        batches_trained: meta.batches_trained,
+        samples_seen: meta.samples_seen,
+        completed_simulations: completed.chunks_exact(8).map(|c| read_u64(c, 0)).collect(),
+        experiment_seed: meta.experiment_seed,
+        optimizer: meta.adam.map(|(config, steps)| {
+            Adam::restore(config, steps, read_f32s(first), read_f32s(second))
+        }),
+    })
 }
 
 /// Parses and validates one checkpoint file, returning its epoch and payload.
@@ -351,51 +529,21 @@ fn decode_checkpoint(
         path: path.to_path_buf(),
         kind,
     };
-    if bytes.len() < CHECKPOINT_HEADER_LEN + 8 {
-        return Err(corrupt(CorruptKind::TruncatedHeader));
-    }
-    if &bytes[..8] != CHECKPOINT_MAGIC {
-        return Err(corrupt(CorruptKind::BadMagic));
-    }
-    if read_u32(bytes, 8) != DURABLE_FORMAT_VERSION {
-        return Err(corrupt(CorruptKind::UnsupportedVersion));
-    }
-    let seed = read_u64(bytes, 16);
-    let fingerprint = read_u64(bytes, 24);
-    let epoch = read_u64(bytes, 32);
-    let payload_len = read_u64(bytes, 40) as usize;
-    let payload_end = CHECKPOINT_HEADER_LEN + payload_len;
-    if bytes.len() < payload_end + 8 {
-        return Err(corrupt(CorruptKind::TruncatedPayload));
-    }
-    let stored_checksum = read_u64(bytes, payload_end);
-    if Checksum64::digest(&bytes[..payload_end]) != stored_checksum {
-        return Err(corrupt(CorruptKind::ChecksumMismatch));
-    }
-    // Identity is checked only after the checksum proves the header intact,
-    // so a bit flip in the seed field reads as corruption, not as a
-    // different experiment.
-    if seed != identity.experiment_seed {
-        return Err(DurabilityError::IdentityMismatch {
-            path: path.to_path_buf(),
-            field: "experiment_seed",
-            expected: identity.experiment_seed,
-            found: seed,
-        });
-    }
-    if fingerprint != identity.config_fingerprint {
-        return Err(DurabilityError::IdentityMismatch {
-            path: path.to_path_buf(),
-            field: "config_fingerprint",
-            expected: identity.config_fingerprint,
-            found: fingerprint,
-        });
-    }
-    let json = std::str::from_utf8(&bytes[CHECKPOINT_HEADER_LEN..payload_end])
-        .map_err(|_| corrupt(CorruptKind::BadPayload))?;
-    let checkpoint =
-        ServerCheckpoint::from_json(json).map_err(|_| corrupt(CorruptKind::BadPayload))?;
-    Ok((epoch, checkpoint))
+    let frame = checkpoint_frame(bytes).map_err(corrupt)?;
+    identity.expect_in(path, frame.identity)?;
+    let checkpoint = if frame.version == 1 {
+        std::str::from_utf8(frame.payload)
+            .ok()
+            .and_then(|json| ServerCheckpoint::from_json(json).ok())
+    } else {
+        decode_payload_v2(frame.payload)
+    };
+    // Either version: the parameters must be the model's, or restoring it
+    // would panic on the length.
+    checkpoint
+        .filter(|cp| cp.model.config.param_count() == Some(cp.model.params.len()))
+        .map(|checkpoint| (frame.epoch, checkpoint))
+        .ok_or_else(|| corrupt(CorruptKind::BadPayload))
 }
 
 /// Rotation state of the durable store.
@@ -405,6 +553,9 @@ struct RotationState {
     next_epoch: u64,
     /// Number of checkpoints durably saved by this store instance.
     saved: usize,
+    /// The encoded file of the last save, reused by the next: a steady-state
+    /// save allocates nothing that grows with the model.
+    encoded: Vec<u8>,
 }
 
 /// Crash-safe checkpoint store over one durability directory.
@@ -434,17 +585,15 @@ impl DurableCheckpointStore {
     ) -> Result<Self, DurabilityError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-        let mut next_epoch = 0;
-        for (epoch, _) in list_checkpoint_files(&dir)? {
-            next_epoch = next_epoch.max(epoch + 1);
-        }
+        let files = list_checkpoint_files(&dir)?;
+        let next_epoch = files.last().map_or(0, |(epoch, _)| epoch + 1);
         Ok(Self {
             dir,
             identity,
             keep_last: keep_last.max(1),
             rotation: Mutex::new(RotationState {
                 next_epoch,
-                saved: 0,
+                ..RotationState::default()
             }),
         })
     }
@@ -462,16 +611,16 @@ impl DurableCheckpointStore {
     /// Durably saves `checkpoint` as the next epoch and applies retention.
     /// Returns the epoch written.
     pub fn save(&self, checkpoint: &ServerCheckpoint) -> Result<u64, DurabilityError> {
-        let mut rotation = self.rotation.lock();
+        let rotation = &mut *self.rotation.lock();
         let epoch = rotation.next_epoch;
-        let bytes = encode_checkpoint(checkpoint, self.identity, epoch)?;
-        atomic_write(&self.dir.join(checkpoint_file_name(epoch)), &bytes)?;
+        encode_checkpoint(&mut rotation.encoded, checkpoint, self.identity, epoch)?;
+        let path = self.dir.join(checkpoint_file_name(epoch));
+        atomic_write(&path, &rotation.encoded)?;
         rotation.next_epoch += 1;
         rotation.saved += 1;
         // Retention under the same lock: saves are serialized, so the listing
         // cannot race another rotation.
-        let mut files = list_checkpoint_files(&self.dir)?;
-        files.sort_by_key(|(epoch, _)| *epoch);
+        let files = list_checkpoint_files(&self.dir)?;
         let excess = files.len().saturating_sub(self.keep_last);
         for (_, path) in files.into_iter().take(excess) {
             fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
@@ -484,16 +633,12 @@ impl DurableCheckpointStore {
     /// collected into the returned report instead of failing the whole load
     /// — the fallback behaviour a crash-torn directory needs.
     pub fn load_latest(&self) -> Result<LatestCheckpoint, DurabilityError> {
-        let mut files = list_checkpoint_files(&self.dir)?;
-        // Newest first: the first file that validates wins.
-        files.sort_by_key(|(epoch, _)| std::cmp::Reverse(*epoch));
+        let files = list_checkpoint_files(&self.dir)?;
         let mut rejected = Vec::new();
         let mut latest = None;
-        for (_, path) in files {
-            let mut bytes = Vec::new();
-            File::open(&path)
-                .and_then(|mut f| f.read_to_end(&mut bytes))
-                .map_err(|e| io_err(&path, e))?;
+        // Newest first: the first file that validates wins.
+        for (_, path) in files.into_iter().rev() {
+            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
             match decode_checkpoint(&path, &bytes, self.identity) {
                 Ok((epoch, checkpoint)) => {
                     latest = Some((epoch, checkpoint));
@@ -520,7 +665,7 @@ fn checkpoint_file_name(epoch: u64) -> String {
     format!("{CHECKPOINT_PREFIX}{epoch:010}")
 }
 
-/// All `ckpt-<epoch>` files in `dir` with their parsed epochs, unsorted.
+/// All `ckpt-<epoch>` files in `dir` with their parsed epochs, oldest first.
 fn list_checkpoint_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurabilityError> {
     let mut files = Vec::new();
     let entries = fs::read_dir(dir).map_err(|e| io_err(dir, e))?;
@@ -536,6 +681,7 @@ fn list_checkpoint_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurabilityEr
         };
         files.push((epoch, entry.path()));
     }
+    files.sort_by_key(|(epoch, _)| *epoch);
     Ok(files)
 }
 
@@ -553,62 +699,39 @@ pub fn peek_identity(dir: impl AsRef<Path>) -> Result<Option<DurableIdentity>, D
     let dir = dir.as_ref();
     let journal_path = dir.join(JOURNAL_FILE);
     if journal_path.exists() {
-        let mut bytes = Vec::new();
-        File::open(&journal_path)
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| io_err(&journal_path, e))?;
-        if let Some(identity) = peek_journal_header(&bytes) {
+        let bytes = fs::read(&journal_path).map_err(|e| io_err(&journal_path, e))?;
+        if let Ok(identity) = journal_header(&bytes) {
             return Ok(Some(identity));
         }
     }
-    let mut files = list_checkpoint_files(dir)?;
-    files.sort_by_key(|(epoch, _)| std::cmp::Reverse(*epoch));
-    for (_, path) in files {
-        let mut bytes = Vec::new();
-        File::open(&path)
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| io_err(&path, e))?;
-        if let Some(identity) = peek_checkpoint_header(&bytes) {
-            return Ok(Some(identity));
+    for (_, path) in list_checkpoint_files(dir)?.into_iter().rev() {
+        let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+        // Magic, version, payload bounds and whole-file checksum must hold.
+        if let Ok(frame) = checkpoint_frame(&bytes) {
+            return Ok(Some(frame.identity));
         }
     }
     Ok(None)
 }
 
-/// Extracts the identity of a structurally valid journal header (magic,
-/// version and header checksum must all hold — a corrupt header cannot be
-/// trusted to name an owner).
-fn peek_journal_header(bytes: &[u8]) -> Option<DurableIdentity> {
-    if bytes.len() < JOURNAL_HEADER_LEN
-        || &bytes[..8] != JOURNAL_MAGIC
-        || read_u32(bytes, 8) != DURABLE_FORMAT_VERSION
-        || Checksum64::digest(&bytes[..JOURNAL_HEADER_LEN - 8])
-            != read_u64(bytes, JOURNAL_HEADER_LEN - 8)
-    {
-        return None;
+/// The identity in a structurally valid journal header: magic, version and
+/// header checksum must all hold — a corrupt header cannot be trusted to name
+/// an owner.
+fn journal_header(bytes: &[u8]) -> Result<DurableIdentity, CorruptKind> {
+    if bytes.len() < JOURNAL_HEADER_LEN {
+        return Err(CorruptKind::TruncatedHeader);
     }
-    Some(DurableIdentity {
-        experiment_seed: read_u64(bytes, 16),
-        config_fingerprint: read_u64(bytes, 24),
-    })
-}
-
-/// Extracts the identity of a structurally valid checkpoint file (magic,
-/// version, payload bounds and whole-file checksum must all hold).
-fn peek_checkpoint_header(bytes: &[u8]) -> Option<DurableIdentity> {
-    if bytes.len() < CHECKPOINT_HEADER_LEN + 8
-        || &bytes[..8] != CHECKPOINT_MAGIC
-        || read_u32(bytes, 8) != DURABLE_FORMAT_VERSION
-    {
-        return None;
+    if &bytes[..8] != JOURNAL_MAGIC {
+        return Err(CorruptKind::BadMagic);
     }
-    let payload_end = CHECKPOINT_HEADER_LEN + read_u64(bytes, 40) as usize;
-    if bytes.len() < payload_end + 8
-        || Checksum64::digest(&bytes[..payload_end]) != read_u64(bytes, payload_end)
-    {
-        return None;
+    if read_u32(bytes, 8) != JOURNAL_FORMAT_VERSION {
+        return Err(CorruptKind::UnsupportedVersion);
     }
-    Some(DurableIdentity {
+    let body = JOURNAL_HEADER_LEN - 8;
+    if Checksum64::digest(&bytes[..body]) != read_u64(bytes, body) {
+        return Err(CorruptKind::ChecksumMismatch);
+    }
+    Ok(DurableIdentity {
         experiment_seed: read_u64(bytes, 16),
         config_fingerprint: read_u64(bytes, 24),
     })
@@ -618,7 +741,7 @@ fn peek_checkpoint_header(bytes: &[u8]) -> Option<DurableIdentity> {
 fn encode_journal_header(identity: DurableIdentity) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(JOURNAL_HEADER_LEN);
     bytes.extend_from_slice(JOURNAL_MAGIC);
-    push_u32(&mut bytes, DURABLE_FORMAT_VERSION);
+    push_u32(&mut bytes, JOURNAL_FORMAT_VERSION);
     push_u32(&mut bytes, 0); // reserved
     push_u64(&mut bytes, identity.experiment_seed);
     push_u64(&mut bytes, identity.config_fingerprint);
@@ -728,41 +851,11 @@ impl CompletionJournal {
         bytes: &[u8],
         identity: DurableIdentity,
     ) -> Result<(Vec<u64>, u64), DurabilityError> {
-        let corrupt = |kind| DurabilityError::Corrupt {
+        let found = journal_header(bytes).map_err(|kind| DurabilityError::Corrupt {
             path: path.to_path_buf(),
             kind,
-        };
-        if bytes.len() < JOURNAL_HEADER_LEN {
-            return Err(corrupt(CorruptKind::TruncatedHeader));
-        }
-        if &bytes[..8] != JOURNAL_MAGIC {
-            return Err(corrupt(CorruptKind::BadMagic));
-        }
-        if read_u32(bytes, 8) != DURABLE_FORMAT_VERSION {
-            return Err(corrupt(CorruptKind::UnsupportedVersion));
-        }
-        let header_checksum = read_u64(bytes, JOURNAL_HEADER_LEN - 8);
-        if Checksum64::digest(&bytes[..JOURNAL_HEADER_LEN - 8]) != header_checksum {
-            return Err(corrupt(CorruptKind::ChecksumMismatch));
-        }
-        let seed = read_u64(bytes, 16);
-        if seed != identity.experiment_seed {
-            return Err(DurabilityError::IdentityMismatch {
-                path: path.to_path_buf(),
-                field: "experiment_seed",
-                expected: identity.experiment_seed,
-                found: seed,
-            });
-        }
-        let fingerprint = read_u64(bytes, 24);
-        if fingerprint != identity.config_fingerprint {
-            return Err(DurabilityError::IdentityMismatch {
-                path: path.to_path_buf(),
-                field: "config_fingerprint",
-                expected: identity.config_fingerprint,
-                found: fingerprint,
-            });
-        }
+        })?;
+        identity.expect_in(path, found)?;
         let mut replayed = Vec::new();
         let mut offset = JOURNAL_HEADER_LEN;
         while offset + JOURNAL_RECORD_LEN <= bytes.len() {
@@ -978,14 +1071,34 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_file_is_its_header_its_sections_and_nothing_else() {
+        // Four bytes per parameter, eight per id: a section that went back
+        // through a text formatter would show here, not first in a benchmark.
+        let dir = temp_dir("size");
+        let store = DurableCheckpointStore::open(&dir, IDENTITY, 5).unwrap();
+        let mut checkpoint = checkpoint(4, vec![3, 1, 4, 1, 5]);
+        let params = checkpoint.model.params.len();
+        for moments in [0, 2 * params] {
+            let epoch = store.save(&checkpoint).unwrap();
+            let bytes = fs::read(dir.join(checkpoint_file_name(epoch))).unwrap();
+            let meta_len = read_u64(&bytes, CHECKPOINT_HEADER_LEN) as usize;
+            assert!(meta_len < 512, "the metadata is O(1), not {meta_len} bytes");
+            let payload = SECTION_TABLE_LEN + meta_len + 8 * 5 + 4 * (params + moments);
+            assert_eq!(read_u64(&bytes, 40) as usize, payload);
+            assert_eq!(bytes.len(), CHECKPOINT_HEADER_LEN + payload + 8);
+            checkpoint.optimizer = Some(Adam::new(AdamConfig::default(), params));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn retention_keeps_only_the_newest_k() {
         let dir = temp_dir("retention");
         let store = DurableCheckpointStore::open(&dir, IDENTITY, 2).unwrap();
         for batches in 1..=5 {
             store.save(&checkpoint(batches, vec![])).unwrap();
         }
-        let mut files = list_checkpoint_files(&dir).unwrap();
-        files.sort_by_key(|(epoch, _)| *epoch);
+        let files = list_checkpoint_files(&dir).unwrap();
         let epochs: Vec<u64> = files.iter().map(|(epoch, _)| *epoch).collect();
         assert_eq!(epochs, vec![3, 4]);
         let _ = fs::remove_dir_all(&dir);

@@ -328,10 +328,10 @@ pub struct RecoveryHooks {
     pub server_down: Arc<AtomicBool>,
     /// The experiment seed recorded into every checkpoint.
     pub experiment_seed: u64,
-    /// Collective rounds already trained before this incarnation (from the
-    /// checkpoint being resumed), so the sample-based learning-rate schedule
-    /// continues where it left off instead of restarting hot.
-    pub resume_rounds: usize,
+    /// The checkpoint being resumed, if any: every rank continues from its
+    /// optimizer state (the caller restores the model), and its batch counter
+    /// offsets the sample-based learning-rate schedule so it does not restart hot.
+    pub resume: Option<Arc<ServerCheckpoint>>,
     /// On-disk durability sink (checkpoint store + completion journal),
     /// written by rank 0's sidecar thread from the snapshots the learner
     /// hands it; `None` keeps the in-memory-only behaviour.

@@ -175,7 +175,7 @@ impl OnlineExperiment {
             )
             .collect();
         let recorder = Arc::new(DurableRecorder::new(store, journal, already_durable));
-        Ok(experiment.run_internal(checkpoint.as_ref(), &journaled, Some(recorder)))
+        Ok(experiment.run_internal(checkpoint.map(Arc::new), &journaled, Some(recorder)))
     }
 
     /// The identity stamped into this experiment's durable files.
@@ -231,6 +231,7 @@ impl OnlineExperiment {
             },
             None => (None, None),
         };
+        let resume = resume.cloned().map(Arc::new);
         let (model, mut report, checkpoint) = self.run_internal(resume, &[], durable);
         if report.durable_error.is_none() {
             report.durable_error = open_error;
@@ -240,7 +241,7 @@ impl OnlineExperiment {
 
     fn run_internal(
         &self,
-        resume: Option<&ServerCheckpoint>,
+        resume: Option<Arc<ServerCheckpoint>>,
         journaled: &[u64],
         durable: Option<Arc<DurableRecorder>>,
     ) -> (Mlp, ExperimentReport, Option<ServerCheckpoint>) {
@@ -266,12 +267,13 @@ impl OnlineExperiment {
         // the resumed checkpoint was taken) keep per-simulation accounting
         // exactly-once even though the resumed weights predate them.
         let completed_union: Vec<u64> = resume
-            .into_iter()
+            .iter()
             .flat_map(|cp| cp.completed_simulations.iter().copied())
             .chain(journaled.iter().copied())
             .collect::<BTreeSet<u64>>()
             .into_iter()
             .collect();
+        let resumed_from_batches = resume.as_ref().map(|cp| cp.batches_trained);
         let resuming = resume.is_some() || !journaled.is_empty();
         let missing: Option<Vec<u64>> =
             resuming.then(|| Launcher::missing_ids(config.total_simulations(), &completed_union));
@@ -351,14 +353,15 @@ impl OnlineExperiment {
             },
             server_down: Arc::clone(&server_down),
             experiment_seed: config.seed,
-            resume_rounds: resume.map_or(0, |cp| cp.batches_trained),
+            resume: resume.clone(),
             durable: durable.clone(),
         };
 
         // Model replicas: identical seed → identical initial weights
-        // everywhere; a resumed run restores the checkpointed weights instead.
+        // everywhere; a resumed run restores the checkpointed weights instead
+        // (and each rank's optimizer with them, through the hooks).
         let mlp_config = config.surrogate.mlp_config(config.output_size());
-        let make_model = || match resume {
+        let make_model = || match &resume {
             Some(cp) => cp.restore_model(),
             None => Mlp::new(mlp_config.clone()),
         };
@@ -536,14 +539,15 @@ impl OnlineExperiment {
             // Capture a final checkpoint so a clean run also leaves a
             // restart point covering everything it consumed.
             let rank0_rounds = rank_outcomes.first().map_or(0, |o| o.rounds);
-            let progress_rounds = hooks.resume_rounds + rank0_rounds;
-            let final_checkpoint = ServerCheckpoint::capture(
+            let progress_rounds = resumed_from_batches.unwrap_or(0) + rank0_rounds;
+            let mut final_checkpoint = ServerCheckpoint::capture(
                 &model,
                 progress_rounds,
                 progress_rounds * config.training.batch_size * config.training.num_ranks,
                 tracker.completed_simulations(),
                 config.seed,
             );
+            final_checkpoint.optimizer = rank_outcomes.first().map(|o| o.optimizer.clone());
             if let Some(durable) = &durable {
                 durable.record_completions(&final_checkpoint.completed_simulations);
                 durable.record_checkpoint(&final_checkpoint);
@@ -620,7 +624,7 @@ impl OnlineExperiment {
                 .as_ref()
                 .map(|r| r.recovered_clients.clone())
                 .unwrap_or_default(),
-            resumed_from_batches: resume.map(|cp| cp.batches_trained),
+            resumed_from_batches,
             durable_checkpoints: durable.as_ref().map_or(0, |d| d.checkpoints_saved()),
             durable_error: durable.as_ref().and_then(|d| d.first_error()),
             launcher: launcher_report,

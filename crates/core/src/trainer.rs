@@ -82,6 +82,8 @@ pub struct RankOutcome {
     pub rank: usize,
     /// The trained model replica (identical on every rank).
     pub model: Mlp,
+    /// The optimizer that trained it, for the server's final checkpoint.
+    pub optimizer: Adam,
     /// Number of batches this rank processed (including idle rounds where the
     /// rank only participated in the collectives).
     pub rounds: usize,
@@ -201,16 +203,21 @@ impl RankTrainer {
 
     /// Attaches the crash-recovery hooks: periodic checkpoint capture and
     /// per-simulation consumption accounting, the scripted server-crash
-    /// fault, and the learning-rate progress offset of a resumed run. Every
-    /// rank of one run must receive a clone of the same hooks.
+    /// fault, and for a resumed run the checkpoint's optimizer state and
+    /// learning-rate progress offset (its model goes to [`RankTrainer::new`]).
+    /// Every rank of one run must receive a clone of the same hooks.
     pub fn with_recovery(mut self, hooks: RecoveryHooks) -> Self {
+        if let Some(adam) = hooks.resume.as_ref().and_then(|cp| cp.optimizer.as_ref()) {
+            self.optimizer = adam.clone().with_isa(self.config.kernel_isa);
+        }
         self.recovery = Some(hooks);
         self
     }
 
     /// Collective rounds carried over from the checkpoint being resumed.
     fn resume_rounds(&self) -> usize {
-        self.recovery.as_ref().map_or(0, |h| h.resume_rounds)
+        let resume = self.recovery.as_ref().and_then(|h| h.resume.as_ref());
+        resume.map_or(0, |cp| cp.batches_trained)
     }
 
     /// Runs the training loop until every rank's buffer has drained.
@@ -523,15 +530,20 @@ impl RankTrainer {
             })
             .map(|hooks| {
                 // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the store keeps the copy, so it cannot be recycled")
-                let checkpoint = Arc::new(ServerCheckpoint::capture(
-                    &self.model,
-                    self.resume_rounds() + state.rounds,
-                    nominal_samples_seen,
-                    // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the full scan collects and sorts the completed ids")
-                    // analysis: allow(blocking, reason = "checkpoint cadence, not per batch: the full scan holds the progress map's lock")
-                    hooks.tracker.completed_simulations(),
-                    hooks.experiment_seed,
-                ));
+                let checkpoint = Arc::new(ServerCheckpoint {
+                    // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the two moment vectors, copied like the parameters")
+                    optimizer: Some(self.optimizer.clone()),
+                    // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the parameter copy")
+                    ..ServerCheckpoint::capture(
+                        &self.model,
+                        self.resume_rounds() + state.rounds,
+                        nominal_samples_seen,
+                        // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the full scan collects and sorts the completed ids")
+                        // analysis: allow(blocking, reason = "checkpoint cadence, not per batch: the full scan holds the progress map's lock")
+                        hooks.tracker.completed_simulations(),
+                        hooks.experiment_seed,
+                    )
+                });
                 hooks.store.record(Arc::clone(&checkpoint));
                 checkpoint
             });
@@ -609,6 +621,7 @@ impl RankTrainer {
         RankOutcome {
             rank: self.rank,
             model: self.model,
+            optimizer: self.optimizer,
             rounds: state.rounds,
             batches_with_data: state.batches_with_data,
             samples_consumed: state.samples_consumed,

@@ -14,6 +14,9 @@
 //!   consumption accounting, the O(new) completion drain, the snapshot
 //!   hand-off to the sidecar and the loss history included. A round that is
 //!   neither a checkpoint nor a validation round allocates nothing;
+//! * persisting a checkpoint: after its first save the durable store encodes
+//!   into a buffer it keeps, so a save allocates the same few times whatever
+//!   the model's size;
 //! * the producers: one trajectory of the analytic workload or of the
 //!   implicit solver allocates the one `Vec<f32>` per step that travels
 //!   downstream, plus a fixed set-up — tables and work vectors are built
@@ -35,7 +38,7 @@ use melissa::trainer::{RankTrainer, TrainerShared};
 use melissa::{
     fill_batch_from_buffer, payload_into_sample, CheckpointStore, CompletionJournal,
     DurableCheckpointStore, DurableIdentity, DurableRecorder, OccurrenceTable, RecoveryHooks,
-    RecoveryTracker, TrainingConfig, ValidationSet,
+    RecoveryTracker, ServerCheckpoint, TrainingConfig, ValidationSet,
 };
 use melissa_transport::{MessageLog, SamplePayload};
 use melissa_workload::Workload;
@@ -194,7 +197,7 @@ fn learner_allocations_per_round() -> Vec<(usize, usize)> {
         crash_after_batches: None,
         server_down: Arc::new(AtomicBool::new(false)),
         experiment_seed: 3,
-        resume_rounds: 0,
+        resume: None,
         durable: Some(Arc::clone(&recorder)),
     };
     let validation = Arc::new(ValidationSet::from_samples(
@@ -262,6 +265,36 @@ fn learner_allocations_per_round() -> Vec<(usize, usize)> {
     assert_eq!(outcome.sidecar.validations, ROUNDS / 10);
     let _ = std::fs::remove_dir_all(&dir);
     per_round
+}
+
+/// Allocations of one steady-state `DurableCheckpointStore::save` of a full
+/// checkpoint (parameters and both Adam moments) of a `6 → hidden → hidden →
+/// 64` model: the best of a few saves after the store's buffer reached its
+/// size and retention its limit.
+fn save_allocations(hidden: usize) -> usize {
+    let model = Mlp::new(MlpConfig {
+        layer_sizes: vec![PARAM_DIM + 1, hidden, hidden, FIELD_LEN],
+        activation: Activation::ReLU,
+        init: InitScheme::HeUniform,
+        seed: 3,
+    });
+    let dir = std::env::temp_dir().join(format!("melissa-alloc-save-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let identity = DurableIdentity {
+        experiment_seed: 3,
+        config_fingerprint: 1,
+    };
+    let store = DurableCheckpointStore::open(&dir, identity, 2).unwrap();
+    let mut checkpoint = ServerCheckpoint::capture(&model, 10, 100, vec![0, 1], 3);
+    checkpoint.optimizer = Some(Adam::new(AdamConfig::default(), model.param_count()));
+    for _ in 0..3 {
+        store.save(&checkpoint).unwrap();
+    }
+    let allocations = min_allocations_over(5, || {
+        store.save(&checkpoint).unwrap();
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    allocations
 }
 
 /// Allocations of one trajectory of `workload` through the `Workload` trait,
@@ -448,4 +481,18 @@ fn steady_state_data_plane_allocates_nothing() {
         "steady-state rounds of rank 0 that capture no checkpoint must not allocate on the \
          learning thread; (round, allocations): {allocating:?}"
     );
+
+    // ---- Phase 4: persisting a checkpoint. ----
+    // What a steady-state save allocates is the file name, the temp path, the
+    // directory listing and the few-hundred-byte metadata document — nothing
+    // per parameter (the JSON encoder this replaced made more than one
+    // allocation per parameter). The two widths have the same number of
+    // digits, so the metadata is the same length: 17,264 parameters or
+    // 188,864, the count is the same.
+    let (small, large) = (save_allocations(100), save_allocations(400));
+    assert_eq!(
+        small, large,
+        "a steady-state save must allocate independently of the parameter count"
+    );
+    assert!(large <= 128, "{large} allocations in one steady-state save");
 }

@@ -258,6 +258,21 @@ impl MlpConfig {
             seed,
         }
     }
+
+    /// Parameter count of the network this describes; `None` for fewer than
+    /// two layers or on overflow, so a configuration read from disk can be
+    /// checked before anything is sized by it.
+    pub fn param_count(&self) -> Option<usize> {
+        if self.layer_sizes.len() < 2 {
+            return None;
+        }
+        self.layer_sizes.windows(2).try_fold(0usize, |sum, pair| {
+            pair[0]
+                .checked_mul(pair[1])?
+                .checked_add(pair[1])?
+                .checked_add(sum)
+        })
+    }
 }
 
 /// A multilayer perceptron with flattened parameter/gradient access.

@@ -80,13 +80,7 @@ pub struct Adam {
 impl Adam {
     /// Creates the optimizer for a model with `param_count` parameters.
     pub fn new(config: AdamConfig, param_count: usize) -> Self {
-        Self {
-            config,
-            first_moment: vec![0.0; param_count],
-            second_moment: vec![0.0; param_count],
-            steps: 0,
-            isa: KernelIsa::Auto,
-        }
+        Self::restore(config, 0, vec![0.0; param_count], vec![0.0; param_count])
     }
 
     /// Sets the kernel-ISA request the fused update dispatches on
@@ -99,6 +93,28 @@ impl Adam {
     /// The optimizer configuration.
     pub fn config(&self) -> &AdamConfig {
         &self.config
+    }
+
+    /// The first and second moment estimates, in [`Mlp::params_flat`] order;
+    /// with the configuration and step count, all [`Adam::restore`] needs.
+    pub fn moments(&self) -> (&[f32], &[f32]) {
+        (&self.first_moment, &self.second_moment)
+    }
+
+    /// Rebuilds an optimizer from checkpointed state; its next update is the
+    /// one the captured optimizer would have made next, bit for bit.
+    ///
+    /// # Panics
+    /// Panics when the two moment vectors differ in length.
+    pub fn restore(config: AdamConfig, steps: usize, first: Vec<f32>, second: Vec<f32>) -> Self {
+        assert_eq!(first.len(), second.len(), "moment lengths differ");
+        Self {
+            config,
+            first_moment: first,
+            second_moment: second,
+            steps,
+            isa: KernelIsa::Auto,
+        }
     }
 }
 

@@ -1,9 +1,11 @@
 //! Model checkpointing.
 //!
 //! The paper's server is regularly checkpointed so a failed server can be
-//! restarted from the last checkpoint (§3.1). Model weights and optimizer-free
-//! metadata are serialised to JSON (human-readable, adequate at the scales used
-//! here); binary weight blobs can be embedded through `bytes` when needed.
+//! restarted from the last checkpoint (§3.1). [`ModelCheckpoint`] is the
+//! model's share of one: architecture, weights and progress counters. Its JSON
+//! form ([`save_mlp`] / [`load_mlp`]) serves inspection and the inference
+//! examples; the server's durable files (`melissa::durable`) hold the weights,
+//! and the optimizer's [`crate::Adam::moments`], as raw little-endian bytes.
 
 use crate::mlp::{Mlp, MlpConfig};
 use serde::{Deserialize, Serialize};

@@ -15,12 +15,13 @@
 use heat_solver::SolverConfig;
 use melissa::{
     CompletionJournal, DurabilityConfig, DurableCheckpointStore, DurableIdentity, ExperimentConfig,
-    OnlineExperiment, WorkloadSpec,
+    OnlineExperiment, WorkloadSpec, DURABLE_FORMAT_VERSION,
 };
 use melissa_ensemble::CampaignPlan;
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::time::{Duration, Instant};
+use surrogate_nn::Optimizer;
 use training_buffer::{BufferConfig, BufferKind};
 
 const CLIENTS: usize = 10;
@@ -158,6 +159,18 @@ fn main() {
         journaled.len(),
         missing.len()
     );
+    // The file itself: the format version sits at bytes 8..12 of the header.
+    let file = std::fs::read(dir.join(format!("ckpt-{epoch:010}"))).expect("read the checkpoint");
+    let version = u32::from_le_bytes([file[8], file[9], file[10], file[11]]);
+    let adam_steps = checkpoint.optimizer.as_ref().map(|adam| adam.steps_taken());
+    println!(
+        "  checkpoint format version {version} (this build writes {DURABLE_FORMAT_VERSION}), \
+         {} bytes per checkpoint, optimizer state: {}",
+        file.len(),
+        adam_steps.map_or("absent".to_string(), |steps| format!(
+            "Adam at step {steps}"
+        ))
+    );
 
     // Part 4: restart purely from the directory.
     println!("\nPart 3: resume from the directory — only the missing simulations rerun");
@@ -178,6 +191,19 @@ fn main() {
         (0..CLIENTS as u64).collect::<Vec<_>>(),
         "checkpoint + journal + rerun cover the whole campaign"
     );
+    // The resumed incarnation restored the optimizer rather than starting a
+    // fresh one: its step count continued from the checkpoint's, so at the
+    // end it equals the batches trained across both incarnations.
+    let final_steps = final_checkpoint.optimizer.as_ref().map(|a| a.steps_taken());
+    match (adam_steps, final_steps) {
+        (Some(at_kill), Some(at_end)) => println!(
+            "  optimizer state restored on resume: yes (Adam step {at_kill} at the kill, \
+             {at_end} after {} batches in all)",
+            final_checkpoint.batches_trained
+        ),
+        _ => println!("  optimizer state restored on resume: no"),
+    }
+    assert_eq!(final_steps, Some(final_checkpoint.batches_trained));
     println!("\nExactly-once per-simulation accounting held across the process kill.");
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -16,16 +16,23 @@
 //!   silently-wrong state) and *survived* (fall back to the newest earlier
 //!   checkpoint, drop the journal's torn tail, rerun what was lost).
 //!
-//! The byte offsets used by the corruption tests pin the version-1 file
-//! formats: checkpoint = magic(8) version(4) reserved(4) seed(8)
-//! fingerprint(8) epoch(8) payload_len(8) payload trailing-checksum(8);
-//! journal = 40-byte header + 24-byte records. Changing the layout must bump
-//! `DURABLE_FORMAT_VERSION` and update these tests.
+//! The byte offsets used by the corruption tests pin the file formats:
+//! checkpoint = magic(8) version(4) reserved(4) seed(8) fingerprint(8)
+//! epoch(8) payload_len(8) payload trailing-checksum(8), the same frame in
+//! both checkpoint versions; a version-2 payload opens with four u64 —
+//! metadata length, completed-id count, parameter count, moment count — ahead
+//! of the metadata and the raw sections, a version-1 payload is one JSON
+//! document; journal (version 1) = 40-byte header + 24-byte records. The
+//! fixture files come from a real run, so they are version 2; version 1 is
+//! read-only in the crate, and its fixture is assembled here by `v1_file`.
+//! Changing a layout must bump `DURABLE_FORMAT_VERSION` and update these
+//! tests.
 
 use heat_solver::SolverConfig;
 use melissa::{
-    CompletionJournal, CorruptKind, DurabilityConfig, DurabilityError, DurableCheckpointStore,
-    DurableIdentity, ExperimentConfig, OnlineExperiment, WorkloadSpec,
+    peek_identity, CompletionJournal, CorruptKind, DurabilityConfig, DurabilityError,
+    DurableCheckpointStore, DurableIdentity, ExperimentConfig, OnlineExperiment, ServerCheckpoint,
+    WorkloadSpec,
 };
 use melissa_ensemble::CampaignPlan;
 use melissa_transport::{Checksum64, FaultPlan};
@@ -34,6 +41,7 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+use surrogate_nn::{Activation, Adam, AdamConfig, InitScheme, Mlp, MlpConfig, Optimizer};
 use training_buffer::{BufferConfig, BufferKind};
 
 const CLIENTS: usize = 8;
@@ -104,6 +112,39 @@ fn checkpoint_files(dir: &Path) -> Vec<PathBuf> {
         .collect();
     files.sort();
     files
+}
+
+/// `checkpoint` as a version-1 file, the way every build before format 2
+/// wrote it: the 48-byte header around the `ServerCheckpoint` JSON document
+/// (which had no optimizer key), then the checksum over all prior bytes.
+/// Assembled from pub API only — the crate keeps no v1 writer.
+fn v1_file(checkpoint: &ServerCheckpoint, identity: DurableIdentity, epoch: u64) -> Vec<u8> {
+    let json = checkpoint.to_json().unwrap();
+    let end = json.find(",\"optimizer\":").expect("the last key");
+    let json = format!("{}}}", &json[..end]);
+    let mut bytes = b"MELCKPT\0".to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    for field in [
+        identity.experiment_seed,
+        identity.config_fingerprint,
+        epoch,
+        json.len() as u64,
+    ] {
+        bytes.extend_from_slice(&field.to_le_bytes());
+    }
+    bytes.extend_from_slice(json.as_bytes());
+    let checksum = Checksum64::digest(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
+/// Replaces the trailing checksum of a checkpoint file whose body was edited,
+/// so only the check the edit aims at can reject it.
+fn reseal(bytes: &mut [u8]) {
+    let body_len = bytes.len() - 8;
+    let checksum = Checksum64::digest(&bytes[..body_len]);
+    bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
 }
 
 /// Runs a small durable experiment to completion, leaving valid checkpoint
@@ -529,6 +570,111 @@ fn foreign_experiment_checkpoints_are_rejected_by_identity() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_length_field_of_erased_flash_is_a_typed_error_in_debug_and_release() {
+    // `payload_len` values whose unchecked `48 + len` or `+ 8` overflows: the
+    // parent commit panicked on them (`attempt to add with overflow` in
+    // debug, a slice index out of range in release), taking `load_latest`,
+    // `peek_identity` and so `resume_from_dir` down with it. Eight 0xFF
+    // bytes are what an erased flash page reads as.
+    let fx = fixture();
+    let identity = identity_of(&fx.config);
+    for original in [&fx.checkpoint_bytes, &fx.v1_checkpoint_bytes] {
+        for payload_len in [u64::MAX, u64::MAX - 49, u64::MAX - 55] {
+            let dir = temp_dir("length-overflow");
+            let mut bytes = original.clone();
+            bytes[40..48].copy_from_slice(&payload_len.to_le_bytes());
+            fs::write(dir.join("ckpt-0000000000"), &bytes).unwrap();
+
+            let store = DurableCheckpointStore::open(&dir, identity, 3).unwrap();
+            let latest = store.load_latest().unwrap();
+            assert!(latest.latest.is_none());
+            assert!(
+                matches!(
+                    latest.rejected[..],
+                    [DurabilityError::Corrupt {
+                        kind: CorruptKind::TruncatedPayload,
+                        ..
+                    }]
+                ),
+                "{payload_len:#x}: {:?}",
+                latest.rejected
+            );
+            // No journal here, so the probe has only this file to ask: it
+            // names no owner, and the directory resumes as a fresh start.
+            assert_eq!(peek_identity(&dir).unwrap(), None, "{payload_len:#x}");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+    let dir = temp_dir("length-overflow-resume");
+    let mut bytes = fx.checkpoint_bytes.clone();
+    bytes[40..48].copy_from_slice(&[0xFF; 8]);
+    fs::write(dir.join("ckpt-0000000000"), &bytes).unwrap();
+    let (_, report, resumed) = OnlineExperiment::resume_from_dir(&dir, fx.config.clone()).unwrap();
+    assert_eq!(report.durable_error, None);
+    assert_eq!(report.resumed_from_batches, None, "nothing valid to resume");
+    assert_eq!(resumed.unwrap().completed_simulations.len(), CLIENTS);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_directory_of_version_1_checkpoints_resumes_and_is_continued_in_version_2() {
+    // A crashed run's directory as the parent commit would have left it:
+    // every checkpoint rewritten as a version-1 file, the journal untouched
+    // (its format did not change).
+    let dir = temp_dir("v1-directory");
+    let mut config = durable_config(&dir, false);
+    config.fault.plan = FaultPlan::none().with_server_crash(6);
+    let (_, report, _) = OnlineExperiment::new(config)
+        .expect("valid configuration")
+        .run_recoverable();
+    assert!(report.crashed);
+    let config = durable_config(&dir, false);
+    let identity = identity_of(&config);
+    let store = DurableCheckpointStore::open(&dir, identity, 3).unwrap();
+    let mut legacy_files = Vec::new();
+    while let Some((epoch, checkpoint)) = store.load_latest().unwrap().latest {
+        assert!(checkpoint.optimizer.is_some(), "written by this build");
+        let path = dir.join(format!("ckpt-{epoch:010}"));
+        fs::remove_file(&path).unwrap();
+        legacy_files.push((path, v1_file(&checkpoint, identity, epoch)));
+    }
+    assert!(
+        legacy_files.len() >= 2,
+        "retention keeps several checkpoints"
+    );
+    for (path, bytes) in &legacy_files {
+        fs::write(path, bytes).unwrap();
+    }
+    let latest = store.load_latest().unwrap();
+    assert!(latest.rejected.is_empty(), "{:?}", latest.rejected);
+    let (_, legacy) = latest.latest.expect("version 1 still loads");
+    assert!(legacy.optimizer.is_none(), "version 1 never had one");
+    drop(store);
+
+    let (_, resume_report, final_checkpoint) =
+        OnlineExperiment::resume_from_dir(&dir, config).expect("resume a version-1 directory");
+    assert_eq!(resume_report.durable_error, None);
+    assert_eq!(
+        resume_report.resumed_from_batches,
+        Some(legacy.batches_trained)
+    );
+    let final_checkpoint = final_checkpoint.unwrap();
+    assert_eq!(
+        final_checkpoint.completed_simulations,
+        (0..CLIENTS as u64).collect::<Vec<_>>()
+    );
+    // What the resumed run wrote is version 2 and carries its optimizer.
+    let newest = fs::read(checkpoint_files(&dir).pop().unwrap()).unwrap();
+    assert_eq!(
+        newest[8..12],
+        melissa::DURABLE_FORMAT_VERSION.to_le_bytes(),
+        "version 1 is never written again"
+    );
+    assert!(final_checkpoint.optimizer.is_some());
+    let _ = fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Property: arbitrary corruption never panics and never parses garbage
 // ---------------------------------------------------------------------------
@@ -538,6 +684,8 @@ fn foreign_experiment_checkpoints_are_rejected_by_identity() {
 struct DurableFixture {
     config: ExperimentConfig,
     checkpoint_bytes: Vec<u8>,
+    /// The same checkpoint as a version-1 file.
+    v1_checkpoint_bytes: Vec<u8>,
     journal_bytes: Vec<u8>,
 }
 
@@ -550,10 +698,15 @@ fn fixture() -> &'static DurableFixture {
         let newest = checkpoint_files(&dir).pop().unwrap();
         let checkpoint_bytes = fs::read(newest).unwrap();
         let journal_bytes = fs::read(dir.join("journal")).unwrap();
+        let identity = identity_of(&config);
+        let store = DurableCheckpointStore::open(&dir, identity, 3).unwrap();
+        let (epoch, checkpoint) = store.load_latest().unwrap().latest.unwrap();
+        let v1_checkpoint_bytes = v1_file(&checkpoint, identity, epoch);
         let _ = fs::remove_dir_all(&dir);
         DurableFixture {
             config,
             checkpoint_bytes,
+            v1_checkpoint_bytes,
             journal_bytes,
         }
     })
@@ -578,6 +731,144 @@ proptest! {
         let latest = store.load_latest().unwrap();
         prop_assert!(latest.latest.is_none(), "corrupted checkpoint must not load (offset {offset})");
         prop_assert_eq!(latest.rejected.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The same over a version-1 file: the reader kept for old directories
+    /// detects every damaged byte too.
+    #[test]
+    fn any_v1_checkpoint_byte_corruption_is_detected(offset_frac in 0.0f64..1.0, xor in 1u8..=255) {
+        let fx = fixture();
+        let dir = temp_dir("prop-ckpt-v1");
+        let mut bytes = fx.v1_checkpoint_bytes.clone();
+        let offset = ((bytes.len() - 1) as f64 * offset_frac) as usize;
+        bytes[offset] ^= xor;
+        fs::write(dir.join("ckpt-0000000000"), &bytes).unwrap();
+
+        let store = DurableCheckpointStore::open(&dir, identity_of(&fx.config), 3).unwrap();
+        let latest = store.load_latest().unwrap();
+        prop_assert!(latest.latest.is_none(), "corrupted checkpoint must not load (offset {offset})");
+        prop_assert_eq!(latest.rejected.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A whole length or count field replaced by an arbitrary u64 — the
+    /// 8-byte `payload_len` of either version, or one of the four section
+    /// counts of a version-2 payload, those with the checksum made good again
+    /// so the count checks themselves are what must hold — is a typed
+    /// rejection: no overflow, no out-of-range slice, no allocation sized by
+    /// the field. `bits >> shift` spreads the values over every magnitude.
+    #[test]
+    fn any_overwritten_length_or_count_field_is_rejected(
+        field in 0usize..6,
+        bits in any::<u64>(),
+        shift in 0u32..64,
+    ) {
+        let fx = fixture();
+        let dir = temp_dir("prop-counts");
+        let (mut bytes, offset) = match field {
+            0 => (fx.v1_checkpoint_bytes.clone(), 40),
+            1 => (fx.checkpoint_bytes.clone(), 40),
+            count => (fx.checkpoint_bytes.clone(), 48 + 8 * (count - 2)),
+        };
+        let value = bits >> shift;
+        let unchanged = bytes[offset..offset + 8] == value.to_le_bytes();
+        bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+        if offset > 40 {
+            reseal(&mut bytes);
+        }
+        fs::write(dir.join("ckpt-0000000000"), &bytes).unwrap();
+
+        let store = DurableCheckpointStore::open(&dir, identity_of(&fx.config), 3).unwrap();
+        let latest = store.load_latest().unwrap();
+        prop_assert_eq!(latest.latest.is_some(), unchanged, "field {} = {:#x}", field, value);
+        if let Some(rejected) = latest.rejected.first() {
+            let expected: &[CorruptKind] = if offset == 40 {
+                &[CorruptKind::TruncatedPayload, CorruptKind::ChecksumMismatch]
+            } else {
+                &[CorruptKind::BadPayload]
+            };
+            prop_assert!(
+                matches!(rejected, DurabilityError::Corrupt { kind, .. } if expected.contains(kind)),
+                "field {field} = {value:#x}: {rejected:?}"
+            );
+        }
+        prop_assert!(peek_identity(&dir).is_ok());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Format 2 stores values, not renderings of them: whatever bit patterns
+    /// the parameters and moments hold — NaN payloads, signed zeros,
+    /// subnormals, infinities, none of which JSON can carry — and whatever
+    /// the shapes, ids and counters, `save` then `load_latest` returns them
+    /// bit for bit.
+    #[test]
+    fn a_saved_checkpoint_loads_back_bit_for_bit(
+        layer_sizes in prop::collection::vec(1usize..9, 2..5),
+        completed in prop::collection::vec(any::<u64>(), 0..40),
+        counters in prop::collection::vec(any::<u32>(), 3),
+        seed in any::<u64>(),
+        with_optimizer in any::<bool>(),
+    ) {
+        const SPECIAL: [u32; 8] = [
+            0x7FC0_0001, 0xFFC1_2345, 0x0000_0000, 0x8000_0000,
+            0x0000_0001, 0x807F_FFFF, 0x7F80_0000, 0xFF80_0000,
+        ];
+        let model = Mlp::new(MlpConfig {
+            layer_sizes,
+            activation: Activation::Tanh,
+            init: InitScheme::XavierUniform,
+            seed,
+        });
+        // Every third value is one of the special patterns, the rest are
+        // arbitrary bits from a splitmix stream.
+        let mut state = seed;
+        let mut values = |count: usize| -> Vec<f32> {
+            (0..count)
+                .map(|k| {
+                    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mixed = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    let random = (mixed >> 32) as u32;
+                    f32::from_bits(if k % 3 == 0 { SPECIAL[random as usize % 8] } else { random })
+                })
+                .collect()
+        };
+        let (batches, samples, steps) = (counters[0] as usize, counters[1] as usize, counters[2] as usize);
+        let mut checkpoint = ServerCheckpoint::capture(&model, batches, samples, completed, seed);
+        checkpoint.model.params = values(model.param_count());
+        let adam_config = AdamConfig { weight_decay: 0.25, ..AdamConfig::default() };
+        if with_optimizer {
+            let (first, second) = (values(model.param_count()), values(model.param_count()));
+            checkpoint.optimizer = Some(Adam::restore(adam_config, steps, first, second));
+        }
+
+        let dir = temp_dir("prop-roundtrip");
+        let identity = DurableIdentity { experiment_seed: seed, config_fingerprint: !seed };
+        let store = DurableCheckpointStore::open(&dir, identity, 3).unwrap();
+        store.save(&checkpoint).unwrap();
+        let latest = store.load_latest().unwrap();
+        prop_assert!(latest.rejected.is_empty(), "{:?}", latest.rejected);
+        let (_, loaded) = latest.latest.unwrap();
+
+        let bits = |values: &[f32]| -> Vec<u32> { values.iter().map(|v| v.to_bits()).collect() };
+        prop_assert_eq!(&loaded.model.config, &checkpoint.model.config);
+        prop_assert_eq!(bits(&loaded.model.params), bits(&checkpoint.model.params));
+        prop_assert_eq!(
+            (loaded.batches_trained, loaded.samples_seen, loaded.experiment_seed),
+            (batches, samples, seed)
+        );
+        prop_assert_eq!(
+            (loaded.model.batches_trained, loaded.model.samples_seen),
+            (batches, samples)
+        );
+        prop_assert_eq!(&loaded.completed_simulations, &checkpoint.completed_simulations);
+        prop_assert_eq!(loaded.optimizer.is_some(), with_optimizer);
+        if let (Some(loaded), Some(saved)) = (&loaded.optimizer, &checkpoint.optimizer) {
+            prop_assert_eq!(loaded.config(), &adam_config);
+            prop_assert_eq!(loaded.steps_taken(), steps);
+            prop_assert_eq!(bits(loaded.moments().0), bits(saved.moments().0));
+            prop_assert_eq!(bits(loaded.moments().1), bits(saved.moments().1));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
