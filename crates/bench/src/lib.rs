@@ -17,8 +17,6 @@ use melissa::{
 use surrogate_nn::Mlp;
 use training_buffer::BufferKind;
 
-pub mod train_step;
-
 /// Parses `--key value` style options from the command line.
 pub fn arg_value(key: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();

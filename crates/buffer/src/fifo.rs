@@ -5,26 +5,15 @@
 //! the consumer some slack when production briefly stops, and production is
 //! suspended when the buffer is full (§3.2.3).
 
-use crate::lock_order;
-use crate::stats::BufferStats;
-use crate::traits::{BufferKind, Evicted, EvictionObserver, TrainingBuffer};
-use parking_lot::{Condvar, Mutex};
+use crate::shell::{Policy, Shell};
+use crate::traits::BufferKind;
 use std::collections::VecDeque;
 
-struct Inner<T> {
-    queue: VecDeque<T>,
-    reception_over: bool,
-    stats: BufferStats,
-    observer: Option<EvictionObserver<T>>,
-}
+/// FIFO storage: a queue served from the front.
+pub struct Fifo<T>(VecDeque<T>);
 
 /// Bounded FIFO queue with blocking producer and consumer sides.
-pub struct FifoBuffer<T> {
-    inner: Mutex<Inner<T>>,
-    not_full: Condvar,
-    available: Condvar,
-    capacity: usize,
-}
+pub type FifoBuffer<T> = Shell<T, Fifo<T>>;
 
 impl<T> FifoBuffer<T> {
     /// Creates a FIFO buffer with the given capacity.
@@ -32,189 +21,37 @@ impl<T> FifoBuffer<T> {
     /// # Panics
     /// Panics when the capacity is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "buffer capacity must be positive");
-        Self {
-            inner: Mutex::new(Inner {
-                queue: VecDeque::with_capacity(capacity),
-                reception_over: false,
-                stats: BufferStats::default(),
-                observer: None,
-            }),
-            not_full: Condvar::new(),
-            available: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Ranked acquisition of the internal mutex: registers
-    /// [`lock_order::RANK_SUB_BUFFER`] with the debug-build lock-order
-    /// tracker before blocking on the lock (see `analysis/locks.toml`).
-    fn lock_inner(&self) -> lock_order::Ranked<'_, Inner<T>> {
-        let held = lock_order::acquire(lock_order::RANK_SUB_BUFFER);
-        lock_order::Ranked::new(self.inner.lock(), held)
-    }
-
-    /// The batch-serving core shared by `get_batch` and `get_batch_with`:
-    /// serves up to `n` samples under one lock acquisition, blocking exactly
-    /// where sequential `get`s would (queue empty, reception not over).
-    fn serve_batch(&self, n: usize, mut emit: impl FnMut(T)) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        // analysis: allow(blocking, reason = "one bounded lock acquisition per batch is the serving contract; contention is with producers only")
-        let mut inner = self.lock_inner();
-        let mut served = 0;
-        loop {
-            while served < n {
-                match inner.queue.pop_front() {
-                    Some(item) => {
-                        inner.stats.gets += 1;
-                        emit(item);
-                        served += 1;
-                    }
-                    None => break,
-                }
-            }
-            if served == n || inner.reception_over {
-                break;
-            }
-            inner.stats.consumer_waits += 1;
-            self.not_full.notify_all();
-            // analysis: allow(blocking, reason = "consumer backpressure: queue empty while reception is live — waiting here IS the policy")
-            self.available.wait(&mut inner.guard);
-        }
-        drop(inner);
-        self.not_full.notify_all();
-        served
+        // No serving threshold: FIFO serves whatever is stored.
+        Shell::with_policy(Fifo(VecDeque::with_capacity(capacity)), capacity, 0)
     }
 }
 
-impl<T: Clone + Send> TrainingBuffer<T> for FifoBuffer<T> {
-    fn put(&self, item: T) {
-        let mut inner = self.lock_inner();
-        while inner.queue.len() >= self.capacity {
-            // Reception is over while the queue is still full: the consumer
-            // side has shut down (e.g. a server crash) and will never drain
-            // it — drop the item instead of blocking forever.
-            if inner.reception_over {
-                if let Some(observer) = &inner.observer {
-                    observer(&item, Evicted::Untrained);
-                }
-                return;
-            }
-            inner.stats.producer_waits += 1;
-            self.not_full.wait(&mut inner.guard);
-        }
-        inner.queue.push_back(item);
-        inner.stats.puts += 1;
-        drop(inner);
-        self.available.notify_one();
-    }
-
-    fn get(&self) -> Option<T> {
-        let mut inner = self.lock_inner();
-        loop {
-            if let Some(item) = inner.queue.pop_front() {
-                inner.stats.gets += 1;
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if inner.reception_over {
-                return None;
-            }
-            inner.stats.consumer_waits += 1;
-            self.available.wait(&mut inner.guard);
-        }
-    }
-
-    /// Whole-batch insertion under one lock acquisition. When the queue fills
-    /// mid-batch the consumer is woken before waiting, so the sequential-`put`
-    /// liveness (every insertion eventually notifies the consumer) is kept.
-    // analysis: hot_path
-    fn put_many(&self, items: &mut Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        // analysis: allow(blocking, reason = "one bounded lock acquisition per ingest batch is the insertion contract")
-        let mut inner = self.lock_inner();
-        let mut pending = items.drain(..);
-        while let Some(item) = pending.next() {
-            while inner.queue.len() >= self.capacity {
-                // Reception over with a full queue means the consumer side
-                // has shut down (e.g. a server crash): drop the rest of the
-                // batch instead of blocking forever, reporting every dropped
-                // sample so recovery accounting knows its data was lost.
-                if inner.reception_over {
-                    if let Some(observer) = &inner.observer {
-                        observer(&item, Evicted::Untrained);
-                        for rest in pending {
-                            observer(&rest, Evicted::Untrained);
-                        }
-                    }
-                    return;
-                }
-                inner.stats.producer_waits += 1;
-                self.available.notify_all();
-                // analysis: allow(blocking, reason = "producer backpressure: buffer at capacity — waiting here IS the policy")
-                self.not_full.wait(&mut inner.guard);
-            }
-            inner.queue.push_back(item);
-            inner.stats.puts += 1;
-        }
-        drop(inner);
-        self.available.notify_all();
-    }
-
-    /// Whole-batch extraction under one lock acquisition: pops in arrival
-    /// order, waiting whenever the queue empties before the batch is complete
-    /// (exactly where sequential `get`s would block).
-    // analysis: hot_path
-    fn get_batch(&self, n: usize, out: &mut Vec<T>) -> usize {
-        self.serve_batch(n, |item| out.push(item))
-    }
-
-    // analysis: hot_path
-    fn get_batch_with(&self, n: usize, visit: &mut dyn FnMut(&T)) -> usize {
-        self.serve_batch(n, |item| visit(&item))
-    }
-
-    fn set_eviction_observer(&self, observer: crate::traits::EvictionObserver<T>) {
-        self.lock_inner().observer = Some(observer);
-    }
-
-    fn mark_reception_over(&self) {
-        let mut inner = self.lock_inner();
-        inner.reception_over = true;
-        drop(inner);
-        self.available.notify_all();
-        self.not_full.notify_all();
-    }
-
-    fn is_reception_over(&self) -> bool {
-        self.lock_inner().reception_over
-    }
+impl<T: Send> Policy<T> for Fifo<T> {
+    const KIND: BufferKind = BufferKind::Fifo;
 
     fn len(&self) -> usize {
-        self.lock_inner().queue.len()
+        self.0.len()
     }
 
-    fn capacity(&self) -> usize {
-        self.capacity
+    // analysis: hot_path
+    fn insert(&mut self, item: T, _capacity: usize) -> Option<T> {
+        self.0.push_back(item);
+        None
     }
 
-    fn stats(&self) -> BufferStats {
-        self.lock_inner().stats
-    }
-
-    fn kind(&self) -> BufferKind {
-        BufferKind::Fifo
+    // analysis: hot_path
+    fn serve(&mut self, _draining: bool, _nth: usize, visit: &mut dyn FnMut(&T)) -> bool {
+        if let Some(item) = self.0.pop_front() {
+            visit(&item);
+        }
+        false
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::TrainingBuffer;
     use std::sync::Arc;
     use std::time::Duration;
 

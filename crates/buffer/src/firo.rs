@@ -7,29 +7,19 @@
 //! produced samples can be consumed (§3.2.3). This is the policy of the authors'
 //! prior work, which the paper shows fails to keep the GPU busy.
 
-use crate::lock_order;
-use crate::stats::BufferStats;
-use crate::traits::{BufferKind, Evicted, EvictionObserver, TrainingBuffer};
-use parking_lot::{Condvar, Mutex};
+use crate::shell::{Policy, Shell};
+use crate::traits::BufferKind;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-struct Inner<T> {
+/// FIRO storage: an unordered bag served from a seeded random position.
+pub struct Firo<T> {
     items: Vec<T>,
-    reception_over: bool,
-    stats: BufferStats,
     rng: ChaCha8Rng,
-    observer: Option<EvictionObserver<T>>,
 }
 
 /// Bounded buffer with random extraction and a minimum-population threshold.
-pub struct FiroBuffer<T> {
-    inner: Mutex<Inner<T>>,
-    not_full: Condvar,
-    available: Condvar,
-    capacity: usize,
-    threshold: usize,
-}
+pub type FiroBuffer<T> = Shell<T, Firo<T>>;
 
 impl<T> FiroBuffer<T> {
     /// Creates a FIRO buffer.
@@ -38,211 +28,45 @@ impl<T> FiroBuffer<T> {
     /// Panics when the capacity is zero or the threshold is not smaller than
     /// the capacity (the consumer could never make progress).
     pub fn new(capacity: usize, threshold: usize, seed: u64) -> Self {
-        assert!(capacity > 0, "buffer capacity must be positive");
-        assert!(
-            threshold < capacity,
-            "threshold ({threshold}) must be smaller than capacity ({capacity})"
-        );
-        Self {
-            inner: Mutex::new(Inner {
-                items: Vec::with_capacity(capacity),
-                reception_over: false,
-                stats: BufferStats::default(),
-                rng: ChaCha8Rng::seed_from_u64(seed),
-                observer: None,
-            }),
-            not_full: Condvar::new(),
-            available: Condvar::new(),
-            capacity,
-            threshold,
-        }
+        let policy = Firo {
+            items: Vec::with_capacity(capacity),
+            rng: ChaCha8Rng::seed_from_u64(seed),
+        };
+        Shell::with_policy(policy, capacity, threshold)
     }
 
     /// The minimum population required before samples may be extracted.
     pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
-    /// Ranked acquisition of the internal mutex: registers
-    /// [`lock_order::RANK_SUB_BUFFER`] with the debug-build lock-order
-    /// tracker before blocking on the lock (see `analysis/locks.toml`).
-    fn lock_inner(&self) -> lock_order::Ranked<'_, Inner<T>> {
-        let held = lock_order::acquire(lock_order::RANK_SUB_BUFFER);
-        lock_order::Ranked::new(self.inner.lock(), held)
-    }
-
-    /// The batch-serving core shared by `get_batch` and `get_batch_with`:
-    /// serves up to `n` random extractions under one lock acquisition. The
-    /// threshold is re-checked before every extraction and the RNG is drawn
-    /// once per served sample, so the population trajectory and the random
-    /// stream are exactly those of sequential `get`s.
-    fn serve_batch(&self, n: usize, mut emit: impl FnMut(T)) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        // analysis: allow(blocking, reason = "one bounded lock acquisition per batch is the serving contract; contention is with producers only")
-        let mut inner = self.lock_inner();
-        let mut served = 0;
-        while served < n {
-            let threshold = if inner.reception_over {
-                0
-            } else {
-                self.threshold
-            };
-            if inner.items.len() > threshold {
-                let len = inner.items.len();
-                let idx = inner.rng.gen_range(0..len);
-                let item = inner.items.swap_remove(idx);
-                inner.stats.gets += 1;
-                emit(item);
-                served += 1;
-                continue;
-            }
-            if inner.reception_over && inner.items.is_empty() {
-                break;
-            }
-            inner.stats.consumer_waits += 1;
-            self.not_full.notify_all();
-            // analysis: allow(blocking, reason = "consumer backpressure: population at or below threshold while reception is live — waiting here IS the policy")
-            self.available.wait(&mut inner.guard);
-        }
-        drop(inner);
-        self.not_full.notify_all();
-        served
+        self.gate()
     }
 }
 
-impl<T: Clone + Send> TrainingBuffer<T> for FiroBuffer<T> {
-    fn put(&self, item: T) {
-        let mut inner = self.lock_inner();
-        while inner.items.len() >= self.capacity {
-            // Reception over with a full buffer means the consumer side has
-            // shut down (e.g. a server crash): drop the item instead of
-            // blocking forever.
-            if inner.reception_over {
-                if let Some(observer) = &inner.observer {
-                    observer(&item, Evicted::Untrained);
-                }
-                return;
-            }
-            inner.stats.producer_waits += 1;
-            self.not_full.wait(&mut inner.guard);
-        }
-        inner.items.push(item);
-        inner.stats.puts += 1;
-        drop(inner);
-        self.available.notify_one();
-    }
-
-    fn get(&self) -> Option<T> {
-        let mut inner = self.lock_inner();
-        loop {
-            // The blocking threshold is lifted once data production is over.
-            let threshold = if inner.reception_over {
-                0
-            } else {
-                self.threshold
-            };
-            if inner.items.len() > threshold {
-                let len = inner.items.len();
-                let idx = inner.rng.gen_range(0..len);
-                let item = inner.items.swap_remove(idx);
-                inner.stats.gets += 1;
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if inner.reception_over && inner.items.is_empty() {
-                return None;
-            }
-            inner.stats.consumer_waits += 1;
-            self.available.wait(&mut inner.guard);
-        }
-    }
-
-    /// Whole-batch insertion under one lock acquisition; the consumer is woken
-    /// before any mid-batch capacity wait so no notification is lost.
-    // analysis: hot_path
-    fn put_many(&self, items: &mut Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        // analysis: allow(blocking, reason = "one bounded lock acquisition per ingest batch is the insertion contract")
-        let mut inner = self.lock_inner();
-        let mut pending = items.drain(..);
-        while let Some(item) = pending.next() {
-            while inner.items.len() >= self.capacity {
-                // Reception over with a full buffer means the consumer side
-                // has shut down (e.g. a server crash): drop the rest of the
-                // batch instead of blocking forever, reporting every dropped
-                // sample so recovery accounting knows its data was lost.
-                if inner.reception_over {
-                    if let Some(observer) = &inner.observer {
-                        observer(&item, Evicted::Untrained);
-                        for rest in pending {
-                            observer(&rest, Evicted::Untrained);
-                        }
-                    }
-                    return;
-                }
-                inner.stats.producer_waits += 1;
-                self.available.notify_all();
-                // analysis: allow(blocking, reason = "producer backpressure: buffer at capacity — waiting here IS the policy")
-                self.not_full.wait(&mut inner.guard);
-            }
-            inner.items.push(item);
-            inner.stats.puts += 1;
-        }
-        drop(inner);
-        self.available.notify_all();
-    }
-
-    // analysis: hot_path
-    fn get_batch(&self, n: usize, out: &mut Vec<T>) -> usize {
-        self.serve_batch(n, |item| out.push(item))
-    }
-
-    // analysis: hot_path
-    fn get_batch_with(&self, n: usize, visit: &mut dyn FnMut(&T)) -> usize {
-        self.serve_batch(n, |item| visit(&item))
-    }
-
-    fn set_eviction_observer(&self, observer: EvictionObserver<T>) {
-        self.lock_inner().observer = Some(observer);
-    }
-
-    fn mark_reception_over(&self) {
-        let mut inner = self.lock_inner();
-        inner.reception_over = true;
-        drop(inner);
-        self.available.notify_all();
-        self.not_full.notify_all();
-    }
-
-    fn is_reception_over(&self) -> bool {
-        self.lock_inner().reception_over
-    }
+impl<T: Send> Policy<T> for Firo<T> {
+    const KIND: BufferKind = BufferKind::Firo;
 
     fn len(&self) -> usize {
-        self.lock_inner().items.len()
+        self.items.len()
     }
 
-    fn capacity(&self) -> usize {
-        self.capacity
+    // analysis: hot_path
+    fn insert(&mut self, item: T, _capacity: usize) -> Option<T> {
+        self.items.push(item);
+        None
     }
 
-    fn stats(&self) -> BufferStats {
-        self.lock_inner().stats
-    }
-
-    fn kind(&self) -> BufferKind {
-        BufferKind::Firo
+    /// One RNG draw per served sample.
+    // analysis: hot_path
+    fn serve(&mut self, _draining: bool, _nth: usize, visit: &mut dyn FnMut(&T)) -> bool {
+        let idx = self.rng.gen_range(0..self.items.len());
+        visit(&self.items.swap_remove(idx));
+        false
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::{Evicted, TrainingBuffer};
     use std::collections::HashSet;
     use std::sync::Arc;
     use std::time::Duration;

@@ -22,27 +22,26 @@
 //!   on write when full (never discarding unseen data), and serves already-seen
 //!   samples again when production lags so the consumer is never blocked once
 //!   the threshold has been passed.
-//! * [`ReservoirSampler`] — classic reservoir *sampling* (Algorithm R), included
-//!   because §3.2.3 discusses why using it directly as a training buffer would
-//!   waste produced data.
 //!
-//! All buffers are thread-safe, blocking (condition variables on both the full
-//! and empty sides), seeded for reproducibility, and instrumented with
-//! [`BufferStats`] counters used by the figure/table harnesses.
+//! The three are one blocking [`shell`] — the lock, the waits on both the full
+//! and the empty side, the threshold gate, the eviction reports and the
+//! [`BufferStats`] counters used by the figure/table harnesses — around a
+//! policy that only stores and selects; [`ShardedBuffer`] puts several of them
+//! behind one [`TrainingBuffer`]. All are thread-safe and seeded for
+//! reproducibility.
 
 pub mod fifo;
 pub mod firo;
 pub mod lock_order;
 pub mod reservoir;
-pub mod sampling;
 pub mod sharded;
+pub mod shell;
 pub mod stats;
 pub mod traits;
 
 pub use fifo::FifoBuffer;
 pub use firo::FiroBuffer;
 pub use reservoir::ReservoirBuffer;
-pub use sampling::ReservoirSampler;
 pub use sharded::{shard_draw_seed, shard_seed, ShardedBuffer};
 pub use stats::{BufferStats, OccupancySnapshot};
 pub use traits::{BufferConfig, BufferKind, Evicted, EvictionObserver, TrainingBuffer};

@@ -16,7 +16,7 @@
 //! * [`RANK_WAIT`] (20) — the facade's wait gate: taken under the draw lock
 //!   by the timed-wait poll, and *while held* the consumer re-checks shard
 //!   populations, which takes sub-buffer internals;
-//! * [`RANK_SUB_BUFFER`] (30) — each policy's internal mutex (innermost).
+//! * [`RANK_SUB_BUFFER`] (30) — the blocking shell's mutex (innermost).
 //!
 //! Release builds compile every hook to a no-op; call sites need no
 //! `#[cfg]`. The tracker is thread-local: it checks nesting, not
@@ -29,7 +29,7 @@ use std::ops::{Deref, DerefMut};
 pub const RANK_DRAW: u32 = 10;
 /// Rank of the sharded facade's wait gate.
 pub const RANK_WAIT: u32 = 20;
-/// Rank of each policy's internal mutex (innermost).
+/// Rank of the blocking shell's mutex (innermost).
 pub const RANK_SUB_BUFFER: u32 = 30;
 
 #[cfg(debug_assertions)]

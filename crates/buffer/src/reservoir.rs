@@ -16,32 +16,27 @@
 //! * once reception is over, the threshold is lifted and selected samples are
 //!   removed, so the buffer drains and training terminates when it empties.
 //!
-//! Batch serving (`get_batch` / `get_batch_with`) selects with serve stream
-//! **"reservoir-draw-v2"**: one seeded RNG draw per batch, expanded to one
-//! index per sample with `splitmix64`. Single `get`s and the eviction draws
-//! on the insertion side keep the original per-call v1 stream.
+//! Serving selects with serve stream **"reservoir-draw-v2"**: one seeded RNG
+//! draw per batch, expanded to one index per sample with `splitmix64`. The
+//! eviction draws on the insertion side keep the original per-call v1 stream.
 
-use crate::lock_order;
-use crate::stats::BufferStats;
-use crate::traits::{BufferKind, Evicted, EvictionObserver, TrainingBuffer};
-use parking_lot::{Condvar, Mutex};
+use crate::shell::{Policy, Shell};
+use crate::traits::BufferKind;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Single-storage state: every sample lives exactly once in `items`, with the
+/// Reservoir storage: every sample lives exactly once in `items`, with the
 /// seen/unseen split expressed as a partition index instead of two vectors.
-/// Moving a sample between populations is an index swap, never a payload copy,
-/// so a `get` clones the sampled item at most once (and not at all once
-/// reception is over and the selected item can be moved out).
-struct Inner<T> {
+/// Moving a sample between populations is an index swap, never a payload
+/// copy, and a sample is served as a borrow, so serving never clones.
+pub struct Reservoir<T> {
     /// `items[..seen]` have been served at least once; `items[seen..]` never.
     items: Vec<T>,
     /// The partition index: number of seen samples.
     seen: usize,
-    reception_over: bool,
-    stats: BufferStats,
     rng: ChaCha8Rng,
-    observer: Option<EvictionObserver<T>>,
+    /// The current batch's base draw.
+    base: u64,
 }
 
 /// SplitMix64 finaliser used by serve stream **"reservoir-draw-v2"**: a served
@@ -50,7 +45,7 @@ struct Inner<T> {
 /// `splitmix64(base + i) % population`. One RNG draw per batch instead of one
 /// per sample keeps the hot serving loop off the ChaCha block function while
 /// remaining a deterministic function of the configured seed (see
-/// `analysis/seed_policy.toml`; the old per-sample batch stream is retired).
+/// `analysis/seed_policy.toml`; the old per-sample streams are retired).
 fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -58,15 +53,7 @@ fn splitmix64(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl<T> Inner<T> {
-    fn total(&self) -> usize {
-        self.items.len()
-    }
-
-    fn unseen(&self) -> usize {
-        self.items.len() - self.seen
-    }
-
+impl<T> Reservoir<T> {
     /// Removes and returns the seen sample at `idx < seen`, keeping the
     /// partition intact: the last seen sample takes its slot, the last unseen
     /// sample (if any) takes the freed boundary slot.
@@ -80,13 +67,7 @@ impl<T> Inner<T> {
 }
 
 /// The paper's training Reservoir (Algorithm 1).
-pub struct ReservoirBuffer<T> {
-    inner: Mutex<Inner<T>>,
-    not_full: Condvar,
-    available: Condvar,
-    capacity: usize,
-    threshold: usize,
-}
+pub type ReservoirBuffer<T> = Shell<T, Reservoir<T>>;
 
 impl<T> ReservoirBuffer<T> {
     /// Creates a Reservoir.
@@ -95,369 +76,102 @@ impl<T> ReservoirBuffer<T> {
     /// Panics when the capacity is zero or the threshold is not smaller than
     /// the capacity.
     pub fn new(capacity: usize, threshold: usize, seed: u64) -> Self {
-        assert!(capacity > 0, "buffer capacity must be positive");
-        assert!(
-            threshold < capacity,
-            "threshold ({threshold}) must be smaller than capacity ({capacity})"
-        );
-        Self {
-            inner: Mutex::new(Inner {
-                // Preallocated to capacity so steady-state insertion never
-                // grows the storage (the ingestion path is allocation-free).
-                items: Vec::with_capacity(capacity),
-                seen: 0,
-                reception_over: false,
-                stats: BufferStats::default(),
-                rng: ChaCha8Rng::seed_from_u64(seed),
-                observer: None,
-            }),
-            not_full: Condvar::new(),
-            available: Condvar::new(),
-            capacity,
-            threshold,
-        }
+        let policy = Reservoir {
+            // Preallocated to capacity so steady-state insertion never
+            // grows the storage (the ingestion path is allocation-free).
+            items: Vec::with_capacity(capacity),
+            seen: 0,
+            rng: ChaCha8Rng::seed_from_u64(seed),
+            base: 0,
+        };
+        Shell::with_policy(policy, capacity, threshold)
     }
 
     /// The minimum population required before samples may be extracted.
     pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
-    /// Ranked acquisition of the internal mutex: registers
-    /// [`lock_order::RANK_SUB_BUFFER`] with the debug-build lock-order
-    /// tracker before blocking on the lock (see `analysis/locks.toml`).
-    fn lock_inner(&self) -> lock_order::Ranked<'_, Inner<T>> {
-        let held = lock_order::acquire(lock_order::RANK_SUB_BUFFER);
-        lock_order::Ranked::new(self.inner.lock(), held)
+        self.gate()
     }
 
     /// Number of stored samples that have not been served yet.
     pub fn unseen_len(&self) -> usize {
-        self.lock_inner().unseen()
+        self.inspect(|reservoir| reservoir.items.len() - reservoir.seen)
     }
 
     /// Number of stored samples that have been served at least once.
     pub fn seen_len(&self) -> usize {
-        self.lock_inner().seen
+        self.inspect(|reservoir| reservoir.seen)
     }
 }
 
-impl<T: Clone> ReservoirBuffer<T> {
-    /// The borrow-based batch-serving core behind
-    /// [`TrainingBuffer::get_batch_with`]: selections and population moves
-    /// mirror sequential `get`s, but the batch draws its selections from the
-    /// per-batch serve stream ("reservoir-draw-v2" — see `splitmix64`) and
-    /// the served sample is handed to `visit` as a borrow, so **no clone
-    /// happens at all** — the one clone per pre-drain `get` disappears
-    /// entirely on this path.
-    fn serve_batch_visit(&self, n: usize, visit: &mut dyn FnMut(&T)) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        // analysis: allow(blocking, reason = "one bounded lock acquisition per batch is the serving contract; contention is with producers only")
-        let mut inner = self.lock_inner();
-        let mut served = 0;
-        let mut base: Option<u64> = None;
-        while served < n {
-            let total = inner.total();
-            if inner.reception_over {
-                if total == 0 {
-                    break;
-                }
-            } else if total <= self.threshold {
-                inner.stats.consumer_waits += 1;
-                self.not_full.notify_all();
-                // analysis: allow(blocking, reason = "consumer backpressure: population at or below threshold while reception is live — waiting here IS the policy")
-                self.available.wait(&mut inner.guard);
-                continue;
-            }
-
-            let total = inner.total();
-            // Serve stream "reservoir-draw-v2": one base draw per batch,
-            // taken lazily so a batch that first parks at the threshold gate
-            // still consumes exactly one RNG value.
-            let base = *base.get_or_insert_with(|| inner.rng.gen_range(0..=u64::MAX));
-            let idx = (splitmix64(base.wrapping_add(served as u64)) % total as u64) as usize;
-            let repeated = if idx >= inner.seen {
-                // Unseen sample: serve it for the first time.
-                if inner.reception_over {
-                    visit(&inner.items[idx]);
-                    inner.items.swap_remove(idx);
-                } else {
-                    let boundary = inner.seen;
-                    inner.items.swap(idx, boundary);
-                    inner.seen += 1;
-                    visit(&inner.items[boundary]);
-                }
-                false
-            } else {
-                // Seen sample: serve it again.
-                visit(&inner.items[idx]);
-                if inner.reception_over {
-                    inner.remove_seen(idx);
-                }
-                true
-            };
-            inner.stats.gets += 1;
-            if repeated {
-                inner.stats.repeated_gets += 1;
-            }
-            served += 1;
-        }
-        drop(inner);
-        self.not_full.notify_all();
-        served
-    }
-}
-
-impl<T: Clone + Send> TrainingBuffer<T> for ReservoirBuffer<T> {
-    /// Algorithm 1, `put`: block while the buffer is full of unseen samples
-    /// (never discard unseen data while reception is live — once reception is
-    /// over a full buffer drops the sample instead, reported as untrained);
-    /// otherwise evict a random seen sample if the total population is at
-    /// capacity, then store the new sample as unseen.
-    fn put(&self, item: T) {
-        let mut inner = self.lock_inner();
-        while inner.unseen() >= self.capacity {
-            // Reception over while the unseen population still fills the
-            // reservoir: the consumer side has shut down (e.g. a server
-            // crash) and will never serve the unseen backlog — drop the
-            // item instead of blocking forever. "Never discard unseen data"
-            // only binds while someone is still training on it.
-            if inner.reception_over {
-                if let Some(observer) = &inner.observer {
-                    observer(&item, Evicted::Untrained);
-                }
-                return;
-            }
-            inner.stats.producer_waits += 1;
-            self.not_full.wait(&mut inner.guard);
-        }
-        if inner.total() >= self.capacity {
-            debug_assert!(inner.seen > 0);
-            let seen = inner.seen;
-            let idx = inner.rng.gen_range(0..seen);
-            let evicted = inner.remove_seen(idx);
-            inner.stats.evictions += 1;
-            // The evicted sample was served at least once (only seen samples
-            // are evictable): recovery accounting keeps it as trained.
-            if let Some(observer) = &inner.observer {
-                observer(&evicted, Evicted::Trained);
-            }
-        }
-        inner.items.push(item);
-        inner.stats.puts += 1;
-        drop(inner);
-        self.available.notify_one();
-    }
-
-    /// Algorithm 1, `get`: wait until the population exceeds the threshold
-    /// (lifted once reception is over), then select uniformly among seen and
-    /// unseen samples. A selected unseen sample is moved to the seen population
-    /// (or dropped once reception is over); a selected seen sample is served
-    /// again (and removed once reception is over, so the buffer finally empties).
-    ///
-    /// The single-storage layout makes the population moves index swaps, so
-    /// every `get` clones the served item at most once — and moves it out
-    /// without any clone once reception is over.
-    fn get(&self) -> Option<T> {
-        let mut inner = self.lock_inner();
-        loop {
-            let total = inner.total();
-            if inner.reception_over {
-                if total == 0 {
-                    return None;
-                }
-            } else if total <= self.threshold {
-                inner.stats.consumer_waits += 1;
-                self.available.wait(&mut inner.guard);
-                continue;
-            }
-
-            let total = inner.total();
-            let idx = inner.rng.gen_range(0..total);
-            let (item, repeated) = if idx >= inner.seen {
-                // Unseen sample: serve it for the first time.
-                if inner.reception_over {
-                    (inner.items.swap_remove(idx), false)
-                } else {
-                    let boundary = inner.seen;
-                    inner.items.swap(idx, boundary);
-                    inner.seen += 1;
-                    (inner.items[boundary].clone(), false)
-                }
-            } else {
-                // Seen sample: serve it again.
-                if inner.reception_over {
-                    (inner.remove_seen(idx), true)
-                } else {
-                    (inner.items[idx].clone(), true)
-                }
-            };
-            inner.stats.gets += 1;
-            if repeated {
-                inner.stats.repeated_gets += 1;
-            }
-            drop(inner);
-            // Serving an unseen sample frees room on the unseen side.
-            self.not_full.notify_one();
-            return Some(item);
-        }
-    }
-
-    /// Whole-batch insertion under one lock acquisition: per sample, the
-    /// unseen-full wait and the seen-eviction draw happen exactly as in
-    /// sequential `put`s; the consumer is woken before any mid-batch wait so
-    /// no notification is lost.
-    // analysis: hot_path
-    fn put_many(&self, items: &mut Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        // analysis: allow(blocking, reason = "one bounded lock acquisition per ingest batch is the insertion contract")
-        let mut inner = self.lock_inner();
-        let mut pending = items.drain(..);
-        while let Some(item) = pending.next() {
-            while inner.unseen() >= self.capacity {
-                // Reception over with the reservoir full of unseen samples
-                // means the consumer side has shut down (e.g. a server
-                // crash): drop the rest of the batch instead of blocking
-                // forever, reporting every dropped sample so recovery
-                // accounting knows its data was lost.
-                if inner.reception_over {
-                    if let Some(observer) = &inner.observer {
-                        observer(&item, Evicted::Untrained);
-                        for rest in pending {
-                            observer(&rest, Evicted::Untrained);
-                        }
-                    }
-                    return;
-                }
-                inner.stats.producer_waits += 1;
-                self.available.notify_all();
-                // analysis: allow(blocking, reason = "producer backpressure: unseen population at capacity — waiting here IS the policy")
-                self.not_full.wait(&mut inner.guard);
-            }
-            if inner.total() >= self.capacity {
-                debug_assert!(inner.seen > 0);
-                let seen = inner.seen;
-                let idx = inner.rng.gen_range(0..seen);
-                let evicted = inner.remove_seen(idx);
-                inner.stats.evictions += 1;
-                if let Some(observer) = &inner.observer {
-                    observer(&evicted, Evicted::Trained);
-                }
-            }
-            inner.items.push(item);
-            inner.stats.puts += 1;
-        }
-        drop(inner);
-        self.available.notify_all();
-    }
-
-    /// Whole-batch extraction under one lock acquisition; population moves
-    /// and clone-vs-move behaviour mirror sequential `get`s (a pre-drain
-    /// serve clones once, a post-drain serve moves the sample out), while the
-    /// selections come from the per-batch serve stream "reservoir-draw-v2"
-    /// (see `splitmix64`): one RNG draw per batch, not one per sample.
-    // analysis: hot_path
-    fn get_batch(&self, n: usize, out: &mut Vec<T>) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        // analysis: allow(blocking, reason = "one bounded lock acquisition per batch is the serving contract; contention is with producers only")
-        let mut inner = self.lock_inner();
-        let mut served = 0;
-        let mut base: Option<u64> = None;
-        while served < n {
-            let total = inner.total();
-            if inner.reception_over {
-                if total == 0 {
-                    break;
-                }
-            } else if total <= self.threshold {
-                inner.stats.consumer_waits += 1;
-                self.not_full.notify_all();
-                // analysis: allow(blocking, reason = "consumer backpressure: population at or below threshold while reception is live — waiting here IS the policy")
-                self.available.wait(&mut inner.guard);
-                continue;
-            }
-
-            let total = inner.total();
-            // Serve stream "reservoir-draw-v2": one base draw per batch,
-            // taken lazily so a batch that first parks at the threshold gate
-            // still consumes exactly one RNG value.
-            let base = *base.get_or_insert_with(|| inner.rng.gen_range(0..=u64::MAX));
-            let idx = (splitmix64(base.wrapping_add(served as u64)) % total as u64) as usize;
-            let (item, repeated) = if idx >= inner.seen {
-                if inner.reception_over {
-                    (inner.items.swap_remove(idx), false)
-                } else {
-                    let boundary = inner.seen;
-                    inner.items.swap(idx, boundary);
-                    inner.seen += 1;
-                    // analysis: allow(alloc, reason = "reservoir serves by value while the sample stays resident for repeated draws; get_batch_with is the borrow path")
-                    (inner.items[boundary].clone(), false)
-                }
-            } else if inner.reception_over {
-                (inner.remove_seen(idx), true)
-            } else {
-                // analysis: allow(alloc, reason = "reservoir serves by value while the sample stays resident for repeated draws; get_batch_with is the borrow path")
-                (inner.items[idx].clone(), true)
-            };
-            inner.stats.gets += 1;
-            if repeated {
-                inner.stats.repeated_gets += 1;
-            }
-            out.push(item);
-            served += 1;
-        }
-        drop(inner);
-        self.not_full.notify_all();
-        served
-    }
-
-    // analysis: hot_path
-    fn get_batch_with(&self, n: usize, visit: &mut dyn FnMut(&T)) -> usize {
-        self.serve_batch_visit(n, visit)
-    }
-
-    fn set_eviction_observer(&self, observer: EvictionObserver<T>) {
-        self.lock_inner().observer = Some(observer);
-    }
-
-    fn mark_reception_over(&self) {
-        let mut inner = self.lock_inner();
-        inner.reception_over = true;
-        drop(inner);
-        self.available.notify_all();
-        self.not_full.notify_all();
-    }
-
-    fn is_reception_over(&self) -> bool {
-        self.lock_inner().reception_over
-    }
+impl<T: Send> Policy<T> for Reservoir<T> {
+    const KIND: BufferKind = BufferKind::Reservoir;
 
     fn len(&self) -> usize {
-        self.lock_inner().total()
+        self.items.len()
     }
 
-    fn capacity(&self) -> usize {
-        self.capacity
+    /// Algorithm 1, `put`: production blocks only while the buffer is full
+    /// of *unseen* samples — those are never discarded.
+    fn has_room(&self, capacity: usize) -> bool {
+        self.items.len() - self.seen < capacity
     }
 
-    fn stats(&self) -> BufferStats {
-        self.lock_inner().stats
+    /// Algorithm 1, `put`: evict a random seen sample if the total
+    /// population is at capacity, then store the new sample as unseen.
+    // analysis: hot_path
+    fn insert(&mut self, item: T, capacity: usize) -> Option<T> {
+        let evicted = if self.items.len() >= capacity {
+            debug_assert!(self.seen > 0);
+            let idx = self.rng.gen_range(0..self.seen);
+            Some(self.remove_seen(idx))
+        } else {
+            None
+        };
+        self.items.push(item);
+        evicted
     }
 
-    fn kind(&self) -> BufferKind {
-        BufferKind::Reservoir
+    /// Algorithm 1, `get`: select uniformly among seen and unseen samples. A
+    /// selected unseen sample moves to the seen population, a selected seen
+    /// sample is served again; once reception is over either one is removed
+    /// instead, so the buffer finally empties.
+    ///
+    /// Serve stream "reservoir-draw-v2": one base draw per batch, taken with
+    /// its first selection — so a batch that first parks at the threshold
+    /// gate still consumes exactly one RNG value, and one that serves nothing
+    /// consumes none.
+    // analysis: hot_path
+    fn serve(&mut self, draining: bool, nth: usize, visit: &mut dyn FnMut(&T)) -> bool {
+        if nth == 0 {
+            self.base = self.rng.gen_range(0..=u64::MAX);
+        }
+        let total = self.items.len() as u64;
+        let idx = (splitmix64(self.base.wrapping_add(nth as u64)) % total) as usize;
+        let repeated = idx < self.seen;
+        if draining {
+            visit(&self.items[idx]);
+            if repeated {
+                self.remove_seen(idx);
+            } else {
+                self.items.swap_remove(idx);
+            }
+        } else if repeated {
+            visit(&self.items[idx]);
+        } else {
+            let boundary = self.seen;
+            self.items.swap(idx, boundary);
+            self.seen += 1;
+            visit(&self.items[boundary]);
+        }
+        repeated
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::{Evicted, TrainingBuffer};
+    use parking_lot::Mutex;
     use std::collections::HashMap;
     use std::sync::Arc;
     use std::time::Duration;
@@ -638,10 +352,11 @@ mod tests {
         for k in 0..4u32 {
             buffer.put(k);
         }
-        // Serve two samples (they become seen), then push two more: the two new
+        // Serve until two samples are seen, then push two more: the two new
         // puts must evict seen samples only.
-        let _ = buffer.get();
-        let _ = buffer.get();
+        while buffer.seen_len() < 2 {
+            let _ = buffer.get();
+        }
         buffer.put(100);
         buffer.put(101);
         let stats = buffer.stats();
@@ -798,8 +513,9 @@ mod tests {
             buffer.put(k);
         }
         // Two samples become seen, then two fresh puts evict seen samples.
-        let _ = buffer.get();
-        let _ = buffer.get();
+        while buffer.seen_len() < 2 {
+            let _ = buffer.get();
+        }
         buffer.put(100);
         buffer.put(101);
         let seen = evicted.lock().clone();

@@ -11,24 +11,20 @@
 //!   [`ShardedBuffer::put_many_shard`] into *its own* sub-buffer, so shard
 //!   workers never contend on a buffer lock (they only touch a tiny facade
 //!   mutex to wake a waiting consumer).
-//! * **Consumer side** — [`TrainingBuffer::get_batch`] /
-//!   [`TrainingBuffer::get_batch_with`] draw each served sample from a shard
-//!   chosen **uniformly over the total stored population** (a shard holding
-//!   twice the samples is drawn twice as often), then let the shard's own
-//!   policy pick the sample. The blocking threshold applies to the *total*
-//!   population across shards, exactly like the unsharded policy applies it
-//!   to its single population.
+//! * **Consumer side** — [`TrainingBuffer::get_batch_with`] draws each
+//!   served sample from a shard chosen **uniformly over the total stored
+//!   population** (a shard holding twice the samples is drawn twice as
+//!   often), then lets the shard's own policy pick the sample. The blocking
+//!   threshold applies to the *total* population across shards, exactly like
+//!   the unsharded policy applies it to its single population.
 //!
 //! ## Seed policy (version 2)
 //!
-//! The unsharded policies draw one seeded RNG value per eviction/serve —
-//! that is stream **version 1** (the Reservoir's *batch* serving has since
-//! moved to the per-batch "reservoir-draw-v2" stream; see
-//! `crate::reservoir`). Whatever streams the unsharded policy draws are
-//! reproduced bit for bit when `shards == 1`: the facade then *delegates*
-//! every call to a single sub-buffer built with the caller's exact capacity,
-//! threshold and seed, so the single-shard pipeline is indistinguishable
-//! from the unsharded one.
+//! With `shards == 1` the facade holds the unsharded buffer, built with the
+//! caller's exact capacity, threshold and seed, and hands it every batch
+//! whole, so the single-shard pipeline is indistinguishable from the
+//! unsharded one — whatever streams that policy draws (see
+//! `analysis/seed_policy.toml`) are reproduced bit for bit.
 //!
 //! With `shards > 1` a second, independent stream is added — version 2: the
 //! facade owns a `ChaCha8` RNG seeded with [`shard_draw_seed`] that decides
@@ -49,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Seed of sub-buffer `shard` under seed-policy version 2. Shard 0 keeps the
-/// base seed (which is how `shards == 1` reproduces the version-1 stream);
+/// base seed (which is how `shards == 1` reproduces the unsharded streams);
 /// the others are offset by a golden-ratio stride so neighbouring shards
 /// never share an RNG stream.
 pub fn shard_seed(base: u64, shard: usize) -> u64 {
@@ -78,11 +74,12 @@ struct DrawState {
 /// N per-shard sub-buffers of one policy behind the [`TrainingBuffer`] trait.
 ///
 /// Built from the same [`BufferConfig`] as the unsharded policies; with
-/// `shards == 1` every call delegates to the single sub-buffer, bit for bit.
-/// With `shards > 1` each sub-buffer gets `capacity.div_ceil(shards)` slots
-/// (raised to `threshold + 1` so a fully skewed client→shard mapping can
-/// still cross the serving threshold) and a zero per-shard threshold: the
-/// configured threshold gates the **total** population at the facade instead.
+/// `shards == 1` the single sub-buffer is that policy and serves every batch
+/// whole, bit for bit. With `shards > 1` each sub-buffer gets
+/// `capacity.div_ceil(shards)` slots (raised to `gate + 1` so a fully skewed
+/// client→shard mapping can still cross the serving gate) and a zero
+/// per-shard threshold: the gate — the configured threshold, or 0 for FIFO,
+/// which ignores it — applies to the **total** population at the facade.
 pub struct ShardedBuffer<T: Clone + Send + 'static> {
     shards: Vec<Box<dyn TrainingBuffer<T>>>,
     /// Facade-level serving gate: total population must exceed this before
@@ -94,7 +91,7 @@ pub struct ShardedBuffer<T: Clone + Send + 'static> {
     wait: Mutex<()>,
     ready: Condvar,
     reception_over: AtomicBool,
-    /// Round-robin cursor of the trait-level [`TrainingBuffer::put`] fallback.
+    /// Round-robin cursor of the trait-level [`TrainingBuffer::put_many`].
     next_put_shard: AtomicUsize,
     /// Times a consumer waited at the facade gate (added to the summed
     /// sub-buffer `consumer_waits` in [`TrainingBuffer::stats`]).
@@ -109,11 +106,15 @@ impl<T: Clone + Send + 'static> ShardedBuffer<T> {
     /// underlying policy constructor (zero capacity, threshold ≥ capacity).
     pub fn new(config: &BufferConfig, shards: usize) -> Self {
         assert!(shards > 0, "need at least one ingest shard");
+        let gate = match config.kind {
+            BufferKind::Fifo => 0,
+            BufferKind::Firo | BufferKind::Reservoir => config.threshold,
+        };
         let sub_buffers: Vec<Box<dyn TrainingBuffer<T>>> = if shards == 1 {
-            // Delegation form: the exact unsharded buffer, stream version 1.
+            // The exact unsharded buffer, gating itself.
             vec![build_buffer::<T>(config)]
         } else {
-            let per_shard_capacity = config.capacity.div_ceil(shards).max(config.threshold + 1);
+            let per_shard_capacity = config.capacity.div_ceil(shards).max(gate + 1);
             (0..shards)
                 .map(|shard| {
                     build_buffer::<T>(&BufferConfig {
@@ -124,10 +125,6 @@ impl<T: Clone + Send + 'static> ShardedBuffer<T> {
                     })
                 })
                 .collect()
-        };
-        let gate = match config.kind {
-            BufferKind::Fifo => 0,
-            BufferKind::Firo | BufferKind::Reservoir => config.threshold,
         };
         Self {
             shards: sub_buffers,
@@ -166,17 +163,6 @@ impl<T: Clone + Send + 'static> ShardedBuffer<T> {
         self.notify_consumers();
     }
 
-    /// Inserts one sample into shard `shard` (test/tooling convenience; the
-    /// hot path is [`ShardedBuffer::put_many_shard`]).
-    pub fn put_shard(&self, shard: usize, item: T) {
-        self.shards[shard].put(item);
-        self.notify_consumers();
-    }
-
-    fn total_len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
     /// Wakes consumers waiting at the facade gate. The wait lock is taken
     /// (empty critical section) so a consumer re-checking the populations
     /// under that lock can never miss the notification.
@@ -189,11 +175,11 @@ impl<T: Clone + Send + 'static> ShardedBuffer<T> {
 
     /// The cross-shard serving core (`shards > 1`): serves up to `n` samples,
     /// drawing the serving shard of each from the version-2 RNG weighted by
-    /// the shard populations. `serve_one(shard)` must serve exactly one
-    /// sample from a non-empty shard — guaranteed non-blocking because every
-    /// sub-buffer has a zero threshold and consumers are serialised by the
-    /// draw lock (populations cannot shrink underneath us).
-    fn serve_across_shards(&self, n: usize, mut serve_one: impl FnMut(usize) -> usize) -> usize {
+    /// the shard populations. The drawn shard is non-empty and serves its one
+    /// sample without blocking: every sub-buffer has a zero threshold and
+    /// consumers are serialised by the draw lock (populations cannot shrink
+    /// underneath us).
+    fn serve_across_shards(&self, n: usize, visit: &mut dyn FnMut(&T)) -> usize {
         if n == 0 {
             return 0;
         }
@@ -251,7 +237,7 @@ impl<T: Clone + Send + 'static> ShardedBuffer<T> {
                 }
                 pick -= len;
             }
-            served += serve_one(shard);
+            served += self.shards[shard].get_batch_with(1, visit);
         }
         drop(draw);
         served
@@ -259,54 +245,23 @@ impl<T: Clone + Send + 'static> ShardedBuffer<T> {
 }
 
 impl<T: Clone + Send + 'static> TrainingBuffer<T> for ShardedBuffer<T> {
-    /// Trait-level single insertion: delegation at one shard; round-robin
-    /// across shards otherwise (the sharded ingestion path addresses shards
+    /// Trait-level insertion: each burst goes whole to the next shard in
+    /// round-robin order (the sharded ingestion path addresses shards
     /// explicitly through [`ShardedBuffer::put_many_shard`] instead).
-    fn put(&self, item: T) {
-        if self.shards.len() == 1 {
-            return self.shards[0].put(item);
-        }
+    fn put_many(&self, items: &mut Vec<T>) {
         // ordering: Relaxed — round-robin cursor; the sub-buffer's own lock orders the insert itself
         let shard = self.next_put_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[shard].put(item);
-        self.notify_consumers();
-    }
-
-    fn get(&self) -> Option<T> {
-        if self.shards.len() == 1 {
-            return self.shards[0].get();
-        }
-        let mut out = None;
-        self.serve_across_shards(1, |shard| {
-            let mut one = Vec::with_capacity(1);
-            let served = self.shards[shard].get_batch(1, &mut one);
-            out = one.pop();
-            served
-        });
-        out
-    }
-
-    fn put_many(&self, items: &mut Vec<T>) {
-        if self.shards.len() == 1 {
-            return self.shards[0].put_many(items);
-        }
-        for item in items.drain(..) {
-            self.put(item);
-        }
-    }
-
-    fn get_batch(&self, n: usize, out: &mut Vec<T>) -> usize {
-        if self.shards.len() == 1 {
-            return self.shards[0].get_batch(n, out);
-        }
-        self.serve_across_shards(n, |shard| self.shards[shard].get_batch(1, out))
+        self.put_many_shard(shard, items);
     }
 
     fn get_batch_with(&self, n: usize, visit: &mut dyn FnMut(&T)) -> usize {
-        if self.shards.len() == 1 {
-            return self.shards[0].get_batch_with(n, visit);
+        // One shard gates and selects for itself: handing it the batch whole
+        // (one lock acquisition, one Reservoir base draw) is what makes the
+        // facade bit-identical to the unsharded buffer.
+        if let [only] = self.shards.as_slice() {
+            return only.get_batch_with(n, visit);
         }
-        self.serve_across_shards(n, |shard| self.shards[shard].get_batch_with(1, visit))
+        self.serve_across_shards(n, visit)
     }
 
     /// Installs the observer on every sub-buffer (each shard evicts or drops
@@ -327,15 +282,12 @@ impl<T: Clone + Send + 'static> TrainingBuffer<T> for ShardedBuffer<T> {
     }
 
     fn is_reception_over(&self) -> bool {
-        if self.shards.len() == 1 {
-            return self.shards[0].is_reception_over();
-        }
         // ordering: Acquire — pairs with the Release store in mark_reception_over; callers may read shard contents after observing true
         self.reception_over.load(Ordering::Acquire)
     }
 
     fn len(&self) -> usize {
-        self.total_len()
+        self.shards.iter().map(|s| s.len()).sum()
     }
 
     fn capacity(&self) -> usize {
@@ -563,6 +515,29 @@ mod tests {
         buffer.put_many_shard(2, &mut items);
         assert_eq!(buffer.len(), 6);
         assert_eq!(buffer.stats().puts, 6);
+    }
+
+    /// Shards are raised to `gate + 1` slots so a skewed mapping can still
+    /// cross the gate — and FIFO's gate is 0 whatever the configured
+    /// threshold, so a sharded FIFO keeps the memory bound it was given.
+    #[test]
+    fn capacity_is_sized_from_the_gate_for_every_kind_and_shard_count() {
+        for (kind, expected) in [
+            (BufferKind::Fifo, [1000, 1000, 1000]),
+            (BufferKind::Firo, [1000, 1802, 3604]),
+            (BufferKind::Reservoir, [1000, 1802, 3604]),
+        ] {
+            let cfg = BufferConfig {
+                kind,
+                capacity: 1000,
+                threshold: 900,
+                seed: 1,
+            };
+            for (shards, expected) in [1, 2, 4].into_iter().zip(expected) {
+                let buffer = ShardedBuffer::<u32>::new(&cfg, shards);
+                assert_eq!(buffer.capacity(), expected, "{kind:?} x {shards}");
+            }
+        }
     }
 
     #[test]

@@ -88,69 +88,47 @@ impl BufferConfig {
 
 /// A thread-safe buffer between the data-aggregator thread and the training thread.
 ///
-/// Both sides block: [`TrainingBuffer::put`] blocks while the buffer cannot
-/// accept data (suspending data production exactly as the paper describes) and
-/// [`TrainingBuffer::get`] blocks while no sample may be served. Once
-/// [`TrainingBuffer::mark_reception_over`] has been called and the buffer has
-/// drained, `get` returns `None` and training terminates.
+/// Both sides block: [`TrainingBuffer::put_many`] blocks while the buffer
+/// cannot accept data (suspending data production exactly as the paper
+/// describes) and [`TrainingBuffer::get_batch_with`] blocks while no sample
+/// may be served. Once [`TrainingBuffer::mark_reception_over`] has been called
+/// and the buffer has drained, serving returns `0` and training terminates.
+///
+/// An implementation provides those two calls — the ones the pipeline makes.
+/// [`TrainingBuffer::put`], [`TrainingBuffer::get_batch`] and
+/// [`TrainingBuffer::get`] are conveniences written on top of them here, so a
+/// single sample takes exactly the path a burst or a batch of one takes.
 pub trait TrainingBuffer<T: Clone + Send>: Send + Sync {
-    /// Inserts one sample, blocking while the buffer cannot accept it.
-    fn put(&self, item: T);
+    /// Inserts every sample drained from `items`, in order, blocking for each
+    /// while the buffer cannot accept it. `items` is left empty so the caller
+    /// can reuse its allocation as an ingestion scratch.
+    fn put_many(&self, items: &mut Vec<T>);
 
-    /// Extracts one sample for training, blocking until one may be served.
-    /// Returns `None` once reception is over and the buffer has emptied.
-    fn get(&self) -> Option<T>;
+    /// Serves up to `n` samples: `visit` is invoked once per served sample
+    /// with a borrow, so the caller can copy the sample contents straight
+    /// into its batch matrices. Each sample blocks until it may be served,
+    /// and the batch ends early only when reception is over and the buffer
+    /// has drained. Returns the number of samples served; `0` (for `n > 0`)
+    /// therefore signals termination. The visitor runs under the buffer
+    /// lock, so it must be short and must not touch the buffer.
+    fn get_batch_with(&self, n: usize, visit: &mut dyn FnMut(&T)) -> usize;
 
-    /// Inserts every sample drained from `items`, observationally identical to
-    /// calling [`TrainingBuffer::put`] on each in order (same blocking points,
-    /// same eviction draws). Implementations override this to insert the whole
-    /// batch under a single lock acquisition; `items` is left empty so the
-    /// caller can reuse its allocation as an ingestion scratch.
-    fn put_many(&self, items: &mut Vec<T>) {
-        for item in items.drain(..) {
-            self.put(item);
-        }
+    /// Inserts one sample: a burst of one.
+    fn put(&self, item: T) {
+        self.put_many(&mut vec![item]);
     }
 
-    /// Serves up to `n` samples into `out` (appended), observationally
-    /// identical to `n` sequential [`TrainingBuffer::get`] calls: each sample
-    /// blocks until it may be served, and the batch ends early only when `get`
-    /// would have returned `None` (reception over and the buffer drained).
-    /// Returns the number of samples appended; `0` (for `n > 0`) therefore
-    /// signals termination exactly like `get() == None`. Implementations
-    /// override this to serve the whole batch under one lock acquisition.
+    /// Owned variant of [`TrainingBuffer::get_batch_with`]: appends a clone
+    /// of every served sample to `out`.
     fn get_batch(&self, n: usize, out: &mut Vec<T>) -> usize {
-        let mut served = 0;
-        while served < n {
-            match self.get() {
-                Some(item) => {
-                    out.push(item);
-                    served += 1;
-                }
-                None => break,
-            }
-        }
-        served
+        self.get_batch_with(n, &mut |item| out.push(item.clone()))
     }
 
-    /// Zero-copy variant of [`TrainingBuffer::get_batch`]: `visit` is invoked
-    /// once per served sample with a borrow, so the caller can copy the sample
-    /// contents straight into its batch matrices without the intermediate
-    /// owned clone a policy would otherwise have to hand out. Identical
-    /// serving semantics (order, RNG draws, blocking, termination) to
-    /// `get_batch`; the visitor runs under the buffer lock, so it must be
-    /// short and must not touch the buffer.
-    fn get_batch_with(&self, n: usize, visit: &mut dyn FnMut(&T)) -> usize {
-        let mut served = 0;
-        while served < n {
-            match self.get() {
-                Some(item) => {
-                    visit(&item);
-                    served += 1;
-                }
-                None => break,
-            }
-        }
+    /// Extracts one sample: a batch of one. Returns `None` once reception is
+    /// over and the buffer has emptied.
+    fn get(&self) -> Option<T> {
+        let mut served = None;
+        self.get_batch_with(1, &mut |item| served = Some(item.clone()));
         served
     }
 

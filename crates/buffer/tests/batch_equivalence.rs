@@ -1,19 +1,23 @@
-//! Equivalence proptests for the batch-granular buffer API.
+//! Equivalence proptests for the buffer API's conveniences.
 //!
-//! `put_many` / `get_batch` / `get_batch_with` must be *observationally
-//! identical* to the sample-at-a-time `put` / `get` loops they replace: same
+//! `put`, `get` and `get_batch` are provided by `TrainingBuffer` on top of the
+//! two calls an implementation writes, `put_many` and `get_batch_with`: a
+//! `put` is a burst of one, a `get` a batch of one, `get_batch` a visit that
+//! clones. Driving a buffer sample by sample must therefore be
+//! *observationally identical* to driving it in bursts and batches: same
 //! served sequence (hence the same RNG stream for the randomised policies),
 //! same population trajectory, same instrumentation counters and the same
 //! drain/termination behaviour. Randomised interleavings of insert and
-//! extract chunks are replayed against two identically seeded buffers, one
-//! driven sequentially and one driven batch-wise, and every intermediate
-//! observation is compared.
+//! extract chunks are replayed against identically seeded buffers, one driven
+//! sequentially and one driven batch-wise, and every intermediate observation
+//! is compared.
 //!
-//! Exception: the Reservoir's batch serving draws the versioned per-batch
-//! stream "reservoir-draw-v2" (one RNG draw per batch, SplitMix64-expanded),
-//! so batch-vs-sequential *bit* equivalence is retired for it. Its batch path
-//! is still pinned two ways: `get_batch` ≡ `get_batch_with` below, and the
-//! stream-derivation regression in `crates/buffer/src/reservoir.rs`.
+//! Exception: the Reservoir draws the versioned per-batch stream
+//! "reservoir-draw-v2" (one RNG draw per batch, SplitMix64-expanded), and n
+//! batches of one draw n bases where one batch of n draws one, so it stays out
+//! of the sequential-vs-batched case. Its stream is pinned by `get_batch` ≡
+//! `get_batch_with` below, the derivation regression in
+//! `crates/buffer/src/reservoir.rs` and the literals of `stream_pins.rs`.
 
 use proptest::prelude::*;
 use training_buffer::{build_buffer, BufferConfig, BufferKind, BufferStats};
@@ -21,7 +25,7 @@ use training_buffer::{build_buffer, BufferConfig, BufferKind, BufferStats};
 /// How the schedule drives the buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// One `put`/`get` call per sample (the seed-style reference).
+    /// One `put`/`get` call per sample.
     Sequential,
     /// One `put_many`/`get_batch` call per chunk.
     Batched,
@@ -164,12 +168,10 @@ fn schedule_strategy() -> impl Strategy<Value = Vec<(bool, usize)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The batched entry points replay the sequential behaviour exactly for
-    /// the deterministic-drain policies: served sequence (which pins the RNG
-    /// stream), population trajectory, counters and drain behaviour. The
-    /// Reservoir is deliberately absent — its batch serving owns the
-    /// versioned "reservoir-draw-v2" stream and diverges from sequential
-    /// `get`s by design (see the module docs).
+    /// Sample-at-a-time and batched driving agree exactly for the policies
+    /// that draw per sample: served sequence (which pins the RNG stream),
+    /// population trajectory, counters and drain behaviour. The Reservoir is
+    /// deliberately absent — it draws per batch (see the module docs).
     #[test]
     fn batched_ops_are_observationally_identical(
         capacity in 2usize..48,
@@ -213,8 +215,8 @@ proptest! {
     }
 
     /// Mixed-mode runs agree too: producing with `put_many` while consuming
-    /// sample-at-a-time (and vice versa) must not change anything — the
-    /// batched calls are pure lock-granularity optimisations.
+    /// sample-at-a-time must not change anything — a burst only changes the
+    /// lock granularity.
     #[test]
     fn mixed_batched_and_sequential_sides_agree(
         capacity in 2usize..32,

@@ -5,8 +5,7 @@
 
 use proptest::prelude::*;
 use training_buffer::{
-    BufferConfig, BufferKind, FifoBuffer, FiroBuffer, ReservoirBuffer, ReservoirSampler,
-    TrainingBuffer,
+    BufferConfig, BufferKind, FifoBuffer, FiroBuffer, ReservoirBuffer, TrainingBuffer,
 };
 
 /// Drives a buffer with an interleaved put/get schedule and returns the served
@@ -139,19 +138,6 @@ proptest! {
         }
         served.sort_unstable();
         prop_assert_eq!(served, items);
-    }
-
-    /// Classic reservoir sampling holds min(capacity, offered) items and wastes
-    /// the rest of the stream.
-    #[test]
-    fn reservoir_sampler_size_invariant(capacity in 1usize..64, n_items in 0usize..500, seed in 0u64..100) {
-        let mut sampler = ReservoirSampler::new(capacity, seed);
-        for k in 0..n_items as u32 {
-            sampler.offer(k);
-        }
-        prop_assert_eq!(sampler.items().len(), capacity.min(n_items));
-        prop_assert_eq!(sampler.offered(), n_items);
-        prop_assert!(sampler.wasted() <= n_items.saturating_sub(capacity));
     }
 }
 
