@@ -12,11 +12,10 @@
 //! * **Register tiling.** The normal-normal kernel runs an [`MR`]×[`NR`]
 //!   micro-kernel whose accumulator tile stays in vector registers for the
 //!   entire reduction — every `B` load feeds `MR`·`NR` multiply-adds and the
-//!   output is written exactly once. The normal-transpose kernel uses a
+//!   output is written exactly once. The normal-transpose kernel — the
+//!   backward pass's input gradient `δ·Wᵀ`, read straight from W — uses a
 //!   4×4 tile of independent dot-product accumulators; the transpose-normal
-//!   kernel unrolls four reduction rows per pass over the output. A blocked
-//!   [`transpose`] lets the backward pass route its large input-gradient GEMM
-//!   through the micro-kernel as well.
+//!   kernel unrolls four reduction rows per pass over the output.
 //! * **Reduction-order stability.** Within one output element the reduction
 //!   always runs in ascending `k` order with a single accumulator, exactly
 //!   like the retained naive kernels in [`crate::Matrix`]. Blocking only
@@ -424,35 +423,6 @@ fn gemm_tn_serial(
     }
 }
 
-/// Cache-blocked transpose: `out[j][i] = a[i][j]` for an `m×n` input.
-///
-/// Used by the backward pass to materialise `Wᵀ` once per step, so the
-/// input-gradient GEMM can run through the fast normal-normal micro-kernel
-/// instead of a scalar dot-product kernel.
-///
-/// # Panics
-/// Panics when the slice lengths do not match the dimensions.
-pub fn transpose(a: &[f32], m: usize, n: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), m * n, "transpose: input length");
-    assert_eq!(out.len(), m * n, "transpose: output length");
-    const TB: usize = 32;
-    let mut i0 = 0;
-    while i0 < m {
-        let i1 = (i0 + TB).min(m);
-        let mut j0 = 0;
-        while j0 < n {
-            let j1 = (j0 + TB).min(n);
-            for i in i0..i1 {
-                for j in j0..j1 {
-                    out[j * m + i] = a[i * n + j];
-                }
-            }
-            j0 = j1;
-        }
-        i0 = i1;
-    }
-}
-
 /// Rank-1 update `C += x⊗y`: `out[i][j] += x[i]·y[j]`.
 ///
 /// # Panics
@@ -620,20 +590,6 @@ mod tests {
         gemm_tn(1, &a, m, k, &big_b, n, &mut serial_tn, true);
         gemm_tn(2, &a, m, k, &big_b, n, &mut par_tn, true);
         assert_eq!(serial_tn, par_tn);
-    }
-
-    #[test]
-    fn transpose_matches_naive_on_odd_shapes() {
-        for &(m, n) in &[(1, 1), (3, 5), (33, 40), (64, 7), (70, 70)] {
-            let a = seq(m * n, 0.5);
-            let mut out = vec![0.0f32; m * n];
-            transpose(&a, m, n, &mut out);
-            for i in 0..m {
-                for j in 0..n {
-                    assert_eq!(out[j * m + i], a[i * n + j]);
-                }
-            }
-        }
     }
 
     #[test]

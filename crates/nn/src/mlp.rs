@@ -484,52 +484,24 @@ impl Mlp {
             gb.fill(0.0);
             grad_l.add_column_sums_to(gb);
 
-            // Gradient w.r.t. the layer input: grad_pre · Wᵀ. Both variants
-            // keep the per-element summation in ascending fan-out order, so
-            // they are bit-compatible with the naive dot-product path.
-            let fan_in = layer.weights.rows();
-            let fan_out = layer.weights.cols();
+            // Gradient w.r.t. the layer input: grad_pre · Wᵀ, read straight
+            // from W for every batch size. Each element sums in ascending
+            // fan-out order, bit-compatible with the naive dot-product path.
             let grad_in = if l == 0 {
                 &mut ws.input_grad
             } else {
                 &mut lower[l - 1]
             };
-            if rows >= crate::kernels::NR && rows < fan_in {
-                // Small-batch variant: compute (W · grad_preᵀ)ᵀ, transposing
-                // the two batch-sized matrices instead of the (much larger)
-                // weight matrix — the big operand is streamed exactly once.
-                let gpt = &mut ws.scratch_t[..fan_out * rows];
-                simd::transpose(isa, grad_l.data(), rows, fan_out, gpt);
-                let git = &mut ws.scratch_o[..fan_in * rows];
-                simd::gemm_nn(
-                    isa,
-                    threads,
-                    layer.weights.data(),
-                    fan_in,
-                    fan_out,
-                    gpt,
-                    rows,
-                    git,
-                    Epilogue::Identity,
-                );
-                simd::transpose(isa, git, fan_in, rows, grad_in.data_mut());
-            } else {
-                // Large-batch variant: materialise Wᵀ once and run the
-                // register micro-kernel on grad_pre · Wᵀ directly.
-                let wt = &mut ws.weights_t[l];
-                simd::transpose(isa, layer.weights.data(), fan_in, fan_out, wt.data_mut());
-                simd::gemm_nn(
-                    isa,
-                    threads,
-                    grad_l.data(),
-                    rows,
-                    fan_out,
-                    wt.data(),
-                    fan_in,
-                    grad_in.data_mut(),
-                    Epilogue::Identity,
-                );
-            }
+            simd::gemm_nt(
+                isa,
+                threads,
+                grad_l.data(),
+                rows,
+                layer.fan_out(),
+                layer.weights.data(),
+                layer.fan_in(),
+                grad_in.data_mut(),
+            );
         }
     }
 

@@ -3,15 +3,16 @@
 //! `("fma")` before every entry — the `#[target_feature]` functions here are
 //! never called on a CPU that lacks the instructions.
 //!
-//! Numeric discipline: every kernel except [`gemm_nt_serial`] is bit-identical
-//! to its scalar reference, which means **no FMA in those paths** — a fused
-//! multiply-add rounds once where the scalar code rounds twice, so the
-//! bit-identical kernels use separate `_mm256_mul_ps`/`_mm256_add_ps` (and
-//! div/sqrt, which IEEE 754 requires to be correctly rounded, hence identical
-//! to their scalar counterparts). Vector widening always runs across
-//! *independent output elements*; reductions keep one accumulator per element
-//! in the scalar order. [`gemm_nt_serial`] is the one contract-versioned
-//! exception ("gemm-nt-v2", see [`super::gemm_nt`]) and does use FMA.
+//! Numeric discipline: every kernel is bit-identical to its scalar reference,
+//! which means **no FMA anywhere** — a fused multiply-add rounds once where
+//! the scalar code rounds twice, so the kernels use separate
+//! `_mm256_mul_ps`/`_mm256_add_ps` (and div/sqrt, which IEEE 754 requires to
+//! be correctly rounded, hence identical to their scalar counterparts).
+//! Vector widening always runs across *independent output elements*;
+//! reductions keep one accumulator per element in the scalar order — also in
+//! [`gemm_nt_serial`], whose reduction runs along the contiguous dimension of
+//! both operands: it transposes 8×4 tiles of B in registers so its lanes are
+//! still eight output columns.
 
 use super::{AdamStep, Epilogue};
 use crate::mlp::Activation;
@@ -30,21 +31,22 @@ const LANES: usize = 8;
 const RMAX: usize = 10;
 
 /// Dispatches a row block of `r ∈ [1, RMAX]` rows onto the matching
-/// const-generic micro-kernel instantiation.
+/// const-generic micro-kernel instantiation (further const arguments, if
+/// any, are passed through after the row count).
 macro_rules! row_block {
-    ($r:expr, $kernel:ident :: <_> ( $($arg:expr),* $(,)? )) => {
+    ($r:expr, $kernel:ident :: <_ $(, $c:tt)*> ( $($arg:expr),* $(,)? )) => {
         match $r {
-            1 => $kernel::<1>($($arg),*),
-            2 => $kernel::<2>($($arg),*),
-            3 => $kernel::<3>($($arg),*),
-            4 => $kernel::<4>($($arg),*),
-            5 => $kernel::<5>($($arg),*),
-            6 => $kernel::<6>($($arg),*),
-            7 => $kernel::<7>($($arg),*),
-            8 => $kernel::<8>($($arg),*),
-            9 => $kernel::<9>($($arg),*),
+            1 => $kernel::<1 $(, $c)*>($($arg),*),
+            2 => $kernel::<2 $(, $c)*>($($arg),*),
+            3 => $kernel::<3 $(, $c)*>($($arg),*),
+            4 => $kernel::<4 $(, $c)*>($($arg),*),
+            5 => $kernel::<5 $(, $c)*>($($arg),*),
+            6 => $kernel::<6 $(, $c)*>($($arg),*),
+            7 => $kernel::<7 $(, $c)*>($($arg),*),
+            8 => $kernel::<8 $(, $c)*>($($arg),*),
+            9 => $kernel::<9 $(, $c)*>($($arg),*),
             // `r = min(remaining, RMAX)` never exceeds RMAX = 10.
-            _ => $kernel::<RMAX>($($arg),*),
+            _ => $kernel::<RMAX $(, $c)*>($($arg),*),
         }
     };
 }
@@ -411,129 +413,122 @@ fn tn_rows_block<const R: usize>(
     }
 }
 
-/// `C = A·Bᵀ` under the "gemm-nt-v2" contract: the only kernel whose
-/// reduction is vectorised *along* the summation dimension — eight FMA
-/// partial sums, folded in ascending lane order, plus an ascending scalar
-/// tail. Association order differs from the scalar v1 kernel by design; both
-/// contracts are pinned in `tests/simd_equivalence.rs`.
+/// `C = A·Bᵀ`; serial core (row-parallelism happens in the dispatch layer).
+/// Bit-identical to the scalar v1 kernel: the lanes are eight output columns
+/// (eight rows of B), each with one accumulator summed in ascending k, mul
+/// then add. The panel of B rows is the outer loop, so a batch larger than
+/// [`RMAX`] re-reads it from cache, not from memory; the trailing `n % 8`
+/// columns run through the same kernel with the missing B rows read as
+/// zeros and a masked store.
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(super) fn gemm_nt_serial(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = _mm256_setzero_ps();
-            let mut l = 0;
-            while l + LANES <= k {
-                // SAFETY: l + 8 <= k and both rows are exactly k elements;
-                // unaligned loads.
-                let av = unsafe { _mm256_loadu_ps(a_row.as_ptr().add(l)) };
-                let bv = unsafe { _mm256_loadu_ps(b_row.as_ptr().add(l)) };
-                acc = _mm256_fmadd_ps(av, bv, acc);
-                l += LANES;
+    let mut j = 0;
+    while j < n {
+        let nb = (n - j).min(LANES);
+        let mut i = 0;
+        while i < m {
+            let r = (m - i).min(RMAX);
+            if nb == LANES {
+                row_block!(r, nt_block::<_, true>(a, i, k, b, j, nb, n, out));
+            } else {
+                row_block!(r, nt_block::<_, false>(a, i, k, b, j, nb, n, out));
             }
-            let mut lanes = [0.0f32; LANES];
-            // SAFETY: lanes is exactly 8 elements; unaligned store.
-            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc) };
-            let mut sum = 0.0f32;
-            for v in lanes {
-                sum += v;
-            }
-            while l < k {
-                sum += a_row[l] * b_row[l];
-                l += 1;
-            }
-            out[i * n + j] = sum;
+            i += r;
         }
+        j += nb;
     }
 }
 
-/// Blocked transpose with an 8×8 in-register kernel (unpack/shuffle/permute);
-/// pure data movement, bit-identical trivially.
-#[target_feature(enable = "avx2")]
-pub(super) fn transpose(a: &[f32], m: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * n);
-    debug_assert_eq!(out.len(), m * n);
-    let mut i0 = 0;
-    while i0 + LANES <= m {
-        let mut j0 = 0;
-        while j0 + LANES <= n {
-            transpose8x8(a, m, n, i0, j0, out);
-            j0 += LANES;
-        }
-        // Column tail of this 8-row band.
-        for i in i0..i0 + LANES {
-            for j in j0..n {
-                out[j * m + i] = a[i * n + j];
-            }
-        }
-        i0 += LANES;
-    }
-    // Remaining (< 8) rows.
-    for i in i0..m {
-        for j in 0..n {
-            out[j * m + i] = a[i * n + j];
-        }
-    }
-}
-
-/// Transposes the 8×8 tile at `(i0, j0)` of the `m×n` input into `(j0, i0)`
-/// of the `n×m` output using the classic unpack → shuffle → permute ladder.
+/// One R-row block of [`gemm_nt_serial`] over output columns `j..j + nb`
+/// (`FULL` ⇔ `nb == 8`). Each step loads the next four k-values of the eight
+/// B rows as `__m128`, transposes them in registers into four column vectors
+/// (lane c holds `B[j + c][l]`) and folds them into the R accumulators
+/// against broadcasts of A — 10 accumulators + 4 columns + 1 broadcast = 15
+/// of the 16 ymm registers at R = 10. The `k % 4` tail builds its column
+/// directly.
 #[inline]
-#[target_feature(enable = "avx2")]
-fn transpose8x8(a: &[f32], m: usize, n: usize, i0: usize, j0: usize, out: &mut [f32]) {
-    // SAFETY (all eight): the caller guarantees i0 + 8 <= m and j0 + 8 <= n,
-    // so every row slice a[(i0+r)*n + j0 ..][..8] is in bounds; unaligned loads.
-    let r0 = unsafe { _mm256_loadu_ps(a.as_ptr().add(i0 * n + j0)) };
-    let r1 = unsafe { _mm256_loadu_ps(a.as_ptr().add((i0 + 1) * n + j0)) };
-    let r2 = unsafe { _mm256_loadu_ps(a.as_ptr().add((i0 + 2) * n + j0)) };
-    let r3 = unsafe { _mm256_loadu_ps(a.as_ptr().add((i0 + 3) * n + j0)) };
-    let r4 = unsafe { _mm256_loadu_ps(a.as_ptr().add((i0 + 4) * n + j0)) };
-    let r5 = unsafe { _mm256_loadu_ps(a.as_ptr().add((i0 + 5) * n + j0)) };
-    let r6 = unsafe { _mm256_loadu_ps(a.as_ptr().add((i0 + 6) * n + j0)) };
-    let r7 = unsafe { _mm256_loadu_ps(a.as_ptr().add((i0 + 7) * n + j0)) };
-
-    let t0 = _mm256_unpacklo_ps(r0, r1);
-    let t1 = _mm256_unpackhi_ps(r0, r1);
-    let t2 = _mm256_unpacklo_ps(r2, r3);
-    let t3 = _mm256_unpackhi_ps(r2, r3);
-    let t4 = _mm256_unpacklo_ps(r4, r5);
-    let t5 = _mm256_unpackhi_ps(r4, r5);
-    let t6 = _mm256_unpacklo_ps(r6, r7);
-    let t7 = _mm256_unpackhi_ps(r6, r7);
-
-    let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
-    let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
-    let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
-    let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
-    let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
-    let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
-    let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
-    let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
-
-    let o0 = _mm256_permute2f128_ps::<0x20>(s0, s4);
-    let o1 = _mm256_permute2f128_ps::<0x20>(s1, s5);
-    let o2 = _mm256_permute2f128_ps::<0x20>(s2, s6);
-    let o3 = _mm256_permute2f128_ps::<0x20>(s3, s7);
-    let o4 = _mm256_permute2f128_ps::<0x31>(s0, s4);
-    let o5 = _mm256_permute2f128_ps::<0x31>(s1, s5);
-    let o6 = _mm256_permute2f128_ps::<0x31>(s2, s6);
-    let o7 = _mm256_permute2f128_ps::<0x31>(s3, s7);
-
-    // SAFETY (all eight): j0 + 8 <= n and i0 + 8 <= m, so every output row
-    // slice out[(j0+c)*m + i0 ..][..8] is in bounds; unaligned stores.
-    unsafe {
-        _mm256_storeu_ps(out.as_mut_ptr().add(j0 * m + i0), o0);
-        _mm256_storeu_ps(out.as_mut_ptr().add((j0 + 1) * m + i0), o1);
-        _mm256_storeu_ps(out.as_mut_ptr().add((j0 + 2) * m + i0), o2);
-        _mm256_storeu_ps(out.as_mut_ptr().add((j0 + 3) * m + i0), o3);
-        _mm256_storeu_ps(out.as_mut_ptr().add((j0 + 4) * m + i0), o4);
-        _mm256_storeu_ps(out.as_mut_ptr().add((j0 + 5) * m + i0), o5);
-        _mm256_storeu_ps(out.as_mut_ptr().add((j0 + 6) * m + i0), o6);
-        _mm256_storeu_ps(out.as_mut_ptr().add((j0 + 7) * m + i0), o7);
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+fn nt_block<const R: usize, const FULL: bool>(
+    a: &[f32],
+    i: usize,
+    k: usize,
+    b: &[f32],
+    j: usize,
+    nb: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    debug_assert_eq!(FULL, nb == LANES);
+    let mut acc = [_mm256_setzero_ps(); R];
+    let mut rows: [&[f32]; R] = [&a[..0]; R];
+    for (rr, row) in rows.iter_mut().enumerate() {
+        *row = &a[(i + rr) * k..(i + rr + 1) * k];
+    }
+    // The live B rows; a tail panel's rows past `nb` stay empty and read as
+    // zero vectors.
+    let mut brows: [&[f32]; LANES] = [&b[..0]; LANES];
+    for (c, row) in brows.iter_mut().enumerate().take(nb) {
+        *row = &b[(j + c) * k..(j + c + 1) * k];
+    }
+    let mut l = 0;
+    while l + 4 <= k {
+        let mut q = [_mm_setzero_ps(); LANES];
+        for (c, v) in q.iter_mut().enumerate() {
+            if FULL || c < nb {
+                // SAFETY: row c is live, so brows[c] is exactly k elements
+                // and l + 4 <= k; unaligned load.
+                *v = unsafe { _mm_loadu_ps(brows[c].as_ptr().add(l)) };
+            }
+        }
+        // 8×4 → 4×8: rows c and c + 4 share a register (low and high half),
+        // then each half runs a 4×4 unpack/shuffle transpose.
+        let x0 = _mm256_set_m128(q[4], q[0]);
+        let x1 = _mm256_set_m128(q[5], q[1]);
+        let x2 = _mm256_set_m128(q[6], q[2]);
+        let x3 = _mm256_set_m128(q[7], q[3]);
+        let t0 = _mm256_unpacklo_ps(x0, x1);
+        let t1 = _mm256_unpackhi_ps(x0, x1);
+        let t2 = _mm256_unpacklo_ps(x2, x3);
+        let t3 = _mm256_unpackhi_ps(x2, x3);
+        let cols = [
+            _mm256_shuffle_ps::<0x44>(t0, t2),
+            _mm256_shuffle_ps::<0xEE>(t0, t2),
+            _mm256_shuffle_ps::<0x44>(t1, t3),
+            _mm256_shuffle_ps::<0xEE>(t1, t3),
+        ];
+        for (dl, col) in cols.into_iter().enumerate() {
+            for (rr, c) in acc.iter_mut().enumerate() {
+                *c = _mm256_add_ps(*c, _mm256_mul_ps(_mm256_set1_ps(rows[rr][l + dl]), col));
+            }
+        }
+        l += 4;
+    }
+    while l < k {
+        let mut lanes = [0.0f32; LANES];
+        for (v, row) in lanes.iter_mut().zip(&brows).take(nb) {
+            *v = row[l];
+        }
+        // SAFETY: lanes is exactly 8 elements; unaligned load.
+        let col = unsafe { _mm256_loadu_ps(lanes.as_ptr()) };
+        for (rr, c) in acc.iter_mut().enumerate() {
+            *c = _mm256_add_ps(*c, _mm256_mul_ps(_mm256_set1_ps(rows[rr][l]), col));
+        }
+        l += 1;
+    }
+    for (rr, c) in acc.into_iter().enumerate() {
+        let orow = &mut out[(i + rr) * n + j..(i + rr) * n + j + nb];
+        if FULL {
+            // SAFETY: orow is exactly 8 elements; unaligned store.
+            unsafe { _mm256_storeu_ps(orow.as_mut_ptr(), c) };
+        } else {
+            // SAFETY: the mask covers exactly the nb = orow.len() live lanes,
+            // so the masked store writes only in-bounds elements.
+            unsafe { _mm256_maskstore_ps(orow.as_mut_ptr(), tail_mask(nb), c) };
+        }
     }
 }
 
@@ -608,7 +603,8 @@ pub(super) fn mse_fused(pred: &[f32], target: &[f32], scale: f32, grad: &mut [f3
 
 /// Fused Adam update — pure streaming with correctly-rounded div/sqrt and no
 /// FMA; the op sequence per element is exactly
-/// [`super::adam_update_scalar`]'s, so the result is bit-identical.
+/// [`super::adam_update_scalar`]'s (including skipping `m / 1`), so the
+/// result is bit-identical.
 #[target_feature(enable = "avx2")]
 pub(super) fn adam_update(
     params: &mut [f32],
@@ -630,6 +626,7 @@ pub(super) fn adam_update(
     let eps = _mm256_set1_ps(step.epsilon);
     let decay = _mm256_set1_ps(step.decay);
     let with_decay = step.decay > 0.0;
+    let with_bias1 = step.bias1 != 1.0;
     let n = params.len();
     let mut idx = 0;
     while idx + LANES <= n {
@@ -648,7 +645,11 @@ pub(super) fn adam_update(
             );
             _mm256_storeu_ps(first.as_mut_ptr().add(idx), mv);
             _mm256_storeu_ps(second.as_mut_ptr().add(idx), vv);
-            let m_hat = _mm256_div_ps(mv, bias1);
+            let m_hat = if with_bias1 {
+                _mm256_div_ps(mv, bias1)
+            } else {
+                mv
+            };
             let v_hat = _mm256_div_ps(vv, bias2);
             // δ = (−lr · m̂) / (√v̂ + ε)
             let mut delta = _mm256_div_ps(

@@ -42,27 +42,20 @@
 //! [`crate::Matrix`]) run in the caller's mode and agree with the kernels bit
 //! for bit wherever no subnormal arises.
 //!
-//! **Bit-identity.** Two classes of kernels, mirroring the versioned-stream
-//! convention the buffer crate uses for its seed policies:
-//!
-//! * **Bit-identical** (the default): [`gemm_nn`], [`gemm_tn`], [`transpose`],
-//!   and all element-wise streams ([`act_derivative_mul`], [`mse_fused`],
-//!   [`adam_update`], [`sgd_velocity`], [`add_assign`], [`fill_outer`], the
-//!   normaliser ops). These vectorise across *independent output elements*
-//!   while keeping each element's reduction a single accumulator in ascending
-//!   order, and use separate multiply + add instructions (never FMA — a fused
-//!   multiply-add rounds once where the scalar reference rounds twice), so the
-//!   results match the scalar kernels bit for bit (modulo the sign of exact
-//!   zeros, the tolerance [`crate::kernels`] already documents). Flushing is
-//!   applied per operation, identically by scalar and vector instructions, so
-//!   through the entry points above bit-identity holds across ISAs, across
-//!   GEMM thread counts *and* across calling-thread FP modes.
-//! * **Contract-versioned**: [`gemm_nt`] ("gemm-nt-v2"). Its reduction runs
-//!   along the contiguous dimension, so the vector path keeps eight FMA
-//!   partial sums folded in ascending lane order plus an ascending scalar
-//!   tail — a different association order than v1, so v1 (scalar) and v2
-//!   (vector) are pinned by separate regressions and the hot training path
-//!   keeps using bit-identical kernels only.
+//! **Bit-identity.** One class: every kernel here — [`gemm_nn`], [`gemm_tn`],
+//! [`gemm_nt`] and all element-wise streams ([`act_derivative_mul`],
+//! [`mse_fused`], [`adam_update`], [`sgd_velocity`], [`add_assign`],
+//! [`fill_outer`], the normaliser ops) — is bit-identical to its scalar
+//! reference. They vectorise across *independent output elements* while
+//! keeping each element's reduction a single accumulator in ascending order,
+//! and use separate multiply + add instructions: there is no FMA anywhere in
+//! `simd/` (a fused multiply-add rounds once where the scalar reference
+//! rounds twice). The results therefore match the scalar kernels bit for bit
+//! (modulo the sign of exact zeros, the tolerance [`crate::kernels`] already
+//! documents). Flushing is applied per operation, identically by scalar and
+//! vector instructions, so through the entry points above bit-identity holds
+//! across ISAs, across GEMM thread counts *and* across calling-thread FP
+//! modes.
 //!
 //! On `aarch64`, NEON currently accelerates the element-wise streams; the
 //! GEMM family falls back to the blocked scalar kernels there (explicit NEON
@@ -424,17 +417,15 @@ pub fn gemm_tn(
     }
 }
 
-/// `C = A·Bᵀ` under the **"gemm-nt-v2" numeric contract**: on a vector ISA
-/// the k-reduction runs as eight interleaved FMA partial sums folded in
-/// ascending lane order plus an ascending scalar tail — a *different
-/// association order* than the scalar v1 kernel, versioned explicitly the way
-/// the buffer crate versions its seed streams. The scalar arm (and
-/// [`crate::Matrix::matmul_transpose_into`], which stays on it) keeps the v1
-/// contract; `tests/simd_equivalence.rs` pins both. The bit-identical hot
-/// training path never routes through this kernel.
+/// `C = A·Bᵀ`, dispatched on `isa` — the backward pass's input gradient
+/// `δ·Wᵀ`, read straight from W. Bit-identical to
+/// [`crate::kernels::gemm_nt`]: the vector path widens across eight output
+/// columns (eight rows of B, transposed in registers) while each element
+/// keeps its ascending-k single-accumulator reduction.
 ///
 /// # Panics
 /// Panics when the slice lengths do not match the dimensions.
+// analysis: hot_path
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_nt(
     isa: ResolvedIsa,
@@ -481,30 +472,6 @@ pub fn gemm_nt(
             .expect("gemm_nt worker panicked");
         }
         _ => kernels::gemm_nt(threads, a, m, k, b, n, out, |_, acc| acc),
-    }
-}
-
-/// Blocked transpose dispatched on `isa` — pure data movement (an 8×8
-/// register transpose on AVX2), trivially bit-identical to
-/// [`crate::kernels::transpose`].
-///
-/// # Panics
-/// Panics when the slice lengths do not match the dimensions.
-// analysis: hot_path
-pub fn transpose(isa: ResolvedIsa, a: &[f32], m: usize, n: usize, out: &mut [f32]) {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        ResolvedIsa::Avx2 => {
-            assert_eq!(a.len(), m * n, "transpose: input length");
-            assert_eq!(out.len(), m * n, "transpose: output length");
-            assert!(
-                avx2_available(),
-                "ResolvedIsa::Avx2 on a CPU without AVX2+FMA"
-            );
-            // SAFETY: AVX2 availability and length agreement asserted above.
-            unsafe { avx2::transpose(a, m, n, out) };
-        }
-        _ => kernels::transpose(a, m, n, out),
     }
 }
 
@@ -609,6 +576,12 @@ pub struct AdamStep {
 /// div/sqrt and no FMA, so every ISA reproduces the scalar op-for-op rounding
 /// bit for bit.
 ///
+/// Once `step.bias1` has rounded to exactly `1.0` (after ~165 steps at
+/// β₁ = 0.9) every arm skips the division `m / bias1`. That changes no bit:
+/// `x / 1.0 == x` for every m the update can hold, because m is a fresh
+/// flushed mul+add result — never subnormal, never a signalling NaN. The
+/// v̂ division, the square root and the final division stay.
+///
 /// # Panics
 /// Panics when the slice lengths differ.
 // analysis: hot_path
@@ -666,11 +639,16 @@ pub(crate) fn adam_update_scalar(
         epsilon,
         decay,
     } = step;
+    let with_bias1 = bias1 != 1.0;
     for k in 0..params.len() {
         let gv = grads[k];
         first[k] = b1 * first[k] + (1.0 - b1) * gv;
         second[k] = b2 * second[k] + (1.0 - b2) * gv * gv;
-        let m_hat = first[k] / bias1;
+        let m_hat = if with_bias1 {
+            first[k] / bias1
+        } else {
+            first[k]
+        };
         let v_hat = second[k] / bias2;
         let mut delta = -learning_rate * m_hat / (v_hat.sqrt() + epsilon);
         if decay > 0.0 {

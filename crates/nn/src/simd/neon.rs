@@ -102,6 +102,7 @@ pub(super) fn adam_update(
     debug_assert_eq!(params.len(), second.len());
     let n = params.len();
     let with_decay = step.decay > 0.0;
+    let with_bias1 = step.bias1 != 1.0;
     let mut idx = 0;
     while idx + LANES <= n {
         // SAFETY (this block): idx + 4 <= n and all four slices have equal
@@ -122,7 +123,11 @@ pub(super) fn adam_update(
             );
             vst1q_f32(first.as_mut_ptr().add(idx), mv);
             vst1q_f32(second.as_mut_ptr().add(idx), vv);
-            let m_hat = vdivq_f32(mv, vdupq_n_f32(step.bias1));
+            let m_hat = if with_bias1 {
+                vdivq_f32(mv, vdupq_n_f32(step.bias1))
+            } else {
+                mv
+            };
             let v_hat = vdivq_f32(vv, vdupq_n_f32(step.bias2));
             // δ = (−lr · m̂) / (√v̂ + ε)
             let mut delta = vdivq_f32(

@@ -40,16 +40,6 @@ pub struct Workspace {
     pub(crate) grads: Vec<Matrix>,
     /// Gradient with respect to the network input.
     pub(crate) input_grad: Matrix,
-    /// Per-layer transposed-weight scratch (`fan_out × fan_in`), used by the
-    /// input-gradient fallback when the batch is not smaller than the layer
-    /// fan-in.
-    pub(crate) weights_t: Vec<Matrix>,
-    /// Widest layer (including the input), sizing the flat scratch buffers.
-    pub(crate) max_width: usize,
-    /// Flat scratch for the transposed upstream gradient (`fan_out × rows`).
-    pub(crate) scratch_t: Vec<f32>,
-    /// Flat scratch for the transposed input gradient (`fan_in × rows`).
-    pub(crate) scratch_o: Vec<f32>,
 }
 
 impl Workspace {
@@ -80,13 +70,6 @@ impl Workspace {
                 .map(|&w| Matrix::zeros(batch_capacity, w))
                 .collect(),
             input_grad: Matrix::zeros(batch_capacity, sizes[0]),
-            weights_t: sizes
-                .windows(2)
-                .map(|w| Matrix::zeros(w[1], w[0]))
-                .collect(),
-            max_width: sizes.iter().copied().max().unwrap_or(1),
-            scratch_t: vec![0.0; sizes.iter().copied().max().unwrap_or(1) * batch_capacity],
-            scratch_o: vec![0.0; sizes.iter().copied().max().unwrap_or(1) * batch_capacity],
         }
     }
 
@@ -167,11 +150,6 @@ impl Workspace {
         self.input_grad.resize_rows(rows);
         for m in self.acts.iter_mut().chain(self.grads.iter_mut()) {
             m.resize_rows(rows);
-        }
-        let scratch = self.max_width * rows;
-        if self.scratch_t.len() < scratch {
-            self.scratch_t.resize(scratch, 0.0);
-            self.scratch_o.resize(scratch, 0.0);
         }
     }
 }

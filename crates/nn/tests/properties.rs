@@ -234,29 +234,34 @@ proptest! {
 
     /// The workspace-based forward/backward path matches the retained
     /// clone-based reference path bit for bit on random seeds and batches:
-    /// outputs, parameter gradients and the gradient w.r.t. the input.
+    /// outputs, parameter gradients and the gradient w.r.t. the input. The
+    /// second architecture has fan-ins of 8 and more, and the batches reach
+    /// full 8-lane panels, partial ones (1–7 rows) and a second register
+    /// row block (11–12 rows).
     #[test]
     fn workspace_training_step_equals_reference(
         seed in 0u64..500,
-        rows in 1usize..6,
+        rows in 1usize..=12,
+        layer_sizes in prop::sample::select(vec![vec![5, 7, 3], vec![6, 19, 13]]),
         activation in prop::sample::select(vec![
             Activation::ReLU,
             Activation::Tanh,
             Activation::Sigmoid,
         ]),
-        x_data in prop::collection::vec(-2.0f32..2.0, 30),
-        t_data in prop::collection::vec(-2.0f32..2.0, 18),
+        x_data in prop::collection::vec(-2.0f32..2.0, 12 * 6),
+        t_data in prop::collection::vec(-2.0f32..2.0, 12 * 13),
     ) {
+        let (inputs, outputs) = (layer_sizes[0], layer_sizes[2]);
         let mut reference = Mlp::new(MlpConfig {
-            layer_sizes: vec![5, 7, 3],
+            layer_sizes,
             activation,
             init: InitScheme::HeUniform,
             seed,
         });
         let mut fast = reference.clone();
         let mut ws = fast.workspace(rows);
-        let x = Matrix::from_vec(rows, 5, x_data[..rows * 5].to_vec());
-        let targets = Matrix::from_vec(rows, 3, t_data[..rows * 3].to_vec());
+        let x = Matrix::from_vec(rows, inputs, x_data[..rows * inputs].to_vec());
+        let targets = Matrix::from_vec(rows, outputs, t_data[..rows * outputs].to_vec());
 
         let pred_ref = reference.forward(&x);
         let (loss_ref, grad_out) = MseLoss.evaluate(&pred_ref, &targets);

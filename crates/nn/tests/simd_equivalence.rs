@@ -1,15 +1,12 @@
 //! Equivalence suite pinning the SIMD dispatch layer against the blocked
 //! scalar reference kernels.
 //!
-//! Every bit-identical kernel is compared with `assert_eq!` (exact f32 bits)
-//! across odd shapes — dimensions that are not multiples of the MR×NR register
-//! tile or the 8-lane vector width, remainder rows/columns, the batch-1 rank-1
-//! fast path and unaligned (odd-length) slices. The one contract-versioned
-//! kernel, `gemm_nt` ("gemm-nt-v2"), is pinned structurally: the v1 scalar arm
-//! must match the naive mul-then-add triple loop exactly, and the v2 vector
-//! arm must match a scalar re-implementation of its documented association
-//! order (eight interleaved partial sums folded in ascending lane order plus
-//! an ascending tail) within f32 round-off of independent orderings.
+//! Every kernel is bit-identical to its scalar reference and compared with
+//! `assert_eq!` (exact f32 bits) across odd shapes — dimensions that are not
+//! multiples of the MR×NR register tile, the 8-lane vector width or
+//! `gemm_nt`'s 4-deep k-step, remainder rows/columns, the batch-1 rank-1 fast
+//! path and unaligned (odd-length) slices. `gemm_nt`'s scalar arm is in turn
+//! pinned to the naive mul-then-add triple loop.
 //!
 //! On a machine without a vector ISA (or under `MELISSA_KERNEL_ISA=scalar`),
 //! the "vector" side resolves to scalar and the comparisons become identity
@@ -98,17 +95,6 @@ proptest! {
         prop_assert_eq!(&reference, &vectored);
     }
 
-    /// The blocked transpose is bit-identical (pure data movement).
-    #[test]
-    fn transpose_bit_identical(m in 1usize..26, n in 1usize..26, seed in 0u64..1000) {
-        let (a, _) = seeded_operands(m * n, 0, seed);
-        let mut reference = vec![0.0f32; m * n];
-        kernels::transpose(&a, m, n, &mut reference);
-        let mut vectored = vec![0.0f32; m * n];
-        simd::transpose(vector_isa(), &a, m, n, &mut vectored);
-        prop_assert_eq!(&reference, &vectored);
-    }
-
     /// The batch-1 rank-1 fast path (`fill_outer`) is bit-identical.
     #[test]
     fn fill_outer_bit_identical(x in vecf(13), y in vecf(19)) {
@@ -157,31 +143,52 @@ proptest! {
     }
 
     /// The fused Adam pass is bit-identical to the scalar op order, with and
-    /// without decoupled weight decay, on unaligned lengths.
+    /// without decoupled weight decay, on unaligned lengths — and both arms
+    /// equal the textbook formula that always divides by `bias1`, also once
+    /// `bias1` is exactly 1.0 and the kernels skip that division.
     #[test]
-    fn adam_update_bit_identical(len in 1usize..40, seed in 0u64..1000, with_decay in any::<bool>(), decay_value in 0.001f32..0.1) {
+    fn adam_update_bit_identical(
+        len in 1usize..40,
+        seed in 0u64..1000,
+        with_decay in any::<bool>(),
+        decay_value in 0.001f32..0.1,
+        bias1 in prop::sample::select(vec![1.0 - 0.9f32.powf(3.0), 1.0]),
+    ) {
         let (params0, grads) = seeded_operands(len, len, seed);
         let (first0, second0) = seeded_operands(len, len, seed ^ 0x9E37);
         let second0: Vec<f32> = second0.iter().map(|v| v.abs()).collect();
         let step = AdamStep {
             beta1: 0.9,
             beta2: 0.999,
-            bias1: 1.0 - 0.9f32.powf(3.0),
+            bias1,
             bias2: 1.0 - 0.999f32.powf(3.0),
             learning_rate: 1e-3,
             epsilon: 1e-8,
             decay: if with_decay { decay_value } else { 0.0 },
         };
 
-        let (mut p_ref, mut m_ref, mut v_ref) = (params0.clone(), first0.clone(), second0.clone());
-        simd::adam_update(ResolvedIsa::Scalar, &mut p_ref, &grads, &mut m_ref, &mut v_ref, step);
+        let (mut p_formula, mut m_formula, mut v_formula) =
+            (params0.clone(), first0.clone(), second0.clone());
+        for k in 0..len {
+            let g = grads[k];
+            m_formula[k] = step.beta1 * m_formula[k] + (1.0 - step.beta1) * g;
+            v_formula[k] = step.beta2 * v_formula[k] + (1.0 - step.beta2) * g * g;
+            let m_hat = m_formula[k] / step.bias1;
+            let v_hat = v_formula[k] / step.bias2;
+            let mut delta = -step.learning_rate * m_hat / (v_hat.sqrt() + step.epsilon);
+            if step.decay > 0.0 {
+                delta -= step.decay * p_formula[k];
+            }
+            p_formula[k] += delta;
+        }
 
-        let (mut p, mut m, mut v) = (params0, first0, second0);
-        simd::adam_update(vector_isa(), &mut p, &grads, &mut m, &mut v, step);
-
-        prop_assert_eq!(&p_ref, &p);
-        prop_assert_eq!(&m_ref, &m);
-        prop_assert_eq!(&v_ref, &v);
+        for isa in [ResolvedIsa::Scalar, vector_isa()] {
+            let (mut p, mut m, mut v) = (params0.clone(), first0.clone(), second0.clone());
+            simd::adam_update(isa, &mut p, &grads, &mut m, &mut v, step);
+            prop_assert_eq!(&p_formula, &p);
+            prop_assert_eq!(&m_formula, &m);
+            prop_assert_eq!(&v_formula, &v);
+        }
     }
 
     /// The SGD velocity update and the delta accumulation are bit-identical.
@@ -231,9 +238,8 @@ proptest! {
         prop_assert_eq!(&m_ref, &m);
     }
 
-    /// gemm_nt v1 (the scalar arm, which `Matrix::matmul_transpose_into`
-    /// stays on) matches the naive mul-then-add k-loop exactly — the v1
-    /// contract regression.
+    /// gemm_nt's scalar arm (v1, which `Matrix::matmul_transpose_into`
+    /// shares) matches the naive mul-then-add k-loop exactly.
     #[test]
     fn gemm_nt_v1_matches_naive_reduction(m in 1usize..14, k in 1usize..11, n in 1usize..21, seed in 0u64..1000) {
         let (a, b) = seeded_operands(m * k, n * k, seed);
@@ -250,32 +256,18 @@ proptest! {
         }
     }
 
-    /// gemm_nt v2 (the vector arm) reproduces its documented association
-    /// order: eight interleaved FMA partial sums folded in ascending lane
-    /// order plus an ascending scalar tail. On a scalar-only dispatch the
-    /// kernel stays on v1 and this degenerates into the v1 check.
+    /// gemm_nt's vector arm is bit-identical to its scalar arm — on batch
+    /// sizes past one and two 10-row register blocks, k on both sides of
+    /// the 4-deep transpose step, and full plus zero-padded 8-column panels.
     #[test]
-    fn gemm_nt_v2_contract_pinned(m in 1usize..14, k in 1usize..11, n in 1usize..21, seed in 0u64..1000) {
+    fn gemm_nt_bit_identical(m in 1usize..23, k in 1usize..11, n in 1usize..21, seed in 0u64..1000) {
         let (a, b) = seeded_operands(m * k, n * k, seed);
-        let isa = vector_isa();
-        let mut out = vec![0.0f32; m * n];
-        simd::gemm_nt(isa, 1, &a, m, k, &b, n, &mut out);
-        for i in 0..m {
-            for j in 0..n {
-                let expected = match isa {
-                    ResolvedIsa::Avx2 => {
-                        gemm_nt_v2_reference(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k])
-                    }
-                    _ => {
-                        let mut acc = 0.0f32;
-                        for l in 0..k {
-                            acc += a[i * k + l] * b[j * k + l];
-                        }
-                        acc
-                    }
-                };
-                prop_assert_eq!(expected.to_bits(), out[i * n + j].to_bits());
-            }
+        let mut reference = vec![0.0f32; m * n];
+        simd::gemm_nt(ResolvedIsa::Scalar, 1, &a, m, k, &b, n, &mut reference);
+        let mut vectored = vec![0.0f32; m * n];
+        simd::gemm_nt(vector_isa(), 1, &a, m, k, &b, n, &mut vectored);
+        for (r, v) in reference.iter().zip(&vectored) {
+            prop_assert_eq!(r.to_bits(), v.to_bits());
         }
     }
 }
@@ -296,32 +288,6 @@ fn seeded_operands(len_a: usize, len_b: usize, seed: u64) -> (Vec<f32>, Vec<f32>
     let a = (0..len_a).map(|_| next()).collect();
     let b = (0..len_b).map(|_| next()).collect();
     (a, b)
-}
-
-/// Scalar re-implementation of the "gemm-nt-v2" reduction order for one
-/// output element: 8 interleaved partial sums, each accumulated with a fused
-/// multiply-add, folded in ascending lane order, then an ascending scalar
-/// tail over `k % 8` trailing entries.
-fn gemm_nt_v2_reference(a_row: &[f32], b_row: &[f32]) -> f32 {
-    let k = a_row.len();
-    let lanes = 8;
-    let mut partial = [0.0f32; 8];
-    let mut l = 0;
-    while l + lanes <= k {
-        for t in 0..lanes {
-            partial[t] = a_row[l + t].mul_add(b_row[l + t], partial[t]);
-        }
-        l += lanes;
-    }
-    let mut acc = 0.0f32;
-    for p in partial {
-        acc += p;
-    }
-    while l < k {
-        acc += a_row[l] * b_row[l];
-        l += 1;
-    }
-    acc
 }
 
 /// A forced-`scalar` request resolves to the scalar reference arm regardless
@@ -383,11 +349,21 @@ fn parallel_vector_gemm_bit_identical_to_serial() {
         simd::gemm_tn(isa, threads, &a, m, k, &bt, n, &mut tn_parallel, false);
         assert_eq!(tn_serial, tn_parallel, "threads={threads}");
     }
+
+    // `b` read as n×k: the same over-threshold shape, A·Bᵀ.
+    let mut nt_serial = vec![0.0f32; m * n];
+    simd::gemm_nt(isa, 1, &a, m, k, &b, n, &mut nt_serial);
+    for threads in [2, 3] {
+        let mut nt_parallel = vec![0.0f32; m * n];
+        simd::gemm_nt(isa, threads, &a, m, k, &b, n, &mut nt_parallel);
+        assert_eq!(nt_serial, nt_parallel, "threads={threads}");
+    }
 }
 
 /// A workspace pinned to `scalar` and one pinned to the detected ISA train
-/// bit-identically (50 fused forward/backward/Adam steps) — the end-to-end
-/// version of the per-kernel checks above.
+/// bit-identically (200 fused forward/backward/Adam steps, past the step
+/// near t ≈ 165 where Adam's `bias1` rounds to 1.0 and the division by it
+/// is skipped) — the end-to-end version of the per-kernel checks above.
 #[test]
 fn training_is_bit_identical_across_dispatch() {
     use surrogate_nn::{
@@ -408,7 +384,7 @@ fn training_is_bit_identical_across_dispatch() {
         let (inputs_v, targets_v) = seeded_operands(9 * 6, 9 * 13, 3);
         let inputs = Matrix::from_vec(9, 6, inputs_v);
         let targets = Matrix::from_vec(9, 13, targets_v);
-        for _ in 0..50 {
+        for _ in 0..200 {
             model.forward_ws(&inputs, &mut ws);
             let (pred, grad) = ws.output_and_grad_mut();
             MseLoss.evaluate_into(pred, &targets, grad);
@@ -419,6 +395,8 @@ fn training_is_bit_identical_across_dispatch() {
         model.params_flat()
     };
 
+    // The run does reach the skipped-division regime.
+    assert_eq!(1.0 - AdamConfig::default().beta1.powf(200.0), 1.0);
     let scalar = run(KernelIsa::Scalar);
     let auto = run(KernelIsa::Auto);
     assert_eq!(scalar.len(), auto.len());
