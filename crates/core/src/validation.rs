@@ -6,11 +6,17 @@
 //! validation parameters never coincide with training parameters. Generation
 //! goes through the physics-agnostic [`Workload`] trait, so any physics the
 //! experiment streams can also be validated against.
+//!
+//! The held-out simulations run like the ensemble they stand in for: one
+//! launcher campaign over the available cores. Each simulation fills its
+//! own slot and the slots are concatenated in simulation order, so the set
+//! is bit-identical to generating the simulations one after another.
 
 use crate::config::ExperimentConfig;
 use crate::sample::step_to_sample;
-use melissa_ensemble::{ParameterSampler, SamplerKind};
+use melissa_ensemble::{CampaignPlan, ClientError, Launcher, LauncherConfig, RetryPolicy};
 use melissa_workload::Workload;
+use std::sync::OnceLock;
 use surrogate_nn::{Batch, InputNormalizer, Mlp, OutputNormalizer, Sample, Workspace};
 
 /// A fixed set of held-out samples with a method to score a model on them.
@@ -131,34 +137,57 @@ impl ValidationSet {
 
     /// Generates a validation set for an experiment and an explicit input
     /// normaliser (used when the caller already built the workload).
+    ///
+    /// The `validation_simulations` held-out trajectories run as one launcher
+    /// campaign over the available cores, its Monte Carlo design seeded with
+    /// [`ExperimentConfig::validation_seed`]. Each job streams its trajectory
+    /// into its own slot, and the slots are concatenated in simulation order,
+    /// so the set is bit-identical to serial generation.
     pub fn generate_with(
         config: &ExperimentConfig,
         workload: &dyn Workload,
         input_norm: &InputNormalizer,
         output_norm: &OutputNormalizer,
     ) -> Self {
-        let mut sampler = ParameterSampler::new(
-            SamplerKind::MonteCarlo,
-            workload.parameter_space(),
-            config.training.validation_simulations,
-            config.validation_seed(),
-        );
-        let mut samples = Vec::new();
-        for sim in 0..config.training.validation_simulations {
-            let params = sampler.parameters(sim);
-            let trajectory = workload
-                .trajectory(params)
-                // analysis: allow(panic, reason = "the workload config was validated at experiment start; a failure here is a bug, not an input error")
-                .expect("validated workload configuration");
-            for step in &trajectory {
-                samples.push(step_to_sample(
-                    step,
-                    u64::MAX - sim as u64,
-                    input_norm,
-                    output_norm,
-                ));
-            }
-        }
+        let simulations = config.training.validation_simulations;
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let plan =
+            CampaignPlan::single_series(simulations, cores).with_seed(config.validation_seed());
+        // A held-out trajectory that fails is a bug, not a crash to retry.
+        let launcher = Launcher::new(LauncherConfig {
+            retry: RetryPolicy {
+                max_retries: 0,
+                ..RetryPolicy::default()
+            },
+            ..LauncherConfig::default()
+        });
+        let slots: Vec<OnceLock<Vec<Sample>>> = (0..simulations).map(|_| OnceLock::new()).collect();
+        launcher.run_campaign_in(&plan, &workload.parameter_space(), |job| {
+            let mut samples = Vec::with_capacity(workload.steps());
+            // `generate`, not `generate_seeded`: a stochastic workload's
+            // held-out noise must not depend on the launcher's attempt seed.
+            workload
+                .generate(job.parameters, &mut |step| {
+                    samples.push(step_to_sample(
+                        &step,
+                        u64::MAX - job.client_id,
+                        input_norm,
+                        output_norm,
+                    ));
+                })
+                .map_err(|e| ClientError::crash(e.to_string()))?;
+            // Without retries every client runs once, so its slot is empty.
+            let _ = slots[job.client_id as usize].set(samples);
+            Ok(())
+        });
+        let samples = slots
+            .into_iter()
+            .flat_map(|slot| {
+                slot.into_inner()
+                    // analysis: allow(panic, reason = "the workload config was validated at experiment start; a failure here is a bug, not an input error")
+                    .expect("validated workload configuration")
+            })
+            .collect();
         Self {
             samples,
             batch_size: config.training.batch_size.max(1),
@@ -173,8 +202,80 @@ mod tests {
     use crate::config::ExperimentConfig;
     use crate::workload_spec::WorkloadSpec;
     use heat_solver::SolverConfig;
+    use melissa_ensemble::{ParameterSampler, SamplerKind};
     use melissa_workload::AdvectionConfig;
     use surrogate_nn::MlpConfig;
+
+    /// Serial generation — one whole trajectory after another on the calling
+    /// thread — kept as the oracle the launcher campaign must equal.
+    fn serial_oracle(config: &ExperimentConfig) -> Vec<Sample> {
+        let workload = config.workload.build();
+        let input_norm = config.workload.input_normalizer();
+        let output_norm = config.workload.output_normalizer();
+        let simulations = config.training.validation_simulations;
+        let mut sampler = ParameterSampler::new(
+            SamplerKind::MonteCarlo,
+            workload.parameter_space(),
+            simulations,
+            config.validation_seed(),
+        );
+        let mut samples = Vec::new();
+        for sim in 0..simulations {
+            let trajectory = workload.trajectory(sampler.parameters(sim)).unwrap();
+            for step in &trajectory {
+                samples.push(step_to_sample(
+                    step,
+                    u64::MAX - sim as u64,
+                    &input_norm,
+                    &output_norm,
+                ));
+            }
+        }
+        samples
+    }
+
+    #[test]
+    fn generation_equals_the_serial_oracle() {
+        let analytic = SolverConfig {
+            nx: 8,
+            ny: 8,
+            steps: 5,
+            ..SolverConfig::default()
+        };
+        let solver = SolverConfig {
+            nx: 12,
+            ny: 12,
+            steps: 8,
+            ..SolverConfig::default()
+        };
+        let advection = AdvectionConfig {
+            nx: 8,
+            ny: 8,
+            steps: 5,
+            ..AdvectionConfig::default()
+        };
+        let workloads = [
+            WorkloadSpec::heat_analytic(analytic),
+            WorkloadSpec::heat(solver),
+            WorkloadSpec::heat_noisy(analytic, 5.0),
+            WorkloadSpec::advection_analytic(advection),
+        ];
+        for workload in workloads {
+            for simulations in [0, 1, 5] {
+                let mut config = tiny_config();
+                config.workload = workload.clone();
+                config.training.validation_simulations = simulations;
+                let oracle = serial_oracle(&config);
+                assert_eq!(oracle.len(), simulations * workload.steps());
+                assert_eq!(
+                    ValidationSet::generate(&config).samples(),
+                    oracle.as_slice(),
+                    "{} with {simulations} held-out simulations",
+                    workload.name()
+                );
+            }
+        }
+    }
 
     fn tiny_config() -> ExperimentConfig {
         let mut config = ExperimentConfig::small_scale();

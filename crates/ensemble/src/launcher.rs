@@ -27,7 +27,7 @@ use crate::campaign::CampaignPlan;
 use crate::sampler::ParameterSampler;
 use crate::scheduler::{JobId, JobState, SchedulerConfig, SimulatedScheduler};
 use melissa_workload::{ParamPoint, ParameterSpace};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -571,6 +571,8 @@ impl Launcher {
                     })
                     .collect(),
             );
+            // Idle workers and the watchdog wait on this, over the queue lock.
+            let wake = Condvar::new();
 
             // Members of this series not yet terminal (completed/abandoned);
             // workers and the watchdog exit when it reaches zero.
@@ -583,18 +585,18 @@ impl Launcher {
                 for _ in 0..workers {
                     scope.spawn(|_| {
                         self.worker_loop(
-                            &queue, &remaining, &counters, &registry, &scheduler, epoch, events,
-                            plan.seed, &client_fn,
+                            &queue, &wake, &remaining, &counters, &registry, &scheduler, epoch,
+                            events, plan.seed, &client_fn,
                         )
                     });
                 }
                 if let Some(watchdog) = self.config.watchdog {
-                    let (queue, remaining, counters, registry, scheduler) =
-                        (&queue, &remaining, &counters, &registry, &scheduler);
+                    let (queue, wake, remaining, counters, registry, scheduler) =
+                        (&queue, &wake, &remaining, &counters, &registry, &scheduler);
                     scope.spawn(move |_| {
                         self.watchdog_loop(
-                            watchdog, queue, remaining, counters, registry, scheduler, events,
-                            plan.seed,
+                            watchdog, queue, wake, remaining, counters, registry, scheduler,
+                            events, plan.seed,
                         )
                     });
                 }
@@ -627,10 +629,20 @@ impl Launcher {
     /// One worker: pops ready jobs, runs them through the scheduler, and
     /// performs the terminal accounting for attempts it still owns (the
     /// watchdog may have taken ownership of a hung attempt meanwhile).
+    ///
+    /// A worker that finds nothing ready waits on `wake` over the queue lock:
+    /// until the earliest queued `ready_at` when a retry is backing off,
+    /// untimed when the queue is empty. Two things wake it early: a requeue
+    /// ([`Launcher::handle_failure`]) and the decrement that ends the series
+    /// ([`retire_one`]). Each wake-up re-reads `remaining` and the queue
+    /// under the lock it waited on; a requeue pushes under that lock and the
+    /// final decrement takes it before notifying, so no wake-up falls between
+    /// a worker's check and its wait.
     #[allow(clippy::too_many_arguments)]
     fn worker_loop<F>(
         &self,
         queue: &Mutex<VecDeque<QueuedJob>>,
+        wake: &Condvar,
         remaining: &AtomicUsize,
         counters: &Mutex<SeriesCounters>,
         registry: &Mutex<HashMap<JobId, ActiveClient>>,
@@ -643,24 +655,27 @@ impl Launcher {
         F: Fn(&ClientJob, &ClientContext) -> Result<(), ClientError> + Sync,
     {
         loop {
-            // ordering: Acquire — pairs with the AcqRel decrements; once zero, every terminal transition (and its queue/counter writes) is visible
-            if remaining.load(Ordering::Acquire) == 0 {
-                break;
-            }
             let job = {
                 let mut queue = queue.lock();
-                let now = Instant::now();
-                queue
-                    .iter()
-                    .position(|q| q.ready_at <= now)
-                    .and_then(|i| queue.remove(i))
-                    .map(|q| q.job)
+                loop {
+                    // ordering: Acquire — pairs with the AcqRel decrements; once zero, every terminal transition (and its queue/counter writes) is visible
+                    if remaining.load(Ordering::Acquire) == 0 {
+                        break None;
+                    }
+                    let now = Instant::now();
+                    if let Some(i) = queue.iter().position(|q| q.ready_at <= now) {
+                        break queue.remove(i).map(|q| q.job);
+                    }
+                    match queue.iter().map(|q| q.ready_at).min() {
+                        Some(earliest) => {
+                            wake.wait_for(&mut queue, earliest - now);
+                        }
+                        None => wake.wait(&mut queue),
+                    }
+                }
             };
             let Some(job) = job else {
-                // Nothing ready: a retry may be backing off, or the series is
-                // draining. Poll briefly; `remaining` decides termination.
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
+                break;
             };
 
             let job_id = scheduler.submit(job.attempt);
@@ -692,8 +707,7 @@ impl Launcher {
                         counters.recovered.push(job.client_id);
                     }
                     drop(counters);
-                    // ordering: AcqRel — publishes this client's terminal accounting before the zero-observation that ends the series
-                    remaining.fetch_sub(1, Ordering::AcqRel);
+                    retire_one(queue, wake, remaining);
                 }
                 Err(error) => {
                     scheduler.release_slot(job_id, JobState::Failed);
@@ -702,6 +716,7 @@ impl Launcher {
                         &error,
                         false,
                         queue,
+                        wake,
                         remaining,
                         counters,
                         events,
@@ -715,11 +730,19 @@ impl Launcher {
     /// The watchdog: scans the registry for clients whose heartbeat missed
     /// the deadline, kills them through the scheduler, and resubmits or
     /// abandons them under the retry policy.
+    ///
+    /// Between scans it waits on the workers' `wake` for up to
+    /// `poll_interval`, re-reading `remaining` under the queue lock before
+    /// each wait, so it leaves as soon as the decrement that ends the series
+    /// notifies instead of sleeping out the interval. A requeue also wakes
+    /// it; the early scan that follows is harmless, since staleness is judged
+    /// against the deadline, not the interval.
     #[allow(clippy::too_many_arguments)]
     fn watchdog_loop(
         &self,
         config: WatchdogConfig,
         queue: &Mutex<VecDeque<QueuedJob>>,
+        wake: &Condvar,
         remaining: &AtomicUsize,
         counters: &Mutex<SeriesCounters>,
         registry: &Mutex<HashMap<JobId, ActiveClient>>,
@@ -727,9 +750,15 @@ impl Launcher {
         events: &CampaignEvents<'_>,
         campaign_seed: u64,
     ) {
-        // ordering: Acquire — pairs with the AcqRel terminal decrements; zero means every member is accounted and the watchdog can retire
-        while remaining.load(Ordering::Acquire) > 0 {
-            std::thread::sleep(config.poll_interval);
+        loop {
+            {
+                let mut queue = queue.lock();
+                // ordering: Acquire — pairs with the AcqRel terminal decrements; zero means every member is accounted and the watchdog can retire
+                if remaining.load(Ordering::Acquire) == 0 {
+                    return;
+                }
+                wake.wait_for(&mut queue, config.poll_interval);
+            }
             let expired: Vec<(JobId, ActiveClient)> = {
                 let mut registry = registry.lock();
                 let dead: Vec<JobId> = registry
@@ -758,6 +787,7 @@ impl Launcher {
                     &error,
                     true,
                     queue,
+                    wake,
                     remaining,
                     counters,
                     events,
@@ -770,6 +800,8 @@ impl Launcher {
     /// Shared failure accounting: resubmit with backoff when the error is
     /// retryable and the budget allows, abandon otherwise. `remaining` is
     /// only decremented on abandonment — a resubmitted client is still live.
+    /// A resubmission wakes every waiting worker, so the ones waiting untimed
+    /// on an empty queue learn its `ready_at`.
     #[allow(clippy::too_many_arguments)]
     fn handle_failure(
         &self,
@@ -777,6 +809,7 @@ impl Launcher {
         error: &ClientError,
         _killed: bool,
         queue: &Mutex<VecDeque<QueuedJob>>,
+        wake: &Condvar,
         remaining: &AtomicUsize,
         counters: &Mutex<SeriesCounters>,
         events: &CampaignEvents<'_>,
@@ -793,6 +826,7 @@ impl Launcher {
                 job: retry,
                 ready_at,
             });
+            wake.notify_all();
         } else {
             let mut counters = counters.lock();
             counters.failed += 1;
@@ -804,9 +838,20 @@ impl Launcher {
             if let Some(on_abandoned) = events.on_abandoned {
                 on_abandoned(job.client_id);
             }
-            // ordering: AcqRel — publishes the abandonment accounting before the zero-observation that ends the series
-            remaining.fetch_sub(1, Ordering::AcqRel);
+            retire_one(queue, wake, remaining);
         }
+    }
+}
+
+/// Counts one member terminal (completed or abandoned). The decrement that
+/// ends the series wakes every waiting worker and the watchdog; taking the
+/// queue lock between that decrement and the notify means a waiter either
+/// reads zero before it waits or is already waiting when the notify comes.
+fn retire_one(queue: &Mutex<VecDeque<QueuedJob>>, wake: &Condvar, remaining: &AtomicUsize) {
+    // ordering: AcqRel — publishes this member's terminal accounting before the zero-observation that ends the series
+    if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+        drop(queue.lock());
+        wake.notify_all();
     }
 }
 
@@ -1181,5 +1226,91 @@ mod tests {
                 "client {id} reruns its original parameters"
             );
         }
+    }
+
+    // The three causes that wake a waiting worker. A lost wake-up in an
+    // untimed wait is a hang, not a failure, so these only assert order and
+    // generous bounds; a hang shows as a test that never finishes.
+
+    #[test]
+    fn backed_off_retry_runs_no_earlier_than_its_ready_at() {
+        let plan = CampaignPlan::single_series(2, 2);
+        let backoff = Duration::from_millis(30);
+        let launcher = Launcher::new(LauncherConfig {
+            retry: RetryPolicy {
+                max_retries: 1,
+                base_backoff: backoff,
+                ..RetryPolicy::default()
+            },
+            ..LauncherConfig::default()
+        });
+        let failed_at = PlMutex::new(None);
+        let retried_at = PlMutex::new(None);
+        let report = launcher.run_campaign(&plan, |job| {
+            if job.client_id != 0 {
+                return Ok(());
+            }
+            if job.attempt == 1 {
+                *failed_at.lock() = Some(Instant::now());
+                return Err(ClientError::new("fails once"));
+            }
+            *retried_at.lock() = Some(Instant::now());
+            Ok(())
+        });
+        assert_eq!(report.completed, 2);
+        assert_eq!(report.retries, 1);
+        assert_eq!(report.recovered_clients, vec![0]);
+        let failed_at = failed_at.into_inner().expect("attempt 1 ran");
+        let retried_at = retried_at.into_inner().expect("attempt 2 ran");
+        // `ready_at` is stamped after the failed attempt returned.
+        assert!(retried_at.duration_since(failed_at) >= backoff);
+    }
+
+    #[test]
+    fn series_ends_when_its_last_client_returns_to_idle_workers() {
+        let plan = CampaignPlan::single_series(4, 4);
+        let launcher = Launcher::new(LauncherConfig::default());
+        let finished_others = AtomicUsize::new(0);
+        let returned_at = PlMutex::new(None);
+        let report = launcher.run_campaign(&plan, |job| {
+            if job.client_id != 0 {
+                // ordering: Relaxed — a test tally; client 0 only spins on it
+                finished_others.fetch_add(1, Ordering::Relaxed);
+                return Ok(());
+            }
+            // ordering: Relaxed — see the tally above
+            while finished_others.load(Ordering::Relaxed) < 3 {
+                std::thread::yield_now();
+            }
+            // The other three workers find the queue empty and wait.
+            std::thread::sleep(Duration::from_millis(20));
+            *returned_at.lock() = Some(Instant::now());
+            Ok(())
+        });
+        let ended_at = Instant::now();
+        assert_eq!(report.completed, 4);
+        let returned_at = returned_at.into_inner().expect("client 0 ran");
+        assert!(ended_at.duration_since(returned_at) < Duration::from_secs(2));
+    }
+
+    #[test]
+    fn watchdog_leaves_without_waiting_out_its_poll_interval() {
+        let plan = CampaignPlan::single_series(2, 2);
+        let launcher = Launcher::new(LauncherConfig {
+            watchdog: Some(WatchdogConfig {
+                deadline: Duration::from_secs(60),
+                poll_interval: Duration::from_secs(20),
+            }),
+            ..LauncherConfig::default()
+        });
+        let start = Instant::now();
+        let report = launcher.run_campaign(&plan, |_| {
+            // Long enough for the watchdog to be waiting when the series ends.
+            std::thread::sleep(Duration::from_millis(20));
+            Ok(())
+        });
+        assert_eq!(report.completed, 2);
+        assert_eq!(report.watchdog_kills, 0);
+        assert!(start.elapsed() < Duration::from_secs(10));
     }
 }
