@@ -1,5 +1,5 @@
 //! Ablation — sweep of the Reservoir capacity and threshold (the paper fixes
-//! 6,000 / 1,000 without a sweep; DESIGN.md lists this as a design choice worth
+//! 6,000 / 1,000 without a sweep, which makes it a design choice worth
 //! ablating).
 //!
 //! ```bash

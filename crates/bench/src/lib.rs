@@ -1,7 +1,8 @@
 //! Shared helpers of the figure/table regeneration harness.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` for the index). The binaries print plain-text tables with
+//! Every binary in `src/bin/` regenerates one table or figure of the paper,
+//! named after it (`fig2_*` … `fig6_*`, `table1_*`, `table2_*`, `ablation_*`).
+//! The binaries print plain-text tables with
 //! the same rows/series the paper reports; absolute numbers differ (the
 //! substrate is a scaled-down simulator), the *shapes* are the reproduction
 //! target. The common knobs are:

@@ -294,7 +294,7 @@ impl ExperimentConfig {
 
     /// A configuration mirroring the paper's §4.3–4.5 experiments, scaled by
     /// `scale` (1.0 = 250 simulations of 100 steps; grids stay small so the
-    /// experiment remains laptop-sized — see DESIGN.md).
+    /// experiment remains laptop-sized).
     pub fn paper_scaled(scale: f64, buffer_kind: BufferKind, num_ranks: usize) -> Self {
         let solver = SolverConfig {
             nx: 24,

@@ -25,7 +25,7 @@
 //!
 //! The grid resolution is configurable; the paper used 1000×1000 × 100 time steps, the
 //! tests and benches here default to much smaller grids so the whole ensemble fits on a
-//! single node (see `DESIGN.md` for the substitution rationale).
+//! single node.
 
 pub mod analytic;
 pub mod boundary;

@@ -2,10 +2,11 @@
 //!
 //! These kernels implement the three GEMM shapes a fully connected network
 //! needs — `C = A·B` (forward), `C = A·Bᵀ` (input gradient) and
-//! `C += Aᵀ·B` (weight gradient) — plus the rank-1 update `C += x⊗y`.
-//! All of them write into caller-provided buffers and never allocate, so a
-//! training step that routes through them touches the heap zero times in
-//! steady state (see [`crate::Workspace`]).
+//! `C = Aᵀ·B` / `C += Aᵀ·B` (weight gradient). They are the scalar arm of
+//! [`crate::simd`], which every vector arm is pinned to. All of them write
+//! into caller-provided buffers and never allocate, so a training step that
+//! routes through them touches the heap zero times in steady state (see
+//! [`crate::Workspace`]).
 //!
 //! Design:
 //!
@@ -18,10 +19,11 @@
 //!   kernel unrolls four reduction rows per pass over the output.
 //! * **Reduction-order stability.** Within one output element the reduction
 //!   always runs in ascending `k` order with a single accumulator, exactly
-//!   like the retained naive kernels in [`crate::Matrix`]. Blocking only
-//!   reorders *independent* output elements, so the blocked kernels are
-//!   bit-for-bit compatible with the naive reference (modulo the sign of
-//!   exact zeros) — the property tests in `tests/properties.rs` pin this.
+//!   like the naive i-k-j products of the test oracle
+//!   (`tests/support/reference.rs`). Blocking only reorders *independent*
+//!   output elements, so the blocked kernels are bit-for-bit compatible with
+//!   the naive reference (modulo the sign of exact zeros) — the property
+//!   tests in `tests/properties.rs` pin this.
 //! * **Fused epilogues.** The forward kernel takes a per-element epilogue
 //!   `f(col, acc)` so bias-add and activation are applied while the output
 //!   tile is still hot in registers, instead of in separate passes.
@@ -230,14 +232,14 @@ fn gemm_nn_col_tail<F>(
     }
 }
 
-/// `C = A·Bᵀ` with a fused per-element epilogue: `out[i][j] = epi(j, Σ_l A[i][l]·B[j][l])`.
+/// `C = A·Bᵀ`: `out[i][j] = Σ_l A[i][l]·B[j][l]`.
 ///
 /// `a` is `m×k`, `b` is `n×k`, `out` is `m×n`, all row-major.
 ///
 /// # Panics
 /// Panics when the slice lengths do not match the dimensions.
 // analysis: hot_path
-pub fn gemm_nt<F>(
+pub fn gemm_nt(
     threads: usize,
     a: &[f32],
     m: usize,
@@ -245,24 +247,20 @@ pub fn gemm_nt<F>(
     b: &[f32],
     n: usize,
     out: &mut [f32],
-    epi: F,
-) where
-    F: Fn(usize, f32) -> f32 + Sync,
-{
+) {
     assert_eq!(a.len(), m * k, "gemm_nt: A length");
     assert_eq!(b.len(), n * k, "gemm_nt: B length");
     assert_eq!(out.len(), m * n, "gemm_nt: C length");
     if threads <= 1 || m < 2 || m * n * k < PAR_MIN_MADDS {
-        gemm_nt_serial(a, m, k, b, n, out, &epi);
+        gemm_nt_serial(a, m, k, b, n, out);
         return;
     }
     let rows_per = chunk_rows(m, threads);
-    let epi = &epi;
     crossbeam::scope(|scope| {
         for (a_chunk, out_chunk) in a.chunks(rows_per * k).zip(out.chunks_mut(rows_per * n)) {
             scope.spawn(move |_| {
                 let _flush = FlushGuard::enter();
-                gemm_nt_serial(a_chunk, a_chunk.len() / k, k, b, n, out_chunk, epi);
+                gemm_nt_serial(a_chunk, a_chunk.len() / k, k, b, n, out_chunk);
             });
         }
     })
@@ -271,10 +269,7 @@ pub fn gemm_nt<F>(
 }
 
 // analysis: hot_path
-fn gemm_nt_serial<F>(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32], epi: &F)
-where
-    F: Fn(usize, f32) -> f32,
-{
+fn gemm_nt_serial(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     const TILE: usize = 4;
     let mut i = 0;
     while i < m {
@@ -302,7 +297,7 @@ where
             }
             for (r, arow) in acc.iter().enumerate().take(mr) {
                 for (c, &cell) in arow.iter().enumerate().take(nr) {
-                    out[(i + r) * n + j + c] = epi(j + c, cell);
+                    out[(i + r) * n + j + c] = cell;
                 }
             }
             j += nr;
@@ -423,33 +418,6 @@ fn gemm_tn_serial(
     }
 }
 
-/// Rank-1 update `C += x⊗y`: `out[i][j] += x[i]·y[j]`.
-///
-/// # Panics
-/// Panics when `out.len() != x.len() * y.len()`.
-pub fn add_outer(x: &[f32], y: &[f32], out: &mut [f32]) {
-    assert_eq!(out.len(), x.len() * y.len(), "add_outer: C length");
-    for (&xv, crow) in x.iter().zip(out.chunks_exact_mut(y.len())) {
-        for (c, &yv) in crow.iter_mut().zip(y) {
-            *c += xv * yv;
-        }
-    }
-}
-
-/// Rank-1 write `C = x⊗y`: `out[i][j] = x[i]·y[j]` (the overwrite counterpart
-/// of [`add_outer`]).
-///
-/// # Panics
-/// Panics when `out.len() != x.len() * y.len()`.
-pub fn fill_outer(x: &[f32], y: &[f32], out: &mut [f32]) {
-    assert_eq!(out.len(), x.len() * y.len(), "fill_outer: C length");
-    for (&xv, crow) in x.iter().zip(out.chunks_exact_mut(y.len())) {
-        for (c, &yv) in crow.iter_mut().zip(y) {
-            *c = xv * yv;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,11 +479,8 @@ mod tests {
                 }
             }
             let mut out = vec![0.0f32; m * n];
-            gemm_nt(1, &a, m, k, &b, n, &mut out, |_, acc| acc);
-            let reference = naive_nn(&a, m, k, &bt, n);
-            for (x, y) in out.iter().zip(&reference) {
-                assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-            }
+            gemm_nt(1, &a, m, k, &b, n, &mut out);
+            assert_eq!(out, naive_nn(&a, m, k, &bt, n), "shape {m}x{k}x{n}");
         }
     }
 
@@ -537,12 +502,13 @@ mod tests {
             for (x, y) in acc.iter().zip(&reference) {
                 assert!((x - 1.0 - y).abs() < 1e-3, "{x} vs {y}");
             }
-            // …overwrite mode ignores them and equals zero-then-accumulate
-            // bit for bit.
+            // …overwrite mode ignores them: it is the naive product, and
+            // zero-then-accumulate, bit for bit.
             let mut zeroed = vec![0.0f32; k * n];
             gemm_tn(1, &a, m, k, &b, n, &mut zeroed, true);
             let mut overwritten = vec![f32::NAN; k * n];
             gemm_tn(1, &a, m, k, &b, n, &mut overwritten, false);
+            assert_eq!(overwritten, reference, "shape {m}x{k}x{n}");
             assert_eq!(overwritten, zeroed, "shape {m}x{k}x{n}");
         }
     }
@@ -556,13 +522,6 @@ mod tests {
         let mut acc = vec![1.5f32; 6];
         gemm_tn(1, &[], 0, 2, &[], 3, &mut acc, true);
         assert_eq!(acc, vec![1.5; 6]);
-    }
-
-    #[test]
-    fn fill_outer_overwrites() {
-        let mut out = vec![f32::NAN; 6];
-        fill_outer(&[1.0, 2.0], &[3.0, 4.0, 5.0], &mut out);
-        assert_eq!(out, vec![3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
     }
 
     #[test]
@@ -580,8 +539,8 @@ mod tests {
         let bt = seq(n * k, 0.02);
         let mut serial_nt = vec![0.0f32; m * n];
         let mut par_nt = vec![0.0f32; m * n];
-        gemm_nt(1, &a, m, k, &bt, n, &mut serial_nt, |_, acc| acc);
-        gemm_nt(4, &a, m, k, &bt, n, &mut par_nt, |_, acc| acc);
+        gemm_nt(1, &a, m, k, &bt, n, &mut serial_nt);
+        gemm_nt(4, &a, m, k, &bt, n, &mut par_nt);
         assert_eq!(serial_nt, par_nt);
 
         let big_b = seq(m * n, 0.01);
@@ -590,13 +549,6 @@ mod tests {
         gemm_tn(1, &a, m, k, &big_b, n, &mut serial_tn, true);
         gemm_tn(2, &a, m, k, &big_b, n, &mut par_tn, true);
         assert_eq!(serial_tn, par_tn);
-    }
-
-    #[test]
-    fn add_outer_known_result() {
-        let mut out = vec![1.0f32; 6];
-        add_outer(&[1.0, 2.0], &[3.0, 4.0, 5.0], &mut out);
-        assert_eq!(out, vec![4.0, 5.0, 6.0, 7.0, 9.0, 11.0]);
     }
 
     #[test]

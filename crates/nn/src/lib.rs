@@ -1,25 +1,26 @@
 //! # surrogate-nn
 //!
 //! A from-scratch dense neural-network library providing the deep-learning
-//! substrate of the SC'23 Melissa reproduction (see `DESIGN.md`): the paper
+//! substrate of the SC'23 Melissa reproduction: the paper
 //! trains a fully connected surrogate (6 → 256 → 256 → H·W, ReLU, Adam,
 //! halve-the-learning-rate schedule) with PyTorch's distributed data parallelism
 //! across GPUs. Here the same architecture family is implemented directly:
 //!
-//! * [`Matrix`] — a minimal dense 2D tensor with the matmul/transpose kernels
-//!   needed by fully connected layers, in two families: naive allocating
-//!   reference kernels and cache-blocked, register-tiled `*_into` kernels
-//!   (see [`kernels`]) that write into reused buffers.
+//! * [`Matrix`] — a minimal dense row-major 2D tensor: the batch and buffer
+//!   type. The GEMMs run over its data slices in the cache-blocked,
+//!   register-tiled kernels of [`kernels`] and their SIMD arms in [`simd`].
 //! * [`Workspace`] — the preallocated forward/backward buffers behind
-//!   [`Mlp::forward_ws`] / [`Mlp::backward_ws`]: zero heap allocations per
-//!   training batch in steady state, with optional row-parallel GEMM that is
-//!   bit-identical for every thread count.
-//! * [`Mlp`] — a multilayer perceptron with ReLU/Tanh/Identity activations,
-//!   seeded initialisation, forward/backward passes and flattened parameter and
-//!   gradient views (convenient for optimizers and all-reduce).
-//! * [`MseLoss`] / [`Loss`] — losses producing both the scalar value and the
-//!   gradient with respect to the network output.
-//! * [`Adam`] / [`Sgd`] — optimizers operating on the flattened parameters.
+//!   [`Mlp::forward_ws`] / [`Mlp::backward_ws`], the one training path: zero
+//!   heap allocations per training batch in steady state, with optional
+//!   row-parallel GEMM that is bit-identical for every thread count.
+//! * [`Mlp`] — a multilayer perceptron with ReLU/Tanh/Sigmoid/Identity
+//!   activations, seeded initialisation, the workspace forward/backward
+//!   passes, a gradient arena and flattened parameter views (convenient for
+//!   the optimizer and all-reduce).
+//! * [`MseLoss`] / [`Loss`] — the loss, producing the scalar value and the
+//!   gradient with respect to the network output in one pass.
+//! * [`Adam`] / [`Optimizer`] — the optimizer, updating the parameters in place
+//!   from the gradient arena.
 //! * [`LrSchedule`] — the paper's "halve every N batches with a floor" schedule
 //!   plus constant and sample-based variants (§4.5 scales the schedule with the
 //!   number of GPUs so the decay happens per-sample, not per-batch).
@@ -48,11 +49,11 @@ pub mod workspace;
 pub use allreduce::GradientSynchronizer;
 pub use data::{Batch, Dataset, Sample};
 pub use init::{InitScheme, WeightInit};
-pub use loss::{Loss, MaeLoss, MseLoss};
+pub use loss::{Loss, MseLoss};
 pub use matrix::Matrix;
 pub use mlp::{Activation, Mlp, MlpConfig};
 pub use normalize::{InputNormalizer, OutputNormalizer};
-pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
+pub use optim::{Adam, AdamConfig, Optimizer};
 pub use schedule::{ConstantLr, LrSchedule, SampleBasedHalving, StepHalving};
 pub use serialize::{load_mlp, save_mlp, ModelCheckpoint};
 pub use simd::{KernelIsa, ResolvedIsa};
@@ -79,16 +80,16 @@ mod tests {
         let inputs = Matrix::from_rows(&xs.iter().map(|&x| vec![x]).collect::<Vec<_>>());
         let targets =
             Matrix::from_rows(&xs.iter().map(|&x| vec![2.0 * x + 1.0]).collect::<Vec<_>>());
+        let mut ws = model.workspace(inputs.rows());
 
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..300 {
-            let pred = model.forward(&inputs);
-            let (loss, grad) = loss_fn.evaluate(&pred, &targets);
-            model.zero_grads();
-            model.backward(&grad);
-            let grads = model.grads_flat();
-            optim.step(&mut model, &grads, 1e-2);
+            model.forward_ws(&inputs, &mut ws);
+            let (pred, grad) = ws.output_and_grad_mut();
+            let loss = loss_fn.evaluate_into(pred, &targets, grad);
+            model.backward_ws(&mut ws);
+            optim.step_in_place(&mut model, 1e-2);
             if first.is_none() {
                 first = Some(loss);
             }

@@ -169,8 +169,11 @@ impl OutputNormalizer {
 
     /// Maps a normalised prediction matrix back to physical units.
     pub fn denormalize_matrix(&self, values: &Matrix) -> Matrix {
-        let span = self.span();
-        values.map(|v| v * span + self.value_min)
+        Matrix::from_vec(
+            values.rows(),
+            values.cols(),
+            self.denormalize(values.data()),
+        )
     }
 
     /// Converts an MSE computed on normalised values back to squared physical

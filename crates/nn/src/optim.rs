@@ -1,7 +1,6 @@
-//! Optimizers operating on the flattened parameter/gradient vectors.
+//! The optimizer operating on the flattened parameter/gradient vectors.
 //!
-//! The paper trains with Adam starting at a learning rate of `1e-3`; SGD with
-//! momentum is kept as a baseline for ablations.
+//! The paper trains with Adam starting at a learning rate of `1e-3`.
 
 use crate::mlp::Mlp;
 use crate::simd::{self, FlushGuard, KernelIsa};
@@ -158,60 +157,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// Plain SGD with optional momentum, kept as an ablation baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    momentum: f32,
-    velocity: Vec<f32>,
-    steps: usize,
-    /// See [`Adam::with_isa`] — operational, never checkpointed.
-    #[serde(skip)]
-    isa: KernelIsa,
-}
-
-impl Sgd {
-    /// Creates the optimizer for a model with `param_count` parameters.
-    pub fn new(momentum: f32, param_count: usize) -> Self {
-        Self {
-            momentum,
-            velocity: vec![0.0; param_count],
-            steps: 0,
-            isa: KernelIsa::Auto,
-        }
-    }
-
-    /// Sets the kernel-ISA request the velocity and parameter updates
-    /// dispatch on.
-    pub fn with_isa(mut self, isa: KernelIsa) -> Self {
-        self.isa = isa;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn update(&mut self, model: &mut Mlp, grads: Option<&[f32]>, learning_rate: f32) {
-        let _flush = FlushGuard::enter();
-        let grads = grads.unwrap_or(model.grads());
-        assert_eq!(
-            grads.len(),
-            self.velocity.len(),
-            "gradient length does not match optimizer state"
-        );
-        self.steps += 1;
-        let isa = self.isa.resolve();
-        simd::sgd_velocity(isa, &mut self.velocity, grads, self.momentum, learning_rate);
-        model.apply_delta(isa, &self.velocity);
-    }
-
-    fn steps_taken(&self) -> usize {
-        self.steps
-    }
-
-    fn name(&self) -> &'static str {
-        "sgd"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,7 +174,10 @@ mod tests {
         })
     }
 
-    fn train(optimizer: &mut dyn Optimizer, model: &mut Mlp, iters: usize) -> (f32, f32) {
+    #[test]
+    fn adam_reduces_loss() {
+        let mut m = model();
+        let mut opt = Adam::new(AdamConfig::default(), m.param_count());
         let inputs = Matrix::from_rows(&[
             vec![0.0, 0.0],
             vec![0.0, 1.0],
@@ -238,38 +186,22 @@ mod tests {
         ]);
         // Learn a simple linear map y = x0 - 0.5 * x1.
         let targets = Matrix::from_rows(&[vec![0.0], vec![-0.5], vec![1.0], vec![0.5]]);
+        let mut ws = m.workspace(4);
         let mut first = 0.0;
         let mut last = 0.0;
-        for it in 0..iters {
-            let pred = model.forward(&inputs);
-            let (loss, grad) = MseLoss.evaluate(&pred, &targets);
-            model.zero_grads();
-            model.backward(&grad);
-            let grads = model.grads_flat();
-            optimizer.step(model, &grads, 0.05);
+        for it in 0..200 {
+            m.forward_ws(&inputs, &mut ws);
+            let (prediction, grad_out) = ws.output_and_grad_mut();
+            let loss = MseLoss.evaluate_into(prediction, &targets, grad_out);
+            m.backward_ws(&mut ws);
+            opt.step_in_place(&mut m, 0.05);
             if it == 0 {
                 first = loss;
             }
             last = loss;
         }
-        (first, last)
-    }
-
-    #[test]
-    fn adam_reduces_loss() {
-        let mut m = model();
-        let mut opt = Adam::new(AdamConfig::default(), m.param_count());
-        let (first, last) = train(&mut opt, &mut m, 200);
         assert!(last < first * 0.1, "first {first} last {last}");
         assert_eq!(opt.steps_taken(), 200);
-    }
-
-    #[test]
-    fn sgd_with_momentum_reduces_loss() {
-        let mut m = model();
-        let mut opt = Sgd::new(0.9, m.param_count());
-        let (first, last) = train(&mut opt, &mut m, 200);
-        assert!(last < first * 0.5, "first {first} last {last}");
     }
 
     #[test]
@@ -324,8 +256,9 @@ mod tests {
         // The same gradients through `step` (an external copy) and through
         // `step_in_place` (the model's arena) move the model identically, on
         // every ISA: one kernel loop serves both.
-        fn run(mut optimizer: impl Optimizer, in_place: bool) -> Vec<u32> {
+        fn run(isa: KernelIsa, in_place: bool) -> Vec<u32> {
             let mut m = model();
+            let mut optimizer = Adam::new(AdamConfig::default(), m.param_count()).with_isa(isa);
             for round in 0..5 {
                 for (i, g) in m.grads_mut().iter_mut().enumerate() {
                     *g = ((i + round) % 7) as f32 * 0.01 - 0.03;
@@ -333,7 +266,7 @@ mod tests {
                 if in_place {
                     optimizer.step_in_place(&mut m, 0.05);
                 } else {
-                    let grads = m.grads_flat();
+                    let grads = m.grads().to_vec();
                     m.zero_grads();
                     optimizer.step(&mut m, &grads, 0.05);
                 }
@@ -341,17 +274,10 @@ mod tests {
             assert_eq!(optimizer.steps_taken(), 5);
             m.params_flat().iter().map(|p| p.to_bits()).collect()
         }
-        let n = model().param_count();
-        let adam = |isa| Adam::new(AdamConfig::default(), n).with_isa(isa);
-        let sgd = |isa| Sgd::new(0.9, n).with_isa(isa);
-        let reference_adam = run(adam(KernelIsa::Scalar), false);
-        let reference_sgd = run(sgd(KernelIsa::Scalar), false);
-        assert_ne!(reference_adam, reference_sgd);
+        let reference_adam = run(KernelIsa::Scalar, false);
         for isa in [KernelIsa::Scalar, KernelIsa::Auto] {
-            assert_eq!(run(adam(isa), true), reference_adam);
-            assert_eq!(run(adam(isa), false), reference_adam);
-            assert_eq!(run(sgd(isa), true), reference_sgd);
-            assert_eq!(run(sgd(isa), false), reference_sgd);
+            assert_eq!(run(isa, true), reference_adam);
+            assert_eq!(run(isa, false), reference_adam);
         }
     }
 
@@ -362,7 +288,6 @@ mod tests {
             Adam::new(AdamConfig::default(), m.param_count()).name(),
             "adam"
         );
-        assert_eq!(Sgd::new(0.0, m.param_count()).name(), "sgd");
     }
 
     #[test]

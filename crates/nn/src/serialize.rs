@@ -89,7 +89,8 @@ mod tests {
     fn checkpoint_captures_parameter_changes() {
         let mut m = model();
         let before = ModelCheckpoint::capture(&m, 0, 0);
-        m.apply_delta(crate::simd::detect(), &vec![0.1; m.param_count()]);
+        let shifted: Vec<f32> = m.params_flat().iter().map(|p| p + 0.1).collect();
+        m.set_params_flat(&shifted);
         let after = ModelCheckpoint::capture(&m, 1, 10);
         assert_ne!(before.params, after.params);
         assert_eq!(before.params.len(), after.params.len());

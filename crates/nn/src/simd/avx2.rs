@@ -674,78 +674,6 @@ pub(super) fn adam_update(
     );
 }
 
-/// `v = momentum·v − lr·g` (mul, mul, sub — the scalar order).
-#[target_feature(enable = "avx2")]
-pub(super) fn sgd_velocity(velocity: &mut [f32], grads: &[f32], momentum: f32, lr: f32) {
-    debug_assert_eq!(velocity.len(), grads.len());
-    let mom = _mm256_set1_ps(momentum);
-    let lr_v = _mm256_set1_ps(lr);
-    let n = velocity.len();
-    let mut idx = 0;
-    while idx + LANES <= n {
-        // SAFETY: idx + 8 <= n and the slices have equal length; unaligned
-        // load/store.
-        unsafe {
-            let v = _mm256_loadu_ps(velocity.as_ptr().add(idx));
-            let g = _mm256_loadu_ps(grads.as_ptr().add(idx));
-            let nv = _mm256_sub_ps(_mm256_mul_ps(mom, v), _mm256_mul_ps(lr_v, g));
-            _mm256_storeu_ps(velocity.as_mut_ptr().add(idx), nv);
-        }
-        idx += LANES;
-    }
-    while idx < n {
-        velocity[idx] = momentum * velocity[idx] - lr * grads[idx];
-        idx += 1;
-    }
-}
-
-/// `dst[i] += src[i]`.
-#[target_feature(enable = "avx2")]
-pub(super) fn add_assign(dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    let n = dst.len();
-    let mut idx = 0;
-    while idx + LANES <= n {
-        // SAFETY: idx + 8 <= n and the slices have equal length; unaligned
-        // load/store.
-        unsafe {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(idx));
-            let s = _mm256_loadu_ps(src.as_ptr().add(idx));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(idx), _mm256_add_ps(d, s));
-        }
-        idx += LANES;
-    }
-    while idx < n {
-        dst[idx] += src[idx];
-        idx += 1;
-    }
-}
-
-/// Rank-1 write `out[i][j] = x[i]·y[j]` — one multiply per element on both
-/// paths.
-#[target_feature(enable = "avx2")]
-pub(super) fn fill_outer(x: &[f32], y: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(out.len(), x.len() * y.len());
-    let cols = y.len();
-    for (&xv, crow) in x.iter().zip(out.chunks_exact_mut(cols)) {
-        let xvv = _mm256_set1_ps(xv);
-        let mut j = 0;
-        while j + LANES <= cols {
-            // SAFETY: j + 8 <= cols == crow.len() == y.len(); unaligned
-            // load/store.
-            unsafe {
-                let yv = _mm256_loadu_ps(y.as_ptr().add(j));
-                _mm256_storeu_ps(crow.as_mut_ptr().add(j), _mm256_mul_ps(xvv, yv));
-            }
-            j += LANES;
-        }
-        while j < cols {
-            crow[j] = xv * y[j];
-            j += 1;
-        }
-    }
-}
-
 /// `v = (v − min) / span`.
 #[target_feature(enable = "avx2")]
 pub(super) fn affine_normalize(values: &mut [f32], min: f32, span: f32) {

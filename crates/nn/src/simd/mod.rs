@@ -38,19 +38,19 @@
 //! in parameters or optimizer state; results do not depend on the
 //! MXCSR/FPCR of whichever thread calls in; a checkpoint written before this
 //! contract loads unchanged (weights only — a subnormal weight reads as
-//! zero). The naive reference paths (`Mlp::forward`/`backward`,
-//! [`crate::Matrix`]) run in the caller's mode and agree with the kernels bit
-//! for bit wherever no subnormal arises.
+//! zero). The naive test oracle (`tests/support/reference.rs`: the i-k-j
+//! products, the pre-activation derivative, the allocating MSE) runs in the
+//! caller's mode and agrees with the kernels bit for bit wherever no
+//! subnormal arises.
 //!
 //! **Bit-identity.** One class: every kernel here — [`gemm_nn`], [`gemm_tn`],
 //! [`gemm_nt`] and all element-wise streams ([`act_derivative_mul`],
-//! [`mse_fused`], [`adam_update`], [`sgd_velocity`], [`add_assign`],
-//! [`fill_outer`], the normaliser ops) — is bit-identical to its scalar
-//! reference. They vectorise across *independent output elements* while
-//! keeping each element's reduction a single accumulator in ascending order,
-//! and use separate multiply + add instructions: there is no FMA anywhere in
-//! `simd/` (a fused multiply-add rounds once where the scalar reference
-//! rounds twice). The results therefore match the scalar kernels bit for bit
+//! [`mse_fused`], [`adam_update`], the normaliser ops) — is bit-identical to
+//! its scalar reference. They vectorise across *independent output elements*
+//! while keeping each element's reduction a single accumulator in ascending
+//! order, and use separate multiply + add instructions: there is no FMA
+//! anywhere in `simd/` (a fused multiply-add rounds once where the scalar
+//! reference rounds twice). The results therefore match the scalar kernels bit for bit
 //! (modulo the sign of exact zeros, the tolerance [`crate::kernels`] already
 //! documents). Flushing is applied per operation, identically by scalar and
 //! vector instructions, so through the entry points above bit-identity holds
@@ -471,7 +471,7 @@ pub fn gemm_nt(
             // analysis: allow(panic, reason = "re-raises a worker thread's panic; a panicking GEMM worker is a kernel bug, not a recoverable state")
             .expect("gemm_nt worker panicked");
         }
-        _ => kernels::gemm_nt(threads, a, m, k, b, n, out, |_, acc| acc),
+        _ => kernels::gemm_nt(threads, a, m, k, b, n, out),
     }
 }
 
@@ -655,85 +655,6 @@ pub(crate) fn adam_update_scalar(
             delta -= decay * params[k];
         }
         params[k] += delta;
-    }
-}
-
-/// SGD momentum update `v = momentum · v − lr · g` (the parameter add happens
-/// via [`crate::Mlp::apply_delta`] / [`add_assign`] on the same ISA).
-/// Bit-identical streaming.
-///
-/// # Panics
-/// Panics when the slice lengths differ.
-pub fn sgd_velocity(isa: ResolvedIsa, velocity: &mut [f32], grads: &[f32], momentum: f32, lr: f32) {
-    assert_eq!(velocity.len(), grads.len(), "sgd_velocity: length mismatch");
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        ResolvedIsa::Avx2 => {
-            assert!(
-                avx2_available(),
-                "ResolvedIsa::Avx2 on a CPU without AVX2+FMA"
-            );
-            // SAFETY: AVX2 availability and equal lengths asserted above.
-            unsafe { avx2::sgd_velocity(velocity, grads, momentum, lr) };
-        }
-        #[cfg(target_arch = "aarch64")]
-        ResolvedIsa::Neon => neon::sgd_velocity(velocity, grads, momentum, lr),
-        _ => {
-            for (v, &g) in velocity.iter_mut().zip(grads) {
-                *v = momentum * *v - lr * g;
-            }
-        }
-    }
-}
-
-/// Element-wise `dst[i] += src[i]` (parameter/bias-gradient accumulation).
-/// Bit-identical streaming.
-///
-/// # Panics
-/// Panics when the slice lengths differ.
-// analysis: hot_path
-pub fn add_assign(isa: ResolvedIsa, dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "add_assign: length mismatch");
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        ResolvedIsa::Avx2 => {
-            assert!(
-                avx2_available(),
-                "ResolvedIsa::Avx2 on a CPU without AVX2+FMA"
-            );
-            // SAFETY: AVX2 availability and equal lengths asserted above.
-            unsafe { avx2::add_assign(dst, src) };
-        }
-        #[cfg(target_arch = "aarch64")]
-        ResolvedIsa::Neon => neon::add_assign(dst, src),
-        _ => {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
-    }
-}
-
-/// Rank-1 write `out[i][j] = x[i] · y[j]` (single-sample weight gradients).
-/// Bit-identical streaming (one multiply per element on every path).
-///
-/// # Panics
-/// Panics when `out.len() != x.len() * y.len()`.
-pub fn fill_outer(isa: ResolvedIsa, x: &[f32], y: &[f32], out: &mut [f32]) {
-    assert_eq!(out.len(), x.len() * y.len(), "fill_outer: C length");
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        ResolvedIsa::Avx2 => {
-            assert!(
-                avx2_available(),
-                "ResolvedIsa::Avx2 on a CPU without AVX2+FMA"
-            );
-            // SAFETY: AVX2 availability and length agreement asserted above.
-            unsafe { avx2::fill_outer(x, y, out) };
-        }
-        #[cfg(target_arch = "aarch64")]
-        ResolvedIsa::Neon => neon::fill_outer(x, y, out),
-        _ => kernels::fill_outer(x, y, out),
     }
 }
 

@@ -152,74 +152,6 @@ pub(super) fn adam_update(
     );
 }
 
-/// `v = momentum·v − lr·g` (mul, mul, sub — the scalar order).
-pub(super) fn sgd_velocity(velocity: &mut [f32], grads: &[f32], momentum: f32, lr: f32) {
-    debug_assert_eq!(velocity.len(), grads.len());
-    let n = velocity.len();
-    let mut idx = 0;
-    while idx + LANES <= n {
-        // SAFETY: idx + 4 <= n and the slices have equal length; unaligned
-        // load/store.
-        unsafe {
-            let v = vld1q_f32(velocity.as_ptr().add(idx));
-            let g = vld1q_f32(grads.as_ptr().add(idx));
-            let nv = vsubq_f32(
-                vmulq_f32(vdupq_n_f32(momentum), v),
-                vmulq_f32(vdupq_n_f32(lr), g),
-            );
-            vst1q_f32(velocity.as_mut_ptr().add(idx), nv);
-        }
-        idx += LANES;
-    }
-    while idx < n {
-        velocity[idx] = momentum * velocity[idx] - lr * grads[idx];
-        idx += 1;
-    }
-}
-
-/// `dst[i] += src[i]`.
-pub(super) fn add_assign(dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    let n = dst.len();
-    let mut idx = 0;
-    while idx + LANES <= n {
-        // SAFETY: idx + 4 <= n and the slices have equal length; unaligned
-        // load/store.
-        unsafe {
-            let d = vld1q_f32(dst.as_ptr().add(idx));
-            let s = vld1q_f32(src.as_ptr().add(idx));
-            vst1q_f32(dst.as_mut_ptr().add(idx), vaddq_f32(d, s));
-        }
-        idx += LANES;
-    }
-    while idx < n {
-        dst[idx] += src[idx];
-        idx += 1;
-    }
-}
-
-/// Rank-1 write `out[i][j] = x[i]·y[j]`.
-pub(super) fn fill_outer(x: &[f32], y: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(out.len(), x.len() * y.len());
-    let cols = y.len();
-    for (&xv, crow) in x.iter().zip(out.chunks_exact_mut(cols)) {
-        let mut j = 0;
-        while j + LANES <= cols {
-            // SAFETY: j + 4 <= cols == crow.len() == y.len(); unaligned
-            // load/store.
-            unsafe {
-                let yv = vld1q_f32(y.as_ptr().add(j));
-                vst1q_f32(crow.as_mut_ptr().add(j), vmulq_f32(vdupq_n_f32(xv), yv));
-            }
-            j += LANES;
-        }
-        while j < cols {
-            crow[j] = xv * y[j];
-            j += 1;
-        }
-    }
-}
-
 /// `v = (v − min) / span`.
 pub(super) fn affine_normalize(values: &mut [f32], min: f32, span: f32) {
     let n = values.len();

@@ -7,6 +7,9 @@
 //! Each test runs on a thread of its own (the harness's, or one it spawns),
 //! so changing a thread's mode here cannot leak into another test.
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use serde::Deserialize;
 use std::hint::black_box;
 use surrogate_nn::{
@@ -128,7 +131,6 @@ fn call_every_entry_point(mut after_each: impl FnMut(&str)) {
     });
     let mut ws = model.workspace(2);
     let mut adam = Adam::new(AdamConfig::default(), model.param_count());
-    let mut sgd = surrogate_nn::Sgd::new(0.9, model.param_count());
     let inputs = Matrix::from_vec(2, 4, (0..8).map(|v| v as f32 * 0.1).collect());
     let targets = Matrix::from_vec(2, 3, (0..6).map(|v| v as f32 * 0.2).collect());
 
@@ -137,20 +139,13 @@ fn call_every_entry_point(mut after_each: impl FnMut(&str)) {
     let (prediction, grad_out) = ws.output_and_grad_mut();
     MseLoss.evaluate_into(prediction, &targets, grad_out);
     after_each("MseLoss::evaluate_into");
-    let (prediction, grad_out) = ws.output_and_grad_mut();
-    surrogate_nn::MaeLoss.evaluate_into(prediction, &targets, grad_out);
-    after_each("Loss::evaluate_into (default)");
     model.backward_ws(&mut ws);
     after_each("backward_ws");
-    let grads = model.grads_flat();
+    let grads = model.grads().to_vec();
     adam.step(&mut model, &grads, 1e-3);
     after_each("Adam::step");
     adam.step_in_place(&mut model, 1e-3);
     after_each("Adam::step_in_place");
-    sgd.step(&mut model, &grads, 1e-3);
-    after_each("Sgd::step");
-    sgd.step_in_place(&mut model, 1e-3);
-    after_each("Sgd::step_in_place");
     model.predict_ws(&inputs, &mut ws);
     after_each("predict_ws");
 }
@@ -228,16 +223,16 @@ fn small_model() -> Mlp {
 }
 
 /// The sequence of (c) really produces subnormals: computed by the naive
-/// reference path on this default-mode thread, its very first gradient holds
-/// some.
+/// reference oracle on this default-mode thread, its very first gradient
+/// holds some.
 #[test]
 fn the_underflowing_batch_produces_subnormal_gradients() {
-    let mut model = small_model();
+    let model = small_model();
     let (inputs, targets) = underflowing_batch(10, 6, 48);
-    let prediction = model.forward(&inputs);
-    let (_, grad_out) = MseLoss.evaluate(&prediction, &targets);
-    model.backward(&grad_out);
-    assert!(subnormals(model.grads()) > 0);
+    let (prediction, trace) = reference::forward(&model, &inputs);
+    let (_, grad_out) = reference::mse(&prediction, &targets);
+    let (grads, _) = reference::backward(&model, &trace, &grad_out);
+    assert!(subnormals(&grads) > 0);
 }
 
 /// (c) Ambient independence: the same sequence run from a default-mode

@@ -1,9 +1,12 @@
 //! Property-based tests of the neural-network substrate.
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use proptest::prelude::*;
 use surrogate_nn::{
-    Activation, Adam, AdamConfig, InitScheme, InputNormalizer, Loss, Matrix, Mlp, MlpConfig,
-    MseLoss, Optimizer, OutputNormalizer, Sgd,
+    kernels, Activation, Adam, AdamConfig, InitScheme, InputNormalizer, Loss, Matrix, Mlp,
+    MlpConfig, MseLoss, Optimizer, OutputNormalizer,
 };
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -14,39 +17,15 @@ fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// (AᵀB) computed without materialising Aᵀ equals the explicit product.
-    #[test]
-    fn transpose_matmul_equivalence(a in small_matrix(4, 3), b in small_matrix(4, 5)) {
-        let fast = a.transpose_matmul(&b);
-        let slow = a.transpose().matmul(&b);
-        for (x, y) in fast.data().iter().zip(slow.data()) {
-            prop_assert!((x - y).abs() <= 1e-3);
-        }
-    }
-
-    /// (ABᵀ) computed without materialising Bᵀ equals the explicit product.
-    #[test]
-    fn matmul_transpose_equivalence(a in small_matrix(3, 4), b in small_matrix(6, 4)) {
-        let fast = a.matmul_transpose(&b);
-        let slow = a.matmul(&b.transpose());
-        for (x, y) in fast.data().iter().zip(slow.data()) {
-            prop_assert!((x - y).abs() <= 1e-3);
-        }
-    }
-
-    /// Transposition is an involution.
-    #[test]
-    fn transpose_involution(a in small_matrix(5, 7)) {
-        prop_assert_eq!(a.transpose().transpose(), a);
-    }
-
     /// The MSE loss is non-negative, zero only for identical tensors, and its
     /// gradient vanishes exactly when the loss vanishes.
     #[test]
     fn mse_loss_properties(pred in small_matrix(3, 6), target in small_matrix(3, 6)) {
-        let (loss, grad) = MseLoss.evaluate(&pred, &target);
+        let mut grad = Matrix::zeros(3, 6);
+        let loss = MseLoss.evaluate_into(&pred, &target, &mut grad);
         prop_assert!(loss >= 0.0);
-        let (self_loss, self_grad) = MseLoss.evaluate(&pred, &pred);
+        let mut self_grad = Matrix::zeros(3, 6);
+        let self_loss = MseLoss.evaluate_into(&pred, &pred, &mut self_grad);
         prop_assert_eq!(self_loss, 0.0);
         prop_assert!(self_grad.data().iter().all(|&g| g == 0.0));
         if loss == 0.0 {
@@ -66,13 +45,14 @@ proptest! {
             Activation::Sigmoid,
         ]),
     ) {
-        let mut mlp = Mlp::new(MlpConfig {
+        let mlp = Mlp::new(MlpConfig {
             layer_sizes: vec![3, 8, 2],
             activation,
             init: InitScheme::HeUniform,
             seed,
         });
-        let out = mlp.forward(&inputs);
+        let mut ws = mlp.workspace(4);
+        let out = mlp.forward_ws(&inputs, &mut ws).clone();
         prop_assert_eq!(out.rows(), 4);
         prop_assert_eq!(out.cols(), 2);
         prop_assert!(out.is_finite());
@@ -80,7 +60,7 @@ proptest! {
     }
 
     /// One optimizer step keeps the parameters finite and actually changes them
-    /// when the gradient is non-zero (Adam and SGD).
+    /// when the gradient is non-zero.
     #[test]
     fn optimizer_steps_are_finite_and_effective(
         seed in 0u64..500,
@@ -88,7 +68,6 @@ proptest! {
         lr in 1e-4f32..1e-1,
     ) {
         let mut adam_model = Mlp::new(MlpConfig::small(3, 6, 2, seed));
-        let mut sgd_model = adam_model.clone();
         let grads = vec![grad_value; adam_model.param_count()];
 
         let before = adam_model.params_flat();
@@ -97,10 +76,6 @@ proptest! {
         let after = adam_model.params_flat();
         prop_assert!(after.iter().all(|p| p.is_finite()));
         prop_assert!(before.iter().zip(&after).any(|(b, a)| b != a));
-
-        let mut sgd = Sgd::new(0.9, sgd_model.param_count());
-        sgd.step(&mut sgd_model, &grads, lr);
-        prop_assert!(sgd_model.params_flat().iter().all(|p| p.is_finite()));
     }
 
     /// Checkpoint serialisation is lossless for the predictions.
@@ -156,9 +131,10 @@ proptest! {
         prop_assert_ne!(a.params_flat(), c.params_flat());
     }
 
-    /// The blocked `matmul_into` reproduces the retained naive `matmul` on
-    /// random shapes — including shapes that straddle the register-tile (4)
-    /// and column-block (256) boundaries.
+    /// The blocked scalar `kernels::gemm_nn` (the arm every ISA is pinned to)
+    /// reproduces the naive i-k-j product of the oracle on random shapes —
+    /// including shapes that straddle the register-tile (4) and column-block
+    /// (256) boundaries.
     #[test]
     fn blocked_matmul_into_equals_naive(
         m in 1usize..9,
@@ -176,12 +152,12 @@ proptest! {
             (0..k * wide_n).map(|i| b_data[i % b_data.len()]).collect(),
         );
         let mut blocked = Matrix::zeros(m, wide_n);
-        a.matmul_into(&b, &mut blocked);
-        prop_assert_eq!(blocked, a.matmul(&b));
+        kernels::gemm_nn(1, a.data(), m, k, b.data(), wide_n, blocked.data_mut(), |_, acc| acc);
+        prop_assert_eq!(blocked, reference::matmul(&a, &b));
     }
 
-    /// The blocked `matmul_transpose_into` reproduces the naive
-    /// `matmul_transpose` on random shapes.
+    /// The blocked scalar `kernels::gemm_nt` reproduces the oracle's naive
+    /// `A·Bᵀ` on random shapes.
     #[test]
     fn blocked_matmul_transpose_into_equals_naive(
         m in 1usize..10,
@@ -193,12 +169,12 @@ proptest! {
         let a = Matrix::from_vec(m, k, a_data[..m * k].to_vec());
         let b = Matrix::from_vec(n, k, b_data[..n * k].to_vec());
         let mut blocked = Matrix::zeros(m, n);
-        a.matmul_transpose_into(&b, &mut blocked);
-        prop_assert_eq!(blocked, a.matmul_transpose(&b));
+        kernels::gemm_nt(1, a.data(), m, k, b.data(), n, blocked.data_mut());
+        prop_assert_eq!(blocked, reference::matmul_transpose(&a, &b));
     }
 
-    /// From a zeroed accumulator, the blocked `transpose_matmul_acc_into`
-    /// reproduces the naive `transpose_matmul`.
+    /// From a zeroed accumulator, the blocked scalar `kernels::gemm_tn`
+    /// reproduces the oracle's naive `Aᵀ·B`.
     #[test]
     fn blocked_transpose_matmul_acc_equals_naive(
         m in 1usize..10,
@@ -210,8 +186,8 @@ proptest! {
         let a = Matrix::from_vec(m, k, a_data[..m * k].to_vec());
         let b = Matrix::from_vec(m, n, b_data[..m * n].to_vec());
         let mut blocked = Matrix::zeros(k, n);
-        a.transpose_matmul_acc_into(&b, &mut blocked);
-        prop_assert_eq!(blocked, a.transpose_matmul(&b));
+        kernels::gemm_tn(1, a.data(), m, k, b.data(), n, blocked.data_mut(), true);
+        prop_assert_eq!(blocked, reference::transpose_matmul(&a, &b));
     }
 
     /// Row-parallel kernel dispatch is bit-identical to the serial kernels for
@@ -227,17 +203,17 @@ proptest! {
             .collect();
         let mut serial = vec![0.0f32; m * n];
         let mut par = vec![0.0f32; m * n];
-        surrogate_nn::kernels::gemm_nn(1, &a, m, k, &b, n, &mut serial, |_, acc| acc);
-        surrogate_nn::kernels::gemm_nn(threads, &a, m, k, &b, n, &mut par, |_, acc| acc);
+        kernels::gemm_nn(1, &a, m, k, &b, n, &mut serial, |_, acc| acc);
+        kernels::gemm_nn(threads, &a, m, k, &b, n, &mut par, |_, acc| acc);
         prop_assert_eq!(&serial, &par);
     }
 
-    /// The workspace-based forward/backward path matches the retained
-    /// clone-based reference path bit for bit on random seeds and batches:
-    /// outputs, parameter gradients and the gradient w.r.t. the input. The
-    /// second architecture has fan-ins of 8 and more, and the batches reach
-    /// full 8-lane panels, partial ones (1–7 rows) and a second register
-    /// row block (11–12 rows).
+    /// The workspace training step matches the naive reference step of the
+    /// oracle bit for bit on random seeds and batches: outputs, loss,
+    /// parameter gradients and the gradient w.r.t. the input. The second
+    /// architecture has fan-ins of 8 and more, and the batches reach a single
+    /// sample, full 8-lane panels, partial ones (1–7 rows) and a second
+    /// register row block (11–12 rows).
     #[test]
     fn workspace_training_step_equals_reference(
         seed in 0u64..500,
@@ -252,31 +228,28 @@ proptest! {
         t_data in prop::collection::vec(-2.0f32..2.0, 12 * 13),
     ) {
         let (inputs, outputs) = (layer_sizes[0], layer_sizes[2]);
-        let mut reference = Mlp::new(MlpConfig {
+        let mut fast = Mlp::new(MlpConfig {
             layer_sizes,
             activation,
             init: InitScheme::HeUniform,
             seed,
         });
-        let mut fast = reference.clone();
         let mut ws = fast.workspace(rows);
         let x = Matrix::from_vec(rows, inputs, x_data[..rows * inputs].to_vec());
         let targets = Matrix::from_vec(rows, outputs, t_data[..rows * outputs].to_vec());
 
-        let pred_ref = reference.forward(&x);
-        let (loss_ref, grad_out) = MseLoss.evaluate(&pred_ref, &targets);
-        reference.zero_grads();
-        let grad_in_ref = reference.backward(&grad_out);
+        let (pred_ref, trace) = reference::forward(&fast, &x);
+        let (loss_ref, grad_out) = reference::mse(&pred_ref, &targets);
+        let (grads_ref, grad_in_ref) = reference::backward(&fast, &trace, &grad_out);
 
         fast.forward_ws(&x, &mut ws);
         let (pred, grad_buf) = ws.output_and_grad_mut();
         prop_assert_eq!(pred, &pred_ref);
         let loss = MseLoss.evaluate_into(pred, &targets, grad_buf);
         prop_assert_eq!(loss, loss_ref);
-        fast.zero_grads();
         fast.backward_ws(&mut ws);
 
-        prop_assert_eq!(fast.grads_flat(), reference.grads_flat());
+        prop_assert_eq!(fast.grads(), &grads_ref[..]);
         prop_assert_eq!(ws.input_grad(), &grad_in_ref);
     }
 }

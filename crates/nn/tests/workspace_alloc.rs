@@ -2,7 +2,8 @@
 //! buffers reached steady state, a full training step — batch refill, forward,
 //! loss, backward into the gradient arena, in-place all-reduce and in-place
 //! optimizer step — performs **zero heap allocations**, and so does the
-//! retained flattened-gradient export with the external-gradient step.
+//! retained flattened-gradient export with the external-gradient step. It
+//! holds for a full batch and for a single sample.
 //!
 //! A counting global allocator makes the claim falsifiable instead of
 //! aspirational. The file holds exactly one test so no concurrent test thread
@@ -42,7 +43,12 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_training_step_allocates_nothing() {
-    let batch_size = 8usize;
+    for batch_size in [8, 1] {
+        assert_steady_state_allocates_nothing(batch_size);
+    }
+}
+
+fn assert_steady_state_allocates_nothing(batch_size: usize) {
     let mut model = Mlp::new(MlpConfig {
         layer_sizes: vec![6, 32, 32, 64],
         activation: Activation::ReLU,
@@ -116,7 +122,7 @@ fn steady_state_training_step_allocates_nothing() {
     assert!(last_loss.is_finite());
     assert_eq!(
         min_allocations, 0,
-        "steady-state training steps must not allocate \
+        "steady-state training steps must not allocate at batch {batch_size} \
          (best window: {min_allocations} allocations in 10 steps)"
     );
 }

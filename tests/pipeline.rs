@@ -75,18 +75,18 @@ fn workload_to_transport_to_buffer_to_network_pipeline() {
 
         let mut model = Mlp::new(MlpConfig::small(6, 16, 64, 3));
         let mut optimizer = Adam::new(AdamConfig::default(), model.param_count());
+        let mut ws = model.workspace(4);
         let mut samples = Vec::new();
         while let Some(s) = buffer.get() {
             samples.push(s);
             if samples.len() == 4 {
                 let batch = Batch::from_owned(&samples);
-                let prediction = model.forward(&batch.inputs);
-                let (loss, grad) = MseLoss.evaluate(&prediction, &batch.targets);
+                model.forward_ws(&batch.inputs, &mut ws);
+                let (prediction, grad) = ws.output_and_grad_mut();
+                let loss = MseLoss.evaluate_into(prediction, &batch.targets, grad);
                 assert!(loss.is_finite());
-                model.zero_grads();
-                model.backward(&grad);
-                let grads = model.grads_flat();
-                optimizer.step(&mut model, &grads, 1e-3);
+                model.backward_ws(&mut ws);
+                optimizer.step_in_place(&mut model, 1e-3);
                 samples.clear();
             }
         }
