@@ -21,7 +21,7 @@ use surrogate_nn::{InputNormalizer, OutputNormalizer};
 pub enum WorkloadSpec {
     /// The paper's 2D heat equation.
     Heat {
-        /// Grid, Δt, steps and scheme.
+        /// Grid, Δt, steps and CG tolerance.
         solver: SolverConfig,
         /// Real solver or closed-form approximation.
         kind: WorkloadKind,

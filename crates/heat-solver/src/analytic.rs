@@ -4,9 +4,9 @@
 //!
 //! * **Discrete sine modes.** With homogeneous Dirichlet boundaries, the grid
 //!   function `sin(kx π x / lx) · sin(ky π y / ly)` is an exact eigenvector of
-//!   the 5-point discrete Laplacian, so implicit/explicit Euler must damp it by
-//!   an exactly known factor per step. This gives machine-precision tests of the
-//!   time integrators.
+//!   the 5-point discrete Laplacian, so implicit Euler must damp it by an
+//!   exactly known factor per step. This gives a machine-precision test of the
+//!   time integrator.
 //! * **Steady states.** For constant Dirichlet boundaries the solution converges
 //!   to the solution of the Laplace equation; [`steady_state`] computes it by
 //!   driving the implicit scheme with large time steps, and
@@ -15,7 +15,7 @@
 
 use crate::boundary::BoundaryConditions;
 use crate::grid::{Field, Grid2D};
-use crate::scheme::{ImplicitEuler, TimeScheme};
+use crate::scheme::ImplicitEuler;
 use std::f64::consts::PI;
 
 /// The discrete sine mode `sin(kx π x / lx) · sin(ky π y / ly)` on the grid.
@@ -40,11 +40,6 @@ pub fn discrete_laplacian_eigenvalue(grid: Grid2D, kx: usize, ky: usize) -> f64 
 /// Per-step damping factor of implicit Euler on an eigenmode with eigenvalue `lambda`.
 pub fn implicit_decay_factor(alpha: f64, dt: f64, lambda: f64) -> f64 {
     1.0 / (1.0 + alpha * dt * lambda)
-}
-
-/// Per-step damping factor of explicit Euler on an eigenmode with eigenvalue `lambda`.
-pub fn explicit_decay_factor(alpha: f64, dt: f64, lambda: f64) -> f64 {
-    1.0 - alpha * dt * lambda
 }
 
 /// Continuous-equation eigenvalue of mode `(kx, ky)` (for discretisation-error studies).
@@ -156,7 +151,6 @@ impl TransientTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::ExplicitEuler;
 
     #[test]
     fn sine_mode_vanishes_near_boundary_symmetrically() {
@@ -194,23 +188,6 @@ mod tests {
             "rms {}",
             field.rms_diff(&expected)
         );
-    }
-
-    #[test]
-    fn explicit_euler_damps_eigenmode_exactly() {
-        let grid = Grid2D::unit_square(10, 10);
-        let bc = BoundaryConditions::uniform(0.0);
-        let alpha = 1.0;
-        let dt = ExplicitEuler::max_stable_dt(alpha, &grid) * 0.5;
-        let lambda = discrete_laplacian_eigenvalue(grid, 2, 1);
-        let factor = explicit_decay_factor(alpha, dt, lambda);
-
-        let mode = sine_mode(grid, 2, 1);
-        let mut field = mode.clone();
-        let scheme = ExplicitEuler::new(alpha, dt);
-        scheme.step(&mut field, &bc);
-        let expected = Field::from_values(grid, mode.values().iter().map(|v| v * factor).collect());
-        assert!(field.rms_diff(&expected) < 1e-10);
     }
 
     #[test]

@@ -13,15 +13,12 @@
 //! * [`Grid2D`] / [`Field`] — the discretised domain and temperature fields.
 //! * [`SimulationParams`] — the five sampled temperatures `(T_ic, T_x1, T_y1, T_x2, T_y2)`
 //!   plus physical and numerical configuration, mirroring the paper's input vector `X`.
-//! * Time-integration schemes: [`ImplicitEuler`] (conjugate-gradient linear solves, the
-//!   scheme used in the paper), [`ExplicitEuler`] and [`AdiScheme`] (alternating-direction
-//!   implicit, Thomas algorithm) as cheaper baselines.
-//! * [`DomainDecomposition`] — block partitioning of the grid over a configurable number
-//!   of worker "ranks" with halo exchange and a rank-0 gather, mimicking the MPI+X layout
-//!   of the original solver. Workers run on OS threads via `crossbeam::scope`.
+//! * [`ImplicitEuler`] — the paper's time integrator: one matrix-free
+//!   [`ConjugateGradient`] solve per step, bound to a trajectory by
+//!   [`scheme::ImplicitStepper`].
 //! * [`HeatSolver`] — the high-level driver producing one [`TimeStepField`] per time step,
-//!   already gathered and down-converted to `f32` exactly as the paper's clients do before
-//!   streaming data to the training server.
+//!   down-converted to `f32` exactly as the paper's clients do before streaming data to
+//!   the training server.
 //!
 //! The grid resolution is configurable; the paper used 1000×1000 × 100 time steps, the
 //! tests and benches here default to much smaller grids so the whole ensemble fits on a
@@ -29,7 +26,6 @@
 
 pub mod analytic;
 pub mod boundary;
-pub mod decomposition;
 pub mod grid;
 pub mod linalg;
 pub mod params;
@@ -38,13 +34,10 @@ pub mod solver;
 pub mod workload;
 
 pub use boundary::BoundaryConditions;
-pub use decomposition::{
-    AllReducer, DistributedImplicitSolver, DomainDecomposition, GatheredStep, LocalBlock,
-};
 pub use grid::{Field, Grid2D};
-pub use linalg::{CgReport, ConjugateGradient, JacobiSolver, ThomasSolver};
+pub use linalg::{CgReport, ConjugateGradient};
 pub use params::{ParamPoint, ParamRange, ParameterSpace, SimulationParams, PARAM_DIM};
-pub use scheme::{AdiScheme, ExplicitEuler, ImplicitEuler, TimeScheme};
+pub use scheme::ImplicitEuler;
 pub use solver::{HeatSolver, SolverConfig, SolverError, TimeStepField};
 pub use workload::{SyntheticWorkload, WorkloadKind};
 

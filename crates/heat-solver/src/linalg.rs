@@ -1,12 +1,10 @@
-//! Linear algebra kernels for the implicit time integrators.
+//! Linear algebra kernels for the implicit Euler step.
 //!
 //! The implicit Euler step of the heat equation requires solving the sparse,
 //! symmetric positive-definite system `(I - α Δt L) u^{n+1} = u^n + α Δt b`
 //! where `L` is the 5-point discrete Laplacian restricted to interior nodes and
 //! `b` gathers the Dirichlet boundary contributions. This module implements the
-//! matrix-free operator, a preconditioner-free [`ConjugateGradient`] solver, a
-//! [`JacobiSolver`] baseline, and the [`ThomasSolver`] (tridiagonal) used by the
-//! ADI scheme.
+//! matrix-free operator and a preconditioner-free [`ConjugateGradient`] solver.
 
 use crate::grid::Grid2D;
 
@@ -58,7 +56,7 @@ impl HeatOperator {
     /// (`None` where the Dirichlet edge cuts them off). Every cell subtracts
     /// its west, east, south and north neighbours in that order; the missing
     /// ones are peeled out of the loops, so none of them branches per cell.
-    pub(crate) fn stencil_row(
+    fn stencil_row(
         &self,
         row: &[f64],
         south: Option<&[f64]>,
@@ -75,16 +73,11 @@ impl HeatOperator {
         for (o, w) in out[1..].iter_mut().zip(row.windows(3)) {
             *o = diag * w[1] - off_x * w[0] - off_x * w[2];
         }
-        for halo in [south, north].into_iter().flatten() {
-            for (o, h) in out.iter_mut().zip(halo) {
+        for neighbour in [south, north].into_iter().flatten() {
+            for (o, h) in out.iter_mut().zip(neighbour) {
                 *o -= off_y * h;
             }
         }
-    }
-
-    /// Diagonal entry of `A` (constant over the grid), used by Jacobi.
-    pub fn diagonal(&self) -> f64 {
-        self.diag
     }
 }
 
@@ -136,36 +129,24 @@ fn cg_report(iterations: usize, rs: f64, converged: bool) -> CgReport {
 }
 
 impl ConjugateGradient {
-    /// Creates a solver with the given tolerance and iteration cap.
-    pub fn new(tolerance: f64, max_iterations: usize) -> Self {
-        Self {
-            tolerance,
-            max_iterations,
-        }
-    }
-
     /// Solves `A x = b` in place, starting from the provided `x` (warm start).
     pub fn solve(&self, op: &HeatOperator, b: &[f64], x: &mut [f64]) -> CgReport {
-        let apply = |v: &[f64], out: &mut [f64]| op.apply(v, out);
-        self.solve_with(apply, |sum| sum, b, x, &mut CgWorkspace::default())
+        self.solve_with(op, b, x, &mut CgWorkspace::default())
     }
 
-    /// The CG iteration on a system given by its action: `apply(v, out)`
-    /// writes this rank's rows of `A·v` to `out`; `reduce` makes a rank-local
-    /// sum global (the identity on one rank). `b`, `x` and the work vectors
-    /// hold this rank's rows.
+    /// [`Self::solve`] in the work vectors `ws`, which keep their storage
+    /// from one solve to the next.
     // analysis: hot_path
     pub(crate) fn solve_with(
         &self,
-        mut apply: impl FnMut(&[f64], &mut [f64]),
-        reduce: impl Fn(f64) -> f64,
+        op: &HeatOperator,
         b: &[f64],
         x: &mut [f64],
         ws: &mut CgWorkspace,
     ) -> CgReport {
         let n = b.len();
         assert_eq!(x.len(), n);
-        let norm_b = reduce(dot(b, b)).sqrt();
+        let norm_b = dot(b, b).sqrt();
         if norm_b == 0.0 {
             x.fill(0.0);
             return cg_report(0, 0.0, true);
@@ -176,25 +157,25 @@ impl ConjugateGradient {
         for vector in [&mut *r, &mut *p, &mut *ap] {
             vector.resize(n, 0.0);
         }
-        apply(x, ap);
+        op.apply(x, ap);
         for ((ri, bi), axi) in r.iter_mut().zip(b).zip(ap.iter()) {
             *ri = bi - axi;
         }
         p.copy_from_slice(r);
-        let mut rs_old = reduce(dot(r, r));
+        let mut rs_old = dot(r, r);
         if rs_old.sqrt() <= tol {
             return cg_report(0, rs_old, true);
         }
         for iter in 1..=self.max_iterations {
-            apply(p, ap);
-            let p_ap = reduce(dot(p, ap));
+            op.apply(p, ap);
+            let p_ap = dot(p, ap);
             if p_ap == 0.0 {
                 return cg_report(iter, rs_old, false);
             }
             let step = rs_old / p_ap;
             axpy(step, p, x);
             axpy(-step, ap, r);
-            let rs_new = reduce(dot(r, r));
+            let rs_new = dot(r, r);
             if rs_new.sqrt() <= tol {
                 return cg_report(iter, rs_new, true);
             }
@@ -205,124 +186,6 @@ impl ConjugateGradient {
             rs_old = rs_new;
         }
         cg_report(self.max_iterations, rs_old, false)
-    }
-}
-
-/// Weighted Jacobi iterative solver — a slower baseline kept for testing the
-/// matrix-free operator and for ablation of the linear-solver choice.
-#[derive(Debug, Clone, Copy)]
-pub struct JacobiSolver {
-    /// Relative residual tolerance.
-    pub tolerance: f64,
-    /// Maximum number of sweeps.
-    pub max_iterations: usize,
-    /// Damping factor (1.0 = plain Jacobi; 2/3 is a common smoothing choice).
-    pub omega: f64,
-}
-
-impl Default for JacobiSolver {
-    fn default() -> Self {
-        Self {
-            tolerance: 1e-8,
-            max_iterations: 50_000,
-            omega: 1.0,
-        }
-    }
-}
-
-impl JacobiSolver {
-    /// Solves `A x = b` in place with damped Jacobi sweeps.
-    pub fn solve(&self, op: &HeatOperator, b: &[f64], x: &mut [f64]) -> CgReport {
-        let n = b.len();
-        let norm_b = dot(b, b).sqrt();
-        if norm_b == 0.0 {
-            x.iter_mut().for_each(|v| *v = 0.0);
-            return cg_report(0, 0.0, true);
-        }
-        let tol = self.tolerance * norm_b;
-        let diag = op.diagonal();
-        let mut ax = vec![0.0; n];
-        for iter in 1..=self.max_iterations {
-            op.apply(x, &mut ax);
-            let mut res2 = 0.0;
-            for k in 0..n {
-                let r = b[k] - ax[k];
-                res2 += r * r;
-                x[k] += self.omega * r / diag;
-            }
-            if res2.sqrt() <= tol {
-                return cg_report(iter, res2, true);
-            }
-        }
-        op.apply(x, &mut ax);
-        let res2 = b
-            .iter()
-            .zip(&ax)
-            .map(|(bi, axi)| (bi - axi) * (bi - axi))
-            .sum();
-        cg_report(self.max_iterations, res2, false)
-    }
-}
-
-/// Thomas algorithm for tridiagonal systems, used by the ADI scheme.
-///
-/// Solves a system with constant sub-/super-diagonal `off` and constant
-/// diagonal `diag` (the structure arising from 1D implicit heat steps).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThomasSolver;
-
-impl ThomasSolver {
-    /// Solves the constant-coefficient tridiagonal system in place.
-    ///
-    /// `rhs` holds the right-hand side on input and the solution on output.
-    /// `scratch` must have the same length and is used for the forward sweep.
-    pub fn solve_constant(&self, diag: f64, off: f64, rhs: &mut [f64], scratch: &mut [f64]) {
-        let n = rhs.len();
-        if n == 0 {
-            return;
-        }
-        debug_assert_eq!(scratch.len(), n);
-        // Forward elimination.
-        scratch[0] = off / diag;
-        rhs[0] /= diag;
-        for k in 1..n {
-            let m = diag - off * scratch[k - 1];
-            scratch[k] = off / m;
-            rhs[k] = (rhs[k] - off * rhs[k - 1]) / m;
-        }
-        // Back substitution.
-        for k in (0..n - 1).rev() {
-            rhs[k] -= scratch[k] * rhs[k + 1];
-        }
-    }
-
-    /// Solves a general tridiagonal system `lower/diag/upper` in place.
-    pub fn solve_general(
-        &self,
-        lower: &[f64],
-        diag: &[f64],
-        upper: &[f64],
-        rhs: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        let n = rhs.len();
-        if n == 0 {
-            return;
-        }
-        debug_assert_eq!(lower.len(), n);
-        debug_assert_eq!(diag.len(), n);
-        debug_assert_eq!(upper.len(), n);
-        debug_assert_eq!(scratch.len(), n);
-        scratch[0] = upper[0] / diag[0];
-        rhs[0] /= diag[0];
-        for k in 1..n {
-            let m = diag[k] - lower[k] * scratch[k - 1];
-            scratch[k] = upper[k] / m;
-            rhs[k] = (rhs[k] - lower[k] * rhs[k - 1]) / m;
-        }
-        for k in (0..n - 1).rev() {
-            rhs[k] -= scratch[k] * rhs[k + 1];
-        }
     }
 }
 
@@ -577,59 +440,6 @@ mod tests {
         let report = ConjugateGradient::default().solve(&op, &b, &mut x);
         assert_eq!(report.iterations, 0);
         assert!(report.converged);
-    }
-
-    #[test]
-    fn jacobi_matches_cg_solution() {
-        let op = op(6);
-        let n = op.grid.len();
-        let b: Vec<f64> = (0..n).map(|k| ((k % 7) as f64) - 3.0).collect();
-        let mut x_cg = vec![0.0; n];
-        let mut x_j = vec![0.0; n];
-        assert!(
-            ConjugateGradient::default()
-                .solve(&op, &b, &mut x_cg)
-                .converged
-        );
-        assert!(JacobiSolver::default().solve(&op, &b, &mut x_j).converged);
-        for k in 0..n {
-            assert!((x_cg[k] - x_j[k]).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn thomas_constant_solves_small_system() {
-        // System: diag 2, off -1, n=3 -> matrix [[2,-1,0],[-1,2,-1],[0,-1,2]]
-        let mut rhs = vec![1.0, 0.0, 1.0];
-        let mut scratch = vec![0.0; 3];
-        ThomasSolver.solve_constant(2.0, -1.0, &mut rhs, &mut scratch);
-        // Exact solution is [1, 1, 1].
-        for v in &rhs {
-            assert!((v - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn thomas_general_matches_constant() {
-        let n = 10;
-        let diag_val = 3.0;
-        let off_val = -0.7;
-        let rhs0: Vec<f64> = (0..n).map(|k| (k as f64 * 0.9).cos()).collect();
-
-        let mut rhs_a = rhs0.clone();
-        let mut scratch = vec![0.0; n];
-        ThomasSolver.solve_constant(diag_val, off_val, &mut rhs_a, &mut scratch);
-
-        let mut rhs_b = rhs0;
-        let lower = vec![off_val; n];
-        let diag = vec![diag_val; n];
-        let upper = vec![off_val; n];
-        let mut scratch_b = vec![0.0; n];
-        ThomasSolver.solve_general(&lower, &diag, &upper, &mut rhs_b, &mut scratch_b);
-
-        for k in 0..n {
-            assert!((rhs_a[k] - rhs_b[k]).abs() < 1e-10);
-        }
     }
 
     #[test]

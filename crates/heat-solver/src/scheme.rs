@@ -1,23 +1,12 @@
-//! Time-integration schemes for the heat equation.
+//! The time integrator of the heat equation.
 //!
 //! The paper's solver uses an implicit Euler scheme; [`ImplicitEuler`] reproduces
-//! it with a matrix-free conjugate-gradient solve per step. [`ExplicitEuler`] and
-//! [`AdiScheme`] (Peaceman–Rachford alternating-direction implicit) are cheaper
-//! alternatives used for cross-validation and for generating large synthetic
-//! ensembles quickly in tests and benchmarks.
+//! it with a matrix-free conjugate-gradient solve per step, and
+//! [`ImplicitStepper`] binds it to one trajectory.
 
 use crate::boundary::BoundaryConditions;
 use crate::grid::{Field, Grid2D};
-use crate::linalg::{CgReport, CgWorkspace, ConjugateGradient, HeatOperator, ThomasSolver};
-
-/// A single-step time integrator advancing the temperature field by `Δt`.
-pub trait TimeScheme: Send + Sync {
-    /// Advances `field` in place by one time step.
-    fn step(&self, field: &mut Field, bc: &BoundaryConditions);
-
-    /// Human-readable scheme name (used in reports).
-    fn name(&self) -> &'static str;
-}
+use crate::linalg::{CgReport, CgWorkspace, ConjugateGradient, HeatOperator};
 
 /// Backward (implicit) Euler: unconditionally stable, one SPD solve per step.
 #[derive(Debug, Clone, Copy)]
@@ -40,24 +29,10 @@ impl ImplicitEuler {
         }
     }
 
-    /// Advances the field and returns the CG convergence report for the step:
-    /// a one-step use of [`ImplicitStepper`].
-    pub fn step_with_report(&self, field: &mut Field, bc: &BoundaryConditions) -> CgReport {
+    /// Advances `field` in place by one time step and returns the CG
+    /// convergence report for it: a one-step use of [`ImplicitStepper`].
+    pub fn step(&self, field: &mut Field, bc: &BoundaryConditions) -> CgReport {
         ImplicitStepper::new(self, field.grid(), bc).step(field)
-    }
-}
-
-impl TimeScheme for ImplicitEuler {
-    fn step(&self, field: &mut Field, bc: &BoundaryConditions) {
-        let report = self.step_with_report(field, bc);
-        debug_assert!(
-            report.converged,
-            "implicit Euler CG solve did not converge: {report:?}"
-        );
-    }
-
-    fn name(&self) -> &'static str {
-        "implicit-euler-cg"
     }
 }
 
@@ -100,160 +75,8 @@ impl ImplicitStepper {
         for ((rhs, u), b) in self.rhs.iter_mut().zip(u.iter()).zip(&self.boundary) {
             *rhs = u + b;
         }
-        let op = self.op;
-        let apply = |v: &[f64], out: &mut [f64]| op.apply(v, out);
         self.cg
-            .solve_with(apply, |sum| sum, &self.rhs, u, &mut self.workspace)
-    }
-}
-
-/// Forward (explicit) Euler: conditionally stable
-/// (`α Δt (1/dx² + 1/dy²) ≤ 1/2`), no linear solve.
-#[derive(Debug, Clone, Copy)]
-pub struct ExplicitEuler {
-    /// Thermal diffusivity `α`.
-    pub alpha: f64,
-    /// Time step `Δt`.
-    pub dt: f64,
-}
-
-impl ExplicitEuler {
-    /// Creates the scheme.
-    pub fn new(alpha: f64, dt: f64) -> Self {
-        Self { alpha, dt }
-    }
-
-    /// Stability number `α Δt (1/dx² + 1/dy²)`; must be ≤ 0.5 for stability.
-    pub fn stability_number(&self, grid: &Grid2D) -> f64 {
-        let inv_dx2 = 1.0 / (grid.dx() * grid.dx());
-        let inv_dy2 = 1.0 / (grid.dy() * grid.dy());
-        self.alpha * self.dt * (inv_dx2 + inv_dy2)
-    }
-
-    /// True when the scheme is stable on the given grid.
-    pub fn is_stable(&self, grid: &Grid2D) -> bool {
-        self.stability_number(grid) <= 0.5 + 1e-12
-    }
-
-    /// Largest stable time step on the given grid.
-    pub fn max_stable_dt(alpha: f64, grid: &Grid2D) -> f64 {
-        let inv_dx2 = 1.0 / (grid.dx() * grid.dx());
-        let inv_dy2 = 1.0 / (grid.dy() * grid.dy());
-        0.5 / (alpha * (inv_dx2 + inv_dy2))
-    }
-}
-
-impl TimeScheme for ExplicitEuler {
-    fn step(&self, field: &mut Field, bc: &BoundaryConditions) {
-        let grid = field.grid();
-        let nx = grid.nx;
-        let ny = grid.ny;
-        let inv_dx2 = 1.0 / (grid.dx() * grid.dx());
-        let inv_dy2 = 1.0 / (grid.dy() * grid.dy());
-        let c = self.alpha * self.dt;
-        let u = field.values().to_vec();
-        let out = field.values_mut();
-        for j in 0..ny {
-            for i in 0..nx {
-                let k = j * nx + i;
-                let west = if i > 0 { u[k - 1] } else { bc.west };
-                let east = if i + 1 < nx { u[k + 1] } else { bc.east };
-                let south = if j > 0 { u[k - nx] } else { bc.south };
-                let north = if j + 1 < ny { u[k + nx] } else { bc.north };
-                let lap =
-                    (west + east - 2.0 * u[k]) * inv_dx2 + (south + north - 2.0 * u[k]) * inv_dy2;
-                out[k] = u[k] + c * lap;
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "explicit-euler"
-    }
-}
-
-/// Peaceman–Rachford alternating-direction implicit scheme: unconditionally
-/// stable, two tridiagonal sweeps per step (Thomas algorithm), O(N) per step.
-#[derive(Debug, Clone, Copy)]
-pub struct AdiScheme {
-    /// Thermal diffusivity `α`.
-    pub alpha: f64,
-    /// Time step `Δt`.
-    pub dt: f64,
-}
-
-impl AdiScheme {
-    /// Creates the scheme.
-    pub fn new(alpha: f64, dt: f64) -> Self {
-        Self { alpha, dt }
-    }
-}
-
-impl TimeScheme for AdiScheme {
-    fn step(&self, field: &mut Field, bc: &BoundaryConditions) {
-        let grid = field.grid();
-        let nx = grid.nx;
-        let ny = grid.ny;
-        let rx = 0.5 * self.alpha * self.dt / (grid.dx() * grid.dx());
-        let ry = 0.5 * self.alpha * self.dt / (grid.dy() * grid.dy());
-        let thomas = ThomasSolver;
-
-        let u = field.values().to_vec();
-        let mut half = vec![0.0; nx * ny];
-
-        // First half-step: implicit along x, explicit along y.
-        {
-            let mut rhs = vec![0.0; nx];
-            let mut scratch = vec![0.0; nx];
-            for j in 0..ny {
-                for (i, slot) in rhs.iter_mut().enumerate() {
-                    let k = j * nx + i;
-                    let south = if j > 0 { u[k - nx] } else { bc.south };
-                    let north = if j + 1 < ny { u[k + nx] } else { bc.north };
-                    let mut r = u[k] + ry * (south - 2.0 * u[k] + north);
-                    // Dirichlet contributions of the implicit x-direction.
-                    if i == 0 {
-                        r += rx * bc.west;
-                    }
-                    if i + 1 == nx {
-                        r += rx * bc.east;
-                    }
-                    *slot = r;
-                }
-                thomas.solve_constant(1.0 + 2.0 * rx, -rx, &mut rhs, &mut scratch);
-                half[j * nx..(j + 1) * nx].copy_from_slice(&rhs);
-            }
-        }
-
-        // Second half-step: implicit along y, explicit along x.
-        {
-            let mut rhs = vec![0.0; ny];
-            let mut scratch = vec![0.0; ny];
-            let out = field.values_mut();
-            for i in 0..nx {
-                for (j, slot) in rhs.iter_mut().enumerate() {
-                    let k = j * nx + i;
-                    let west = if i > 0 { half[k - 1] } else { bc.west };
-                    let east = if i + 1 < nx { half[k + 1] } else { bc.east };
-                    let mut r = half[k] + rx * (west - 2.0 * half[k] + east);
-                    if j == 0 {
-                        r += ry * bc.south;
-                    }
-                    if j + 1 == ny {
-                        r += ry * bc.north;
-                    }
-                    *slot = r;
-                }
-                thomas.solve_constant(1.0 + 2.0 * ry, -ry, &mut rhs, &mut scratch);
-                for j in 0..ny {
-                    out[j * nx + i] = rhs[j];
-                }
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "adi-peaceman-rachford"
+            .solve_with(&self.op, &self.rhs, u, &mut self.workspace)
     }
 }
 
@@ -369,7 +192,7 @@ mod tests {
         let scheme = ImplicitEuler::new(1.0, 0.01);
         let mut stepper = ImplicitStepper::new(&scheme, field.grid(), &bc);
         for _ in 0..3 {
-            let report = scheme.step_with_report(&mut field, &bc);
+            let report = scheme.step(&mut field, &bc);
             assert_eq!(report, stepper.step(&mut twin));
             assert_eq!(field, twin);
         }
@@ -402,106 +225,17 @@ mod tests {
     }
 
     #[test]
-    fn explicit_stability_number() {
-        let grid = Grid2D::unit_square(9, 9);
-        let stable = ExplicitEuler::new(1.0, ExplicitEuler::max_stable_dt(1.0, &grid) * 0.99);
-        let unstable = ExplicitEuler::new(1.0, ExplicitEuler::max_stable_dt(1.0, &grid) * 1.5);
-        assert!(stable.is_stable(&grid));
-        assert!(!unstable.is_stable(&grid));
-    }
-
-    #[test]
-    fn explicit_and_implicit_agree_for_small_dt() {
-        let grid = Grid2D::unit_square(8, 8);
-        let dt = ExplicitEuler::max_stable_dt(1.0, &grid) * 0.4;
-        let bc = BoundaryConditions {
-            west: 150.0,
-            east: 450.0,
-            south: 300.0,
-            north: 300.0,
-        };
-        let mut f_exp = Field::constant(grid, 300.0);
-        let mut f_imp = Field::constant(grid, 300.0);
-        let explicit = ExplicitEuler::new(1.0, dt);
-        let implicit = ImplicitEuler::new(1.0, dt);
-        for _ in 0..50 {
-            explicit.step(&mut f_exp, &bc);
-            implicit.step(&mut f_imp, &bc);
-        }
-        // Both are first order in time; with a small dt they track each other.
-        assert!(
-            f_exp.rms_diff(&f_imp) < 1.0,
-            "rms {}",
-            f_exp.rms_diff(&f_imp)
-        );
-    }
-
-    #[test]
-    fn adi_and_implicit_converge_to_same_steady_state() {
-        let grid = Grid2D::unit_square(10, 10);
-        let bc = BoundaryConditions {
-            west: 100.0,
-            east: 500.0,
-            south: 200.0,
-            north: 400.0,
-        };
-        let mut f_adi = Field::constant(grid, 300.0);
-        let mut f_imp = Field::constant(grid, 300.0);
-        let adi = AdiScheme::new(1.0, 0.02);
-        let imp = ImplicitEuler::new(1.0, 0.02);
-        for _ in 0..600 {
-            adi.step(&mut f_adi, &bc);
-            imp.step(&mut f_imp, &bc);
-        }
-        assert!(
-            f_adi.rms_diff(&f_imp) < 1e-2,
-            "rms {}",
-            f_adi.rms_diff(&f_imp)
-        );
-    }
-
-    #[test]
-    fn adi_stays_near_physical_bounds() {
-        // Peaceman–Rachford is unconditionally stable but not strictly monotone:
-        // for large diffusion numbers it oscillates around the solution. With a
-        // moderate time step the overshoot stays small relative to the 200 K span.
-        let (mut field, bc) = setup(16);
-        let scheme = AdiScheme::new(1.0, 0.01);
-        for _ in 0..50 {
-            scheme.step(&mut field, &bc);
-            assert!(field.min() >= 200.0 - 2.0, "min {}", field.min());
-            assert!(field.max() <= 400.0 + 2.0, "max {}", field.max());
-        }
-    }
-
-    #[test]
-    fn scheme_names_are_distinct() {
-        let a = ImplicitEuler::new(1.0, 0.01);
-        let b = ExplicitEuler::new(1.0, 0.01);
-        let c = AdiScheme::new(1.0, 0.01);
-        assert_ne!(a.name(), b.name());
-        assert_ne!(b.name(), c.name());
-        assert_ne!(a.name(), c.name());
-    }
-
-    #[test]
     fn uniform_boundary_and_ic_is_a_fixed_point() {
         let grid = Grid2D::unit_square(6, 6);
         let bc = BoundaryConditions::uniform(300.0);
-        for scheme in [
-            Box::new(ImplicitEuler::new(1.0, 0.01)) as Box<dyn TimeScheme>,
-            Box::new(ExplicitEuler::new(1.0, 1e-4)),
-            Box::new(AdiScheme::new(1.0, 0.01)),
-        ] {
-            let mut field = Field::constant(grid, 300.0);
-            scheme.step(&mut field, &bc);
-            for &v in field.values() {
-                assert!(
-                    (v - 300.0).abs() < 1e-9,
-                    "{} broke fixed point",
-                    scheme.name()
-                );
-            }
+        let mut field = Field::constant(grid, 300.0);
+        let report = ImplicitEuler::new(1.0, 0.01).step(&mut field, &bc);
+        assert!(report.converged, "{report:?}");
+        for &v in field.values() {
+            assert!(
+                (v - 300.0).abs() < 1e-9,
+                "implicit Euler broke the fixed point"
+            );
         }
     }
 }

@@ -7,24 +7,11 @@
 //! Melissa API.
 
 use crate::boundary::BoundaryConditions;
-use crate::decomposition::DistributedImplicitSolver;
 use crate::grid::{Field, Grid2D};
 use crate::params::SimulationParams;
-use crate::scheme::{AdiScheme, ExplicitEuler, ImplicitEuler, ImplicitStepper, TimeScheme};
+use crate::scheme::{ImplicitEuler, ImplicitStepper};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Which time integrator the solver uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SchemeKind {
-    /// Backward Euler with a conjugate-gradient solve (the paper's scheme).
-    #[default]
-    ImplicitEuler,
-    /// Forward Euler (cheap, conditionally stable).
-    ExplicitEuler,
-    /// Peaceman–Rachford ADI (cheap, unconditionally stable).
-    Adi,
-}
 
 /// Configuration of one solver run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,9 +30,7 @@ pub struct SolverConfig {
     pub dt: f64,
     /// Number of time steps per trajectory (paper: 100).
     pub steps: usize,
-    /// Time integrator.
-    pub scheme: SchemeKind,
-    /// Relative tolerance of the CG solve (implicit scheme only).
+    /// Relative tolerance of the CG solve.
     pub cg_tolerance: f64,
 }
 
@@ -59,7 +44,6 @@ impl Default for SolverConfig {
             alpha: 1.0,
             dt: 0.01,
             steps: 100,
-            scheme: SchemeKind::ImplicitEuler,
             cg_tolerance: 1e-8,
         }
     }
@@ -122,15 +106,6 @@ impl SolverConfig {
                 self.cg_tolerance
             )));
         }
-        if self.scheme == SchemeKind::ExplicitEuler {
-            let grid = self.grid();
-            let explicit = ExplicitEuler::new(self.alpha, self.dt);
-            if !explicit.is_stable(&grid) {
-                return Err(SolverError::UnstableExplicitScheme {
-                    stability_number: explicit.stability_number(&grid),
-                });
-            }
-        }
         Ok(())
     }
 }
@@ -140,21 +115,12 @@ impl SolverConfig {
 pub enum SolverError {
     /// The configuration is inconsistent.
     InvalidConfig(String),
-    /// The explicit scheme would be unstable on the requested grid.
-    UnstableExplicitScheme {
-        /// The offending stability number (must be ≤ 0.5).
-        stability_number: f64,
-    },
 }
 
 impl fmt::Display for SolverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SolverError::InvalidConfig(msg) => write!(f, "invalid solver configuration: {msg}"),
-            SolverError::UnstableExplicitScheme { stability_number } => write!(
-                f,
-                "explicit Euler unstable: stability number {stability_number:.3} > 0.5"
-            ),
         }
     }
 }
@@ -223,32 +189,12 @@ impl HeatSolver {
     /// which lets callers interleave solving and streaming exactly like the
     /// instrumented clients of the paper.
     pub fn run(&self) -> Result<TrajectoryIter, SolverError> {
-        let SolverConfig { alpha, dt, .. } = self.config;
         let grid = self.config.grid();
+        let mut scheme = ImplicitEuler::new(self.config.alpha, self.config.dt);
+        scheme.cg.tolerance = self.config.cg_tolerance;
         let bc = BoundaryConditions::from_params(&self.params);
-        // The implicit scheme carries per-trajectory state (its stepper); the
-        // other two are stateless.
-        let advance: Box<dyn FnMut(&mut Field) + Send> = match self.config.scheme {
-            SchemeKind::ImplicitEuler => {
-                let mut scheme = ImplicitEuler::new(alpha, dt);
-                scheme.cg.tolerance = self.config.cg_tolerance;
-                let mut stepper = ImplicitStepper::new(&scheme, grid, &bc);
-                Box::new(move |field| {
-                    let report = stepper.step(field);
-                    debug_assert!(report.converged, "CG did not converge: {report:?}");
-                })
-            }
-            SchemeKind::ExplicitEuler => {
-                let scheme = ExplicitEuler::new(alpha, dt);
-                Box::new(move |field| scheme.step(field, &bc))
-            }
-            SchemeKind::Adi => {
-                let scheme = AdiScheme::new(alpha, dt);
-                Box::new(move |field| scheme.step(field, &bc))
-            }
-        };
         Ok(TrajectoryIter {
-            advance,
+            stepper: ImplicitStepper::new(&scheme, grid, &bc),
             field: Field::constant(grid, self.params.t_initial),
             config: self.config,
             params: self.params,
@@ -268,41 +214,11 @@ impl HeatSolver {
     pub fn trajectory(&self) -> Result<Vec<TimeStepField>, SolverError> {
         Ok(self.run()?.collect())
     }
-
-    /// Runs the trajectory with the implicit scheme distributed over
-    /// `num_ranks` worker threads (the "MPI+X parallel client" of the paper)
-    /// and returns all gathered steps.
-    pub fn trajectory_distributed(
-        &self,
-        num_ranks: usize,
-    ) -> Result<Vec<TimeStepField>, SolverError> {
-        let grid = self.config.grid();
-        let initial = Field::constant(grid, self.params.t_initial);
-        let bc = BoundaryConditions::from_params(&self.params);
-        let solver = DistributedImplicitSolver {
-            alpha: self.config.alpha,
-            dt: self.config.dt,
-            tolerance: self.config.cg_tolerance,
-            max_iterations: 10_000,
-        };
-        let gathered = solver.run(&initial, &bc, num_ranks, self.config.steps);
-        Ok(gathered
-            .into_iter()
-            .map(|g| TimeStepField {
-                step: g.step,
-                time: (g.step as f64 + 1.0) * self.config.dt,
-                params: self.params,
-                nx: self.config.nx,
-                ny: self.config.ny,
-                values: g.field.to_f32(),
-            })
-            .collect())
-    }
 }
 
 /// Lazy iterator over the time steps of one trajectory.
 pub struct TrajectoryIter {
-    advance: Box<dyn FnMut(&mut Field) + Send>,
+    stepper: ImplicitStepper,
     field: Field,
     config: SolverConfig,
     params: SimulationParams,
@@ -316,7 +232,8 @@ impl Iterator for TrajectoryIter {
         if self.next_step >= self.config.steps {
             return None;
         }
-        (self.advance)(&mut self.field);
+        let report = self.stepper.step(&mut self.field);
+        debug_assert!(report.converged, "CG did not converge: {report:?}");
         let step = self.next_step;
         self.next_step += 1;
         Some(TimeStepField {
@@ -345,13 +262,11 @@ mod tests {
         SimulationParams::new([350.0, 150.0, 250.0, 450.0, 200.0])
     }
 
-    fn small_config(scheme: SchemeKind) -> SolverConfig {
+    fn small_config() -> SolverConfig {
         SolverConfig {
             nx: 12,
             ny: 12,
             steps: 8,
-            scheme,
-            // Small enough for explicit Euler stability on a 12×12 grid.
             dt: 0.001,
             ..SolverConfig::default()
         }
@@ -399,25 +314,8 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_unstable_explicit() {
-        let c = SolverConfig {
-            scheme: SchemeKind::ExplicitEuler,
-            nx: 64,
-            ny: 64,
-            dt: 0.01,
-            ..SolverConfig::default()
-        };
-        match c.validate() {
-            Err(SolverError::UnstableExplicitScheme { stability_number }) => {
-                assert!(stability_number > 0.5)
-            }
-            other => panic!("expected instability error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn trajectory_has_expected_length_and_times() {
-        let solver = HeatSolver::new(small_config(SchemeKind::Adi), params()).unwrap();
+        let solver = HeatSolver::new(small_config(), params()).unwrap();
         let steps = solver.trajectory().unwrap();
         assert_eq!(steps.len(), 8);
         for (k, s) in steps.iter().enumerate() {
@@ -429,7 +327,7 @@ mod tests {
 
     #[test]
     fn iterator_is_lazy_and_exact_size() {
-        let solver = HeatSolver::new(small_config(SchemeKind::ImplicitEuler), params()).unwrap();
+        let solver = HeatSolver::new(small_config(), params()).unwrap();
         let mut iter = solver.run().unwrap();
         assert_eq!(iter.len(), 8);
         let first = iter.next().unwrap();
@@ -439,7 +337,7 @@ mod tests {
 
     #[test]
     fn input_vector_has_six_entries() {
-        let solver = HeatSolver::new(small_config(SchemeKind::Adi), params()).unwrap();
+        let solver = HeatSolver::new(small_config(), params()).unwrap();
         let step = solver.run().unwrap().next().unwrap();
         let input = step.input_vector();
         assert_eq!(input.len(), 6);
@@ -448,54 +346,25 @@ mod tests {
     }
 
     #[test]
-    fn all_schemes_stay_within_physical_bounds() {
-        for scheme in [
-            SchemeKind::ImplicitEuler,
-            SchemeKind::ExplicitEuler,
-            SchemeKind::Adi,
-        ] {
-            let solver = HeatSolver::new(small_config(scheme), params()).unwrap();
-            let steps = solver.trajectory().unwrap();
-            for s in steps {
-                for &v in &s.values {
-                    assert!(v.is_finite());
-                    assert!((150.0..=450.0).contains(&(v as f64 + 1e-3)) || v >= 150.0 - 1.0);
-                    assert!(
-                        (149.0..=451.0).contains(&v),
-                        "value {v} out of physical range"
-                    );
-                }
+    fn implicit_trajectory_stays_within_physical_bounds() {
+        // Maximum principle: every value stays inside the envelope of the
+        // initial and boundary temperatures.
+        let (lo, hi) = (params().min_temperature(), params().max_temperature());
+        let solver = HeatSolver::new(small_config(), params()).unwrap();
+        for s in solver.trajectory().unwrap() {
+            for &v in &s.values {
+                let v = f64::from(v);
+                assert!(
+                    (lo - 1e-3..=hi + 1e-3).contains(&v),
+                    "value {v} out of physical range"
+                );
             }
         }
     }
 
     #[test]
-    fn distributed_trajectory_matches_shared_memory() {
-        let config = SolverConfig {
-            nx: 10,
-            ny: 10,
-            steps: 4,
-            ..SolverConfig::default()
-        };
-        let solver = HeatSolver::new(config, params()).unwrap();
-        let reference = solver.trajectory().unwrap();
-        let distributed = solver.trajectory_distributed(3).unwrap();
-        assert_eq!(reference.len(), distributed.len());
-        for (a, b) in reference.iter().zip(&distributed) {
-            assert_eq!(a.step, b.step);
-            let max_diff = a
-                .values
-                .iter()
-                .zip(&b.values)
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0f32, f32::max);
-            assert!(max_diff < 1e-3, "step {} diff {max_diff}", a.step);
-        }
-    }
-
-    #[test]
     fn run_with_sink_collects_all_steps() {
-        let solver = HeatSolver::new(small_config(SchemeKind::Adi), params()).unwrap();
+        let solver = HeatSolver::new(small_config(), params()).unwrap();
         let mut count = 0;
         solver.run_with_sink(|_| count += 1).unwrap();
         assert_eq!(count, 8);

@@ -20,13 +20,8 @@ use std::time::Duration;
 
 impl From<SolverError> for WorkloadError {
     fn from(error: SolverError) -> Self {
-        match error {
-            SolverError::InvalidConfig(reason) => WorkloadError::InvalidConfig(reason),
-            SolverError::UnstableExplicitScheme { stability_number } => WorkloadError::Unstable {
-                // Normalise by the explicit limit (0.5) so 1.0 is the boundary.
-                stability_number: stability_number / 0.5,
-            },
-        }
+        let SolverError::InvalidConfig(reason) = error;
+        WorkloadError::InvalidConfig(reason)
     }
 }
 

@@ -2,8 +2,8 @@
 
 use heat_solver::analytic::approximate_transient;
 use heat_solver::{
-    BoundaryConditions, ConjugateGradient, DomainDecomposition, Field, Grid2D, ImplicitEuler,
-    ParameterSpace, SimulationParams, SolverConfig, SyntheticWorkload, TimeScheme,
+    BoundaryConditions, ConjugateGradient, Field, Grid2D, ImplicitEuler, ParameterSpace,
+    SimulationParams, SolverConfig, SyntheticWorkload,
 };
 use proptest::prelude::*;
 
@@ -57,21 +57,6 @@ proptest! {
         prop_assert!(report.converged);
         let err: f64 = x.iter().zip(&x_true).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
         prop_assert!(err < 1e-5, "max error {err}");
-    }
-
-    /// Scatter followed by gather is the identity for any rank count.
-    #[test]
-    fn scatter_gather_identity(
-        nx in 1usize..12,
-        ny in 1usize..12,
-        ranks in 1usize..8,
-        seed_value in -100.0f64..100.0,
-    ) {
-        let grid = Grid2D::unit_square(nx, ny);
-        let field = Field::from_fn(grid, |x, y| seed_value + 10.0 * x - 3.0 * y);
-        let decomposition = DomainDecomposition::rows(grid, ranks);
-        let gathered = decomposition.gather(&decomposition.scatter(&field));
-        prop_assert_eq!(gathered, field);
     }
 
     /// The parameter space maps the unit hypercube into itself bijectively

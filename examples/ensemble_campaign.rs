@@ -1,51 +1,28 @@
 //! A full ensemble campaign in the paper's style: three series of clients
-//! (the §4.3 submission pattern), the real finite-difference solver running
-//! domain-decomposed on worker threads, Latin-hypercube experimental design,
-//! and a comparison of the three buffer policies on the same campaign.
+//! (the §4.3 submission pattern), each running the real implicit-Euler
+//! finite-difference solver, Latin-hypercube experimental design, and a
+//! comparison of the three buffer policies on the same campaign.
 //!
 //! ```bash
 //! cargo run --release --example ensemble_campaign
 //! ```
 
-use heat_solver::{HeatSolver, SolverConfig};
+use heat_solver::SolverConfig;
 use melissa::{ExperimentConfig, OnlineExperiment, WorkloadSpec};
 use melissa_ensemble::{CampaignPlan, SamplerKind};
 use std::time::Duration;
 use training_buffer::BufferKind;
 
 fn main() {
-    // First, show the substrate on its own: one ensemble member solved with the
-    // implicit scheme distributed over 4 worker "MPI ranks".
-    let solver_config = SolverConfig {
-        nx: 24,
-        ny: 24,
-        steps: 10,
-        ..SolverConfig::default()
-    };
-    let params = heat_solver::SimulationParams::new([350.0, 150.0, 250.0, 450.0, 200.0]);
-    let solver = HeatSolver::new(solver_config, params).expect("valid solver configuration");
-    let steps = solver
-        .trajectory_distributed(4)
-        .expect("distributed trajectory");
-    println!(
-        "Distributed solver demo: {} time steps of a {}×{} field computed on 4 ranks;\n\
-         final field mean {:.1} K (boundary mean {:.1} K)",
-        steps.len(),
-        solver_config.nx,
-        solver_config.ny,
-        steps.last().unwrap().values.iter().sum::<f32>() / (24.0 * 24.0),
-        params.boundary_mean()
-    );
-
-    // Then the full campaign: series of 10/10/5 clients (the paper's 100/100/50
-    // scaled down), Latin hypercube design, a small inter-series delay so the
-    // production dips of Figure 2 are visible.
+    // Series of 10/10/5 clients (the paper's 100/100/50 scaled down), Latin
+    // hypercube design, a small inter-series delay so the production dips of
+    // Figure 2 are visible.
     let campaign = CampaignPlan::series_of(&[10, 10, 5], 5)
         .with_sampler(SamplerKind::LatinHypercube)
         .with_inter_series_delay(Duration::from_millis(100));
 
     println!(
-        "\nCampaign: {} simulations in {} series, Latin-hypercube design\n",
+        "Campaign: {} simulations in {} series, Latin-hypercube design\n",
         campaign.total_clients(),
         campaign.series.len()
     );
