@@ -23,9 +23,11 @@ pub struct ServerCheckpoint {
     pub completed_simulations: Vec<u64>,
     /// The experiment seed, to re-derive samplers and buffers on restart.
     pub experiment_seed: u64,
-    /// The optimizer (identical on every rank) when the checkpoint was taken;
-    /// a resumed rank continues from a copy of it. `None` — a bare `capture`,
-    /// or a file older than durable format 2 — resumes with a fresh one.
+    /// The optimizer when the checkpoint was taken: rank 0's, which the
+    /// capture round completed with every other rank's moment shard, so it
+    /// is the optimizer of the whole model. A resumed rank continues from a
+    /// copy of it. `None` — a bare `capture`, or a file older than durable
+    /// format 2 — resumes with a fresh one.
     #[serde(default)]
     pub optimizer: Option<Adam>,
 }

@@ -18,7 +18,8 @@
 //!      training thread        ◀── batches ── buffer (cross-shard draws)
 //!           │  forward/backward on the MLP replica
 //!           ▼
-//!      gradient all-reduce across ranks, identical weight update everywhere
+//!      training round across ranks: each reduces and Adam-steps its 1/N of
+//!      the parameters, then gathers the rest — identical replicas everywhere
 //!      rank 0 only: sidecar thread ◀── snapshots ── training thread
 //!           validation, checkpoint persistence, completion journal
 //! ```

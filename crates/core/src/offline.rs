@@ -24,8 +24,8 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 use std::time::Instant;
 use surrogate_nn::{
-    Adam, AdamConfig, Batch, GradientSynchronizer, Loss, LrSchedule, Mlp, MseLoss, Optimizer,
-    SampleBasedHalving,
+    Adam, AdamConfig, Batch, GradientSynchronizer, Loss, LrSchedule, Mlp, MseLoss,
+    SampleBasedHalving, Vote,
 };
 
 /// One offline-training experiment.
@@ -182,12 +182,13 @@ impl OfflineExperiment {
                             let loss = loss_fn.evaluate_into(prediction, &batch.targets, grad_out);
                             // backward_ws overwrites the gradients in place.
                             model.backward_ws(&mut ws);
-                            grad_sync.all_reduce_mean(model.grads_mut());
                             batches += 1;
                             samples_trained += samples.len();
                             let nominal_samples = batches * batch_size * num_ranks;
                             let lr = schedule.learning_rate(batches, nominal_samples);
-                            optimizer.step_in_place(&mut model, lr);
+                            // Every rank has a batch every step, so every
+                            // round steps.
+                            grad_sync.step(rank, Vote::Active, &mut model, &mut optimizer, lr);
                             let stall = if config.training.device.extra_batch_delay().is_zero() {
                                 std::time::Duration::ZERO
                             } else {

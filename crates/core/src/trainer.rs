@@ -4,14 +4,21 @@
 //! buffer to build a batch, feeds the GPU with it and performs the forward and
 //! backward passes through the NN. An all-reduce operation amongst the
 //! different training threads aggregates the gradients to update the network
-//! weights."* Each rank owns a full model replica; after every batch the
-//! gradients are averaged across ranks and the same update is applied
-//! everywhere, so the replicas stay bit-identical (synchronous data parallel).
+//! weights."* Each rank owns a full model replica and runs forward/backward
+//! on it; the round on [`surrogate_nn::GradientSynchronizer`] then splits the
+//! update: each of the N ranks averages its 1/N of the parameters' gradients
+//! across ranks (in rank order), runs Adam on that range only, and copies the
+//! other ranks' updated ranges in. Every replica ends the round with the
+//! update one rank applying the full step would make, bit-identical across
+//! ranks and across runs (synchronous data parallel, ZeRO-1 on threads). The
+//! Adam moments stay split until rank 0 captures a checkpoint (that round
+//! hands it the rest) and at exit, when every rank gathers them.
 //!
 //! Termination: a rank whose buffer has drained keeps participating in the
-//! collectives with zero gradients until *every* rank has drained, so no rank
-//! ever blocks on a missing peer (the round is coordinated by a small
-//! "active ranks" all-reduce before each gradient all-reduce).
+//! round with zero gradients until *every* rank has drained, so no rank ever
+//! blocks on a missing peer. Each rank's vote (data, idle, crash, capture)
+//! travels with its gradients, so ending the run costs no collective of its
+//! own.
 //!
 //! Data plane: batches are assembled straight from the training buffer into
 //! the batch matrices ([`crate::sample::fill_batch_from_buffer`]) — one buffer
@@ -47,19 +54,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use surrogate_nn::{
-    Adam, AdamConfig, Batch, GradientSynchronizer, Loss, LrSchedule, Mlp, MseLoss, Optimizer,
-    Sample, SampleBasedHalving, Workspace,
+    Adam, AdamConfig, Batch, GradientSynchronizer, Loss, LrSchedule, Mlp, MseLoss, Sample,
+    SampleBasedHalving, Verdict, Vote, Workspace,
 };
 use training_buffer::TrainingBuffer;
 
 /// State shared by every rank of one training run. The hot loop shares only
-/// the collectives — per-sample accounting stays rank-local (see
+/// the collective — per-sample accounting stays rank-local (see
 /// [`RankOutcome::occurrences`]) so no cross-rank lock is taken per round.
 pub struct TrainerShared {
-    /// Gradient all-reduce (vector length = parameter count).
+    /// The training round: termination vote, gradient reduction, sharded
+    /// optimizer step and parameter all-gather.
     pub grad_sync: GradientSynchronizer,
-    /// One-element all-reduce used to coordinate termination.
-    pub status_sync: GradientSynchronizer,
     /// Number of ranks.
     pub num_ranks: usize,
 }
@@ -69,7 +75,6 @@ impl TrainerShared {
     pub fn new(num_ranks: usize, param_count: usize) -> Self {
         Self {
             grad_sync: GradientSynchronizer::new(num_ranks, param_count),
-            status_sync: GradientSynchronizer::new(num_ranks, 1),
             num_ranks,
         }
     }
@@ -82,7 +87,9 @@ pub struct RankOutcome {
     pub rank: usize,
     /// The trained model replica (identical on every rank).
     pub model: Mlp,
-    /// The optimizer that trained it, for the server's final checkpoint.
+    /// The optimizer that trained it, for the server's final checkpoint:
+    /// complete (every rank's moment shard gathered) and identical on every
+    /// rank.
     pub optimizer: Adam,
     /// Number of batches this rank processed (including idle rounds where the
     /// rank only participated in the collectives).
@@ -143,14 +150,6 @@ impl Drop for UnwindGuard {
         }
     }
 }
-
-/// The contribution a crashing rank makes to the status all-reduce: so
-/// negative that the averaged flag stays far below [`CRASH_THRESHOLD`] for
-/// any realistic rank count, making every rank exit the *same* round.
-const SERVER_CRASH_SENTINEL: f32 = -1.0e6;
-/// The averaged status flag below which the round is a server crash (the
-/// normal flag is the mean of 0/1 contributions, never negative).
-const CRASH_THRESHOLD: f32 = -0.5;
 
 /// The per-rank training loop.
 pub struct RankTrainer {
@@ -226,7 +225,7 @@ impl RankTrainer {
     /// passes borrow a per-trainer [`surrogate_nn::Workspace`], the batch
     /// matrices are filled straight from the buffer and reused across rounds,
     /// and the gradients stay in the model's arena from the backward pass
-    /// through the all-reduce to the optimizer step.
+    /// through the reduction to the optimizer step.
     ///
     /// Rank 0's sidecar thread is spawned here and joined before this
     /// returns — crash round included — so the caller never observes an
@@ -389,10 +388,12 @@ impl RankTrainer {
         }
     }
 
-    /// One collective round: termination vote, forward/backward (or the idle
-    /// zero-gradient contribution), gradient all-reduce, optimizer step and
-    /// metrics. Returns `false` once every rank has drained. Identical for
-    /// the direct and prefetch paths — only who assembled `batch` differs.
+    /// One collective round: forward/backward (or the idle zero-gradient
+    /// contribution), then the round on [`TrainerShared::grad_sync`] — the
+    /// termination vote, the gradient reduction and the sharded optimizer
+    /// step — and metrics. Returns `false` once every rank has drained.
+    /// Identical for the direct and prefetch paths — only who assembled
+    /// `batch` differs.
     // analysis: hot_path
     fn round(&mut self, state: &mut RoundState, batch: Option<&Batch>, start: Instant) -> bool {
         let loss_fn = MseLoss;
@@ -400,13 +401,11 @@ impl RankTrainer {
         let batch_size = self.config.batch_size.max(1);
         let has_data = batch.is_some();
 
-        // Termination round: how many ranks still have data this round? A
-        // scripted server crash rides the same vote: rank 0 contributes a
-        // sentinel so negative that the mean is unmistakably a crash, and
-        // every rank exits this very round — the replicas (and therefore any
-        // checkpoint already captured) stay bit-identical across ranks. A
-        // sidecar that died takes the same exit, so no peer is left waiting
-        // in a collective while rank 0 re-raises the sidecar's panic.
+        // A scripted server crash rides the round's vote: every rank exits
+        // this very round, before any update — the replicas (and therefore
+        // any checkpoint already captured) stay bit-identical across ranks.
+        // A sidecar that died takes the same exit, so no peer is left waiting
+        // in the collective while rank 0 re-raises the sidecar's panic.
         let crash_now = self.rank == 0
             && (state.sidecar.as_ref().is_some_and(SidecarHandle::lost)
                 || self
@@ -414,31 +413,23 @@ impl RankTrainer {
                     .as_ref()
                     .and_then(|h| h.crash_after_batches)
                     .is_some_and(|after| state.batches_with_data >= after));
-        let mut active_flag = [if crash_now {
-            SERVER_CRASH_SENTINEL
+        // A checkpoint at the configured cadence: rank 0 captures after this
+        // round, so the round hands it the peers' optimizer moments.
+        let capture = self.rank == 0
+            && has_data
+            && self.recovery.as_ref().is_some_and(|hooks| {
+                hooks.checkpoint_every_batches > 0
+                    && (state.batches_with_data + 1).is_multiple_of(hooks.checkpoint_every_batches)
+            });
+        let vote = if crash_now {
+            Vote::Crash
+        } else if capture {
+            Vote::Capture
         } else if has_data {
-            1.0
+            Vote::Active
         } else {
-            0.0
-        }];
-        // analysis: allow(blocking, reason = "the collective is the round: synchronous data parallelism waits for every rank by design")
-        self.shared.status_sync.all_reduce_mean(&mut active_flag);
-        if active_flag[0] < CRASH_THRESHOLD {
-            if let Some(hooks) = &self.recovery {
-                // ordering: Release — publishes all training state written before the crash to the aggregators' and clients' Acquire loads
-                hooks.server_down.store(true, Ordering::Release);
-            }
-            // This rank stops consuming for good: lift the buffer's producer
-            // backpressure so no ingest worker stays blocked on a full queue
-            // it will never drain (they drop data once reception is over).
-            // analysis: allow(blocking, reason = "crash exit, once per run: takes the buffer lock to wake blocked producers")
-            self.buffer.mark_reception_over();
-            return false;
-        }
-        let active_ranks = (active_flag[0] * self.shared.num_ranks as f32).round() as usize;
-        if active_ranks == 0 {
-            return false;
-        }
+            Vote::Idle
+        };
 
         // Forward/backward on this replica through the reused workspace.
         let train_loss = if let Some(batch) = batch {
@@ -447,23 +438,11 @@ impl RankTrainer {
             let loss = loss_fn.evaluate_into(prediction, &batch.targets, grad_out);
             // backward_ws overwrites the gradients — no zeroing pass needed.
             self.model.backward_ws(&mut state.ws);
-            // Rank-local occurrence accounting: merged after the join, so the
-            // hot loop takes no cross-rank lock.
-            for key in &batch.keys {
-                state.occurrences.record(*key);
-            }
             loss
         } else {
             self.model.zero_grads();
             0.0
         };
-
-        // Synchronous data parallelism: average the gradients in place and
-        // apply the identical update on every replica.
-        // analysis: allow(blocking, reason = "the collective is the round: synchronous data parallelism waits for every rank by design")
-        self.shared
-            .grad_sync
-            .all_reduce_mean(self.model.grads_mut());
 
         // Learning-rate decay is scheduled in *sample* space so that runs
         // with different rank counts decay at the same point (§4.5). The
@@ -476,7 +455,40 @@ impl RankTrainer {
         let lr = self
             .schedule
             .learning_rate(progress_rounds, nominal_samples_seen);
-        self.optimizer.step_in_place(&mut self.model, lr);
+
+        // Synchronous data parallelism: every rank reduces and Adam-steps its
+        // shard of the mean gradient and gathers the others, so the same
+        // update lands on every replica.
+        // analysis: allow(blocking, reason = "the collective is the round: synchronous data parallelism waits for every rank by design")
+        let verdict =
+            self.shared
+                .grad_sync
+                .step(self.rank, vote, &mut self.model, &mut self.optimizer, lr);
+        match verdict {
+            Verdict::Stepped => {}
+            Verdict::Drained => return false,
+            Verdict::Crash => {
+                if let Some(hooks) = &self.recovery {
+                    // ordering: Release — publishes all training state written before the crash to the aggregators' and clients' Acquire loads
+                    hooks.server_down.store(true, Ordering::Release);
+                }
+                // This rank stops consuming for good: lift the buffer's
+                // producer backpressure so no ingest worker stays blocked on
+                // a full queue it will never drain (they drop data once
+                // reception is over).
+                // analysis: allow(blocking, reason = "crash exit, once per run: takes the buffer lock to wake blocked producers")
+                self.buffer.mark_reception_over();
+                return false;
+            }
+        }
+        if let Some(batch) = batch {
+            // Rank-local occurrence accounting, after the verdict so a crash
+            // round records nothing: merged after the join, so the hot loop
+            // takes no cross-rank lock.
+            for key in &batch.keys {
+                state.occurrences.record(*key);
+            }
+        }
 
         // The emulated-device stall is measured so throughput reports can
         // separate kernel time from what the device emulation adds.
@@ -517,36 +529,27 @@ impl RankTrainer {
         // besides the SGD step. None of it runs here: the learner captures a
         // snapshot and the sidecar does the work, in the order this code used
         // to — journal the completions, persist the checkpoint, validate.
-        // A checkpoint at the configured cadence. Capturing is the parameter
+        // The checkpoint this round voted for. Capturing is the parameter
         // copy; the in-memory store takes it by move, the sidecar shares it.
-        let checkpoint = self
-            .recovery
-            .as_ref()
-            .filter(|hooks| {
-                hooks.checkpoint_every_batches > 0
-                    && state
-                        .batches_with_data
-                        .is_multiple_of(hooks.checkpoint_every_batches)
-            })
-            .map(|hooks| {
-                // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the store keeps the copy, so it cannot be recycled")
-                let checkpoint = Arc::new(ServerCheckpoint {
-                    // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the two moment vectors, copied like the parameters")
-                    optimizer: Some(self.optimizer.clone()),
-                    // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the parameter copy")
-                    ..ServerCheckpoint::capture(
-                        &self.model,
-                        self.resume_rounds() + state.rounds,
-                        nominal_samples_seen,
-                        // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the full scan collects and sorts the completed ids")
-                        // analysis: allow(blocking, reason = "checkpoint cadence, not per batch: the full scan holds the progress map's lock")
-                        hooks.tracker.completed_simulations(),
-                        hooks.experiment_seed,
-                    )
-                });
-                hooks.store.record(Arc::clone(&checkpoint));
-                checkpoint
+        let checkpoint = self.recovery.as_ref().filter(|_| capture).map(|hooks| {
+            // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the store keeps the copy, so it cannot be recycled")
+            let checkpoint = Arc::new(ServerCheckpoint {
+                // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the two moment vectors, copied like the parameters")
+                optimizer: Some(self.optimizer.clone()),
+                // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the parameter copy")
+                ..ServerCheckpoint::capture(
+                    &self.model,
+                    self.resume_rounds() + state.rounds,
+                    nominal_samples_seen,
+                    // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the full scan collects and sorts the completed ids")
+                    // analysis: allow(blocking, reason = "checkpoint cadence, not per batch: the full scan holds the progress map's lock")
+                    hooks.tracker.completed_simulations(),
+                    hooks.experiment_seed,
+                )
             });
+            hooks.store.record(Arc::clone(&checkpoint));
+            checkpoint
+        });
         if let Some(sidecar) = &mut state.sidecar {
             let validate = self.validation.is_some()
                 && self.config.validation_interval_batches > 0
@@ -587,8 +590,14 @@ impl RankTrainer {
     }
 
     /// Final validation point and outcome assembly, shared by both paths.
-    fn finish(self, mut state: RoundState, start: Instant) -> RankOutcome {
+    fn finish(mut self, mut state: RoundState, start: Instant) -> RankOutcome {
         let batch_size = self.config.batch_size.max(1);
+        // Every rank leaves the same round (drained or crashed), so all of
+        // them gather here: each outcome carries the complete optimizer.
+        // analysis: allow(blocking, reason = "once per run, after the last round: the ranks exchange their optimizer-moment shards")
+        self.shared
+            .grad_sync
+            .gather_moments(self.rank, &mut self.optimizer);
         if self.rank == 0 {
             if let Some(validation) = &self.validation {
                 state.losses.push(LossPoint {

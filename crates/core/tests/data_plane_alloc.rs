@@ -8,7 +8,7 @@
 //! * the trainer round: direct buffer→batch assembly through the borrow-based
 //!   `get_batch_with` visitor (no per-sample clone, even for the Reservoir),
 //!   forward/backward through the reused workspace, rank-local occurrence
-//!   accounting, gradient all-reduce and the fused optimizer step;
+//!   accounting and the training round (reduction and fused optimizer step);
 //! * the real thing: rank 0's learning thread inside [`RankTrainer::run`]
 //!   with recovery hooks, a durable recorder and periodic validation on —
 //!   consumption accounting, the O(new) completion drain, the snapshot
@@ -44,7 +44,7 @@ use melissa_transport::{MessageLog, SamplePayload};
 use melissa_workload::Workload;
 use surrogate_nn::{
     Activation, Adam, AdamConfig, Batch, GradientSynchronizer, InitScheme, InputNormalizer, Loss,
-    Mlp, MlpConfig, MseLoss, Optimizer, OutputNormalizer, Sample,
+    Mlp, MlpConfig, MseLoss, OutputNormalizer, Sample, Vote,
 };
 use training_buffer::{FifoBuffer, ReservoirBuffer, TrainingBuffer};
 
@@ -437,8 +437,7 @@ fn steady_state_data_plane_allocates_nothing() {
             occurrences.record(*key);
         }
         // The trainer's round: the gradients never leave the model's arena.
-        sync.all_reduce_mean(model.grads_mut());
-        optimizer.step_in_place(model, 1e-3);
+        sync.step(0, Vote::Active, model, optimizer, 1e-3);
         loss
     };
 

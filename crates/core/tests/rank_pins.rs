@@ -3,7 +3,9 @@
 //! first run idle rounds (zero gradients) until the last one has drained. The
 //! final parameters and both Adam moments of every rank's outcome are hashed,
 //! so any change to the gradient reduction, the optimizer or the termination
-//! protocol that moves a single bit shows here.
+//! protocol that moves a single bit shows here. At three and four ranks,
+//! where the order of a sum over ranks decides its last bits, two runs must
+//! end on the same bits.
 
 use melissa::trainer::{RankOutcome, RankTrainer, TrainerShared};
 use melissa::{OccurrenceTable, TrainingConfig};
@@ -141,4 +143,21 @@ fn two_rank_training_with_an_idle_tail_is_pinned() {
         0xb616_6a27_6d14_f866,
     ];
     assert_eq!(pins, [(30, 30, expected), (30, 19, expected)], "{pins:#x?}");
+}
+
+#[test]
+fn three_and_four_ranks_train_the_same_bits_on_every_run() {
+    // More rank threads than a two-core host has cores, so which rank
+    // contributes first changes from round to round and from run to run; a
+    // reduction that summed in arrival order would drift in the last bits.
+    for batches in [&[30, 24, 17][..], &[30, 27, 21, 12]] {
+        let first = fingerprints(batches);
+        let second = fingerprints(batches);
+        assert_eq!(first, second, "{} ranks: two runs differ", batches.len());
+        for (rank, pin) in first.iter().enumerate() {
+            assert_eq!(pin.0, 30, "rank {rank} ran every round");
+            assert_eq!(pin.1, batches[rank]);
+            assert_eq!(pin.2, first[0].2, "rank {rank} ended elsewhere");
+        }
+    }
 }

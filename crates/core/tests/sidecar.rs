@@ -240,7 +240,8 @@ fn a_panic_on_the_sidecar_ends_the_run_instead_of_hanging_it() {
 
 /// Resume equivalence: "checkpoint at batch K, load it from disk, train to N"
 /// ends on the very weights of training to N uninterrupted — and only because
-/// the file carries the optimizer.
+/// the file carries the optimizer. At two ranks the optimizer is split across
+/// the ranks, so the capture round must hand rank 0 its peer's moments.
 #[test]
 fn resuming_from_the_durable_file_continues_the_run_bit_for_bit() {
     const N: usize = 12;
@@ -249,104 +250,122 @@ fn resuming_from_the_durable_file_continues_the_run_bit_for_bit() {
         experiment_seed: 9,
         config_fingerprint: 1,
     };
-    // The learning rate halves at batches 5 and 10, so the resumed run must
-    // also pick the schedule up where the checkpoint left it.
+    // The learning rate halves at batches 5 and 10 (one rank), so the resumed
+    // run must also pick the schedule up where the checkpoint left it.
     let training = TrainingConfig {
         lr_halving_samples: 5 * BATCH_SIZE,
         ..config(0)
-    };
-    // One rank over batches `batches` of the fixed sample stream, reception
-    // over, starting from `resume` when given.
-    let run = |batches: std::ops::Range<usize>, hooks: RecoveryHooks| {
-        let buffer: Arc<dyn TrainingBuffer<Sample>> = Arc::new(FifoBuffer::new(1024));
-        for k in batches.start * BATCH_SIZE..batches.end * BATCH_SIZE {
-            buffer.put(sample((k % 16) as u64, k, 4));
-        }
-        buffer.mark_reception_over();
-        let start = hooks
-            .resume
-            .as_ref()
-            .map_or_else(model, |cp| cp.restore_model());
-        let shared = Arc::new(TrainerShared::new(1, start.param_count()));
-        let occurrences = OccurrenceTable::with_shape(SIMULATIONS, STEPS);
-        let trainer = RankTrainer::new(
-            0,
-            start,
-            buffer,
-            training.clone(),
-            None,
-            shared,
-            occurrences,
-        );
-        trainer.with_recovery(hooks).run(Instant::now())
     };
     let bits = |outcome: &RankOutcome| -> Vec<u32> {
         let params = outcome.model.params_flat();
         params.iter().map(|p| p.to_bits()).collect()
     };
-    let resumed_from = |checkpoint: ServerCheckpoint| {
+    // `ranks` ranks over batches `batches` of their fixed sample streams,
+    // reception over, starting from `resume` when given: rank 0's outcome,
+    // once every rank is seen to end on the same weights.
+    let run = |ranks: usize, batches: std::ops::Range<usize>, hooks: RecoveryHooks| {
+        let shared = Arc::new(TrainerShared::new(ranks, model().param_count()));
+        let handles: Vec<_> = (0..ranks)
+            .map(|rank| {
+                let buffer: Arc<dyn TrainingBuffer<Sample>> = Arc::new(FifoBuffer::new(1024));
+                for k in batches.start * BATCH_SIZE..batches.end * BATCH_SIZE {
+                    buffer.put(sample(((k + 5 * rank) % 16) as u64, k, 4));
+                }
+                buffer.mark_reception_over();
+                let start = hooks
+                    .resume
+                    .as_ref()
+                    .map_or_else(model, |cp| cp.restore_model());
+                let trainer = RankTrainer::new(
+                    rank,
+                    start,
+                    buffer,
+                    TrainingConfig {
+                        num_ranks: ranks,
+                        ..training.clone()
+                    },
+                    None,
+                    Arc::clone(&shared),
+                    OccurrenceTable::with_shape(SIMULATIONS, STEPS),
+                )
+                .with_recovery(hooks.clone());
+                std::thread::spawn(move || trainer.run(Instant::now()))
+            })
+            .collect();
+        let outcomes: Vec<RankOutcome> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        for outcome in &outcomes {
+            assert_eq!(bits(outcome), bits(&outcomes[0]), "{ranks} ranks");
+        }
+        outcomes.into_iter().next().unwrap()
+    };
+    let resumed_from = |ranks: usize, checkpoint: ServerCheckpoint| {
         let mut hooks = hooks(0, None);
         hooks.resume = Some(Arc::new(checkpoint));
-        run(K..N, hooks)
+        run(ranks, K..N, hooks)
     };
 
-    // Run A: N batches, one durable checkpoint, at batch K.
-    let dir = std::env::temp_dir().join(format!("melissa-sidecar-resume-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = DurableCheckpointStore::open(&dir, identity, 3).unwrap();
-    let (journal, _) = CompletionJournal::open(&dir, identity, 1).unwrap();
-    let recorder = Arc::new(DurableRecorder::new(store, journal, []));
-    let uninterrupted = run(0..N, hooks(K, Some(Arc::clone(&recorder))));
-    assert_eq!(uninterrupted.sidecar.checkpoints_persisted, 1);
-    drop(recorder);
+    for ranks in [1, 2] {
+        // Run A: N batches, one durable checkpoint, at batch K.
+        let dir = std::env::temp_dir().join(format!(
+            "melissa-sidecar-resume-{ranks}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DurableCheckpointStore::open(&dir, identity, 3).unwrap();
+        let (journal, _) = CompletionJournal::open(&dir, identity, 1).unwrap();
+        let recorder = Arc::new(DurableRecorder::new(store, journal, []));
+        let uninterrupted = run(ranks, 0..N, hooks(K, Some(Arc::clone(&recorder))));
+        assert_eq!(uninterrupted.sidecar.checkpoints_persisted, 1);
+        drop(recorder);
 
-    // Run B: the epoch-K file, read back from disk, and the remaining batches.
-    let store = DurableCheckpointStore::open(&dir, identity, 3).unwrap();
-    let (_, checkpoint) = store.load_latest().unwrap().latest.expect("saved at K");
-    assert_eq!(checkpoint.batches_trained, K);
-    assert!(
-        checkpoint.optimizer.is_some(),
-        "format 2 carries the optimizer"
-    );
-    let resumed = resumed_from(checkpoint.clone());
-    assert_eq!(resumed.batches_with_data, N - K);
-    assert_eq!(bits(&resumed), bits(&uninterrupted));
+        // Run B: the epoch-K file, read back from disk, and the remaining batches.
+        let store = DurableCheckpointStore::open(&dir, identity, 3).unwrap();
+        let (_, checkpoint) = store.load_latest().unwrap().latest.expect("saved at K");
+        assert_eq!(checkpoint.batches_trained, K);
+        assert!(
+            checkpoint.optimizer.is_some(),
+            "format 2 carries the optimizer"
+        );
+        let resumed = resumed_from(ranks, checkpoint.clone());
+        assert_eq!(resumed.batches_with_data, N - K);
+        assert_eq!(bits(&resumed), bits(&uninterrupted), "{ranks} ranks");
 
-    // Negative control: the same resume without the optimizer state — what
-    // every resume was before format 2 — ends somewhere else.
-    let mut forgetful = checkpoint.clone();
-    forgetful.optimizer = None;
-    let forgetful = resumed_from(forgetful);
-    assert_ne!(bits(&forgetful), bits(&uninterrupted));
+        // Negative control: the same resume without the optimizer state — what
+        // every resume was before format 2 — ends somewhere else.
+        let mut forgetful = checkpoint.clone();
+        forgetful.optimizer = None;
+        let forgetful = resumed_from(ranks, forgetful);
+        assert_ne!(bits(&forgetful), bits(&uninterrupted), "{ranks} ranks");
 
-    // A version-1 file of the same checkpoint, as the parent commit wrote it
-    // (built by hand: the crate has no v1 writer left): the 48-byte header
-    // around the JSON document, which has no optimizer key. It still loads,
-    // with the optimizer absent, and resumes as it used to.
-    let json = v1_json(&checkpoint);
-    let mut file = b"MELCKPT\0".to_vec();
-    file.extend_from_slice(&1u32.to_le_bytes());
-    file.extend_from_slice(&0u32.to_le_bytes());
-    for field in [
-        identity.experiment_seed,
-        identity.config_fingerprint,
-        5,
-        json.len() as u64,
-    ] {
-        file.extend_from_slice(&field.to_le_bytes());
+        // A version-1 file of the same checkpoint, as the parent commit wrote it
+        // (built by hand: the crate has no v1 writer left): the 48-byte header
+        // around the JSON document, which has no optimizer key. It still loads,
+        // with the optimizer absent, and resumes as it used to.
+        let json = v1_json(&checkpoint);
+        let mut file = b"MELCKPT\0".to_vec();
+        file.extend_from_slice(&1u32.to_le_bytes());
+        file.extend_from_slice(&0u32.to_le_bytes());
+        for field in [
+            identity.experiment_seed,
+            identity.config_fingerprint,
+            5,
+            json.len() as u64,
+        ] {
+            file.extend_from_slice(&field.to_le_bytes());
+        }
+        file.extend_from_slice(json.as_bytes());
+        let checksum = Checksum64::digest(&file);
+        file.extend_from_slice(&checksum.to_le_bytes());
+        std::fs::write(dir.join("ckpt-0000000005"), &file).unwrap();
+        let latest = store.load_latest().unwrap();
+        assert!(latest.rejected.is_empty(), "{:?}", latest.rejected);
+        let (epoch, legacy) = latest.latest.unwrap();
+        assert_eq!((epoch, legacy.batches_trained), (5, K));
+        assert!(legacy.optimizer.is_none());
+        assert_eq!(legacy.model.params, checkpoint.model.params);
+        assert_eq!(bits(&resumed_from(ranks, legacy)), bits(&forgetful));
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    file.extend_from_slice(json.as_bytes());
-    let checksum = Checksum64::digest(&file);
-    file.extend_from_slice(&checksum.to_le_bytes());
-    std::fs::write(dir.join("ckpt-0000000005"), &file).unwrap();
-    let latest = store.load_latest().unwrap();
-    assert!(latest.rejected.is_empty(), "{:?}", latest.rejected);
-    let (epoch, legacy) = latest.latest.unwrap();
-    assert_eq!((epoch, legacy.batches_trained), (5, K));
-    assert!(legacy.optimizer.is_none());
-    assert_eq!(legacy.model.params, checkpoint.model.params);
-    assert_eq!(bits(&resumed_from(legacy)), bits(&forgetful));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `checkpoint` as the JSON document of a version-1 file.

@@ -24,8 +24,11 @@
 //! * [`LrSchedule`] — the paper's "halve every N batches with a floor" schedule
 //!   plus constant and sample-based variants (§4.5 scales the schedule with the
 //!   number of GPUs so the decay happens per-sample, not per-batch).
-//! * [`GradientSynchronizer`] — the data-parallel all-reduce used by the
-//!   training server replicas (each worker thread plays the role of one GPU).
+//! * [`GradientSynchronizer`] — the data-parallel training round of the
+//!   server's replicas (each worker thread plays the role of one GPU): every
+//!   rank reduces its 1/N of the gradient in rank order, Adam-steps that
+//!   range, and all-gathers the others; the ranks' termination vote rides the
+//!   same round.
 //! * [`InputNormalizer`]/[`OutputNormalizer`] — per-dimension affine normalisation
 //!   of workload inputs and output fields (defaults match the paper's heat setup).
 //!
@@ -46,7 +49,7 @@ pub mod serialize;
 pub mod simd;
 pub mod workspace;
 
-pub use allreduce::GradientSynchronizer;
+pub use allreduce::{GradientSynchronizer, Verdict, Vote};
 pub use data::{Batch, Dataset, Sample};
 pub use init::{InitScheme, WeightInit};
 pub use loss::{Loss, MseLoss};

@@ -11,6 +11,7 @@ use crate::matrix::Matrix;
 use crate::simd::{self, Epilogue, FlushGuard, ResolvedIsa};
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Supported activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -188,8 +189,9 @@ pub struct Mlp {
     layers: Vec<DenseLayer>,
     /// The gradient arena: every parameter gradient in [`Mlp::params_flat`]
     /// order, allocated once at construction. The backward passes write into
-    /// it, the trainer all-reduces it in place and
-    /// [`crate::Optimizer::step_in_place`] reads it — no flattening copy.
+    /// it, the training round ([`crate::GradientSynchronizer::step`]) swaps
+    /// it into the collective and reduces into it, and the optimizer reads
+    /// it — no flattening copy.
     #[serde(skip)]
     grads: Vec<f32>,
 }
@@ -412,20 +414,7 @@ impl Mlp {
             self.param_count(),
             "parameter length mismatch"
         );
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            let w_len = layer.weights.data().len();
-            layer
-                .weights
-                .data_mut()
-                .copy_from_slice(&params[offset..offset + w_len]);
-            offset += w_len;
-            let b_len = layer.biases.len();
-            layer
-                .biases
-                .copy_from_slice(&params[offset..offset + b_len]);
-            offset += b_len;
-        }
+        self.set_params_range(0..params.len(), params);
     }
 
     /// The gradient arena: the gradients the last backward pass left (zeros
@@ -434,9 +423,17 @@ impl Mlp {
         &self.grads
     }
 
-    /// The gradient arena, mutably (the trainer all-reduces it in place).
+    /// The gradient arena, mutably.
     pub fn grads_mut(&mut self) -> &mut [f32] {
         &mut self.grads
+    }
+
+    /// Exchanges the gradient arena with `buffer`, which must be as long:
+    /// the collective hands a rank's gradients to its peers this way, without
+    /// copying them.
+    pub(crate) fn swap_grads(&mut self, buffer: &mut Vec<f32>) {
+        assert_eq!(buffer.len(), self.grads.len(), "gradient length mismatch");
+        std::mem::swap(&mut self.grads, buffer);
     }
 
     /// Copies the gradient arena into a reused vector (cleared first);
@@ -446,16 +443,55 @@ impl Mlp {
         out.extend_from_slice(&self.grads);
     }
 
-    /// Visits every parameter slice mutably in flat order (per layer: weights,
-    /// then biases — the order of [`Mlp::params_flat`]) with its flat offset
+    /// Copies the parameters at flat positions `range` ([`Mlp::params_flat`]
+    /// order) into `out`, which is `range.len()` long.
+    ///
+    /// # Panics
+    /// Panics when `range` reaches past [`Mlp::param_count`] or `out` is not
+    /// `range.len()` long.
+    pub(crate) fn params_range_into(&self, range: Range<usize>, out: &mut [f32]) {
+        assert!(range.end <= self.param_count(), "parameter range");
+        assert_eq!(out.len(), range.len(), "parameter range length mismatch");
+        let mut offset = 0;
+        for layer in &self.layers {
+            for params in [layer.weights.data(), layer.biases.as_slice()] {
+                let part = overlap(&range, offset, params.len());
+                if !part.is_empty() {
+                    out[part.start - range.start..part.end - range.start]
+                        .copy_from_slice(&params[part.start - offset..part.end - offset]);
+                }
+                offset += params.len();
+            }
+        }
+    }
+
+    /// Overwrites the parameters at flat positions `range` from `values`,
+    /// which is `range.len()` long; the rest stay as they are.
+    ///
+    /// # Panics
+    /// Panics when `range` reaches past [`Mlp::param_count`] or `values` is
+    /// not `range.len()` long.
+    pub(crate) fn set_params_range(&mut self, range: Range<usize>, values: &[f32]) {
+        assert_eq!(values.len(), range.len(), "parameter range length mismatch");
+        let start = range.start;
+        self.for_each_param_slice_mut(range, None, |offset, params, _| {
+            params.copy_from_slice(&values[offset - start..offset - start + params.len()]);
+        });
+    }
+
+    /// Visits the parameters at flat positions `range` mutably, in flat order
+    /// (per layer: weights, then biases — the order of [`Mlp::params_flat`]),
+    /// one slice per layer part the range touches, each with its flat offset
     /// and the matching slice of `grads` (`None`: of the gradient arena), so
     /// optimizers fuse state and parameter update into one pass instead of
     /// materialising a delta vector.
     ///
     /// # Panics
-    /// Panics when `grads` is not [`Mlp::param_count`] long.
+    /// Panics when `grads` is not [`Mlp::param_count`] long or `range`
+    /// reaches past it.
     pub fn for_each_param_slice_mut(
         &mut self,
+        range: Range<usize>,
         grads: Option<&[f32]>,
         mut f: impl FnMut(usize, &mut [f32], &[f32]),
     ) {
@@ -465,14 +501,31 @@ impl Mlp {
             self.grads.len(),
             "gradient length does not match the model"
         );
+        assert!(range.end <= grads.len(), "parameter range");
         let mut offset = 0;
         for layer in &mut self.layers {
             for params in [layer.weights.data_mut(), layer.biases.as_mut_slice()] {
-                f(offset, params, &grads[offset..offset + params.len()]);
-                offset += params.len();
+                let len = params.len();
+                let part = overlap(&range, offset, len);
+                if !part.is_empty() {
+                    f(
+                        part.start,
+                        &mut params[part.start - offset..part.end - offset],
+                        &grads[part.clone()],
+                    );
+                }
+                offset += len;
             }
         }
     }
+}
+
+/// The flat positions `range` shares with the slice at `offset..offset + len`
+/// (an empty range when they do not meet).
+fn overlap(range: &Range<usize>, offset: usize, len: usize) -> Range<usize> {
+    let end = offset + len;
+    let start = range.start.clamp(offset, end);
+    start..range.end.clamp(start, end)
 }
 
 #[cfg(test)]
@@ -605,6 +658,26 @@ mod tests {
                 analytic[idx]
             );
         }
+    }
+
+    #[test]
+    fn params_range_copies_cross_layer_boundaries() {
+        // Flat layout: weights 0..15, biases 15..20, weights 20..30, biases 30..32.
+        let mut mlp = tiny_mlp(4);
+        let flat = mlp.params_flat();
+        for range in [0..32, 0..0, 3..17, 15..20, 14..31, 31..32, 32..32] {
+            let mut out = vec![f32::NAN; range.len()];
+            mlp.params_range_into(range.clone(), &mut out);
+            assert_eq!(out, flat[range.clone()], "{range:?}");
+            let values: Vec<f32> = range.clone().map(|i| i as f32).collect();
+            let mut expected = flat.clone();
+            expected[range.clone()].copy_from_slice(&values);
+            let mut copy = mlp.clone();
+            copy.set_params_range(range.clone(), &values);
+            assert_eq!(copy.params_flat(), expected, "{range:?}");
+        }
+        mlp.set_params_range(0..32, &flat);
+        assert_eq!(mlp.params_flat(), flat);
     }
 
     #[test]

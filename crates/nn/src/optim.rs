@@ -5,6 +5,7 @@
 use crate::mlp::Mlp;
 use crate::simd::{self, FlushGuard, KernelIsa};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// An optimizer consuming flattened gradients and updating the model in place.
 pub trait Optimizer: Send {
@@ -115,21 +116,23 @@ impl Adam {
             isa: KernelIsa::Auto,
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn update(&mut self, model: &mut Mlp, grads: Option<&[f32]>, learning_rate: f32) {
+    /// Both moment estimates, mutably (the collective exchanges their
+    /// per-rank ranges).
+    pub(crate) fn moments_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (&mut self.first_moment, &mut self.second_moment)
+    }
+
+    /// Counts one update step and returns its constants;
+    /// [`Adam::update_range`] applies them, to the whole model or range by
+    /// range (the collective steps one rank's share in chunks).
+    pub(crate) fn begin_step(&mut self, learning_rate: f32) -> simd::AdamStep {
         let _flush = FlushGuard::enter();
-        assert_eq!(
-            grads.map_or(model.param_count(), <[f32]>::len),
-            self.first_moment.len(),
-            "gradient length does not match optimizer state"
-        );
         self.steps += 1;
         let t = self.steps as f32;
         let b1 = self.config.beta1;
         let b2 = self.config.beta2;
-        let step = simd::AdamStep {
+        simd::AdamStep {
             beta1: b1,
             beta2: b2,
             bias1: 1.0 - b1.powf(t),
@@ -137,15 +140,40 @@ impl Optimizer for Adam {
             learning_rate,
             epsilon: self.config.epsilon,
             decay: learning_rate * self.config.weight_decay,
-        };
+        }
+    }
+
+    /// The fused pass of a begun `step` over the parameters at flat
+    /// positions `range`, reading `grads` (`None`: the model's arena):
+    /// element for element what the step makes there over the full range.
+    pub(crate) fn update_range(
+        &mut self,
+        model: &mut Mlp,
+        range: Range<usize>,
+        grads: Option<&[f32]>,
+        step: simd::AdamStep,
+    ) {
+        let _flush = FlushGuard::enter();
+        assert_eq!(
+            grads.map_or(model.param_count(), <[f32]>::len),
+            self.first_moment.len(),
+            "gradient length does not match optimizer state"
+        );
         let isa = self.isa.resolve();
         let first = &mut self.first_moment;
         let second = &mut self.second_moment;
-        model.for_each_param_slice_mut(grads, |offset, params, g| {
+        model.for_each_param_slice_mut(range, grads, |offset, params, g| {
             let m = &mut first[offset..offset + params.len()];
             let v = &mut second[offset..offset + params.len()];
             simd::adam_update(isa, params, g, m, v, step);
         });
+    }
+}
+
+impl Optimizer for Adam {
+    fn update(&mut self, model: &mut Mlp, grads: Option<&[f32]>, learning_rate: f32) {
+        let step = self.begin_step(learning_rate);
+        self.update_range(model, 0..model.param_count(), grads, step);
     }
 
     fn steps_taken(&self) -> usize {
@@ -279,6 +307,33 @@ mod tests {
             assert_eq!(run(isa, true), reference_adam);
             assert_eq!(run(isa, false), reference_adam);
         }
+    }
+
+    #[test]
+    fn a_step_applied_range_by_range_is_the_full_step() {
+        // One begun step applied to the parts of a partition, in any order,
+        // moves parameters and moments exactly as the full step does.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut whole = model();
+        let count = whole.param_count();
+        for (i, g) in whole.grads_mut().iter_mut().enumerate() {
+            *g = (i % 5) as f32 * 0.1 - 0.2;
+        }
+        let mut parts = whole.clone();
+        let mut full = Adam::new(AdamConfig::default(), count);
+        let mut split = Adam::new(AdamConfig::default(), count);
+        for _ in 0..3 {
+            full.step_in_place(&mut whole, 0.05);
+            let step = split.begin_step(0.05);
+            // Layer parts: weights 0..12, biases 12..18, weights 18..24, bias 24.
+            for range in [13..25, 0..7, 13..13, 7..13] {
+                split.update_range(&mut parts, range, None, step);
+            }
+        }
+        assert_eq!(split.steps_taken(), 3);
+        assert_eq!(bits(&parts.params_flat()), bits(&whole.params_flat()));
+        assert_eq!(bits(split.moments().0), bits(full.moments().0));
+        assert_eq!(bits(split.moments().1), bits(full.moments().1));
     }
 
     #[test]
