@@ -261,7 +261,6 @@ impl ShardWorker<'_> {
                         .try_recv_many(&mut inbound, Aggregator::MAX_BURST - 1);
                     for message in std::iter::once(first).chain(inbound.drain(..)) {
                         match message {
-                            Message::Connect { .. } => {}
                             Message::TimeStep {
                                 client_id,
                                 sequence,

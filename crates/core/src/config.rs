@@ -7,7 +7,7 @@
 use crate::error::ConfigError;
 use crate::workload_spec::WorkloadSpec;
 use heat_solver::SolverConfig;
-use melissa_ensemble::{CampaignPlan, LauncherConfig, SamplerKind};
+use melissa_ensemble::{CampaignPlan, LauncherConfig};
 use melissa_transport::fingerprint64;
 use melissa_transport::FaultConfig;
 use melissa_workload::PARAM_DIM;
@@ -88,8 +88,6 @@ pub struct TrainingConfig {
     /// Halve the learning rate every this many *samples* (paper: 10,000); 0
     /// disables the decay.
     pub lr_halving_samples: usize,
-    /// Learning-rate floor (paper: 2.5e-4).
-    pub lr_floor: f32,
     /// Run validation every this many batches on rank 0 (paper: 100); 0
     /// disables periodic validation.
     pub validation_interval_batches: usize,
@@ -122,7 +120,6 @@ impl Default for TrainingConfig {
             num_ranks: 1,
             initial_learning_rate: 1e-3,
             lr_halving_samples: 10_000,
-            lr_floor: 2.5e-4,
             validation_interval_batches: 100,
             validation_simulations: 10,
             device: DeviceProfile::default(),
@@ -167,22 +164,6 @@ pub struct DurabilityConfig {
     /// 0 inherits [`ExperimentConfig::checkpoint_every_batches`].
     #[serde(default)]
     pub checkpoint_every_batches: usize,
-    /// Fsync the journal every this many appended completion records (the
-    /// recorder also flushes after each batch of completions); clamped to at
-    /// least 1.
-    #[serde(default = "default_journal_flush_every")]
-    pub journal_flush_every: usize,
-    /// Keep the newest K checkpoint files; clamped to at least 1.
-    #[serde(default = "default_keep_last")]
-    pub keep_last: usize,
-}
-
-fn default_journal_flush_every() -> usize {
-    8
-}
-
-fn default_keep_last() -> usize {
-    3
 }
 
 impl DurabilityConfig {
@@ -191,8 +172,6 @@ impl DurabilityConfig {
         Self {
             directory: directory.into(),
             checkpoint_every_batches: 0,
-            journal_flush_every: default_journal_flush_every(),
-            keep_last: default_keep_last(),
         }
     }
 
@@ -344,11 +323,6 @@ impl ExperimentConfig {
     /// The surrogate output size (one value per grid node).
     pub fn output_size(&self) -> usize {
         self.workload.field_len()
-    }
-
-    /// The experimental-design family used by the campaign.
-    pub fn sampler_kind(&self) -> SamplerKind {
-        self.campaign.sampler
     }
 
     /// A deterministic per-rank seed derived from the experiment seed, used
@@ -740,8 +714,6 @@ mod tests {
     #[test]
     fn durability_config_defaults_and_inheritance() {
         let d = DurabilityConfig::new("/tmp/somewhere");
-        assert_eq!(d.keep_last, 3);
-        assert_eq!(d.journal_flush_every, 8);
         assert_eq!(d.effective_checkpoint_every(25), 25);
         let explicit = DurabilityConfig {
             checkpoint_every_batches: 10,

@@ -51,7 +51,8 @@
 //! optimizer state) or equal to `params`, and the four counts must account
 //! for `payload_len` exactly. Version 1 — the same header around one
 //! `ServerCheckpoint` JSON document, no optimizer — is still *read*, so older
-//! directories resume, but never written; ROADMAP item 4 deletes that arm.
+//! directories resume, but never written; ROADMAP item 5 (l), after item 6,
+//! deletes that arm.
 //!
 //! Journal file `journal`:
 //!

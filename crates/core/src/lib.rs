@@ -10,7 +10,7 @@
 //!
 //! ```text
 //!  launcher ──▶ client jobs (heat-solver / synthetic workload)      CPU side
-//!                  │  ClientApi::send(u_X^t)  (round-robin to all ranks)
+//!                  │  ClientConnection::send(u_X^t)  (round-robin to all ranks)
 //!                  ▼
 //!  server rank 0..N-1 (one per "GPU"):
 //!      data-aggregator shard workers (× ingest_shards, default 1)

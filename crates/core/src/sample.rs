@@ -146,19 +146,6 @@ mod tests {
         // future change to the producer reintroducing a realloc is caught.
         let payload = step_to_payload(&step(), 0);
         assert!(payload.parameters.capacity() > payload.parameters.len());
-        let frame = melissa_transport::Message::TimeStep {
-            client_id: 0,
-            sequence: 0,
-            payload,
-        }
-        .encode();
-        if let melissa_transport::Message::TimeStep { payload, .. } =
-            melissa_transport::Message::decode(frame).unwrap()
-        {
-            assert!(payload.parameters.capacity() > payload.parameters.len());
-        } else {
-            panic!("decode changed the message kind");
-        }
     }
 
     fn make_sample(k: u64) -> Sample {

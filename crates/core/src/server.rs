@@ -39,6 +39,13 @@ use std::time::{Duration, Instant};
 use surrogate_nn::{Mlp, Sample};
 use training_buffer::{Evicted, ShardedBuffer, TrainingBuffer};
 
+/// Checkpoint files a durable run keeps in its directory (the newest ones).
+const KEEP_LAST_CHECKPOINTS: usize = 3;
+
+/// Completion records appended between two journal fsyncs (the recorder also
+/// flushes after each batch of completions).
+const JOURNAL_FLUSH_EVERY: usize = 8;
+
 /// A scripted hang: the client stops reporting progress and waits for the
 /// launcher's watchdog to declare the attempt dead, then unwinds. A safety
 /// cap turns the hang into a plain crash when no watchdog is configured, so
@@ -160,11 +167,10 @@ impl OnlineExperiment {
             }
         }
 
-        let store = DurableCheckpointStore::open(dir, identity, durability.keep_last)?;
+        let store = DurableCheckpointStore::open(dir, identity, KEEP_LAST_CHECKPOINTS)?;
         let latest = store.load_latest()?;
         let checkpoint = latest.latest.map(|(_, checkpoint)| checkpoint);
-        let (journal, journaled) =
-            CompletionJournal::open(dir, identity, durability.journal_flush_every)?;
+        let (journal, journaled) = CompletionJournal::open(dir, identity, JOURNAL_FLUSH_EVERY)?;
         let already_durable: Vec<u64> = journaled
             .iter()
             .copied()
@@ -197,9 +203,8 @@ impl OnlineExperiment {
     ) -> Result<Arc<DurableRecorder>, DurabilityError> {
         let identity = self.durable_identity();
         let dir = durability.directory_path();
-        let store = DurableCheckpointStore::open(&dir, identity, durability.keep_last)?;
-        let (journal, journaled) =
-            CompletionJournal::open(&dir, identity, durability.journal_flush_every)?;
+        let store = DurableCheckpointStore::open(&dir, identity, KEEP_LAST_CHECKPOINTS)?;
+        let (journal, journaled) = CompletionJournal::open(&dir, identity, JOURNAL_FLUSH_EVERY)?;
         let already_durable: Vec<u64> = journaled
             .into_iter()
             .chain(

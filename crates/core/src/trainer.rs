@@ -65,6 +65,9 @@ use surrogate_nn::{
 };
 use training_buffer::TrainingBuffer;
 
+/// Learning-rate floor of the sample-based halving schedule (paper: 2.5e-4).
+const LR_FLOOR: f32 = 2.5e-4;
+
 /// State shared by every rank of one training run. The hot loop shares only
 /// the collective — per-sample accounting stays rank-local (see
 /// [`RankOutcome::occurrences`]) so no cross-rank lock is taken per round.
@@ -230,7 +233,7 @@ impl RankTrainer {
         let schedule = SampleBasedHalving {
             initial: config.initial_learning_rate,
             interval_samples: config.lr_halving_samples,
-            floor: config.lr_floor,
+            floor: LR_FLOOR,
         };
         Self {
             rank,

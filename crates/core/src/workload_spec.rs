@@ -102,7 +102,6 @@ impl WorkloadSpec {
             } => Arc::new(SyntheticWorkload {
                 config: *solver,
                 kind: *kind,
-                step_delay: std::time::Duration::ZERO,
                 noise_amplitude: *noise_amplitude,
             }),
             WorkloadSpec::Advection { config, variant } => Arc::new(AdvectionWorkload {

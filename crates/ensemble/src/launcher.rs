@@ -492,24 +492,6 @@ impl Launcher {
             .collect()
     }
 
-    /// Runs the campaign in restart mode: reruns exactly the members of
-    /// `plan` that `completed` does not cover, replaying the original
-    /// sampler stream so every rerun member draws its original parameters.
-    pub fn run_campaign_resume<F>(
-        &self,
-        plan: &CampaignPlan,
-        space: &ParameterSpace,
-        completed: &[u64],
-        events: &CampaignEvents<'_>,
-        client_fn: F,
-    ) -> LauncherReport
-    where
-        F: Fn(&ClientJob, &ClientContext) -> Result<(), ClientError> + Sync,
-    {
-        let ids = Self::missing_ids(plan.total_clients(), completed);
-        self.run_campaign_subset(plan, space, &ids, events, client_fn)
-    }
-
     fn run_campaign_filtered<F>(
         &self,
         plan: &CampaignPlan,
@@ -1030,7 +1012,8 @@ mod tests {
         });
 
         let resumed = PlMutex::new(Vec::new());
-        let report = launcher.run_campaign_resume(&plan, &space, &[1, 3], &events, |job, _| {
+        let missing = Launcher::missing_ids(plan.total_clients(), &[1, 3]);
+        let report = launcher.run_campaign_subset(&plan, &space, &missing, &events, |job, _| {
             resumed.lock().push((job.client_id, job.parameters));
             Ok(())
         });

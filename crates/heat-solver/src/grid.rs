@@ -160,11 +160,6 @@ impl Field {
         &mut self.values
     }
 
-    /// Consumes the field, returning its raw values.
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
-    }
-
     /// Value at interior node `(i, j)`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
@@ -197,11 +192,6 @@ impl Field {
             return 0.0;
         }
         self.values.iter().sum::<f64>() / self.values.len() as f64
-    }
-
-    /// L2 norm of the field seen as a flat vector.
-    pub fn norm2(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Root-mean-square difference with another field defined on the same grid.

@@ -16,7 +16,6 @@ use melissa_workload::{
     ParamPoint, ParamRange, ParameterSpace, Workload, WorkloadError, WorkloadStep,
 };
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 impl From<SolverError> for WorkloadError {
     fn from(error: SolverError) -> Self {
@@ -43,9 +42,6 @@ pub struct SyntheticWorkload {
     pub config: SolverConfig,
     /// Data source.
     pub kind: WorkloadKind,
-    /// Optional artificial per-step compute time, emulating a more expensive
-    /// solver or slower hardware; applied by [`SyntheticWorkload::generate`].
-    pub step_delay: Duration,
     /// Amplitude (in Kelvin) of seeded uniform observation noise added to
     /// every emitted value; 0 (the default) streams the exact field. The
     /// noise stream is a pure function of the attempt seed passed to
@@ -60,7 +56,6 @@ impl SyntheticWorkload {
         Self {
             config,
             kind: WorkloadKind::Solver,
-            step_delay: Duration::ZERO,
             noise_amplitude: 0.0,
         }
     }
@@ -70,7 +65,6 @@ impl SyntheticWorkload {
         Self {
             config,
             kind: WorkloadKind::Analytic,
-            step_delay: Duration::ZERO,
             noise_amplitude: 0.0,
         }
     }
@@ -81,15 +75,8 @@ impl SyntheticWorkload {
         Self {
             config,
             kind: WorkloadKind::Analytic,
-            step_delay: Duration::ZERO,
             noise_amplitude,
         }
-    }
-
-    /// Sets the artificial per-step delay.
-    pub fn with_step_delay(mut self, delay: Duration) -> Self {
-        self.step_delay = delay;
-        self
     }
 
     /// Generates the full trajectory for one parameter draw, invoking `sink`
@@ -103,9 +90,6 @@ impl SyntheticWorkload {
             WorkloadKind::Solver => {
                 let solver = HeatSolver::new(self.config, params)?;
                 for step in solver.run()? {
-                    if !self.step_delay.is_zero() {
-                        std::thread::sleep(self.step_delay);
-                    }
                     sink(step);
                 }
                 Ok(())
@@ -119,9 +103,6 @@ impl SyntheticWorkload {
                     self.config.alpha,
                 );
                 for step in 0..self.config.steps {
-                    if !self.step_delay.is_zero() {
-                        std::thread::sleep(self.step_delay);
-                    }
                     let time = (step as f64 + 1.0) * self.config.dt;
                     sink(TimeStepField {
                         step,

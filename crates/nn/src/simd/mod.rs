@@ -175,18 +175,6 @@ impl ResolvedIsa {
             ResolvedIsa::Neon => 4,
         }
     }
-
-    /// GEMM micro-kernel tile this path runs (rows × columns), recorded in
-    /// bench JSON. The AVX2 kernels block adaptively up to 10 register rows
-    /// (one default batch per pass over the streamed operand); scalar — and
-    /// NEON, whose GEMMs currently fall back to scalar — keep the fixed
-    /// [`crate::kernels::MR`]×[`crate::kernels::NR`] tile.
-    pub fn gemm_tile(&self) -> &'static str {
-        match self {
-            ResolvedIsa::Avx2 => "10x8-adaptive",
-            ResolvedIsa::Scalar | ResolvedIsa::Neon => "4x8",
-        }
-    }
 }
 
 impl std::fmt::Display for ResolvedIsa {

@@ -3,12 +3,13 @@
 //! The paper exposes a minimalist API for C, Fortran and Python to instrument
 //! the simulation code: one call to connect to the server
 //! (`init_communication`), one `send` per computed time step, and one
-//! `finalize_communication` to signal that no more data will be sent. This
-//! module mirrors those three calls; the round-robin dispatch across server
-//! ranks and the client-id-dependent starting rank of §3.2.2 happen inside
-//! [`ClientConnection::send`].
+//! `finalize_communication` to signal that no more data will be sent. Here
+//! they are [`Fabric::connect_client`](crate::Fabric::connect_client),
+//! [`ClientConnection::send`] and [`ClientConnection::finalize`]; the
+//! round-robin dispatch across server ranks and the client-id-dependent
+//! starting rank of §3.2.2 happen inside [`ClientConnection::send`].
 
-use crate::fabric::{record_send, stable_shard, Fabric};
+use crate::fabric::{record_send, stable_shard};
 use crate::fault::{Delivery, FaultInjector};
 use crate::message::{Message, SamplePayload};
 use crate::stats::StatsCell;
@@ -143,30 +144,10 @@ impl ClientConnection {
     }
 }
 
-/// The paper's three-call API, as free functions over the fabric.
-pub struct ClientApi;
-
-impl ClientApi {
-    /// `init_communication`: connects the client to every server rank.
-    pub fn init_communication(fabric: &Fabric, client_id: u64) -> ClientConnection {
-        fabric.connect_client(client_id)
-    }
-
-    /// `send`: streams one time step.
-    pub fn send(connection: &ClientConnection, payload: SamplePayload) -> Result<(), SendError> {
-        connection.send(payload)
-    }
-
-    /// `finalize_communication`: signals completion and drops the connection.
-    pub fn finalize_communication(connection: ClientConnection) -> Result<(), SendError> {
-        connection.finalize()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::FabricConfig;
+    use crate::fabric::{Fabric, FabricConfig};
     use crate::message::Message;
 
     fn payload(step: usize) -> SamplePayload {
@@ -187,9 +168,9 @@ mod tests {
             ..FabricConfig::default()
         });
         let endpoints = fabric.server_endpoints();
-        let client = ClientApi::init_communication(&fabric, 0);
+        let client = fabric.connect_client(0);
         for step in 0..10 {
-            ClientApi::send(&client, payload(step)).unwrap();
+            client.send(payload(step)).unwrap();
         }
         assert_eq!(client.sent_messages(), 10);
         let mut sequences = Vec::new();
@@ -216,16 +197,16 @@ mod tests {
     }
 
     #[test]
-    fn finalize_consumes_connection_through_api() {
+    fn finalize_reaches_every_rank() {
         let fabric = Fabric::new(FabricConfig {
             num_server_ranks: 2,
             channel_capacity: 8,
             ..FabricConfig::default()
         });
         let endpoints = fabric.server_endpoints();
-        let client = ClientApi::init_communication(&fabric, 9);
-        ClientApi::send(&client, payload(0)).unwrap();
-        ClientApi::finalize_communication(client).unwrap();
+        let client = fabric.connect_client(9);
+        client.send(payload(0)).unwrap();
+        client.finalize().unwrap();
         let mut finalizes = 0;
         for ep in &endpoints {
             while let Some(msg) = ep.try_recv() {

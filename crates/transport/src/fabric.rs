@@ -274,7 +274,6 @@ impl ServerEndpoint {
             match msg {
                 Message::TimeStep { .. } => delivered += 1,
                 Message::Finalize { .. } => finalized += 1,
-                Message::Connect { .. } => {}
             }
         }
         self.stats
@@ -336,7 +335,6 @@ impl ServerEndpoint {
                 // ordering: Relaxed — monitoring counter trailing a channel recv that already ordered the message
                 self.stats.finalized_clients.fetch_add(1, Ordering::Relaxed);
             }
-            Message::Connect { .. } => {}
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The paper's framework is fault-tolerant: clients can crash and be restarted,
 //! and the server discards messages it has already received. To exercise those
-//! paths without a real cluster, the fabric can be configured to drop,
-//! duplicate or delay messages with given probabilities, and — for
+//! paths without a real cluster, the fabric can be configured to drop or
+//! duplicate messages with given probabilities, and — for
 //! reproducible chaos scenarios — to follow a scripted [`FaultPlan`]:
 //! "client 3 crashes after emitting step 7 of attempt 1", "the server fails
 //! after batch N", "shard (0, 1) stalls for 50 ms". The probabilistic knobs
@@ -240,7 +240,7 @@ impl FaultPlan {
     }
 }
 
-/// Probabilities, delays and scripted faults applied to transport traffic.
+/// Probabilities and scripted faults applied to transport traffic.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultConfig {
     /// Probability that a message is silently dropped.
@@ -250,11 +250,6 @@ pub struct FaultConfig {
     /// retransmitting after an acknowledgement was lost).
     #[serde(default)]
     pub duplicate_probability: f64,
-    /// Fixed latency added to every *delivered* message (emulating the
-    /// interconnect). Dropped messages never reach the wire, so no latency
-    /// is charged for them.
-    #[serde(default)]
-    pub latency: Duration,
     /// Seed of the injector's per-message fault decisions.
     #[serde(default)]
     pub seed: u64,
@@ -267,14 +262,6 @@ impl FaultConfig {
     /// A configuration that never perturbs messages.
     pub fn none() -> Self {
         Self::default()
-    }
-
-    /// True when no fault of any kind is configured.
-    pub fn is_noop(&self) -> bool {
-        self.drop_probability == 0.0
-            && self.duplicate_probability == 0.0
-            && self.latency.is_zero()
-            && self.plan.is_empty()
     }
 }
 
@@ -326,25 +313,8 @@ impl FaultInjector {
         Self { config }
     }
 
-    /// The configuration of this injector.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
-    /// Decides the fate of message `sequence` of client `client_id` and
-    /// charges the configured latency — but only to messages that actually
-    /// travel (delivered or duplicated); a dropped message never reaches the
-    /// wire, so it costs nothing.
+    /// Decides the fate of message `sequence` of client `client_id`.
     pub fn decide(&self, client_id: u64, sequence: u64) -> Delivery {
-        let delivery = self.classify(client_id, sequence);
-        if delivery != Delivery::Drop && !self.config.latency.is_zero() {
-            std::thread::sleep(self.config.latency);
-        }
-        delivery
-    }
-
-    /// The pure decision, without the latency side effect.
-    pub fn classify(&self, client_id: u64, sequence: u64) -> Delivery {
         if self.config.drop_probability == 0.0 && self.config.duplicate_probability == 0.0 {
             return Delivery::Deliver;
         }
@@ -366,7 +336,6 @@ mod tests {
     #[test]
     fn noop_config_always_delivers() {
         let injector = FaultInjector::new(FaultConfig::none());
-        assert!(injector.config().is_noop());
         for seq in 0..100 {
             assert_eq!(injector.decide(0, seq), Delivery::Deliver);
         }
@@ -421,48 +390,18 @@ mod tests {
         let b = make(3);
         // Same triple, any call order, any repetition: same verdict.
         for seq in (0..50).rev() {
-            assert_eq!(a.classify(1, seq), b.classify(1, seq));
-            assert_eq!(a.classify(1, seq), a.classify(1, seq));
+            assert_eq!(a.decide(1, seq), b.decide(1, seq));
+            assert_eq!(a.decide(1, seq), a.decide(1, seq));
         }
         // Different clients see genuinely different streams.
-        let stream = |client: u64| (0..64).map(|s| a.classify(client, s)).collect::<Vec<_>>();
+        let stream = |client: u64| (0..64).map(|s| a.decide(client, s)).collect::<Vec<_>>();
         assert_ne!(stream(0), stream(1));
         // Different seeds see different streams.
         let c = make(4);
         assert_ne!(
-            (0..64).map(|s| a.classify(0, s)).collect::<Vec<_>>(),
-            (0..64).map(|s| c.classify(0, s)).collect::<Vec<_>>(),
+            (0..64).map(|s| a.decide(0, s)).collect::<Vec<_>>(),
+            (0..64).map(|s| c.decide(0, s)).collect::<Vec<_>>(),
         );
-    }
-
-    #[test]
-    fn latency_is_not_charged_to_dropped_messages() {
-        let injector = FaultInjector::new(FaultConfig {
-            drop_probability: 1.0,
-            latency: std::time::Duration::from_millis(10),
-            ..FaultConfig::default()
-        });
-        let start = std::time::Instant::now();
-        for seq in 0..50 {
-            assert_eq!(injector.decide(0, seq), Delivery::Drop);
-        }
-        // 50 drops at 10 ms each would take 500 ms if latency were (still)
-        // charged to drops; un-charged they are near-instant.
-        assert!(
-            start.elapsed() < std::time::Duration::from_millis(100),
-            "dropped messages must not pay the interconnect latency"
-        );
-    }
-
-    #[test]
-    fn latency_is_charged_to_delivered_messages() {
-        let injector = FaultInjector::new(FaultConfig {
-            latency: std::time::Duration::from_millis(5),
-            ..FaultConfig::default()
-        });
-        let start = std::time::Instant::now();
-        assert_eq!(injector.decide(0, 0), Delivery::Deliver);
-        assert!(start.elapsed() >= std::time::Duration::from_millis(4));
     }
 
     #[test]
@@ -517,9 +456,10 @@ mod tests {
         let back: FaultConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, config);
         // Configs serialized before plans existed still deserialize.
-        let legacy: FaultConfig =
-            serde_json::from_str(r#"{"drop_probability":0.5,"duplicate_probability":0.0,"latency":{"secs":0,"nanos":0},"seed":1}"#)
-                .unwrap();
+        let legacy: FaultConfig = serde_json::from_str(
+            r#"{"drop_probability":0.5,"duplicate_probability":0.0,"seed":1}"#,
+        )
+        .unwrap();
         assert_eq!(legacy.drop_probability, 0.5);
         assert!(legacy.plan.is_empty());
     }

@@ -17,17 +17,19 @@
 //!   mark and provide backpressure. Time steps are routed to a rank
 //!   round-robin and, within the rank, to the shard given by [`stable_shard`]
 //!   over their simulation id, so per-simulation order is preserved.
-//! * [`ClientApi`] — the three-call instrumentation API of the paper
-//!   (`init_communication`, `send`, `finalize_communication`), including the
-//!   round-robin dispatch with a client-id-dependent starting rank.
+//! * [`ClientConnection`] — one client's side of the paper's three-call
+//!   instrumentation API (`send`, `finalize`; the connection itself comes from
+//!   [`Fabric::connect_client`]), including the round-robin dispatch with a
+//!   client-id-dependent starting rank.
 //! * [`ServerEndpoint`] — the per-rank receive side polled by the data
 //!   aggregator thread.
 //! * [`MessageLog`] — per-client sequence tracking used to discard duplicate
 //!   messages after a client restart.
-//! * [`FaultInjector`] — drops, duplicates or delays messages to exercise the
+//! * [`FaultInjector`] — drops or duplicates messages to exercise the
 //!   fault-tolerance paths in tests and experiments.
-//! * Wire-format encoding of messages through `bytes`, so the harness can
-//!   account for transferred volume the way the paper reports dataset sizes.
+//! * [`TransportStats`] — traffic counters. Transferred volume is
+//!   [`Message::wire_bytes`] per send, so the harness accounts for it the way
+//!   the paper reports dataset sizes.
 //! * [`Checksum64`]/[`fingerprint64`] — the splitmix64-based streaming
 //!   checksum framing durable checkpoints and journals on disk (§3.1's
 //!   restart-from-checkpoint protocol made crash-safe).
@@ -41,7 +43,7 @@ pub mod message;
 pub mod stats;
 
 pub use checksum::{fingerprint64, Checksum64};
-pub use client::{ClientApi, ClientConnection};
+pub use client::ClientConnection;
 pub use dedup::MessageLog;
 pub use fabric::{stable_shard, Fabric, FabricConfig, ServerEndpoint};
 pub use fault::{

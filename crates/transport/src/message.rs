@@ -1,11 +1,10 @@
 //! Messages exchanged between clients and the training server.
 //!
-//! The wire format mirrors what the paper's ZMQ layer carries: a connection
-//! handshake, one message per computed time step (the payload is the gathered,
-//! `f32`-converted field plus its input parameters), and a finalisation message
-//! signalling that a client will send no more data.
+//! The traffic mirrors what the paper's ZMQ layer carries: one message per
+//! computed time step (the payload is the gathered, `f32`-converted field plus
+//! its input parameters), and a finalisation message signalling that a client
+//! will send no more data.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// The data carried by one time-step message: one training sample.
@@ -28,28 +27,11 @@ impl SamplePayload {
     pub fn key(&self) -> (u64, usize) {
         (self.simulation_id, self.step)
     }
-
-    /// Payload size in bytes (as transported).
-    pub fn payload_bytes(&self) -> usize {
-        8 + 8 + 8 + 4 * (self.parameters.len() + self.values.len())
-    }
-
-    /// The surrogate input vector `(X, t)`.
-    pub fn input_vector(&self) -> Vec<f32> {
-        let mut v = self.parameters.clone();
-        v.push(self.time as f32);
-        v
-    }
 }
 
 /// A message on a client→server connection.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
-    /// A client announces itself to a server rank.
-    Connect {
-        /// Identifier of the connecting client.
-        client_id: u64,
-    },
     /// One computed time step.
     TimeStep {
         /// Identifier of the sending client.
@@ -74,20 +56,17 @@ impl Message {
     /// The client this message originates from.
     pub fn client_id(&self) -> u64 {
         match self {
-            Message::Connect { client_id }
-            | Message::TimeStep { client_id, .. }
-            | Message::Finalize { client_id, .. } => *client_id,
+            Message::TimeStep { client_id, .. } | Message::Finalize { client_id, .. } => *client_id,
         }
     }
 
-    /// Exact transported size in bytes: the length of the frame
-    /// [`Message::encode`] produces (the roundtrip tests pin the equality), so
-    /// transport volume accounting matches the wire format byte for byte.
+    /// Transported size in bytes: the length of the message as a binary
+    /// frame (a one-byte tag, the fixed-width fields, a `u32` length prefix
+    /// before each `f32` vector). The fabric charges it per send, so
+    /// transport volume is accounted the way the paper reports dataset sizes.
     // analysis: hot_path
     pub fn wire_bytes(&self) -> usize {
         match self {
-            // tag + client_id.
-            Message::Connect { .. } => 1 + 8,
             // tag + client_id + sent_messages.
             Message::Finalize { .. } => 1 + 8 + 8,
             // tag + client_id + sequence + simulation_id + step + time
@@ -105,219 +84,7 @@ impl Message {
             }
         }
     }
-
-    /// Exact transported size of a burst frame carrying `messages`: one tag
-    /// and one length prefix for the whole burst, then the messages back to
-    /// back ([`Message::encode_burst`] produces exactly this many bytes; the
-    /// roundtrip tests pin the equality).
-    // analysis: hot_path
-    pub fn burst_wire_bytes(messages: &[Message]) -> usize {
-        1 + 4 + messages.iter().map(Message::wire_bytes).sum::<usize>()
-    }
-
-    /// Encodes the message into a length-prefixed binary frame (the stand-in for
-    /// the ZMQ wire format, used by the volume accounting and by tests).
-    // analysis: hot_path
-    pub fn encode(&self) -> Bytes {
-        // analysis: allow(alloc, reason = "the frame being built is the function's output; exactly one exact-size allocation per frame")
-        let mut buf = BytesMut::with_capacity(self.wire_bytes());
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
-    /// Encodes a whole burst of messages into **one** frame: a burst tag and
-    /// a single `u32` count prefix, then the messages back to back (each is
-    /// self-delimiting, so no per-message prefix is repeated). Amortises the
-    /// per-message framing overhead when a real network transport flushes
-    /// many queued time steps at once.
-    // analysis: hot_path
-    pub fn encode_burst(messages: &[Message]) -> Bytes {
-        // analysis: allow(alloc, reason = "the burst frame being built is the function's output; exactly one exact-size allocation per burst")
-        let mut buf = BytesMut::with_capacity(Self::burst_wire_bytes(messages));
-        buf.put_u8(3);
-        buf.put_u32(messages.len() as u32);
-        for message in messages {
-            message.encode_into(&mut buf);
-        }
-        buf.freeze()
-    }
-
-    // analysis: hot_path
-    fn encode_into(&self, buf: &mut BytesMut) {
-        match self {
-            Message::Connect { client_id } => {
-                buf.put_u8(0);
-                buf.put_u64(*client_id);
-            }
-            Message::TimeStep {
-                client_id,
-                sequence,
-                payload,
-            } => {
-                buf.put_u8(1);
-                buf.put_u64(*client_id);
-                buf.put_u64(*sequence);
-                buf.put_u64(payload.simulation_id);
-                buf.put_u64(payload.step as u64);
-                buf.put_f64(payload.time);
-                buf.put_u32(payload.parameters.len() as u32);
-                for &p in &payload.parameters {
-                    buf.put_f32(p);
-                }
-                buf.put_u32(payload.values.len() as u32);
-                for &v in &payload.values {
-                    buf.put_f32(v);
-                }
-            }
-            Message::Finalize {
-                client_id,
-                sent_messages,
-            } => {
-                buf.put_u8(2);
-                buf.put_u64(*client_id);
-                buf.put_u64(*sent_messages);
-            }
-        }
-    }
-
-    /// Decodes a frame produced by [`Message::encode`]. A burst frame is
-    /// rejected with [`DecodeError::BurstFrame`] — use
-    /// [`Message::decode_burst`] for those.
-    // analysis: hot_path
-    pub fn decode(mut frame: Bytes) -> Result<Message, DecodeError> {
-        if frame.remaining() < 1 {
-            return Err(DecodeError::Truncated);
-        }
-        let tag = frame.get_u8();
-        if tag == 3 {
-            return Err(DecodeError::BurstFrame);
-        }
-        Self::decode_body(tag, &mut frame)
-    }
-
-    /// Decodes a burst frame produced by [`Message::encode_burst`] into its
-    /// messages, in order.
-    // analysis: hot_path
-    pub fn decode_burst(mut frame: Bytes) -> Result<Vec<Message>, DecodeError> {
-        if frame.remaining() < 1 + 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let tag = frame.get_u8();
-        if tag != 3 {
-            return Err(DecodeError::UnknownTag(tag));
-        }
-        let count = frame.get_u32() as usize;
-        // The count is untrusted wire data: cap the reservation by what the
-        // frame could possibly hold (the smallest message is 9 bytes), so a
-        // corrupted count cannot force a huge allocation before the
-        // per-message truncation checks reject the frame.
-        // analysis: allow(alloc, reason = "the decoded message list is the function's output; the reservation is capped against the untrusted count")
-        let mut messages = Vec::with_capacity(count.min(frame.remaining() / 9 + 1));
-        for _ in 0..count {
-            if frame.remaining() < 1 {
-                return Err(DecodeError::Truncated);
-            }
-            let tag = frame.get_u8();
-            if tag == 3 {
-                return Err(DecodeError::BurstFrame);
-            }
-            messages.push(Self::decode_body(tag, &mut frame)?);
-        }
-        Ok(messages)
-    }
-
-    // analysis: hot_path
-    fn decode_body(tag: u8, frame: &mut Bytes) -> Result<Message, DecodeError> {
-        match tag {
-            0 => {
-                if frame.remaining() < 8 {
-                    return Err(DecodeError::Truncated);
-                }
-                Ok(Message::Connect {
-                    client_id: frame.get_u64(),
-                })
-            }
-            1 => {
-                if frame.remaining() < 8 * 5 + 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                let client_id = frame.get_u64();
-                let sequence = frame.get_u64();
-                let simulation_id = frame.get_u64();
-                let step = frame.get_u64() as usize;
-                let time = frame.get_f64();
-                let n_params = frame.get_u32() as usize;
-                if frame.remaining() < n_params * 4 + 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                // One spare slot beyond the parameters: the server-side
-                // ingestion appends the time entry in place to build the
-                // surrogate input without reallocating.
-                // analysis: allow(alloc, reason = "the payload's parameter storage is the output and is reused in place downstream (spare slot for the time entry)")
-                let mut parameters = Vec::with_capacity(n_params + 1);
-                for _ in 0..n_params {
-                    parameters.push(frame.get_f32());
-                }
-                let n_values = frame.get_u32() as usize;
-                if frame.remaining() < n_values * 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                // analysis: allow(alloc, reason = "the payload's value storage is the function's output, moved into the sample without copying")
-                let mut values = Vec::with_capacity(n_values);
-                for _ in 0..n_values {
-                    values.push(frame.get_f32());
-                }
-                Ok(Message::TimeStep {
-                    client_id,
-                    sequence,
-                    payload: SamplePayload {
-                        simulation_id,
-                        step,
-                        time,
-                        parameters,
-                        values,
-                    },
-                })
-            }
-            2 => {
-                if frame.remaining() < 16 {
-                    return Err(DecodeError::Truncated);
-                }
-                Ok(Message::Finalize {
-                    client_id: frame.get_u64(),
-                    sent_messages: frame.get_u64(),
-                })
-            }
-            other => Err(DecodeError::UnknownTag(other)),
-        }
-    }
 }
-
-/// Errors produced when decoding a binary frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The frame ended before the message was complete.
-    Truncated,
-    /// The frame starts with an unknown message tag.
-    UnknownTag(u8),
-    /// A burst frame was handed to the single-message decoder (or nested
-    /// inside another burst).
-    BurstFrame,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::Truncated => write!(f, "truncated message frame"),
-            DecodeError::UnknownTag(t) => write!(f, "unknown message tag {t}"),
-            DecodeError::BurstFrame => {
-                write!(f, "burst frame requires Message::decode_burst")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 #[cfg(test)]
 mod tests {
@@ -334,49 +101,14 @@ mod tests {
     }
 
     #[test]
-    fn payload_key_bytes_and_input() {
-        let p = payload();
-        assert_eq!(p.key(), (42, 7));
-        assert_eq!(p.payload_bytes(), 24 + 4 * 9);
-        let input = p.input_vector();
-        assert_eq!(input.len(), 6);
-        assert!((input[5] - 0.08).abs() < 1e-6);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_timestep() {
-        let msg = Message::TimeStep {
-            client_id: 3,
-            sequence: 99,
-            payload: payload(),
-        };
-        let frame = msg.encode();
-        assert_eq!(
-            frame.len(),
-            msg.wire_bytes(),
-            "wire_bytes must be exact for TimeStep"
-        );
-        let decoded = Message::decode(frame).unwrap();
-        assert_eq!(decoded, msg);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_control_messages() {
-        for msg in [
-            Message::Connect { client_id: 11 },
-            Message::Finalize {
-                client_id: 11,
-                sent_messages: 1234,
-            },
-        ] {
-            let frame = msg.encode();
-            assert_eq!(frame.len(), msg.wire_bytes(), "wire_bytes must be exact");
-            assert_eq!(Message::decode(frame).unwrap(), msg);
-        }
+    fn payload_key() {
+        assert_eq!(payload().key(), (42, 7));
     }
 
     #[test]
     fn wire_bytes_is_exact_for_every_payload_shape() {
+        // tag + five 8-byte fields + a u32 length prefix and 4 bytes per f32
+        // for each of the two vectors.
         for (n_params, n_values) in [(0usize, 0usize), (5, 1), (5, 256), (3, 17)] {
             let msg = Message::TimeStep {
                 client_id: 7,
@@ -390,24 +122,22 @@ mod tests {
                 },
             };
             assert_eq!(
-                msg.encode().len(),
                 msg.wire_bytes(),
+                1 + 5 * 8 + 4 + 4 * n_params + 4 + 4 * n_values,
                 "{n_params} params, {n_values} values"
             );
         }
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(
-            Message::decode(Bytes::from_static(&[9, 0, 0])),
-            Err(DecodeError::UnknownTag(9))
-        );
-        assert_eq!(
-            Message::decode(Bytes::from_static(&[1, 0])),
-            Err(DecodeError::Truncated)
-        );
-        assert_eq!(Message::decode(Bytes::new()), Err(DecodeError::Truncated));
+        let fixture = Message::TimeStep {
+            client_id: 3,
+            sequence: 99,
+            payload: payload(),
+        };
+        assert_eq!(fixture.wire_bytes(), 85);
+        let finalize = Message::Finalize {
+            client_id: 11,
+            sent_messages: 1234,
+        };
+        assert_eq!(finalize.wire_bytes(), 17);
     }
 
     #[test]
@@ -429,73 +159,19 @@ mod tests {
             payload: payload(),
         };
         assert!(large.wire_bytes() > small.wire_bytes());
-        assert_eq!(Message::Connect { client_id: 1 }.wire_bytes(), 9);
-    }
-
-    #[test]
-    fn burst_roundtrip_with_exact_wire_bytes() {
-        let messages = vec![
-            Message::Connect { client_id: 4 },
-            Message::TimeStep {
-                client_id: 4,
-                sequence: 0,
-                payload: payload(),
-            },
-            Message::TimeStep {
-                client_id: 4,
-                sequence: 1,
-                payload: SamplePayload {
-                    step: 8,
-                    ..payload()
-                },
-            },
-            Message::Finalize {
-                client_id: 4,
-                sent_messages: 2,
-            },
-        ];
-        let frame = Message::encode_burst(&messages);
-        assert_eq!(
-            frame.len(),
-            Message::burst_wire_bytes(&messages),
-            "burst_wire_bytes must be exact"
-        );
-        // One length prefix for the whole burst: cheaper than framing each
-        // message on its own.
-        let individual: usize = messages.iter().map(|m| m.wire_bytes() + 5).sum();
-        assert!(Message::burst_wire_bytes(&messages) < individual);
-        assert_eq!(Message::decode_burst(frame).unwrap(), messages);
-    }
-
-    #[test]
-    fn empty_burst_roundtrips() {
-        let frame = Message::encode_burst(&[]);
-        assert_eq!(frame.len(), Message::burst_wire_bytes(&[]));
-        assert_eq!(Message::decode_burst(frame).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn burst_decode_rejects_malformed_frames() {
-        let messages = vec![Message::Connect { client_id: 1 }];
-        let frame = Message::encode_burst(&messages);
-        // Truncated mid-burst.
-        let cut = Bytes::copy_from_slice(&frame[..frame.len() - 4]);
-        assert_eq!(Message::decode_burst(cut), Err(DecodeError::Truncated));
-        // Single-message decoder refuses a burst, and vice versa.
-        assert_eq!(Message::decode(frame), Err(DecodeError::BurstFrame));
-        assert_eq!(
-            Message::decode_burst(Message::Connect { client_id: 1 }.encode()),
-            Err(DecodeError::UnknownTag(0))
-        );
-        assert_eq!(
-            Message::decode_burst(Bytes::from_static(&[3, 0])),
-            Err(DecodeError::Truncated)
-        );
     }
 
     #[test]
     fn client_id_accessor() {
-        assert_eq!(Message::Connect { client_id: 5 }.client_id(), 5);
+        assert_eq!(
+            Message::TimeStep {
+                client_id: 5,
+                sequence: 0,
+                payload: payload(),
+            }
+            .client_id(),
+            5
+        );
         assert_eq!(
             Message::Finalize {
                 client_id: 6,

@@ -230,7 +230,7 @@ fn scripted_shard_stall_delays_but_loses_nothing() {
         .expect("valid chaos configuration")
         .run();
 
-    // The stall is latency, not loss: every produced sample still arrives
+    // The stall is a delay, not loss: every produced sample still arrives
     // and is trained exactly once.
     assert_eq!(report.unique_samples_trained, CLIENTS * STEPS);
     let launcher = report.launcher.as_ref().expect("campaign");

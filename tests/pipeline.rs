@@ -8,7 +8,7 @@ use melissa::{
     payload_to_sample, step_to_payload, ExperimentConfig, OnlineExperiment, WorkloadSpec,
 };
 use melissa_ensemble::CampaignPlan;
-use melissa_transport::{ClientApi, Fabric, FabricConfig, Message, MessageLog};
+use melissa_transport::{Fabric, FabricConfig, Message, MessageLog};
 use melissa_workload::{ParamPoint, Workload};
 use std::sync::Arc;
 use surrogate_nn::{
@@ -42,12 +42,12 @@ fn workload_to_transport_to_buffer_to_network_pipeline() {
     let endpoints = fabric.server_endpoints();
     for client_id in 0..2u64 {
         let params: ParamPoint = [300.0 + client_id as f64 * 50.0, 150.0, 250.0, 350.0, 450.0];
-        let connection = ClientApi::init_communication(&fabric, client_id);
+        let connection = fabric.connect_client(client_id);
         Workload::generate(&workload, params, &mut |step| {
             connection.send(step_to_payload(&step, client_id)).unwrap();
         })
         .unwrap();
-        ClientApi::finalize_communication(connection).unwrap();
+        connection.finalize().unwrap();
     }
 
     // Each rank aggregates its share into a Reservoir and trains a tiny MLP.
@@ -67,7 +67,6 @@ fn workload_to_transport_to_buffer_to_network_pipeline() {
                     total_accepted += 1;
                 }
                 Message::Finalize { client_id, .. } => log.mark_finalized(client_id),
-                Message::Connect { .. } => {}
             }
         }
         assert_eq!(log.finalized_clients(), 2);
