@@ -3,7 +3,9 @@
 //! Data are batched for training in the order they are received; each sample is
 //! seen once and only once. Compared to pure streaming, the bounded queue gives
 //! the consumer some slack when production briefly stops, and production is
-//! suspended when the buffer is full (§3.2.3).
+//! suspended when the buffer is full (§3.2.3). A served sample leaves the
+//! population at once and is retired: the ingest side frees it (see
+//! [`crate::shell`]).
 
 use crate::shell::{Policy, Shell};
 use crate::traits::BufferKind;
@@ -40,9 +42,16 @@ impl<T: Send> Policy<T> for Fifo<T> {
     }
 
     // analysis: hot_path
-    fn serve(&mut self, _draining: bool, _nth: usize, visit: &mut dyn FnMut(&T)) -> bool {
+    fn serve(
+        &mut self,
+        _draining: bool,
+        _nth: usize,
+        visit: &mut dyn FnMut(&T),
+        retired: &mut Vec<T>,
+    ) -> bool {
         if let Some(item) = self.0.pop_front() {
             visit(&item);
+            retired.push(item);
         }
         false
     }

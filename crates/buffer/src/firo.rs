@@ -5,7 +5,9 @@
 //! biased batches, and extraction is only allowed once the population exceeds a
 //! threshold. The threshold drops to zero when data production ends so the last
 //! produced samples can be consumed (§3.2.3). This is the policy of the authors'
-//! prior work, which the paper shows fails to keep the GPU busy.
+//! prior work, which the paper shows fails to keep the GPU busy. "Evicted upon
+//! reading" means the sample leaves the population when it is served; it is
+//! retired, and the ingest side frees it (see [`crate::shell`]).
 
 use crate::shell::{Policy, Shell};
 use crate::traits::BufferKind;
@@ -56,9 +58,17 @@ impl<T: Send> Policy<T> for Firo<T> {
 
     /// One RNG draw per served sample.
     // analysis: hot_path
-    fn serve(&mut self, _draining: bool, _nth: usize, visit: &mut dyn FnMut(&T)) -> bool {
+    fn serve(
+        &mut self,
+        _draining: bool,
+        _nth: usize,
+        visit: &mut dyn FnMut(&T),
+        retired: &mut Vec<T>,
+    ) -> bool {
         let idx = self.rng.gen_range(0..self.items.len());
-        visit(&self.items.swap_remove(idx));
+        let item = self.items.swap_remove(idx);
+        visit(&item);
+        retired.push(item);
         false
     }
 }

@@ -134,14 +134,20 @@ impl<T: Send> Policy<T> for Reservoir<T> {
     /// Algorithm 1, `get`: select uniformly among seen and unseen samples. A
     /// selected unseen sample moves to the seen population, a selected seen
     /// sample is served again; once reception is over either one is removed
-    /// instead, so the buffer finally empties.
+    /// and retired instead, so the buffer finally empties.
     ///
     /// Serve stream "reservoir-draw-v2": one base draw per batch, taken with
     /// its first selection — so a batch that first parks at the threshold
     /// gate still consumes exactly one RNG value, and one that serves nothing
     /// consumes none.
     // analysis: hot_path
-    fn serve(&mut self, draining: bool, nth: usize, visit: &mut dyn FnMut(&T)) -> bool {
+    fn serve(
+        &mut self,
+        draining: bool,
+        nth: usize,
+        visit: &mut dyn FnMut(&T),
+        retired: &mut Vec<T>,
+    ) -> bool {
         if nth == 0 {
             self.base = self.rng.gen_range(0..=u64::MAX);
         }
@@ -150,11 +156,11 @@ impl<T: Send> Policy<T> for Reservoir<T> {
         let repeated = idx < self.seen;
         if draining {
             visit(&self.items[idx]);
-            if repeated {
-                self.remove_seen(idx);
+            retired.push(if repeated {
+                self.remove_seen(idx)
             } else {
-                self.items.swap_remove(idx);
-            }
+                self.items.swap_remove(idx)
+            });
         } else if repeated {
             visit(&self.items[idx]);
         } else {

@@ -10,7 +10,9 @@
 //! * **Producer side** — each shard worker inserts through
 //!   [`ShardedBuffer::put_many_shard`] into *its own* sub-buffer, so shard
 //!   workers never contend on a buffer lock (they only touch a tiny facade
-//!   mutex to wake a waiting consumer).
+//!   mutex to wake a waiting consumer). The worker also frees the samples
+//!   its shard served, after each burst and through
+//!   [`ShardedBuffer::free_retired_shard`] while idle.
 //! * **Consumer side** — [`TrainingBuffer::get_batch_with`] draws each
 //!   served sample from a shard chosen **uniformly over the total stored
 //!   population** (a shard holding twice the samples is drawn twice as
@@ -163,6 +165,12 @@ impl<T: Clone + Send + 'static> ShardedBuffer<T> {
         self.notify_consumers();
     }
 
+    /// Frees, on the calling thread, the samples shard `shard` retired since
+    /// its last release: the idle poll of that shard's ingest worker.
+    pub fn free_retired_shard(&self, shard: usize) {
+        self.shards[shard].free_retired();
+    }
+
     /// Wakes consumers waiting at the facade gate. The wait lock is taken
     /// (empty critical section) so a consumer re-checking the populations
     /// under that lock can never miss the notification.
@@ -262,6 +270,12 @@ impl<T: Clone + Send + 'static> TrainingBuffer<T> for ShardedBuffer<T> {
             return only.get_batch_with(n, visit);
         }
         self.serve_across_shards(n, visit)
+    }
+
+    fn free_retired(&self) {
+        for shard in &self.shards {
+            shard.free_retired();
+        }
     }
 
     /// Installs the observer on every sub-buffer (each shard evicts or drops

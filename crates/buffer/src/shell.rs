@@ -9,6 +9,17 @@
 //! crate-private policy that only says how samples are stored and which one
 //! is served next. Its two loops, [`TrainingBuffer::put_many`] and
 //! [`TrainingBuffer::get_batch_with`], are the only places a buffer waits.
+//!
+//! A sample leaves the population when it is served for the last time,
+//! evicted or dropped by a shut-down buffer, and no sample is dropped under
+//! the lock: each one is moved onto a *retired* list, and the producer frees
+//! that list outside the lock at the end of its next `put_many`, or when it
+//! calls [`TrainingBuffer::free_retired`] while idle. The learning thread
+//! therefore never frees a sample. Samples are allocated by the clients that
+//! produced them, so a free on the consumer would be a cross-thread free
+//! under the lock on the learner's critical path. The retired list and its
+//! spare are preallocated to the capacity and swapped rather than rebuilt,
+//! so retiring allocates nothing in steady state.
 
 use crate::lock_order;
 use crate::stats::BufferStats;
@@ -38,10 +49,17 @@ pub(crate) trait Policy<T>: Send {
     fn insert(&mut self, item: T, capacity: usize) -> Option<T>;
 
     /// Selects one of the `len() > 0` stored samples, the `nth` of its batch
-    /// (from 0), and hands it to `visit`. While `draining` (reception is
-    /// over) the sample leaves the buffer. Returns whether it had been
-    /// served before.
-    fn serve(&mut self, draining: bool, nth: usize, visit: &mut dyn FnMut(&T)) -> bool;
+    /// (from 0), and hands it to `visit`. A sample that leaves the buffer
+    /// (every serve of FIFO and FIRO, the Reservoir's while `draining`) is
+    /// pushed onto `retired` instead of being dropped. Returns whether it
+    /// had been served before.
+    fn serve(
+        &mut self,
+        draining: bool,
+        nth: usize,
+        visit: &mut dyn FnMut(&T),
+        retired: &mut Vec<T>,
+    ) -> bool;
 }
 
 struct Inner<T, P> {
@@ -49,6 +67,21 @@ struct Inner<T, P> {
     reception_over: bool,
     stats: BufferStats,
     observer: Option<EvictionObserver<T>>,
+    /// Samples that left the population and wait for the producer to free
+    /// them outside the lock.
+    retired: Vec<T>,
+    /// An empty list of the retired list's capacity, swapped in while the
+    /// producer frees the retired one.
+    spare: Vec<T>,
+}
+
+impl<T, P> Inner<T, P> {
+    /// Hands the retired samples to the caller, to be freed outside the
+    /// lock, leaving the spare in their place.
+    fn take_retired(&mut self) -> Vec<T> {
+        let spare = std::mem::take(&mut self.spare);
+        std::mem::replace(&mut self.retired, spare)
+    }
 }
 
 /// A bounded buffer blocking on both sides, serving by policy `P`. Named
@@ -83,6 +116,8 @@ impl<T, P> Shell<T, P> {
                 reception_over: false,
                 stats: BufferStats::default(),
                 observer: None,
+                retired: Vec::with_capacity(capacity),
+                spare: Vec::with_capacity(capacity),
             }),
             not_full: Condvar::new(),
             available: Condvar::new(),
@@ -107,13 +142,32 @@ impl<T, P> Shell<T, P> {
         let held = lock_order::acquire(lock_order::RANK_SUB_BUFFER);
         lock_order::Ranked::new(self.inner.lock(), held)
     }
+
+    /// Frees `freed`, a list taken with [`Inner::take_retired`], on the
+    /// calling thread outside the lock, then gives its storage back as the
+    /// spare.
+    fn free(&self, mut freed: Vec<T>) {
+        freed.clear();
+        // analysis: allow(blocking, reason = "one short acquisition to hand the emptied list back as the spare; taken only after samples were retired")
+        let mut inner = self.lock_inner();
+        std::mem::swap(&mut inner.spare, &mut freed);
+        drop(inner);
+        // `freed` now holds what the spare slot held: nothing, unless a
+        // concurrent producer released in between, and then an empty list.
+    }
+
+    #[cfg(test)]
+    pub(crate) fn retired_len(&self) -> usize {
+        self.lock_inner().retired.len()
+    }
 }
 
 impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
     /// One lock acquisition per burst. Per sample: wait while the policy has
-    /// no room, then store it, reporting the seen sample it displaced. The
+    /// no room, then store it, retiring the seen sample it displaced. The
     /// consumer is woken before every wait, so a burst larger than the free
-    /// room cannot strand it.
+    /// room cannot strand it. Whatever was retired by then is freed after
+    /// the lock is released.
     // analysis: hot_path
     fn put_many(&self, items: &mut Vec<T>) {
         if items.is_empty() {
@@ -122,7 +176,7 @@ impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
         // analysis: allow(blocking, reason = "one bounded lock acquisition per ingest batch is the insertion contract")
         let mut inner = self.lock_inner();
         let mut pending = items.drain(..);
-        while let Some(item) = pending.next() {
+        'burst: while let Some(item) = pending.next() {
             while !inner.policy.has_room(self.capacity) {
                 // Reception over with no room means the consumer side has
                 // shut down (e.g. a server crash) and will never make any:
@@ -131,12 +185,16 @@ impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
                 // knows its data was lost. "Never discard unseen data" only
                 // binds while someone is still training on it.
                 if inner.reception_over {
-                    if let Some(observer) = &inner.observer {
-                        for lost in std::iter::once(item).chain(pending) {
+                    let Inner {
+                        observer, retired, ..
+                    } = &mut *inner;
+                    for lost in std::iter::once(item).chain(pending.by_ref()) {
+                        if let Some(observer) = observer {
                             observer(&lost, Evicted::Untrained);
                         }
+                        retired.push(lost);
                     }
-                    return;
+                    break 'burst;
                 }
                 inner.stats.producer_waits += 1;
                 self.available.notify_all();
@@ -150,11 +208,16 @@ impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
                 if let Some(observer) = &inner.observer {
                     observer(&evicted, Evicted::Trained);
                 }
+                inner.retired.push(evicted);
             }
             inner.stats.puts += 1;
         }
+        let freed = (!inner.retired.is_empty()).then(|| inner.take_retired());
         drop(inner);
         self.available.notify_all();
+        if let Some(freed) = freed {
+            self.free(freed);
+        }
     }
 
     /// One lock acquisition per batch. Per sample: wait while the population
@@ -173,7 +236,10 @@ impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
             let draining = inner.reception_over;
             let gate = if draining { 0 } else { self.gate };
             if inner.policy.len() > gate {
-                let repeated = inner.policy.serve(draining, served, visit);
+                let Inner {
+                    policy, retired, ..
+                } = &mut *inner;
+                let repeated = policy.serve(draining, served, visit, retired);
                 inner.stats.gets += 1;
                 inner.stats.repeated_gets += usize::from(repeated);
                 served += 1;
@@ -189,6 +255,16 @@ impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
         drop(inner);
         self.not_full.notify_all();
         served
+    }
+
+    fn free_retired(&self) {
+        let mut inner = self.lock_inner();
+        if inner.retired.is_empty() {
+            return;
+        }
+        let freed = inner.take_retired();
+        drop(inner);
+        self.free(freed);
     }
 
     fn set_eviction_observer(&self, observer: EvictionObserver<T>) {
@@ -221,5 +297,173 @@ impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
 
     fn kind(&self) -> BufferKind {
         P::KIND
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::traits::{BufferConfig, BufferKind, TrainingBuffer};
+    use crate::{lock_order, FifoBuffer, FiroBuffer, ReservoirBuffer, ShardedBuffer};
+    use parking_lot::Mutex;
+    use std::sync::Arc;
+    use std::thread::{self, ThreadId};
+
+    /// A sample that records which thread dropped it. Its drop also claims
+    /// the shell's lock rank, so a debug build panics if a sample is ever
+    /// dropped while that thread holds a buffer lock.
+    #[derive(Clone)]
+    struct Tracked(Arc<Mutex<Vec<ThreadId>>>);
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            if !thread::panicking() {
+                let _not_under_a_buffer_lock = lock_order::acquire(lock_order::RANK_SUB_BUFFER);
+            }
+            self.0.lock().push(thread::current().id());
+        }
+    }
+
+    fn burst(drops: &Arc<Mutex<Vec<ThreadId>>>, n: usize) -> Vec<Tracked> {
+        (0..n).map(|_| Tracked(Arc::clone(drops))).collect()
+    }
+
+    /// Serves `n` samples by borrow on a consumer thread of its own.
+    fn serve_on_another_thread(buffer: &dyn TrainingBuffer<Tracked>, n: usize) {
+        thread::scope(|scope| {
+            scope
+                .spawn(|| assert_eq!(buffer.get_batch_with(n, &mut |_| {}), n))
+                .join()
+                .unwrap();
+        });
+    }
+
+    /// The producer (this thread) puts two bursts of 8, the consumer serves
+    /// 8, then the producer puts two bursts of 4, which free the 8 served
+    /// ones; finally reception ends, the consumer drains the other 16 and an
+    /// idle release frees them. Every drop happens on this thread, at those
+    /// two points. Bursts come in pairs so that a 2-shard facade, whose
+    /// trait-level puts alternate shards, releases both.
+    fn served_samples_die_on_the_producer(buffer: &dyn TrainingBuffer<Tracked>) {
+        let drops = Arc::new(Mutex::new(Vec::new()));
+        let producer = thread::current().id();
+        buffer.put_many(&mut burst(&drops, 8));
+        buffer.put_many(&mut burst(&drops, 8));
+        serve_on_another_thread(buffer, 8);
+        assert!(
+            drops.lock().is_empty(),
+            "{}: served samples wait",
+            buffer.name()
+        );
+
+        buffer.put_many(&mut burst(&drops, 4));
+        buffer.put_many(&mut burst(&drops, 4));
+        assert_eq!(*drops.lock(), vec![producer; 8], "{}", buffer.name());
+
+        buffer.mark_reception_over();
+        serve_on_another_thread(buffer, 16);
+        assert!(buffer.is_empty());
+        assert_eq!(
+            drops.lock().len(),
+            8,
+            "{}: drained samples wait",
+            buffer.name()
+        );
+        buffer.free_retired();
+        assert_eq!(*drops.lock(), vec![producer; 24], "{}", buffer.name());
+    }
+
+    #[test]
+    fn the_consumer_never_drops_a_served_sample() {
+        let fifo = FifoBuffer::new(32);
+        served_samples_die_on_the_producer(&fifo);
+        assert_eq!(fifo.retired_len(), 0);
+
+        let firo = FiroBuffer::new(32, 4, 7);
+        served_samples_die_on_the_producer(&firo);
+        assert_eq!(firo.retired_len(), 0);
+
+        // Two shards of 16: the trait-level puts alternate between them, and
+        // the facade's release frees both.
+        let sharded = ShardedBuffer::new(
+            &BufferConfig {
+                kind: BufferKind::Firo,
+                capacity: 32,
+                threshold: 4,
+                seed: 7,
+            },
+            2,
+        );
+        served_samples_die_on_the_producer(&sharded);
+    }
+
+    #[test]
+    fn an_idle_shard_frees_what_it_served() {
+        let drops = Arc::new(Mutex::new(Vec::new()));
+        let buffer = ShardedBuffer::new(
+            &BufferConfig {
+                kind: BufferKind::Firo,
+                capacity: 32,
+                threshold: 0,
+                seed: 3,
+            },
+            2,
+        );
+        buffer.put_many_shard(0, &mut burst(&drops, 6));
+        buffer.put_many_shard(1, &mut burst(&drops, 6));
+        serve_on_another_thread(&buffer, 12);
+        assert!(drops.lock().is_empty());
+        buffer.free_retired_shard(1);
+        assert_eq!(
+            drops.lock().len(),
+            6,
+            "shard 1's release frees shard 1 only"
+        );
+        buffer.free_retired_shard(0);
+        assert_eq!(*drops.lock(), vec![thread::current().id(); 12]);
+    }
+
+    #[test]
+    fn the_draining_reservoir_and_its_evictions_retire_to_the_producer() {
+        let drops = Arc::new(Mutex::new(Vec::new()));
+        let producer = thread::current().id();
+        let buffer = ReservoirBuffer::new(8, 1, 5);
+        buffer.put_many(&mut burst(&drops, 8));
+        // Serving with reception open keeps every sample.
+        serve_on_another_thread(&buffer, 8);
+        buffer.free_retired();
+        assert!(drops.lock().is_empty());
+        // A full buffer of seen samples: each put evicts one, and the same
+        // `put_many` frees it once the lock is released.
+        buffer.put_many(&mut burst(&drops, 3));
+        assert_eq!(buffer.stats().evictions, 3);
+        assert_eq!(*drops.lock(), vec![producer; 3]);
+        assert_eq!(buffer.retired_len(), 0);
+
+        buffer.mark_reception_over();
+        serve_on_another_thread(&buffer, 8);
+        assert!(buffer.is_empty());
+        assert_eq!(
+            drops.lock().len(),
+            3,
+            "drained samples wait for the producer"
+        );
+        assert_eq!(buffer.retired_len(), 8);
+        buffer.free_retired();
+        assert_eq!(*drops.lock(), vec![producer; 11]);
+        assert_eq!(buffer.retired_len(), 0);
+    }
+
+    #[test]
+    fn a_shut_down_buffer_retires_the_burst_it_refuses() {
+        let drops = Arc::new(Mutex::new(Vec::new()));
+        let buffer = FifoBuffer::new(2);
+        buffer.put_many(&mut burst(&drops, 2));
+        buffer.mark_reception_over();
+        let mut refused = burst(&drops, 3);
+        buffer.put_many(&mut refused);
+        assert!(refused.is_empty());
+        assert_eq!(*drops.lock(), vec![thread::current().id(); 3]);
+        assert_eq!(buffer.len(), 2);
+        assert_eq!(buffer.retired_len(), 0);
     }
 }

@@ -317,7 +317,12 @@ impl ShardWorker<'_> {
                     }
                 }
                 None => {
-                    // Idle: check the termination conditions. The gate is
+                    // Idle: free what the learner served from this shard
+                    // since the last burst, so a shard without traffic
+                    // does not hold on to served samples.
+                    // analysis: allow(blocking, reason = "idle poll only: two short shard-lock acquisitions around freeing the served samples, while the fabric is quiet")
+                    self.buffer.free_retired_shard(shard);
+                    // Check the termination conditions. The gate is
                     // re-read every pass — the launcher lowers it when a
                     // client is abandoned mid-run.
                     // ordering: Acquire — pairs with the AcqRel increments so every finalized client's messages are visible before this worker stops

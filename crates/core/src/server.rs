@@ -527,6 +527,11 @@ impl OnlineExperiment {
         .expect("an online-experiment thread panicked");
 
         let total_seconds = start.elapsed().as_secs_f64();
+        // The drained buffers still hold the samples served after their
+        // ingest workers stopped: free them before the final checkpoint and
+        // the report allocate.
+        let buffer_stats: Vec<_> = buffers.iter().map(|b| b.stats()).collect();
+        drop(buffers);
         let mut rank_outcomes = rank_outcomes.into_inner();
         let (model, training) =
             ExperimentReport::from_rank_outcomes(&mut rank_outcomes, &config.training);
@@ -564,7 +569,7 @@ impl OnlineExperiment {
             generation_seconds: None,
             training_seconds: total_seconds,
             total_seconds,
-            buffer_stats: buffers.iter().map(|b| b.stats()).collect(),
+            buffer_stats,
             transport: Some(fabric.stats()),
             crashed,
             checkpoints_taken: store.taken(),

@@ -11,6 +11,9 @@
 //!   accounting and the training round (reduction and fused optimizer step);
 //!   and the offline round, whose batches the epoch reader copies from the
 //!   simulated disk by borrow, reshuffling in place at every epoch;
+//! * the learning thread frees nothing either: a sample served for the last
+//!   time is retired to its producer, which frees it (FIFO and a 2-shard
+//!   FIRO, fed by another thread);
 //! * the real thing: rank 0's learning thread inside [`RankTrainer::run`]
 //!   with recovery hooks, a durable recorder and periodic validation on —
 //!   consumption accounting, the O(new) completion drain, the snapshot
@@ -49,7 +52,9 @@ use surrogate_nn::{
     Activation, Adam, AdamConfig, Batch, GradientSynchronizer, InitScheme, InputNormalizer, Loss,
     Mlp, MlpConfig, MseLoss, OutputNormalizer, Sample, Vote,
 };
-use training_buffer::{FifoBuffer, ReservoirBuffer, TrainingBuffer};
+use training_buffer::{
+    BufferConfig, BufferKind, FifoBuffer, ReservoirBuffer, ShardedBuffer, TrainingBuffer,
+};
 
 struct CountingAllocator;
 
@@ -59,6 +64,9 @@ static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 /// rank 0's learning thread apart from its sidecar, which allocates
 /// concurrently, and from the test thread that feeds it.
 static LEARNER_ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// Deallocations made by the thread that set [`IS_LEARNER`].
+static LEARNER_DEALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static IS_LEARNER: Cell<bool> = const { Cell::new(false) };
@@ -82,6 +90,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if IS_LEARNER.try_with(Cell::get).unwrap_or(false) {
+            // ordering: Relaxed — a tally, read after the learner thread is joined
+            LEARNER_DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         System.dealloc(ptr, layout)
     }
 
@@ -268,6 +280,69 @@ fn learner_allocations_per_round() -> Vec<(usize, usize)> {
     assert_eq!(outcome.sidecar.validations, ROUNDS / 10);
     let _ = std::fs::remove_dir_all(&dir);
     per_round
+}
+
+/// Deallocations per trainer round of a learning thread serving `buffer`,
+/// which this thread feeds one batch per burst and then drains, for every
+/// full round. The round is phase 2's: batch fill by borrow, forward,
+/// backward and the optimizer step.
+fn learner_frees_per_round(buffer: Arc<dyn TrainingBuffer<Sample>>) -> Vec<usize> {
+    const ROUNDS: usize = 64;
+    const BATCH: usize = 8;
+    let learner_buffer = Arc::clone(&buffer);
+    let learner = std::thread::spawn(move || {
+        let mut model = Mlp::new(MlpConfig {
+            layer_sizes: vec![PARAM_DIM + 1, 32, 32, FIELD_LEN],
+            activation: Activation::ReLU,
+            init: InitScheme::HeUniform,
+            seed: 3,
+        });
+        let mut optimizer = Adam::new(AdamConfig::default(), model.param_count());
+        let sync = GradientSynchronizer::new(1, model.param_count());
+        let mut ws = model.workspace(BATCH).with_threads(1);
+        let mut batch = Batch::with_capacity(BATCH, model.input_size(), model.output_size());
+        let mut frees = Vec::with_capacity(ROUNDS);
+        IS_LEARNER.with(|flag| flag.set(true));
+        loop {
+            // ordering: Relaxed — this thread's own tally, read in program order
+            let before = LEARNER_DEALLOCATIONS.load(Ordering::Relaxed);
+            if fill_batch_from_buffer(learner_buffer.as_ref(), &mut batch, BATCH) < BATCH {
+                break;
+            }
+            model.forward_ws(&batch.inputs, &mut ws);
+            let (prediction, grad_out) = ws.output_and_grad_mut();
+            MseLoss.evaluate_into(prediction, &batch.targets, grad_out);
+            model.backward_ws(&mut ws);
+            sync.step(0, Vote::Active, &mut model, &mut optimizer, 1e-3);
+            // ordering: Relaxed — as above
+            frees.push(LEARNER_DEALLOCATIONS.load(Ordering::Relaxed) - before);
+        }
+        frees
+    });
+    for round in 0..ROUNDS {
+        let mut burst: Vec<Sample> = (0..BATCH)
+            .map(|k| {
+                let k = round * BATCH + k;
+                Sample::new(
+                    (0..=PARAM_DIM)
+                        .map(|d| ((k + d) % 9) as f32 / 9.0)
+                        .collect(),
+                    (0..FIELD_LEN)
+                        .map(|d| ((k * 3 + d) % 11) as f32 / 11.0)
+                        .collect(),
+                    0,
+                    k,
+                )
+            })
+            .collect();
+        buffer.put_many(&mut burst);
+    }
+    buffer.mark_reception_over();
+    let frees = learner.join().unwrap();
+    assert_eq!(frees.len(), ROUNDS);
+    buffer.free_retired();
+    assert!(buffer.is_empty());
+    frees
 }
 
 /// Allocations of one steady-state `DurableCheckpointStore::save` of a full
@@ -464,6 +539,34 @@ fn steady_state_data_plane_allocates_nothing() {
         "the steady-state trainer round must not allocate \
          (best window: {trainer_allocations} allocations in 10 rounds)"
     );
+
+    // ---- Phase 2a: the learning thread frees no sample. ----
+    // Served samples were allocated by the feeding thread; the buffer retires
+    // them to that thread instead of dropping them where they are served.
+    // The first rounds may free what the lazily sized batch outgrew.
+    let two_shard_firo = ShardedBuffer::<Sample>::new(
+        &BufferConfig {
+            kind: BufferKind::Firo,
+            capacity: 64,
+            threshold: 8,
+            seed: 5,
+        },
+        2,
+    );
+    for (name, buffer) in [
+        (
+            "FIFO",
+            Arc::new(FifoBuffer::new(64)) as Arc<dyn TrainingBuffer<Sample>>,
+        ),
+        ("2-shard FIRO", Arc::new(two_shard_firo) as _),
+    ] {
+        let frees = learner_frees_per_round(buffer);
+        assert!(
+            frees[3..].iter().all(|&f| f == 0),
+            "{name}: a steady-state trainer round must free nothing on the learning thread; \
+             frees per round: {frees:?}"
+        );
+    }
 
     // ---- Phase 2b: the offline round, reading its epochs from disk. ----
     // 32 samples in batches of 8: four steps per epoch, so every counted
