@@ -13,13 +13,14 @@
 //! A sample leaves the population when it is served for the last time,
 //! evicted or dropped by a shut-down buffer, and no sample is dropped under
 //! the lock: each one is moved onto a *retired* list, and the producer frees
-//! that list outside the lock at the end of its next `put_many`, or when it
-//! calls [`TrainingBuffer::free_retired`] while idle. The learning thread
-//! therefore never frees a sample. Samples are allocated by the clients that
-//! produced them, so a free on the consumer would be a cross-thread free
-//! under the lock on the learner's critical path. The retired list and its
-//! spare are preallocated to the capacity and swapped rather than rebuilt,
-//! so retiring allocates nothing in steady state.
+//! that list outside the lock before it waits for room, at the end of each
+//! `put_many`, and when it calls [`TrainingBuffer::free_retired`] while
+//! idle. The learning thread therefore never frees a sample. Samples are
+//! allocated by the clients that produced them, so a free on the consumer
+//! would be a cross-thread free under the lock on the learner's critical
+//! path. The retired list and its spare are preallocated to the capacity
+//! and swapped rather than rebuilt, so retiring allocates nothing in steady
+//! state.
 
 use crate::lock_order;
 use crate::stats::BufferStats;
@@ -70,17 +71,21 @@ struct Inner<T, P> {
     /// Samples that left the population and wait for the producer to free
     /// them outside the lock.
     retired: Vec<T>,
-    /// An empty list of the retired list's capacity, swapped in while the
-    /// producer frees the retired one.
-    spare: Vec<T>,
+    /// An empty list of the retired list's capacity, swapped in while a
+    /// producer frees the retired one (and `None` until it hands it back).
+    spare: Option<Vec<T>>,
 }
 
 impl<T, P> Inner<T, P> {
     /// Hands the retired samples to the caller, to be freed outside the
-    /// lock, leaving the spare in their place.
-    fn take_retired(&mut self) -> Vec<T> {
-        let spare = std::mem::take(&mut self.spare);
-        std::mem::replace(&mut self.retired, spare)
+    /// lock, leaving the spare in their place. `None` when nothing is
+    /// retired, or while another producer frees (it has the spare).
+    fn take_retired(&mut self) -> Option<Vec<T>> {
+        if self.retired.is_empty() {
+            return None;
+        }
+        let spare = self.spare.take()?;
+        Some(std::mem::replace(&mut self.retired, spare))
     }
 }
 
@@ -117,7 +122,7 @@ impl<T, P> Shell<T, P> {
                 stats: BufferStats::default(),
                 observer: None,
                 retired: Vec::with_capacity(capacity),
-                spare: Vec::with_capacity(capacity),
+                spare: Some(Vec::with_capacity(capacity)),
             }),
             not_full: Condvar::new(),
             available: Condvar::new(),
@@ -144,16 +149,14 @@ impl<T, P> Shell<T, P> {
     }
 
     /// Frees `freed`, a list taken with [`Inner::take_retired`], on the
-    /// calling thread outside the lock, then gives its storage back as the
-    /// spare.
-    fn free(&self, mut freed: Vec<T>) {
+    /// calling thread outside the lock, then re-acquires the lock to give
+    /// its storage back as the spare.
+    fn free_and_relock(&self, mut freed: Vec<T>) -> lock_order::Ranked<'_, Inner<T, P>> {
         freed.clear();
         // analysis: allow(blocking, reason = "one short acquisition to hand the emptied list back as the spare; taken only after samples were retired")
         let mut inner = self.lock_inner();
-        std::mem::swap(&mut inner.spare, &mut freed);
-        drop(inner);
-        // `freed` now holds what the spare slot held: nothing, unless a
-        // concurrent producer released in between, and then an empty list.
+        inner.spare = Some(freed);
+        inner
     }
 
     #[cfg(test)]
@@ -166,8 +169,9 @@ impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
     /// One lock acquisition per burst. Per sample: wait while the policy has
     /// no room, then store it, retiring the seen sample it displaced. The
     /// consumer is woken before every wait, so a burst larger than the free
-    /// room cannot strand it. Whatever was retired by then is freed after
-    /// the lock is released.
+    /// room cannot strand it. What the consumer retired is freed outside
+    /// the lock before each wait and once the burst is stored, so a
+    /// producer blocked in a long burst does not hold on to it.
     // analysis: hot_path
     fn put_many(&self, items: &mut Vec<T>) {
         if items.is_empty() {
@@ -196,8 +200,13 @@ impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
                     }
                     break 'burst;
                 }
-                inner.stats.producer_waits += 1;
                 self.available.notify_all();
+                if let Some(freed) = inner.take_retired() {
+                    drop(inner);
+                    inner = self.free_and_relock(freed);
+                    continue;
+                }
+                inner.stats.producer_waits += 1;
                 // analysis: allow(blocking, reason = "producer backpressure: no room for an unseen sample — waiting here IS the policy")
                 self.not_full.wait(&mut inner.guard);
             }
@@ -212,11 +221,11 @@ impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
             }
             inner.stats.puts += 1;
         }
-        let freed = (!inner.retired.is_empty()).then(|| inner.take_retired());
+        let freed = inner.take_retired();
         drop(inner);
         self.available.notify_all();
         if let Some(freed) = freed {
-            self.free(freed);
+            drop(self.free_and_relock(freed));
         }
     }
 
@@ -259,12 +268,11 @@ impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
 
     fn free_retired(&self) {
         let mut inner = self.lock_inner();
-        if inner.retired.is_empty() {
-            return;
-        }
         let freed = inner.take_retired();
         drop(inner);
-        self.free(freed);
+        if let Some(freed) = freed {
+            drop(self.free_and_relock(freed));
+        }
     }
 
     fn set_eviction_observer(&self, observer: EvictionObserver<T>) {
@@ -394,6 +402,38 @@ mod tests {
             2,
         );
         served_samples_die_on_the_producer(&sharded);
+    }
+
+    #[test]
+    fn a_producer_blocked_mid_burst_frees_before_it_waits() {
+        let drops = Arc::new(Mutex::new(Vec::new()));
+        let buffer = FifoBuffer::new(4);
+        thread::scope(|scope| {
+            let producer = scope.spawn(|| {
+                buffer.put_many(&mut burst(&drops, 12));
+                thread::current().id()
+            });
+            let waited = |waits: usize| {
+                while buffer.stats().producer_waits < waits {
+                    thread::yield_now();
+                }
+            };
+            waited(1);
+            assert_eq!(buffer.get_batch_with(4, &mut |_| {}), 4);
+            // The producer stores four more, finds no room, and frees the
+            // four served samples before it waits again.
+            waited(2);
+            assert!(!producer.is_finished());
+            assert_eq!(drops.lock().len(), 4);
+            // The other eight: the burst's end frees what was served before
+            // it, an idle release the rest.
+            assert_eq!(buffer.get_batch_with(8, &mut |_| {}), 8);
+            let producer = producer.join().unwrap();
+            assert_eq!(*drops.lock(), vec![producer; 8]);
+        });
+        buffer.free_retired();
+        assert_eq!(drops.lock().len(), 12);
+        assert_eq!(buffer.retired_len(), 0);
     }
 
     #[test]

@@ -101,9 +101,10 @@ impl BufferConfig {
 pub trait TrainingBuffer<T: Clone + Send>: Send + Sync {
     /// Inserts every sample drained from `items`, in order, blocking for each
     /// while the buffer cannot accept it. `items` is left empty so the caller
-    /// can reuse its allocation as an ingestion scratch. On its way out it
-    /// also frees, outside the buffer lock, the samples that left the buffer
-    /// since the last release (see [`TrainingBuffer::free_retired`]).
+    /// can reuse its allocation as an ingestion scratch. Before each wait and
+    /// on its way out it also frees, outside the buffer lock, the samples
+    /// that left the buffer since the last release (see
+    /// [`TrainingBuffer::free_retired`]).
     fn put_many(&self, items: &mut Vec<T>);
 
     /// Serves up to `n` samples: `visit` is invoked once per served sample
@@ -137,11 +138,10 @@ pub trait TrainingBuffer<T: Clone + Send>: Send + Sync {
     /// Frees, on the calling thread and outside the buffer lock, every sample
     /// that left the buffer (served for the last time, evicted or dropped)
     /// since the last release. Serving never frees a sample: the producer
-    /// does, at the end of each [`TrainingBuffer::put_many`] and through this
-    /// call while it has nothing to put, so served samples do not wait for
-    /// the next burst. The default is a no-op for buffers that retire
-    /// nothing.
-    fn free_retired(&self) {}
+    /// does, inside [`TrainingBuffer::put_many`] and through this call while
+    /// it has nothing to put, so served samples do not wait for the next
+    /// burst.
+    fn free_retired(&self);
 
     /// Installs an observer invoked whenever the buffer permanently removes a
     /// sample outside the normal serve path (see [`Evicted`]). At most one

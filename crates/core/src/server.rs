@@ -395,9 +395,12 @@ impl OnlineExperiment {
                     },
                 );
                 let outcomes = &aggregator_outcomes;
+                let buffer = Arc::clone(&buffers[rank]);
+                let server_down = Arc::clone(&server_down);
                 scope.spawn(move |_| {
                     let outcome = aggregator.run(start);
                     outcomes.lock().push(outcome);
+                    free_while_draining(buffer.as_ref(), &server_down);
                 });
             }
 
@@ -527,9 +530,8 @@ impl OnlineExperiment {
         .expect("an online-experiment thread panicked");
 
         let total_seconds = start.elapsed().as_secs_f64();
-        // The drained buffers still hold the samples served after their
-        // ingest workers stopped: free them before the final checkpoint and
-        // the report allocate.
+        // Free what the buffers still hold (everything, after a crash) before
+        // the final checkpoint and the report allocate.
         let buffer_stats: Vec<_> = buffers.iter().map(|b| b.stats()).collect();
         drop(buffers);
         let mut rank_outcomes = rank_outcomes.into_inner();
@@ -595,6 +597,23 @@ impl OnlineExperiment {
 
         (model, report, store.latest())
     }
+}
+
+/// Frees, on a rank's aggregator thread once its ingest is over, the samples
+/// the learner serves while it drains the buffer. No producer puts any more,
+/// so nothing else would free them before the buffer is dropped, and the
+/// learner's last rounds would allocate on top of the whole drained
+/// population. Returns once the buffer is empty, when everything served has
+/// been retired and the last release frees it, or once the server is down,
+/// since a crashed learner stops draining. The poll is short so that the
+/// experiment's join does not wait on it.
+fn free_while_draining<T: Clone + Send>(buffer: &dyn TrainingBuffer<T>, server_down: &AtomicBool) {
+    // ordering: Acquire — pairs with the trainers' Release crash store; a crashed or unwound learner never empties its buffer
+    while !buffer.is_empty() && !server_down.load(Ordering::Acquire) {
+        std::thread::sleep(Duration::from_millis(1));
+        buffer.free_retired();
+    }
+    buffer.free_retired();
 }
 
 #[cfg(test)]
@@ -800,5 +819,39 @@ mod tests {
         );
         assert_eq!(checkpoint.unwrap().completed_simulations.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sample that records the thread that dropped it.
+    #[derive(Clone)]
+    struct Tracked(Arc<Mutex<Vec<std::thread::ThreadId>>>);
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.0.lock().push(std::thread::current().id());
+        }
+    }
+
+    #[test]
+    fn the_aggregator_thread_frees_what_the_learner_drains() {
+        let drops = Arc::new(Mutex::new(Vec::new()));
+        let buffer = training_buffer::FiroBuffer::new(64, 8, 1);
+        buffer.put_many(&mut (0..40).map(|_| Tracked(Arc::clone(&drops))).collect());
+        buffer.mark_reception_over();
+        let server_down = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| while buffer.get_batch_with(3, &mut |_| {}) > 0 {});
+            free_while_draining(&buffer, &server_down);
+        });
+        assert!(buffer.is_empty());
+        assert_eq!(*drops.lock(), vec![std::thread::current().id(); 40]);
+    }
+
+    #[test]
+    fn freeing_the_drain_stops_when_the_server_goes_down() {
+        let buffer = training_buffer::FifoBuffer::new(8);
+        buffer.put(1u32);
+        // A crashed learner never empties its buffer.
+        free_while_draining(&buffer, &AtomicBool::new(true));
+        assert_eq!(buffer.len(), 1);
     }
 }
