@@ -544,8 +544,11 @@ impl OnlineExperiment {
         let crashed = server_down.load(Ordering::Acquire);
         if !crashed && (checkpoint_every_batches > 0 || durable.is_some()) {
             // Capture a final checkpoint so a clean run also leaves a
-            // restart point covering everything it consumed.
-            let rank0_rounds = rank_outcomes.first().map_or(0, |o| o.rounds);
+            // restart point covering everything it consumed. It takes rank
+            // 0's optimizer rather than a copy, and the other ranks' outcomes
+            // are freed first, so the run's last allocations stay small.
+            let rank0 = rank_outcomes.into_iter().next();
+            let rank0_rounds = rank0.as_ref().map_or(0, |o| o.rounds);
             let progress_rounds = resumed_from_batches.unwrap_or(0) + rank0_rounds;
             let mut final_checkpoint = ServerCheckpoint::capture(
                 &model,
@@ -554,7 +557,7 @@ impl OnlineExperiment {
                 tracker.completed_simulations(),
                 config.seed,
             );
-            final_checkpoint.optimizer = rank_outcomes.first().map(|o| o.optimizer.clone());
+            final_checkpoint.optimizer = rank0.map(|o| o.optimizer);
             if let Some(durable) = &durable {
                 durable.record_completions(&final_checkpoint.completed_simulations);
                 durable.record_checkpoint(&final_checkpoint);
