@@ -11,7 +11,7 @@
 //!   [`ShardedBuffer::put_many_shard`] into *its own* sub-buffer, so shard
 //!   workers never contend on a buffer lock (they only touch a tiny facade
 //!   mutex to wake a waiting consumer). The worker also frees the samples
-//!   its shard served, after each burst and through
+//!   its shard served, inside each burst and through
 //!   [`ShardedBuffer::free_retired_shard`] while idle.
 //! * **Consumer side** — [`TrainingBuffer::get_batch_with`] draws each
 //!   served sample from a shard chosen **uniformly over the total stored
