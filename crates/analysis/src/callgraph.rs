@@ -1,7 +1,8 @@
 //! The workspace call graph: call sites resolved against the symbol table by
 //! receiver-type heuristics, hot-path constraint propagation with chain
-//! witnesses, and the two interprocedural rules
-//! (`hot_path_transitive_alloc`, `blocking_in_hot_path`).
+//! witnesses, and the two hot-path rules (`hot_path_alloc`,
+//! `blocking_in_hot_path`), which cover every marked root and everything it
+//! reaches.
 //!
 //! Resolution is deliberately heuristic — there is no type inference — but
 //! every shortcut errs toward *explicit accounting* rather than silent
@@ -23,7 +24,7 @@
 
 use crate::rules::{
     alloc_sites, blocking_sites, ident_text, is_punct, receiver_chain, skip_turbofish, Finding,
-    Rule,
+    Rule, Site,
 };
 use crate::scanner::FileModel;
 use crate::symbols::{FnId, SymbolTable, Workspace};
@@ -259,7 +260,7 @@ impl CallGraph {
                     if is_punct(toks.get(open), '(') {
                         let line = toks[i + 1].line;
                         let res = self.resolve_method(table, id, model, i, m);
-                        self.record(table, id, i + 1, Some(open), line, res);
+                        self.record(id, i + 1, Some(open), line, res);
                         i = open + 1;
                         continue;
                     }
@@ -297,14 +298,7 @@ impl CallGraph {
                                 filter_candidates(table, id, table.dispatch(owner, target, None));
                             if !callees.is_empty() {
                                 let line = toks[i + 3].line;
-                                self.record(
-                                    table,
-                                    id,
-                                    i + 3,
-                                    None,
-                                    line,
-                                    Resolution::Edges(callees),
-                                );
+                                self.record(id, i + 3, None, line, Resolution::Edges(callees));
                                 i += 4;
                                 continue;
                             }
@@ -335,8 +329,8 @@ impl CallGraph {
                 j -= 3;
             }
             let line = toks[i].line;
-            let res = self.resolve_path(table, id, model, &segments);
-            self.record(table, id, i, Some(open), line, res);
+            let res = self.resolve_path(table, id, &segments);
+            self.record(id, i, Some(open), line, res);
             i = open + 1;
         }
         // Deduplicate edges per callee, keeping the first witness line.
@@ -354,7 +348,6 @@ impl CallGraph {
 
     fn record(
         &mut self,
-        _table: &SymbolTable,
         id: FnId,
         token: usize,
         arg_open: Option<usize>,
@@ -444,13 +437,7 @@ impl CallGraph {
         }
     }
 
-    fn resolve_path(
-        &self,
-        table: &SymbolTable,
-        id: FnId,
-        _model: &FileModel,
-        segments: &[String],
-    ) -> Resolution {
+    fn resolve_path(&self, table: &SymbolTable, id: FnId, segments: &[String]) -> Resolution {
         let sym = &table.fns[id];
         let Some(name) = segments.last().map(String::as_str) else {
             return Resolution::Ignore;
@@ -553,46 +540,36 @@ fn filter_candidates(table: &SymbolTable, caller: FnId, mut ids: Vec<FnId>) -> V
 
 /// The result of a hot-path reachability pass.
 pub struct Propagation {
-    /// Hot-path roots, in `FnId` order.
-    pub roots: Vec<FnId>,
     /// BFS tree parent (caller) and the call-site line for every reached fn.
     pub parent: Vec<Option<(FnId, u32)>>,
     /// Reached set (roots included).
     pub reached: Vec<bool>,
 }
 
-/// BFS from every `hot_path` root. When `allow_key` is set, an
-/// `// analysis: allow(<key>, …)` grant on a call-site line prunes
-/// propagation through that edge — blessing a call blesses everything
-/// behind it.
+/// BFS from every `hot_path` root. An `// analysis: allow(<allow_key>, …)`
+/// grant on a call-site line prunes propagation through that edge —
+/// blessing a call blesses everything behind it.
 pub fn propagate(
     ws: &Workspace,
     table: &SymbolTable,
     graph: &CallGraph,
-    allow_key: Option<&str>,
+    allow_key: &str,
 ) -> Propagation {
     let mut prop = Propagation {
-        roots: (0..table.fns.len())
-            .filter(|&id| table.fns[id].hot && !table.fns[id].is_test)
-            .collect(),
         parent: vec![None; table.fns.len()],
-        reached: vec![false; table.fns.len()],
+        reached: table.fns.iter().map(|f| f.hot).collect(),
     };
-    let mut queue: VecDeque<FnId> = VecDeque::new();
-    for &root in &prop.roots {
-        prop.reached[root] = true;
-        queue.push_back(root);
-    }
+    let mut queue: VecDeque<FnId> = (0..table.fns.len())
+        .filter(|&id| prop.reached[id])
+        .collect();
     while let Some(f) = queue.pop_front() {
         let model = &ws.files[table.fns[f].file];
         for edge in &graph.edges[f] {
-            if prop.reached[edge.to] || table.fns[edge.to].is_test {
+            if prop.reached[edge.to]
+                || table.fns[edge.to].is_test
+                || model.allow_for(edge.line, allow_key).is_some()
+            {
                 continue;
-            }
-            if let Some(key) = allow_key {
-                if model.allow_for(edge.line, key).is_some() {
-                    continue;
-                }
             }
             prop.reached[edge.to] = true;
             prop.parent[edge.to] = Some((f, edge.line));
@@ -616,108 +593,48 @@ impl Propagation {
     }
 }
 
-/// Evaluates the two interprocedural rules over the resolved graph.
-pub fn interprocedural_findings(
-    ws: &Workspace,
-    table: &SymbolTable,
-    graph: &CallGraph,
-) -> Vec<Finding> {
-    let alloc_reach = propagate(ws, table, graph, Some("alloc"));
-    let blocking_reach = propagate(ws, table, graph, Some("blocking"));
+/// Evaluates the two hot-path rules over the resolved graph: every site in a
+/// marked root or in a fn it reaches is a finding, unless an allow grant
+/// covers the site or prunes a call on the way.
+pub fn hot_path_findings(ws: &Workspace, table: &SymbolTable, graph: &CallGraph) -> Vec<Finding> {
+    type Detector = fn(&FileModel, std::ops::Range<usize>) -> Vec<Site>;
+    let rules: [(Rule, &str, &str, Detector); 2] = [
+        (Rule::HotPathAlloc, "alloc", "allocating call", alloc_sites),
+        (
+            Rule::BlockingInHotPath,
+            "blocking",
+            "blocking operation",
+            blocking_sites,
+        ),
+    ];
     let mut findings = Vec::new();
-    for (id, sym) in table.fns.iter().enumerate() {
-        if sym.is_test || !sym.has_body {
-            continue;
-        }
-        let model = &ws.files[sym.file];
-        let span = &model.functions[sym.span];
-        // Transitive allocation: reachable fns that are not themselves
-        // hot-path roots (those are the intra rule's business).
-        if alloc_reach.reached[id] && !sym.hot {
-            let chain = alloc_reach.chain(table, id);
-            for site in alloc_sites(model, span.body.clone()) {
-                if model.allow_for(site.line, "alloc").is_some() {
-                    continue;
-                }
-                let detail = &site.detail;
-                findings.push(Finding {
-                    rule: Rule::HotPathTransitiveAlloc,
-                    file: model.rel_path.clone(),
-                    line: site.line,
-                    function: sym.display_name(),
-                    detail: detail.clone(),
-                    message: format!(
-                        "allocating call `{detail}` reachable from a hot path via `{chain}` (allow(alloc) at the site, or at a call site along the chain to bless the whole subtree)"
-                    ),
-                });
+    for (rule, key, what, sites) in rules {
+        let reach = propagate(ws, table, graph, key);
+        for (id, sym) in table.fns.iter().enumerate() {
+            if !reach.reached[id] {
+                continue;
             }
-        }
-        // Blocking: roots included — a hot path must not block, period.
-        if blocking_reach.reached[id] {
-            let chain = blocking_reach.chain(table, id);
-            for site in blocking_sites(model, span.body.clone()) {
-                if model.allow_for(site.line, "blocking").is_some() {
+            let model = &ws.files[sym.file];
+            let chain = reach.chain(table, id);
+            for site in sites(model, model.functions[sym.span].body.clone()) {
+                if model.allow_for(site.line, key).is_some() {
                     continue;
                 }
-                let detail = &site.detail;
+                let detail = site.detail;
                 findings.push(Finding {
-                    rule: Rule::BlockingInHotPath,
+                    rule,
                     file: model.rel_path.clone(),
                     line: site.line,
                     function: sym.display_name(),
-                    detail: detail.clone(),
                     message: format!(
-                        "blocking operation `{detail}` reachable from a hot path via `{chain}` (allow(blocking) at the site, or at a call site along the chain to bless the whole subtree)"
+                        "{what} `{detail}` on the hot path `{chain}` (allow({key}) at the site, or at a call site along the chain to bless the whole subtree)"
                     ),
+                    detail,
                 });
             }
         }
     }
     findings
-}
-
-/// Renders the call graph as DOT: hot roots filled red, reachable fns
-/// orange, everything else that participates in an edge grey.
-pub fn to_dot(table: &SymbolTable, graph: &CallGraph, reach: &Propagation) -> String {
-    let mut out =
-        String::from("digraph callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
-    let mut include = vec![false; table.fns.len()];
-    for (id, edges) in graph.edges.iter().enumerate() {
-        if !edges.is_empty() || table.fns[id].hot {
-            include[id] = true;
-        }
-        for e in edges {
-            include[e.to] = true;
-        }
-    }
-    for (id, sym) in table.fns.iter().enumerate() {
-        if !include[id] {
-            continue;
-        }
-        let style = if sym.hot {
-            ", style=filled, fillcolor=salmon"
-        } else if reach.reached[id] {
-            ", style=filled, fillcolor=orange"
-        } else {
-            ", color=grey"
-        };
-        out.push_str(&format!(
-            "  f{id} [label=\"{}\\n{}\"{style}];\n",
-            escape(&sym.display_name()),
-            escape(&table.fns[id].crate_name),
-        ));
-    }
-    for (id, edges) in graph.edges.iter().enumerate() {
-        for e in edges {
-            out.push_str(&format!("  f{id} -> f{};\n", e.to));
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -863,17 +780,17 @@ fn blessed() { let v = Vec::new(); v.len(); }
             "fn middle() {\n    leaf();\n    // analysis: allow(alloc, reason = \"cold slow-path refill\")\n    blessed();\n}",
         );
         let (ws, table, graph) = build(&[("crates/a/src/lib.rs", &src)]);
-        let findings = interprocedural_findings(&ws, &table, &graph);
-        let transitive: Vec<_> = findings
+        let findings = hot_path_findings(&ws, &table, &graph);
+        let alloc: Vec<_> = findings
             .iter()
-            .filter(|f| f.rule == Rule::HotPathTransitiveAlloc)
+            .filter(|f| f.rule == Rule::HotPathAlloc)
             .collect();
-        assert_eq!(transitive.len(), 1, "{transitive:?}");
-        assert_eq!(transitive[0].function, "leaf");
+        assert_eq!(alloc.len(), 1, "{alloc:?}");
+        assert_eq!(alloc[0].function, "leaf");
         assert!(
-            transitive[0].message.contains("root → middle → leaf"),
+            alloc[0].message.contains("root → middle → leaf"),
             "chain witness missing: {}",
-            transitive[0].message
+            alloc[0].message
         );
         // The blessed subtree contributed nothing.
         assert!(!findings.iter().any(|f| f.function == "blessed"));
@@ -888,7 +805,7 @@ fn blessed() { let v = Vec::new(); v.len(); }
              fn helper() { std::thread::sleep(d); }\n\
              fn cold() { other.lock(); }",
         )]);
-        let findings = interprocedural_findings(&ws, &table, &graph);
+        let findings = hot_path_findings(&ws, &table, &graph);
         let blocking: Vec<_> = findings
             .iter()
             .filter(|f| f.rule == Rule::BlockingInHotPath)

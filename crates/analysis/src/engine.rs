@@ -1,255 +1,221 @@
-//! The analysis engine: loads the workspace once, applies the intra-function
-//! rules per file, resolves the call graph for the interprocedural rules,
-//! and matches the combined result against the ratcheting baseline.
+//! The analysis engine: loads the workspace and its manifests once, applies
+//! the intra-function rules per file, resolves the call graph and the lock
+//! graph for the hot-path and lock-order rules, flags manifest entries that
+//! match nothing, and renders the report `check` prints.
 
-use crate::baseline::{fingerprints, Baseline, Ratchet};
-use crate::callgraph::{interprocedural_findings, propagate, CallGraph, Propagation};
+use crate::callgraph::{hot_path_findings, CallGraph};
 use crate::lockgraph::LockGraph;
 use crate::manifest::{LockManifest, SeedManifest, UnsafeManifest};
 use crate::rules::{apply_all, Finding, Rule};
 use crate::symbols::{SymbolTable, Workspace};
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Everything one analysis run produced.
 pub struct Analysis {
     /// All findings, sorted by file then line.
     pub findings: Vec<Finding>,
-    /// Matching fingerprints (same order as `findings`).
-    pub fingerprints: Vec<String>,
     /// Malformed-directive hard errors: `(file, line, problem)`.
     pub directive_errors: Vec<(String, u32, String)>,
     /// Number of files scanned.
     pub files_scanned: usize,
-}
-
-/// The resolved workspace graphs (the `graph` subcommand's payload, also
-/// reusable from tests).
-pub struct Graphs {
-    /// Scanned workspace (models retained).
-    pub ws: Workspace,
-    /// Symbol table over it.
+    /// Symbol table the call graph was resolved over.
     pub table: SymbolTable,
     /// Resolved call graph.
-    pub graph: CallGraph,
-    /// Hot-path reachability (alloc-pruned; used for DOT colouring).
-    pub reach: Propagation,
+    pub calls: CallGraph,
     /// Inferred lock graph.
     pub locks: LockGraph,
 }
 
-/// Runs the full analysis over the workspace at `root`.
+/// Runs every rule over the workspace at `root` and its manifests under
+/// `root/analysis/`.
 pub fn analyze(root: &Path) -> Result<Analysis, String> {
     let locks = LockManifest::load(root)?;
     let seeds = SeedManifest::load(root)?;
     let unsafes = UnsafeManifest::load(root)?;
     let ws = Workspace::load(root)?;
+    Ok(analyze_workspace(&ws, &locks, &seeds, &unsafes))
+}
 
+/// Runs every rule over an already scanned workspace.
+pub fn analyze_workspace(
+    ws: &Workspace,
+    locks: &LockManifest,
+    seeds: &SeedManifest,
+    unsafes: &UnsafeManifest,
+) -> Analysis {
     let mut findings = Vec::new();
     let mut directive_errors = Vec::new();
     for model in &ws.files {
         for (line, problem) in &model.directives.malformed {
             directive_errors.push((model.rel_path.clone(), *line, problem.clone()));
         }
-        findings.extend(apply_all(model, &locks, &seeds, &unsafes));
+        findings.extend(apply_all(model, seeds, unsafes));
     }
 
-    let table = SymbolTable::build(&ws);
-    let graph = CallGraph::build(&ws, &table);
-    findings.extend(interprocedural_findings(&ws, &table, &graph));
+    let table = SymbolTable::build(ws);
+    let calls = CallGraph::build(ws, &table);
+    let lock_graph = LockGraph::build(ws, &table, &calls, locks);
+    findings.extend(hot_path_findings(ws, &table, &calls));
+    findings.extend(lock_graph.findings());
+    findings.extend(stale_entries(
+        ws,
+        &table,
+        &lock_graph,
+        locks,
+        seeds,
+        unsafes,
+    ));
 
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    let fingerprints = fingerprints(&findings);
-    Ok(Analysis {
+    Analysis {
         findings,
-        fingerprints,
         directive_errors,
         files_scanned: ws.files.len(),
-    })
-}
-
-/// Resolves the workspace graphs at `root`.
-pub fn build_graphs(root: &Path) -> Result<Graphs, String> {
-    let manifest = LockManifest::load(root)?;
-    let ws = Workspace::load(root)?;
-    let table = SymbolTable::build(&ws);
-    let graph = CallGraph::build(&ws, &table);
-    let reach = propagate(&ws, &table, &graph, Some("alloc"));
-    let locks = LockGraph::build(&ws, &table, &graph, &manifest);
-    Ok(Graphs {
-        ws,
         table,
-        graph,
-        reach,
-        locks,
-    })
+        calls,
+        locks: lock_graph,
+    }
 }
 
-/// Renders the outcome of a `check` run. Returns `(report, failed)` where
-/// `failed` reflects what `--deny` should exit non-zero on: new findings,
-/// stale baseline entries, or malformed directives.
-pub fn report(analysis: &Analysis, ratchet: &Ratchet<'_>) -> (String, bool) {
-    let mut out = String::new();
-    let mut failed = false;
-
-    if !analysis.directive_errors.is_empty() {
-        failed = true;
-        out.push_str("malformed directives (always fatal):\n");
-        for (file, line, problem) in &analysis.directive_errors {
-            out.push_str(&format!("  {file}:{line}: {problem}\n"));
-        }
-        out.push('\n');
-    }
-
-    if !ratchet.new.is_empty() {
-        failed = true;
-        out.push_str(&format!(
-            "{} new violation(s) not covered by analysis/baseline.toml:\n",
-            ratchet.new.len()
-        ));
-        for finding in &ratchet.new {
-            out.push_str(&format!(
-                "  [{}] {}:{}: {}\n",
-                finding.rule, finding.file, finding.line, finding.message
+/// Manifest entries that match nothing in the workspace, as findings of the
+/// rule each manifest configures: a lock class no acquisition falls into, a
+/// seed helper naming no fn of its file, an unsafe prefix no scanned file
+/// lies under.
+fn stale_entries(
+    ws: &Workspace,
+    table: &SymbolTable,
+    lock_graph: &LockGraph,
+    locks: &LockManifest,
+    seeds: &SeedManifest,
+    unsafes: &UnsafeManifest,
+) -> Vec<Finding> {
+    let stale = |rule, file: &str, line, detail: &str, what: String| Finding {
+        rule,
+        file: file.to_string(),
+        line,
+        function: String::new(),
+        detail: detail.to_string(),
+        message: format!("{what} matches nothing in the workspace; delete the entry"),
+    };
+    let mut out = Vec::new();
+    for class in locks.classes() {
+        if !lock_graph.nodes.iter().any(|n| n.key == class.name) {
+            out.push(stale(
+                Rule::LockOrder,
+                "analysis/locks.toml",
+                class.line,
+                &class.name,
+                format!(
+                    "lock class `{}` (`{}` in {})",
+                    class.name, class.receiver, class.file
+                ),
             ));
         }
-        out.push('\n');
     }
-
-    if !ratchet.stale.is_empty() {
-        failed = true;
-        out.push_str(&format!(
-            "{} stale baseline entr{} — the code improved; run `cargo run -p melissa_analysis -- ratchet` to shrink the baseline:\n",
-            ratchet.stale.len(),
-            if ratchet.stale.len() == 1 { "y" } else { "ies" }
-        ));
-        for entry in &ratchet.stale {
-            out.push_str(&format!("  [{}] {}\n", entry.rule, entry.key));
+    for helper in seeds.helpers() {
+        for function in &helper.functions {
+            if !table
+                .fns
+                .iter()
+                .any(|f| f.rel_path == helper.file && &f.name == function)
+            {
+                out.push(stale(
+                    Rule::SeedPolicy,
+                    "analysis/seed_policy.toml",
+                    helper.line,
+                    function,
+                    format!("seed helper `{function}` in {}", helper.file),
+                ));
+            }
         }
-        out.push('\n');
     }
-
-    let mut per_rule: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-    for rule in Rule::ALL {
-        per_rule.insert(rule.key(), (0, 0));
+    for scope in unsafes.scopes() {
+        if !ws
+            .files
+            .iter()
+            .any(|m| m.rel_path.starts_with(scope.prefix.as_str()))
+        {
+            out.push(stale(
+                Rule::UnsafeScope,
+                "analysis/unsafe.toml",
+                scope.line,
+                &scope.prefix,
+                format!("unsafe scope prefix `{}`", scope.prefix),
+            ));
+        }
     }
-    for finding in &ratchet.new {
-        per_rule.entry(finding.rule.key()).or_default().0 += 1;
-    }
-    for finding in &ratchet.tolerated {
-        per_rule.entry(finding.rule.key()).or_default().1 += 1;
-    }
-    out.push_str(&format!(
-        "scanned {} files: {} finding(s) ({} new, {} tolerated by baseline)\n",
-        analysis.files_scanned,
-        analysis.findings.len(),
-        ratchet.new.len(),
-        ratchet.tolerated.len(),
-    ));
-    for (rule, (new, tolerated)) in per_rule {
-        out.push_str(&format!(
-            "  {rule:<24} new {new:>3}   baselined {tolerated:>3}\n"
-        ));
-    }
-    (out, failed)
+    out
 }
 
-/// Renders the `graph` summary. Returns `(report, failed)` where `failed`
-/// reflects what `graph --check` should exit non-zero on: a lock-graph
-/// cycle, or an edge contradicting the ranks declared in
-/// `analysis/locks.toml`.
-pub fn graph_report(graphs: &Graphs) -> (String, bool) {
-    let mut out = String::new();
-    let mut failed = false;
-
-    let fn_count = graphs.table.fns.len();
-    let edge_count: usize = graphs.graph.edges.iter().map(|e| e.len()).sum();
-    let reached = graphs.reach.reached.iter().filter(|&&r| r).count();
-    out.push_str(&format!(
-        "call graph: {fn_count} fns, {edge_count} edges, {} hot root(s), {reached} reachable from hot paths\n",
-        graphs.reach.roots.len(),
-    ));
-    let ext_total: usize = graphs.graph.externals.values().sum();
-    let amb_total: usize = graphs.graph.ambiguous.values().sum();
-    out.push_str(&format!(
-        "  unresolved: {} external name(s) ({ext_total} site(s)), {} ambiguous name(s) ({amb_total} site(s))\n",
-        graphs.graph.externals.len(),
-        graphs.graph.ambiguous.len(),
-    ));
-
-    out.push_str(&format!(
-        "lock graph: {} class(es), {} edge(s)\n",
-        graphs.locks.nodes.len(),
-        graphs.locks.edges.len(),
-    ));
-    for edge in &graphs.locks.edges {
-        let via = if edge.via.is_empty() {
-            String::new()
-        } else {
-            format!(" via {}", edge.via)
-        };
-        out.push_str(&format!(
-            "  {} → {} ({}:{}{via})\n",
-            graphs.locks.nodes[edge.from].key,
-            graphs.locks.nodes[edge.to].key,
-            edge.file,
-            edge.line,
-        ));
+impl Analysis {
+    /// True when the run found nothing: no finding, no malformed directive.
+    pub fn passed(&self) -> bool {
+        self.findings.is_empty() && self.directive_errors.is_empty()
     }
-    let undeclared = graphs.locks.undeclared();
-    if !undeclared.is_empty() {
-        out.push_str(&format!(
-            "  {} lock class(es) not declared in analysis/locks.toml:\n",
-            undeclared.len()
-        ));
-        for node in undeclared {
-            out.push_str(&format!("    {}\n", node.key));
+
+    /// The report `check` prints: malformed directives and findings, the
+    /// per-rule counts, the call-graph tallies and the lock-graph edges.
+    pub fn report(&self) -> String {
+        let mut out = String::new();
+        for (file, line, problem) in &self.directive_errors {
+            out.push_str(&format!("[malformed directive] {file}:{line}: {problem}\n"));
         }
-    }
-
-    let cycles = graphs.locks.cycles();
-    if !cycles.is_empty() {
-        failed = true;
-        out.push_str(&format!(
-            "{} lock-order cycle(s) — deadlock risk:\n",
-            cycles.len()
-        ));
-        for cycle in &cycles {
-            out.push_str(&format!("  {}\n", graphs.locks.describe_cycle(cycle)));
-        }
-    }
-    let violations = graphs.locks.rank_violations();
-    if !violations.is_empty() {
-        failed = true;
-        out.push_str(&format!(
-            "{} edge(s) contradict the declared ranks in analysis/locks.toml:\n",
-            violations.len()
-        ));
-        for edge in violations {
+        for f in &self.findings {
             out.push_str(&format!(
-                "  {} (rank {}) held while acquiring {} (rank {}) at {}:{}\n",
-                graphs.locks.nodes[edge.from].key,
-                graphs.locks.nodes[edge.from].rank.unwrap_or(0),
-                graphs.locks.nodes[edge.to].key,
-                graphs.locks.nodes[edge.to].rank.unwrap_or(0),
+                "[{}] {}:{}: {}\n",
+                f.rule, f.file, f.line, f.message
+            ));
+        }
+        out.push_str(&format!(
+            "scanned {} files: {} finding(s), {} malformed directive(s)\n",
+            self.files_scanned,
+            self.findings.len(),
+            self.directive_errors.len(),
+        ));
+        for rule in Rule::ALL {
+            let count = self.findings.iter().filter(|f| f.rule == rule).count();
+            out.push_str(&format!("  {:<22} {count:>3}\n", rule.key()));
+        }
+
+        let edges: usize = self.calls.edges.iter().map(Vec::len).sum();
+        let external_sites: usize = self.calls.externals.values().sum();
+        let ambiguous_sites: usize = self.calls.ambiguous.values().sum();
+        out.push_str(&format!(
+            "call graph: {} fns, {edges} edges\n  unresolved: {} external name(s) ({external_sites} site(s)), {} ambiguous name(s) ({ambiguous_sites} site(s))\n",
+            self.table.fns.len(),
+            self.calls.externals.len(),
+            self.calls.ambiguous.len(),
+        ));
+
+        out.push_str(&format!(
+            "lock graph: {} class(es), {} edge(s)\n",
+            self.locks.nodes.len(),
+            self.locks.edges.len(),
+        ));
+        for edge in &self.locks.edges {
+            let via = if edge.via.is_empty() {
+                String::new()
+            } else {
+                format!(" via {}", edge.via)
+            };
+            out.push_str(&format!(
+                "  {} → {} ({}:{}{via})\n",
+                self.locks.nodes[edge.from].key,
+                self.locks.nodes[edge.to].key,
                 edge.file,
                 edge.line,
             ));
         }
+        if self.findings.iter().all(|f| f.rule != Rule::LockOrder) {
+            out.push_str(
+                "lock order: cycle-free, declared ranks form a topological order, every class declared and used\n",
+            );
+        }
+        out.push_str(if self.passed() {
+            "check: passed\n"
+        } else {
+            "check: FAILED\n"
+        });
+        out
     }
-    if !failed {
-        out.push_str("lock order: cycle-free, declared ranks form a topological order\n");
-    }
-    (out, failed)
-}
-
-/// Loads the baseline and matches `analysis` against it.
-pub fn load_and_ratchet<'a>(
-    root: &Path,
-    analysis: &'a Analysis,
-) -> Result<(Baseline, Ratchet<'a>), String> {
-    let baseline = Baseline::load(root)?;
-    baseline.verify_well_formed()?;
-    let ratchet = baseline.ratchet(&analysis.findings);
-    Ok((baseline, ratchet))
 }

@@ -1,50 +1,50 @@
 //! `melissa_analysis` — a project-invariant lint engine for the Melissa
-//! workspace, with a ratcheting baseline and a CI gate.
+//! workspace, run as a tier-1 test.
 //!
-//! The performance work of PRs 3–5 rests on invariants the compiler cannot
-//! see: hot paths must not allocate, locks nest in one declared order, every
-//! atomic ordering is deliberate, library code never panics, and every RNG
-//! stream flows through a versioned seed policy. This crate enforces them
-//! mechanically, offline, with zero external dependencies:
+//! The data plane and the training step rest on invariants the compiler
+//! cannot see: hot paths must not allocate or block, locks nest in one
+//! declared order, every atomic ordering is deliberate, library code never
+//! panics, every RNG stream flows through a versioned seed policy, and
+//! `unsafe` stays in audited scopes. This crate checks them offline, with
+//! zero external dependencies, one rule per invariant:
 //!
 //! * a hand-rolled [`lexer`] (nested block comments, raw strings with hash
 //!   depth, `'a` vs `'x'`, raw identifiers) feeds
 //! * a brace-scoped [`scanner`] (function spans, impl/trait owners,
 //!   `#[cfg(test)]` regions, directive comments), over which
 //! * the intra-function [`rules`] run, configured by the checked manifests in
-//!   [`manifest`] (`analysis/locks.toml`, `analysis/seed_policy.toml`);
+//!   [`manifest`] (`analysis/seed_policy.toml`, `analysis/unsafe.toml`);
 //! * a workspace-wide [`symbols`] table feeds the [`callgraph`] (call sites
 //!   resolved by receiver-type heuristics, unresolved externals recorded),
-//!   which propagates hot-path constraints transitively and powers the
-//!   [`lockgraph`] deadlock-cycle detector; and
-//! * findings diff against the ratcheting [`baseline`]
-//!   (`analysis/baseline.toml`): pre-existing violations are enumerated,
-//!   their count may only go down, and new ones fail `check --deny` in CI.
+//!   whose reachability from the marked roots carries the two hot-path
+//!   rules, and the [`lockgraph`], whose cycles, rank contradictions
+//!   against `analysis/locks.toml` and undeclared classes are the
+//!   `lock_order` rule;
+//! * the [`engine`] runs them all, flags manifest entries that match nothing
+//!   in the workspace, and renders the report.
 //!
-//! Run it as:
+//! There is no baseline: any finding fails. `cargo test -q` runs the gate
+//! (`tests/workspace_graphs.rs` asserts that the workspace has no finding and
+//! prints the report when it does); the same check runs by hand as
 //!
 //! ```text
-//! cargo run -p melissa_analysis -- check            # report
-//! cargo run -p melissa_analysis -- check --deny     # the CI gate
-//! cargo run -p melissa_analysis -- ratchet          # shrink the baseline
-//! cargo run -p melissa_analysis -- verify-baseline  # well-formedness only
-//! cargo run -p melissa_analysis -- graph            # call/lock-graph summary
-//! cargo run -p melissa_analysis -- graph --check    # cycle + rank-order gate
-//! cargo run -p melissa_analysis -- graph --dot      # DOT dumps under target/analysis/
+//! cargo run -p melissa_analysis -- check [--root <path>]
 //! ```
+//!
+//! which prints the report and exits non-zero on any finding.
 //!
 //! Annotations understood in source (line comments):
 //!
 //! * `// analysis: hot_path` — marks the next `fn` allocation-free and
 //!   non-blocking, *including everything it transitively calls*;
 //! * `// analysis: allow(<rule>, reason = "…")` — grants one line an
-//!   exemption (`alloc`, `blocking`, `lock`, `ordering`, `panic`, `seed`),
+//!   exemption (`alloc`, `blocking`, `ordering`, `panic`, `seed`, `unsafe`),
 //!   reason mandatory; on a call-site line it also stops hot-path
-//!   propagation through that call;
+//!   propagation through that call. Lock order has no exemption: a
+//!   deliberate inversion is a deadlock;
 //! * `// ordering: <why>` — justifies `Ordering::…` on the same line, or a
 //!   contiguous run of sites below it.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod engine;
 pub mod lexer;

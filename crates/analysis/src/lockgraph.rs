@@ -1,7 +1,8 @@
 //! The workspace lock graph: every "lock B acquired while lock A is held"
-//! edge, collected across function boundaries, with cycle detection and a
-//! check that the ranks declared in `analysis/locks.toml` form a topological
-//! order of what the code actually does.
+//! edge, collected across function boundaries, and the `lock_order` rule
+//! read off it: an edge is a finding when it closes a cycle, contradicts the
+//! ranks declared in `analysis/locks.toml`, or has an endpoint no class
+//! there declares.
 //!
 //! Edges come from three walks, all witness-carrying (`file:line`):
 //!
@@ -24,7 +25,9 @@
 use crate::callgraph::CallGraph;
 use crate::lexer::TokenKind;
 use crate::manifest::LockManifest;
-use crate::rules::{ident_text, is_punct, let_binding_name, receiver_chain};
+use crate::rules::{
+    ident_text, is_punct, let_binding_name, let_bound_name, receiver_chain, Finding, Rule,
+};
 use crate::symbols::{FnId, SymbolTable, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -196,11 +199,15 @@ impl LockGraph {
     pub fn rank_violations(&self) -> Vec<&LockEdge> {
         self.edges
             .iter()
-            .filter(|e| match (self.nodes[e.from].rank, self.nodes[e.to].rank) {
-                (Some(held), Some(acq)) => acq <= held,
-                _ => false,
-            })
+            .filter(|e| self.contradicts_ranks(e))
             .collect()
+    }
+
+    fn contradicts_ranks(&self, e: &LockEdge) -> bool {
+        match (self.nodes[e.from].rank, self.nodes[e.to].rank) {
+            (Some(held), Some(acq)) => acq <= held,
+            _ => false,
+        }
     }
 
     /// Nodes with no declared rank (visible in reports so new locks get
@@ -227,33 +234,66 @@ impl LockGraph {
         parts.join(", ")
     }
 
-    /// DOT rendering: declared classes labelled with their rank, edge labels
-    /// carrying the witness.
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from(
-            "digraph lockgraph {\n  rankdir=LR;\n  node [shape=ellipse, fontsize=10];\n",
-        );
-        for (idx, node) in self.nodes.iter().enumerate() {
-            let label = match node.rank {
-                Some(rank) => format!("{}\\nrank {rank}", dot_escape(&node.key)),
-                None => format!("{}\\n(undeclared)", dot_escape(&node.key)),
-            };
-            out.push_str(&format!("  l{idx} [label=\"{label}\"];\n"));
+    /// The `lock_order` findings: one per offending edge, at its witness.
+    /// An edge offends when it contradicts the declared ranks or touches an
+    /// undeclared class. Every cycle contains such an edge (ranks strictly
+    /// rise along the others); the cycle is reported on the first one, or on
+    /// its first edge should none offend.
+    pub fn findings(&self) -> Vec<Finding> {
+        let mut reasons: Vec<Vec<String>> = vec![Vec::new(); self.edges.len()];
+        for (e, why) in self.edges.iter().zip(&mut reasons) {
+            let (held, acquired) = (&self.nodes[e.from], &self.nodes[e.to]);
+            if self.contradicts_ranks(e) {
+                why.push(format!(
+                    "rank {} is not above the held rank {} declared in analysis/locks.toml",
+                    acquired.rank.unwrap_or(0),
+                    held.rank.unwrap_or(0)
+                ));
+            }
+            let ends = if e.from == e.to { 1 } else { 2 };
+            for node in [held, acquired].into_iter().take(ends) {
+                if node.rank.is_none() {
+                    why.push(format!(
+                        "`{}` is not declared in analysis/locks.toml",
+                        node.key
+                    ));
+                }
+            }
         }
-        for e in &self.edges {
-            let label = format!("{}:{}", dot_escape(&e.file), e.line);
-            out.push_str(&format!(
-                "  l{} -> l{} [label=\"{label}\", fontsize=8];\n",
-                e.from, e.to
-            ));
+        for cycle in self.cycles() {
+            let at = cycle
+                .edges
+                .iter()
+                .copied()
+                .find(|&i| !reasons[i].is_empty())
+                .unwrap_or(cycle.edges[0]);
+            reasons[at].push(format!("closes the cycle {}", self.describe_cycle(&cycle)));
         }
-        out.push_str("}\n");
-        out
+        self.edges
+            .iter()
+            .zip(reasons)
+            .filter(|(_, why)| !why.is_empty())
+            .map(|(e, why)| {
+                let (held, acquired) = (&self.nodes[e.from].key, &self.nodes[e.to].key);
+                let via = if e.via.is_empty() {
+                    String::new()
+                } else {
+                    format!(" via {}", e.via)
+                };
+                Finding {
+                    rule: Rule::LockOrder,
+                    file: e.file.clone(),
+                    line: e.line,
+                    function: String::new(),
+                    detail: format!("{held} → {acquired}"),
+                    message: format!(
+                        "`{acquired}` acquired while `{held}` is held{via}: {}",
+                        why.join("; ")
+                    ),
+                }
+            })
+            .collect()
     }
-}
-
-fn dot_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 impl<'a> Builder<'a> {
@@ -537,15 +577,7 @@ fn binding_for_call(toks: &[crate::lexer::Token], site_token: usize, lo: usize) 
     {
         j -= 3;
     }
-    if j <= lo || !is_punct(toks.get(j - 1), '=') {
-        return None;
-    }
-    let name = ident_text(toks.get(j.wrapping_sub(2)))?.to_string();
-    let mut k = j - 2;
-    if k > lo && ident_text(toks.get(k - 1)) == Some("mut") {
-        k -= 1;
-    }
-    (k > lo && ident_text(toks.get(k - 1)) == Some("let")).then_some(name)
+    let_bound_name(toks, j, lo)
 }
 
 #[cfg(test)]

@@ -1,63 +1,37 @@
-//! CLI for the workspace lint engine: `check [--deny]`, `ratchet [--force]`,
-//! `verify-baseline`, `graph [--dot] [--check]`, each with an optional
-//! `--root <path>`.
+//! CLI for the workspace lint engine: `check [--root <path>]` prints the
+//! report and exits 1 on any finding or malformed directive (2 on a usage
+//! or I/O error).
 
-use melissa_analysis::baseline::Baseline;
-use melissa_analysis::callgraph::to_dot as callgraph_dot;
-use melissa_analysis::engine::{analyze, build_graphs, graph_report, load_and_ratchet, report};
+use melissa_analysis::engine::analyze;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: melissa_analysis <check [--deny] | ratchet [--force] | verify-baseline | graph [--dot] [--check]> [--root <path>]";
-
-enum Command {
-    Check,
-    Ratchet,
-    VerifyBaseline,
-    Graph,
-}
+const USAGE: &str = "usage: melissa_analysis check [--root <path>]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut command = None;
-    let mut deny = false;
-    let mut force = false;
-    let mut dot = false;
-    let mut graph_check = false;
-    let mut root: Option<PathBuf> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "check" if command.is_none() => command = Some(Command::Check),
-            "ratchet" if command.is_none() => command = Some(Command::Ratchet),
-            "verify-baseline" if command.is_none() => command = Some(Command::VerifyBaseline),
-            "graph" if command.is_none() => command = Some(Command::Graph),
-            "--deny" => deny = true,
-            "--force" => force = true,
-            "--dot" => dot = true,
-            "--check" if matches!(command, Some(Command::Graph)) => graph_check = true,
-            "--root" => match iter.next() {
-                Some(path) => root = Some(PathBuf::from(path)),
-                None => return usage_error("--root needs a path"),
-            },
-            other => return usage_error(&format!("unexpected argument `{other}`")),
-        }
-    }
-    let Some(command) = command else {
+    let mut args = std::env::args().skip(1);
+    if args.next().as_deref() != Some("check") {
         return usage_error("missing command");
-    };
+    }
     // Default root: the workspace this binary was built from (robust under
     // `cargo run` from any directory).
-    let root = root.unwrap_or_else(|| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")));
-
-    let outcome = match command {
-        Command::Check => run_check(&root, deny),
-        Command::Ratchet => run_ratchet(&root, force),
-        Command::VerifyBaseline => run_verify(&root),
-        Command::Graph => run_graph(&root, dot, graph_check),
-    };
-    match outcome {
-        Ok(code) => code,
+    let mut root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    while let Some(arg) = args.next() {
+        match (arg.as_str(), args.next()) {
+            ("--root", Some(path)) => root = PathBuf::from(path),
+            ("--root", None) => return usage_error("--root needs a path"),
+            (other, _) => return usage_error(&format!("unexpected argument `{other}`")),
+        }
+    }
+    match analyze(&root) {
+        Ok(analysis) => {
+            print!("{}", analysis.report());
+            if analysis.passed() {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::from(1)
+            }
+        }
         Err(message) => {
             eprintln!("error: {message}");
             ExitCode::from(2)
@@ -68,79 +42,4 @@ fn main() -> ExitCode {
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("error: {message}\n{USAGE}");
     ExitCode::from(2)
-}
-
-fn run_check(root: &std::path::Path, deny: bool) -> Result<ExitCode, String> {
-    let analysis = analyze(root)?;
-    let (_, ratchet) = load_and_ratchet(root, &analysis)?;
-    let (text, failed) = report(&analysis, &ratchet);
-    print!("{text}");
-    if failed && deny {
-        println!("check --deny: FAILED");
-        Ok(ExitCode::from(1))
-    } else {
-        if failed {
-            println!("(advisory run: rerun with --deny to enforce)");
-        }
-        Ok(ExitCode::SUCCESS)
-    }
-}
-
-fn run_ratchet(root: &std::path::Path, force: bool) -> Result<ExitCode, String> {
-    let analysis = analyze(root)?;
-    if let Some((file, line, problem)) = analysis.directive_errors.first() {
-        return Err(format!(
-            "malformed directive at {file}:{line}: {problem} (fix before ratcheting)"
-        ));
-    }
-    let baseline = Baseline::load(root)?;
-    let rendered = baseline.render_ratcheted(&analysis.findings, force)?;
-    let path = root.join("analysis/baseline.toml");
-    std::fs::write(&path, rendered).map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!(
-        "wrote {} with {} tolerated violation(s)",
-        path.display(),
-        analysis.findings.len()
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-fn run_verify(root: &std::path::Path) -> Result<ExitCode, String> {
-    let baseline = Baseline::load(root)?;
-    baseline.verify_well_formed()?;
-    println!(
-        "analysis/baseline.toml well-formed: {} tolerated violation(s), high-water marks {:?}",
-        baseline.entries.len(),
-        baseline.counts
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-fn run_graph(root: &std::path::Path, dot: bool, check: bool) -> Result<ExitCode, String> {
-    let graphs = build_graphs(root)?;
-    let (text, failed) = graph_report(&graphs);
-    print!("{text}");
-    if dot {
-        let dir = root.join("target/analysis");
-        std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        let call_path = dir.join("callgraph.dot");
-        std::fs::write(
-            &call_path,
-            callgraph_dot(&graphs.table, &graphs.graph, &graphs.reach),
-        )
-        .map_err(|e| format!("writing {}: {e}", call_path.display()))?;
-        let lock_path = dir.join("lockgraph.dot");
-        std::fs::write(&lock_path, graphs.locks.to_dot())
-            .map_err(|e| format!("writing {}: {e}", lock_path.display()))?;
-        println!("wrote {} and {}", call_path.display(), lock_path.display());
-    }
-    if failed && check {
-        println!("graph --check: FAILED");
-        Ok(ExitCode::from(1))
-    } else {
-        if failed {
-            println!("(advisory run: rerun with --check to enforce)");
-        }
-        Ok(ExitCode::SUCCESS)
-    }
 }

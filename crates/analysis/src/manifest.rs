@@ -5,7 +5,8 @@
 //! All three files are part of the reviewed source tree: changing a lock
 //! order, blessing a new seed-derivation site, or widening the unsafe
 //! surface is a diff a reviewer sees, not a convention a refactor silently
-//! breaks.
+//! breaks. An entry that matches nothing in the workspace is itself a
+//! finding (see [`crate::engine`]), so the files cannot go stale either.
 
 use crate::toml_lite::{parse, Doc};
 use std::path::Path;
@@ -24,6 +25,8 @@ pub struct LockClass {
     pub receiver: String,
     /// Acquisition rank: lower ranks are acquired first (outermost).
     pub rank: i64,
+    /// Line of the entry's `[[class]]` header (0 when built in code).
+    pub line: u32,
 }
 
 /// The declared lock order.
@@ -34,7 +37,7 @@ pub struct LockManifest {
 
 impl LockManifest {
     /// Loads `analysis/locks.toml` under `root`; a missing file is an empty
-    /// manifest (every nested acquisition is then a heuristic finding).
+    /// manifest (every nested acquisition is then a finding).
     pub fn load(root: &Path) -> Result<LockManifest, String> {
         let path = root.join("analysis/locks.toml");
         let Ok(text) = std::fs::read_to_string(&path) else {
@@ -42,7 +45,7 @@ impl LockManifest {
         };
         let doc = parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         let mut classes = Vec::new();
-        for entry in doc.arrays.get("class").map(|v| v.as_slice()).unwrap_or(&[]) {
+        for (line, entry) in doc.arrays.get("class").map(|v| v.as_slice()).unwrap_or(&[]) {
             classes.push(LockClass {
                 name: entry
                     .get("name")
@@ -63,6 +66,7 @@ impl LockManifest {
                     .get("rank")
                     .and_then(|v| v.as_int())
                     .ok_or("lock class missing integer `rank`")?,
+                line: *line,
             });
         }
         Ok(LockManifest { classes })
@@ -78,26 +82,21 @@ impl LockManifest {
                     file,
                     receiver,
                     rank,
+                    line: 0,
                 })
                 .collect(),
         }
     }
 
-    /// The rank of `receiver` in `file`, when a class matches. Receivers
-    /// match by prefix so `self.shards[_]` matches a `self.shards` class.
-    pub fn rank_of(&self, file: &str, receiver: &str) -> Option<i64> {
-        self.class_of(file, receiver).map(|c| c.rank)
-    }
-
-    /// The declared class for `receiver` in `file`, if any (prefix match,
-    /// like [`LockManifest::rank_of`]).
+    /// The declared class for `receiver` in `file`, if any. Receivers match
+    /// by prefix so `self.shards[_]` matches a `self.shards` class.
     pub fn class_of(&self, file: &str, receiver: &str) -> Option<&LockClass> {
         self.classes
             .iter()
             .find(|c| c.file == file && receiver.starts_with(c.receiver.as_str()))
     }
 
-    /// All declared classes (reporting).
+    /// All declared classes.
     pub fn classes(&self) -> &[LockClass] {
         &self.classes
     }
@@ -111,6 +110,8 @@ pub struct SeedHelper {
     pub file: String,
     /// Function names blessed within that file.
     pub functions: Vec<String>,
+    /// Line of the entry's `[[helper]]` header (0 when built in code).
+    pub line: u32,
 }
 
 /// The versioned seed-policy manifest.
@@ -138,7 +139,11 @@ impl SeedManifest {
         SeedManifest {
             helpers: entries
                 .into_iter()
-                .map(|(file, functions)| SeedHelper { file, functions })
+                .map(|(file, functions)| SeedHelper {
+                    file,
+                    functions,
+                    line: 0,
+                })
                 .collect(),
         }
     }
@@ -150,7 +155,7 @@ impl SeedManifest {
             .any(|h| h.file == file && h.functions.iter().any(|f| f == function))
     }
 
-    /// All blessed helpers (reporting).
+    /// All blessed helpers.
     pub fn helpers(&self) -> &[SeedHelper] {
         &self.helpers
     }
@@ -165,6 +170,8 @@ pub struct UnsafeScope {
     /// Workspace-relative path prefix (`crates/nn/src/simd/`); a file is in
     /// scope when its rel-path starts with the prefix.
     pub prefix: String,
+    /// Line of the entry's `[[scope]]` header (0 when built in code).
+    pub line: u32,
 }
 
 /// The audited-unsafe manifest.
@@ -183,7 +190,7 @@ impl UnsafeManifest {
         };
         let doc = parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         let mut scopes = Vec::new();
-        for entry in doc.arrays.get("scope").map(|v| v.as_slice()).unwrap_or(&[]) {
+        for (line, entry) in doc.arrays.get("scope").map(|v| v.as_slice()).unwrap_or(&[]) {
             scopes.push(UnsafeScope {
                 name: entry
                     .get("name")
@@ -195,6 +202,7 @@ impl UnsafeManifest {
                     .and_then(|v| v.as_str())
                     .ok_or("unsafe scope missing `prefix`")?
                     .to_string(),
+                line: *line,
             });
         }
         Ok(UnsafeManifest { scopes })
@@ -208,6 +216,7 @@ impl UnsafeManifest {
                 .map(|prefix| UnsafeScope {
                     name: prefix.clone(),
                     prefix,
+                    line: 0,
                 })
                 .collect(),
         }
@@ -220,7 +229,7 @@ impl UnsafeManifest {
             .any(|s| file.starts_with(s.prefix.as_str()))
     }
 
-    /// All audited scopes (reporting).
+    /// All audited scopes.
     pub fn scopes(&self) -> &[UnsafeScope] {
         &self.scopes
     }
@@ -228,7 +237,7 @@ impl UnsafeManifest {
 
 fn helpers_from(doc: &Doc) -> Result<Vec<SeedHelper>, String> {
     let mut helpers = Vec::new();
-    for entry in doc
+    for (line, entry) in doc
         .arrays
         .get("helper")
         .map(|v| v.as_slice())
@@ -245,6 +254,7 @@ fn helpers_from(doc: &Doc) -> Result<Vec<SeedHelper>, String> {
                 .and_then(|v| v.as_str_array())
                 .ok_or("seed helper missing `functions` array")?
                 .to_vec(),
+            line: *line,
         });
     }
     Ok(helpers)
@@ -260,10 +270,12 @@ mod tests {
             ("f.rs".into(), "self.shards".into(), 5),
             ("f.rs".into(), "self.wait".into(), 9),
         ]);
-        assert_eq!(manifest.rank_of("f.rs", "self.shards[_]"), Some(5));
-        assert_eq!(manifest.rank_of("f.rs", "self.wait"), Some(9));
-        assert_eq!(manifest.rank_of("other.rs", "self.wait"), None);
-        assert_eq!(manifest.rank_of("f.rs", "self.other"), None);
+        let rank_of =
+            |file: &str, receiver: &str| manifest.class_of(file, receiver).map(|c| c.rank);
+        assert_eq!(rank_of("f.rs", "self.shards[_]"), Some(5));
+        assert_eq!(rank_of("f.rs", "self.wait"), Some(9));
+        assert_eq!(rank_of("other.rs", "self.wait"), None);
+        assert_eq!(rank_of("f.rs", "self.other"), None);
     }
 
     #[test]

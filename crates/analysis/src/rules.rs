@@ -1,41 +1,40 @@
-//! The intra-function project-invariant rules, evaluated over a scanned
-//! [`FileModel`], plus the site detectors shared with the interprocedural
-//! rules in [`crate::callgraph`].
+//! The project-invariant rules: the [`Rule`] catalogue, the [`Finding`]
+//! they produce, the intra-function rules evaluated over one scanned
+//! [`FileModel`], and the site detectors shared with the call-graph rules in
+//! [`crate::callgraph`].
 //!
 //! | rule | key | scope |
 //! |------|-----|-------|
-//! | hot-path allocation | `hot_path_alloc` | fns marked `// analysis: hot_path` |
-//! | transitive hot-path allocation | `hot_path_transitive_alloc` | fns *reachable* from hot-path roots (callgraph) |
+//! | hot-path allocation | `hot_path_alloc` | hot-path roots and everything they reach (callgraph) |
 //! | blocking in hot path | `blocking_in_hot_path` | hot-path roots and everything they reach (callgraph) |
-//! | lock discipline | `lock_discipline` | library code |
+//! | lock order | `lock_order` | the workspace lock graph (lockgraph) |
 //! | atomic-ordering audit | `atomic_ordering` | everywhere (incl. tests) |
 //! | panic surface | `panic_surface` | library code outside tests |
 //! | RNG seed policy | `seed_policy` | library code outside tests |
 //! | unsafe scope | `unsafe_scope` | library code outside tests |
 //!
-//! Every rule honours an inline `// analysis: allow(<key>, reason = "…")`
-//! grant on the offending line (or the line directly above it). For the two
-//! interprocedural rules an allow on a *call site* also prunes propagation
-//! through that edge.
+//! Every rule but `lock_order` honours an inline
+//! `// analysis: allow(<key>, reason = "…")` grant on the offending line (or
+//! the line directly above it). For the two hot-path rules an allow on a
+//! *call site* also prunes propagation through that edge.
 
 use crate::lexer::{Token, TokenKind};
-use crate::manifest::{LockManifest, SeedManifest, UnsafeManifest};
-use crate::scanner::{FileContext, FileModel, FnSpan};
+use crate::manifest::{SeedManifest, UnsafeManifest};
+use crate::scanner::{FileContext, FileModel};
 use std::fmt;
 
 /// The rule a finding belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Allocation in a `// analysis: hot_path` function.
+    /// Allocation in a `// analysis: hot_path` function or anything it
+    /// reaches through the call graph; findings carry the call-chain witness.
     HotPathAlloc,
-    /// Allocation in a function *reachable* from a hot-path root through the
-    /// call graph; findings carry the call-chain witness.
-    HotPathTransitiveAlloc,
     /// Lock/condvar/channel blocking, sleeps, or file/stdio I/O in a hot-path
     /// root or anything it reaches.
     BlockingInHotPath,
-    /// Nested lock acquisition out of declared order.
-    LockDiscipline,
+    /// A lock-graph edge that closes a cycle, contradicts the ranks declared
+    /// in `analysis/locks.toml`, or touches an undeclared lock class.
+    LockOrder,
     /// `Ordering::…` without an `// ordering:` justification.
     AtomicOrdering,
     /// `unwrap`/`expect`/`panic!` in non-test library code.
@@ -48,49 +47,27 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 7] = [
         Rule::HotPathAlloc,
-        Rule::HotPathTransitiveAlloc,
         Rule::BlockingInHotPath,
-        Rule::LockDiscipline,
+        Rule::LockOrder,
         Rule::AtomicOrdering,
         Rule::PanicSurface,
         Rule::SeedPolicy,
         Rule::UnsafeScope,
     ];
 
-    /// The stable snake_case key used in `baseline.toml`.
+    /// The stable snake_case key used in reports.
     pub fn key(self) -> &'static str {
         match self {
             Rule::HotPathAlloc => "hot_path_alloc",
-            Rule::HotPathTransitiveAlloc => "hot_path_transitive_alloc",
             Rule::BlockingInHotPath => "blocking_in_hot_path",
-            Rule::LockDiscipline => "lock_discipline",
+            Rule::LockOrder => "lock_order",
             Rule::AtomicOrdering => "atomic_ordering",
             Rule::PanicSurface => "panic_surface",
             Rule::SeedPolicy => "seed_policy",
             Rule::UnsafeScope => "unsafe_scope",
         }
-    }
-
-    /// The short key accepted by `allow(…)` directives. The transitive alloc
-    /// rule deliberately shares `alloc` with the intra-function rule: one
-    /// grant blesses the site no matter how the analyzer reached it.
-    pub fn allow_key(self) -> &'static str {
-        match self {
-            Rule::HotPathAlloc | Rule::HotPathTransitiveAlloc => "alloc",
-            Rule::BlockingInHotPath => "blocking",
-            Rule::LockDiscipline => "lock",
-            Rule::AtomicOrdering => "ordering",
-            Rule::PanicSurface => "panic",
-            Rule::SeedPolicy => "seed",
-            Rule::UnsafeScope => "unsafe",
-        }
-    }
-
-    /// Parses a `baseline.toml` rule key.
-    pub fn from_key(key: &str) -> Option<Rule> {
-        Rule::ALL.into_iter().find(|r| r.key() == key)
     }
 }
 
@@ -111,39 +88,25 @@ pub struct Finding {
     pub line: u32,
     /// Enclosing function name (empty at item level).
     pub function: String,
-    /// Short token-level detail (`"`.clone()`"`, `"Ordering::SeqCst"`);
-    /// part of the baseline fingerprint, so it must not contain line numbers.
+    /// Short token-level detail (`"`.clone()`"`, `"Ordering::SeqCst"`).
     pub detail: String,
     /// Human-readable message.
     pub message: String,
 }
 
-impl Finding {
-    /// The line-number-free identity used to match baseline entries: rule,
-    /// file, enclosing function and token detail. An occurrence ordinal is
-    /// appended by the engine when one function repeats the same detail.
-    pub fn fingerprint_stem(&self) -> String {
-        format!("{}::{}::{}", self.file, self.function, self.detail)
-    }
-}
-
-/// Evaluates every applicable rule over one file.
-pub fn apply_all(
+/// Evaluates the intra-function rules over one file.
+pub(crate) fn apply_all(
     model: &FileModel,
-    locks: &LockManifest,
     seeds: &SeedManifest,
     unsafes: &UnsafeManifest,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
-    hot_path_alloc(model, &mut findings);
     if model.context == FileContext::Library {
-        lock_discipline(model, locks, &mut findings);
         panic_surface(model, &mut findings);
         seed_policy(model, seeds, &mut findings);
         unsafe_scope(model, unsafes, &mut findings);
     }
     atomic_ordering(model, &mut findings);
-    findings.sort_by_key(|f| (f.line, f.rule));
     findings
 }
 
@@ -200,7 +163,7 @@ pub(crate) struct Site {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 1: hot-path allocation
+// Hot-path site detectors
 // ---------------------------------------------------------------------------
 
 /// Methods that allocate (called as `.name(…)`).
@@ -222,8 +185,19 @@ const ALLOC_TYPES: [&str; 12] = [
 ];
 const ALLOC_CTORS: [&str; 3] = ["new", "with_capacity", "from"];
 
+/// The allocating constructor in a `::new(` / `::with_capacity(` /
+/// `::from(` call starting at `at` (just after the type name and any
+/// turbofish on it).
+fn alloc_ctor(toks: &[Token], at: usize) -> Option<&str> {
+    let ctor = ident_text(toks.get(at + 2)).filter(|c| ALLOC_CTORS.contains(c))?;
+    (is_punct(toks.get(at), ':')
+        && is_punct(toks.get(at + 1), ':')
+        && is_punct(toks.get(skip_turbofish(toks, at + 3)), '('))
+    .then_some(ctor)
+}
+
 /// Every allocation-pattern hit inside `range` (allow grants NOT applied —
-/// callers filter, so intra and transitive rules share one detector).
+/// the caller filters them).
 pub(crate) fn alloc_sites(model: &FileModel, range: std::ops::Range<usize>) -> Vec<Site> {
     let toks = &model.tokens;
     let mut out = Vec::new();
@@ -243,15 +217,12 @@ pub(crate) fn alloc_sites(model: &FileModel, range: std::ops::Range<usize>) -> V
             && is_punct(toks.get(i + 1), '!')
         {
             Some(format!("{}!", tok.text))
-        } else if ident_text(Some(tok)).is_some_and(|t| ALLOC_TYPES.contains(&t))
-            && is_punct(toks.get(i + 1), ':')
-            && is_punct(toks.get(i + 2), ':')
-            && ident_text(toks.get(i + 3)).is_some_and(|c| ALLOC_CTORS.contains(&c))
-            && is_punct(toks.get(skip_turbofish(toks, i + 4)), '(')
-        {
-            Some(format!("{}::{}", tok.text, toks[i + 3].text))
         } else {
-            None
+            // `Vec::new(…)` and `Vec::<u8>::new(…)` alike.
+            ident_text(Some(tok))
+                .filter(|t| ALLOC_TYPES.contains(t))
+                .and_then(|_| alloc_ctor(toks, skip_turbofish(toks, i + 1)))
+                .map(|ctor| format!("{}::{ctor}", tok.text))
         };
         if let Some(detail) = detail {
             out.push(Site {
@@ -338,145 +309,26 @@ pub(crate) fn blocking_sites(model: &FileModel, range: std::ops::Range<usize>) -
     out
 }
 
-fn hot_path_alloc(model: &FileModel, findings: &mut Vec<Finding>) {
-    for span in model.functions.iter().filter(|f| f.hot_path) {
-        for site in alloc_sites(model, span.body.clone()) {
-            if model.allow_for(site.line, "alloc").is_some() {
-                continue;
-            }
-            let detail = &site.detail;
-            findings.push(Finding {
-                rule: Rule::HotPathAlloc,
-                file: model.rel_path.clone(),
-                line: site.line,
-                function: span.name.clone(),
-                detail: detail.clone(),
-                message: format!(
-                    "allocating call `{detail}` inside hot-path fn `{}` (add `// analysis: allow(alloc, reason = …)` if deliberate)",
-                    span.name
-                ),
-            });
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Rule 2: lock discipline
+// Lock-graph site helpers
 // ---------------------------------------------------------------------------
 
-/// A live guard binding inside one function walk.
-struct Guard {
-    name: String,
-    depth: isize,
-    rank: Option<i64>,
-    receiver: String,
-    line: u32,
-}
-
-fn lock_discipline(model: &FileModel, manifest: &LockManifest, findings: &mut Vec<Finding>) {
-    for span in model.functions.iter().filter(|f| !f.is_test) {
-        lock_walk(model, span, manifest, findings);
-    }
-}
-
-fn lock_walk(
-    model: &FileModel,
-    span: &FnSpan,
-    manifest: &LockManifest,
-    findings: &mut Vec<Finding>,
-) {
-    const ACQUIRERS: [&str; 3] = ["lock", "read", "write"];
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth: isize = 0;
-    let toks = &model.tokens;
-    for i in span.body.clone() {
-        match &toks[i].kind {
-            TokenKind::Punct('{') => depth += 1,
-            TokenKind::Punct('}') => {
-                depth -= 1;
-                guards.retain(|g| g.depth <= depth);
-            }
-            // `drop(name)` releases a guard early.
-            TokenKind::Ident if toks[i].text == "drop" && is_punct(toks.get(i + 1), '(') => {
-                if let Some(name) = ident_text(toks.get(i + 2)) {
-                    if is_punct(toks.get(i + 3), ')') {
-                        guards.retain(|g| g.name != name);
-                    }
-                }
-            }
-            // `.lock()` / `.read()` / `.write()` with empty parens.
-            TokenKind::Punct('.')
-                if ident_text(toks.get(i + 1)).is_some_and(|m| ACQUIRERS.contains(&m))
-                    && is_punct(toks.get(i + 2), '(')
-                    && is_punct(toks.get(i + 3), ')') =>
-            {
-                let method = toks[i + 1].text.clone();
-                let line = toks[i + 1].line;
-                let receiver = receiver_chain(toks, i);
-                let rank = manifest.rank_of(&model.rel_path, &receiver);
-                if let Some(conflict) = guards.iter().find(|g| match (g.rank, rank) {
-                    (Some(held), Some(new)) => new <= held,
-                    _ => true,
-                }) {
-                    if model.allow_for(line, "lock").is_none() {
-                        let why = match (conflict.rank, rank) {
-                            (Some(_), Some(_)) => {
-                                "violates the declared lock order in analysis/locks.toml"
-                            }
-                            _ => "no order for this pair is declared in analysis/locks.toml",
-                        };
-                        findings.push(Finding {
-                            rule: Rule::LockDiscipline,
-                            file: model.rel_path.clone(),
-                            line,
-                            function: span.name.clone(),
-                            detail: format!("{receiver}.{method}() under {}", conflict.receiver),
-                            message: format!(
-                                "`{receiver}.{method}()` in fn `{}` while guard `{}` ({}, line {}) is live — {why}",
-                                span.name, conflict.name, conflict.receiver, conflict.line
-                            ),
-                        });
-                    }
-                }
-                // Register a guard when this is a `let name = <recv>.lock();`
-                // statement (acquisition result bound and kept).
-                if let Some(name) = let_binding_name(toks, i, span.body.start) {
-                    if is_punct(toks.get(i + 4), ';') {
-                        guards.retain(|g| g.name != name);
-                        guards.push(Guard {
-                            name,
-                            depth,
-                            rank,
-                            receiver,
-                            line,
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Renders the receiver chain ending at the `.` token `dot`: `self.draw`,
-/// `self.shards[_]`, `slot`. Returns `"<expr>"` when the receiver is not a
-/// simple field/index chain.
-pub(crate) fn receiver_chain(toks: &[Token], dot: usize) -> String {
-    let mut parts: Vec<String> = Vec::new();
+/// Walks back from the `.` token `dot` over its receiver chain — idents
+/// joined by `.`, with `[…]` index suffixes — without passing `lo`. Returns
+/// the index of the chain's first token and its segments, last first.
+fn walk_receiver(toks: &[Token], dot: usize, lo: usize) -> (usize, Vec<String>) {
+    let mut parts = Vec::new();
     let mut j = dot;
-    loop {
-        if j == 0 {
-            break;
-        }
+    while j > lo {
         match &toks[j - 1].kind {
             TokenKind::Ident => {
                 parts.push(toks[j - 1].text.clone());
                 j -= 1;
-                if j > 0 && is_punct(toks.get(j - 1), '.') {
+                if j > lo && is_punct(toks.get(j - 1), '.') {
                     j -= 1;
-                    continue;
+                } else {
+                    break;
                 }
-                break;
             }
             TokenKind::Punct(']') => {
                 // Skip the index expression back to its `[`.
@@ -504,20 +356,23 @@ pub(crate) fn receiver_chain(toks: &[Token], dot: usize) -> String {
             _ => break,
         }
     }
+    (j, parts)
+}
+
+/// Renders the receiver chain ending at the `.` token `dot`: `self.draw`,
+/// `self.shards[_]`, `slot`. Returns `"<expr>"` when the receiver is not a
+/// simple field/index chain.
+pub(crate) fn receiver_chain(toks: &[Token], dot: usize) -> String {
+    let (_, parts) = walk_receiver(toks, dot, 0);
     if parts.is_empty() {
         return "<expr>".to_string();
     }
-    parts.reverse();
     let mut out = String::new();
-    for part in parts {
-        if part == "[_]" {
-            out.push_str("[_]");
-        } else {
-            if !out.is_empty() {
-                out.push('.');
-            }
-            out.push_str(&part);
+    for part in parts.iter().rev() {
+        if part != "[_]" && !out.is_empty() {
+            out.push('.');
         }
+        out.push_str(part);
     }
     out
 }
@@ -525,64 +380,24 @@ pub(crate) fn receiver_chain(toks: &[Token], dot: usize) -> String {
 /// If the statement containing the acquisition at `dot` is a
 /// `let [mut] name = <receiver>…` binding, returns the bound name.
 pub(crate) fn let_binding_name(toks: &[Token], dot: usize, lo: usize) -> Option<String> {
-    // Walk back over the receiver chain to its start.
-    let mut j = dot;
-    loop {
-        if j == 0 || j <= lo {
-            break;
-        }
-        match &toks[j - 1].kind {
-            TokenKind::Ident => {
-                j -= 1;
-                if j > lo && is_punct(toks.get(j - 1), '.') {
-                    j -= 1;
-                    continue;
-                }
-                break;
-            }
-            TokenKind::Punct(']') => {
-                let mut depth = 0isize;
-                let mut k = j - 1;
-                loop {
-                    match &toks[k].kind {
-                        TokenKind::Punct(']') => depth += 1,
-                        TokenKind::Punct('[') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    if k == 0 {
-                        break;
-                    }
-                    k -= 1;
-                }
-                j = k;
-            }
-            _ => break,
-        }
-    }
-    // Expect `… let [mut] name = ` right before the receiver.
-    if j <= lo || !is_punct(toks.get(j - 1), '=') {
+    let_bound_name(toks, walk_receiver(toks, dot, lo).0, lo)
+}
+
+/// The `name` of a `let [mut] name =` that ends right before token `start`.
+pub(crate) fn let_bound_name(toks: &[Token], start: usize, lo: usize) -> Option<String> {
+    if start <= lo || !is_punct(toks.get(start - 1), '=') {
         return None;
     }
-    let name_idx = j - 2;
-    let name = ident_text(toks.get(name_idx))?;
-    let mut k = name_idx;
+    let mut k = start.checked_sub(2)?;
+    let name = ident_text(toks.get(k))?;
     if k > lo && ident_text(toks.get(k - 1)) == Some("mut") {
         k -= 1;
     }
-    if k > lo && ident_text(toks.get(k - 1)) == Some("let") {
-        Some(name.to_string())
-    } else {
-        None
-    }
+    (k > lo && ident_text(toks.get(k - 1)) == Some("let")).then(|| name.to_string())
 }
 
 // ---------------------------------------------------------------------------
-// Rule 3: atomic-ordering audit
+// Rule: atomic-ordering audit
 // ---------------------------------------------------------------------------
 
 const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -675,7 +490,7 @@ fn ordering_covered(
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: panic surface
+// Rule: panic surface
 // ---------------------------------------------------------------------------
 
 const PANIC_METHODS: [&str; 4] = ["unwrap", "expect", "unwrap_err", "expect_err"];
@@ -731,7 +546,7 @@ fn panic_surface(model: &FileModel, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: RNG seed policy
+// Rule: RNG seed policy
 // ---------------------------------------------------------------------------
 
 const SEED_FNS: [&str; 3] = ["seed_from_u64", "from_entropy", "from_seed"];
@@ -794,7 +609,7 @@ fn seed_policy(model: &FileModel, manifest: &SeedManifest, findings: &mut Vec<Fi
 }
 
 // ---------------------------------------------------------------------------
-// Rule 6: unsafe scope
+// Rule: unsafe scope
 // ---------------------------------------------------------------------------
 
 fn unsafe_scope(model: &FileModel, manifest: &UnsafeManifest, findings: &mut Vec<Finding>) {
@@ -809,7 +624,7 @@ fn unsafe_scope(model: &FileModel, manifest: &UnsafeManifest, findings: &mut Vec
         if tok.kind != TokenKind::Ident || tok.text != "unsafe" || tok.raw {
             continue;
         }
-        // Classify the construct for the (line-free) fingerprint detail.
+        // Classify the construct for the finding detail.
         let detail = match ident_text(model.tokens.get(i + 1)) {
             Some("fn") => "unsafe fn",
             Some("impl") => "unsafe impl",
@@ -845,16 +660,34 @@ fn unsafe_scope(model: &FileModel, manifest: &UnsafeManifest, findings: &mut Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::{LockManifest, SeedManifest, UnsafeManifest};
+    use crate::engine::analyze_workspace;
+    use crate::manifest::LockManifest;
+    use crate::symbols::Workspace;
+
+    /// Every rule over `src` as a one-file workspace at `rel`.
+    fn analyze_one(
+        rel: &str,
+        src: &str,
+        locks: &LockManifest,
+        seeds: &SeedManifest,
+        unsafes: &UnsafeManifest,
+    ) -> Vec<Finding> {
+        let ws = Workspace::from_models(vec![FileModel::scan(rel, src)]);
+        analyze_workspace(&ws, locks, seeds, unsafes).findings
+    }
 
     fn check(src: &str) -> Vec<Finding> {
-        let model = FileModel::scan("crates/x/src/lib.rs", src);
-        apply_all(
-            &model,
+        analyze_one(
+            "crates/x/src/lib.rs",
+            src,
             &LockManifest::default(),
             &SeedManifest::default(),
             &UnsafeManifest::default(),
         )
+    }
+
+    fn of_rule(findings: &[Finding], rule: Rule) -> Vec<&Finding> {
+        findings.iter().filter(|f| f.rule == rule).collect()
     }
 
     #[test]
@@ -865,18 +698,19 @@ fn hot(xs: &[u32]) -> usize {
     let v = Vec::with_capacity(4);
     let c = xs.to_vec();
     let ok = xs.clone(); // analysis: allow(alloc, reason = \"documented\")
-    v.len() + c.len() + ok.len()
+    let t = Vec::<u8>::with_capacity(1);
+    v.len() + c.len() + ok.len() + t.len()
 }
 fn cold(xs: &[u32]) -> Vec<u32> { xs.to_vec() }
 ";
         let findings = check(src);
-        let alloc: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == Rule::HotPathAlloc)
-            .collect();
-        assert_eq!(alloc.len(), 2);
-        assert_eq!(alloc[0].detail, "Vec::with_capacity");
-        assert_eq!(alloc[1].detail, ".to_vec()");
+        let alloc = of_rule(&findings, Rule::HotPathAlloc);
+        let details: Vec<&str> = alloc.iter().map(|f| f.detail.as_str()).collect();
+        assert_eq!(
+            details,
+            ["Vec::with_capacity", ".to_vec()", "Vec::with_capacity"]
+        );
+        assert_eq!(alloc[2].line, 6, "the turbofish form is a site too");
         assert!(alloc.iter().all(|f| f.function == "hot"));
     }
 
@@ -893,10 +727,7 @@ fn f(a: &std::sync::atomic::AtomicUsize) {
 }
 ";
         let findings = check(src);
-        let ordering: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == Rule::AtomicOrdering)
-            .collect();
+        let ordering = of_rule(&findings, Rule::AtomicOrdering);
         assert_eq!(ordering.len(), 1, "{ordering:?}");
         assert_eq!(ordering[0].line, 3);
         assert_eq!(ordering[0].detail, "Ordering::SeqCst");
@@ -925,10 +756,7 @@ mod tests {
 }
 ";
         let findings = check(src);
-        let panics: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == Rule::PanicSurface)
-            .collect();
+        let panics = of_rule(&findings, Rule::PanicSurface);
         assert_eq!(panics.len(), 2, "{panics:?}");
         assert_eq!(panics[0].detail, ".unwrap()");
         assert_eq!(panics[1].detail, "panic!");
@@ -942,21 +770,18 @@ fn blessed(seed: u64) -> ChaCha8Rng { ChaCha8Rng::seed_from_u64(seed) }
 fn rogue(seed: u64) -> ChaCha8Rng { ChaCha8Rng::seed_from_u64(seed) }
 fn draw(rng: &mut ChaCha8Rng) -> u32 { rng.gen_range(0..4) }
 ";
-        let model = FileModel::scan("crates/x/src/lib.rs", src);
         let seeds = SeedManifest::from_entries(vec![(
             "crates/x/src/lib.rs".to_string(),
             vec!["blessed".to_string()],
         )]);
-        let findings = apply_all(
-            &model,
+        let findings = analyze_one(
+            "crates/x/src/lib.rs",
+            src,
             &LockManifest::default(),
             &seeds,
             &UnsafeManifest::default(),
         );
-        let seeds: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == Rule::SeedPolicy)
-            .collect();
+        let seeds = of_rule(&findings, Rule::SeedPolicy);
         assert_eq!(seeds.len(), 2, "{seeds:?}");
         assert_eq!(seeds[0].function, "rogue");
         assert_eq!(seeds[1].function, "draw");
@@ -975,13 +800,15 @@ fn f(&self) {
 }
 ";
         let findings = check(src);
-        let locks: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == Rule::LockDiscipline)
-            .collect();
+        let locks = of_rule(&findings, Rule::LockOrder);
         assert_eq!(locks.len(), 1, "{locks:?}");
         assert_eq!(locks[0].line, 3);
-        assert!(locks[0].detail.contains("self.wait.lock() under self.draw"));
+        assert!(
+            locks[0]
+                .message
+                .contains("not declared in analysis/locks.toml"),
+            "{locks:?}"
+        );
     }
 
     #[test]
@@ -998,24 +825,25 @@ fn g(&self) {
     let outer = self.draw.lock();
 }
 ";
-        let model = FileModel::scan("crates/x/src/lib.rs", src);
         let locks = LockManifest::from_entries(vec![
             ("crates/x/src/lib.rs".into(), "self.draw".into(), 10),
             ("crates/x/src/lib.rs".into(), "self.wait".into(), 20),
         ]);
-        let findings = apply_all(
-            &model,
+        let findings = analyze_one(
+            "crates/x/src/lib.rs",
+            src,
             &locks,
             &SeedManifest::default(),
             &UnsafeManifest::default(),
         );
-        let lock_findings: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == Rule::LockDiscipline)
-            .collect();
+        let lock_findings = of_rule(&findings, Rule::LockOrder);
+        // One finding, on g's inversion, which also closes the cycle.
         assert_eq!(lock_findings.len(), 1, "{lock_findings:?}");
-        assert_eq!(lock_findings[0].function, "g");
         assert_eq!(lock_findings[0].line, 9);
+        assert!(
+            lock_findings[0].message.contains("cycle"),
+            "{lock_findings:?}"
+        );
     }
 
     #[test]
@@ -1029,7 +857,7 @@ fn f(&self) {
 }
 ";
         let findings = check(src);
-        assert!(findings.iter().all(|f| f.rule != Rule::LockDiscipline));
+        assert!(findings.iter().all(|f| f.rule != Rule::LockOrder));
     }
 
     #[test]
@@ -1051,10 +879,7 @@ mod tests {
 }
 ";
         let findings = check(src);
-        let unsafes: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == Rule::UnsafeScope)
-            .collect();
+        let unsafes = of_rule(&findings, Rule::UnsafeScope);
         assert_eq!(unsafes.len(), 3, "{unsafes:?}");
         assert_eq!(unsafes[0].detail, "unsafe fn");
         assert_eq!(unsafes[1].detail, "unsafe {…}");
@@ -1065,27 +890,32 @@ mod tests {
     #[test]
     fn audited_prefix_silences_the_unsafe_rule_for_the_whole_file() {
         let src = "unsafe fn kernel(p: *const f32) -> f32 { unsafe { *p } }";
-        let model = FileModel::scan("crates/nn/src/simd/avx2.rs", src);
         let unsafes = UnsafeManifest::from_prefixes(vec!["crates/nn/src/simd/".to_string()]);
-        let findings = apply_all(
-            &model,
-            &LockManifest::default(),
-            &SeedManifest::default(),
-            &unsafes,
+        let run = |rel: &str| {
+            analyze_one(
+                rel,
+                src,
+                &LockManifest::default(),
+                &SeedManifest::default(),
+                &unsafes,
+            )
+        };
+        let findings = run("crates/nn/src/simd/avx2.rs");
+        assert!(findings.is_empty(), "{findings:?}");
+        // The same source outside the prefix is flagged, and the prefix,
+        // now covering no file, is a stale manifest entry.
+        let rogue: Vec<(String, u32)> = of_rule(&run("crates/nn/src/mlp.rs"), Rule::UnsafeScope)
+            .into_iter()
+            .map(|f| (f.file.clone(), f.line))
+            .collect();
+        assert_eq!(
+            rogue,
+            [
+                ("analysis/unsafe.toml".to_string(), 0),
+                ("crates/nn/src/mlp.rs".to_string(), 1),
+                ("crates/nn/src/mlp.rs".to_string(), 1),
+            ]
         );
-        assert!(
-            findings.iter().all(|f| f.rule != Rule::UnsafeScope),
-            "{findings:?}"
-        );
-        // The same source outside the prefix is flagged.
-        let rogue = FileModel::scan("crates/nn/src/mlp.rs", src);
-        let rogue_findings = apply_all(
-            &rogue,
-            &LockManifest::default(),
-            &SeedManifest::default(),
-            &unsafes,
-        );
-        assert!(rogue_findings.iter().any(|f| f.rule == Rule::UnsafeScope));
     }
 
     #[test]
@@ -1097,13 +927,11 @@ fn f(&self, shard: usize) {
 }
 ";
         let findings = check(src);
-        let locks: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == Rule::LockDiscipline)
-            .collect();
+        let locks = of_rule(&findings, Rule::LockOrder);
         assert_eq!(locks.len(), 1);
-        assert!(locks[0]
-            .detail
-            .contains("self.shards[_].lock() under self.shards[_]"));
+        assert_eq!(
+            locks[0].detail,
+            "crates/x/src/lib.rs::self.shards[_] → crates/x/src/lib.rs::self.shards[_]"
+        );
     }
 }

@@ -40,7 +40,7 @@ impl FileContext {
 /// An inline `// analysis: allow(<rule>, reason = "…")` grant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allow {
-    /// The rule key being allowed (`alloc`, `blocking`, `lock`, `ordering`,
+    /// The rule key being allowed (`alloc`, `blocking`, `ordering`,
     /// `panic`, `seed`, `unsafe`).
     pub rule: String,
     /// The mandatory human justification.
@@ -235,9 +235,7 @@ fn parse_allow(body: &str, line: u32) -> Result<Allow, String> {
         .split_once(',')
         .ok_or_else(|| "allow() needs `allow(<rule>, reason = \"…\")`".to_string())?;
     let rule = rule.trim().to_string();
-    const RULES: [&str; 7] = [
-        "alloc", "blocking", "lock", "ordering", "panic", "seed", "unsafe",
-    ];
+    const RULES: [&str; 6] = ["alloc", "blocking", "ordering", "panic", "seed", "unsafe"];
     if !RULES.contains(&rule.as_str()) {
         return Err(format!(
             "unknown allow rule `{rule}` (expected one of {RULES:?})"

@@ -96,8 +96,8 @@ pub struct FnSym {
     /// True for a `trait` block's provided default method.
     pub owner_is_trait: bool,
     /// True for `#[cfg(test)]`/`#[test]` fns **or** any fn in a `tests/`
-    /// file — interprocedural rules neither start from nor propagate into
-    /// test code.
+    /// file — the hot-path rules check a marked test fn itself but never
+    /// propagate into test code, and the lock graph skips it.
     pub is_test: bool,
     /// Carries a `// analysis: hot_path` marker.
     pub hot: bool,

@@ -1,6 +1,6 @@
 //! A deliberately tiny TOML subset parser — enough for the analyzer's own
-//! data files (`analysis/baseline.toml`, `analysis/locks.toml`,
-//! `analysis/seed_policy.toml`) without pulling in a dependency.
+//! data files (`analysis/locks.toml`, `analysis/seed_policy.toml`,
+//! `analysis/unsafe.toml`) without pulling in a dependency.
 //!
 //! Supported: `#` comments, `key = value` with string / integer / boolean /
 //! inline string-array values, `[table]` headers and `[[array-of-tables]]`
@@ -58,8 +58,9 @@ pub struct Doc {
     pub root: Table,
     /// `[name]` tables.
     pub tables: BTreeMap<String, Table>,
-    /// `[[name]]` arrays, in file order.
-    pub arrays: BTreeMap<String, Vec<Table>>,
+    /// `[[name]]` arrays, in file order, each entry with the 1-based line of
+    /// its header.
+    pub arrays: BTreeMap<String, Vec<(u32, Table)>>,
 }
 
 /// Parses a document; errors carry the 1-based line number.
@@ -85,7 +86,7 @@ pub fn parse(text: &str) -> Result<Doc, String> {
             doc.arrays
                 .entry(name.clone())
                 .or_default()
-                .push(Table::new());
+                .push((lineno as u32, Table::new()));
             target = Target::Array(name);
         } else if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
             let name = name.trim().to_string();
@@ -104,7 +105,7 @@ pub fn parse(text: &str) -> Result<Doc, String> {
                     None => return Err(format!("line {lineno}: internal: lost table [{name}]")),
                 },
                 Target::Array(name) => match doc.arrays.get_mut(name).and_then(|v| v.last_mut()) {
-                    Some(table) => table,
+                    Some((_, table)) => table,
                     None => return Err(format!("line {lineno}: internal: lost entry [[{name}]]")),
                 },
             };
@@ -198,11 +199,6 @@ fn split_top_level(text: &str) -> Vec<&str> {
     parts
 }
 
-/// Serialises a string as a TOML basic string.
-pub fn quote(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,12 +213,14 @@ mod tests {
         assert_eq!(doc.tables["counts"]["panic_surface"].as_int(), Some(3));
         let violations = &doc.arrays["violation"];
         assert_eq!(violations.len(), 2);
-        assert_eq!(violations[0]["rule"].as_str(), Some("x"));
+        assert_eq!(violations[0].0, 6);
+        assert_eq!(violations[0].1["rule"].as_str(), Some("x"));
         assert_eq!(
-            violations[0]["fns"].as_str_array().unwrap(),
+            violations[0].1["fns"].as_str_array().unwrap(),
             ["a".to_string(), "b".to_string()]
         );
-        assert_eq!(violations[1]["rule"].as_str(), Some("y # not a comment"));
+        assert_eq!(violations[1].0, 10);
+        assert_eq!(violations[1].1["rule"].as_str(), Some("y # not a comment"));
     }
 
     #[test]
@@ -236,12 +234,5 @@ mod tests {
         assert!(parse("x = \"unterminated\n")
             .unwrap_err()
             .contains("unterminated"));
-    }
-
-    #[test]
-    fn quote_roundtrips_specials() {
-        let quoted = quote("a \"b\" \\ c");
-        let doc = parse(&format!("k = {quoted}\n")).unwrap();
-        assert_eq!(doc.root["k"].as_str(), Some("a \"b\" \\ c"));
     }
 }

@@ -1,12 +1,32 @@
 //! Line-for-line assertions of every rule's findings over the deliberately
 //! seeded violation fixtures in `tests/fixtures/` (which the engine's
-//! workspace walk skips, so they never pollute `check --deny`).
+//! workspace walk skips, so they never pollute the workspace check). Each
+//! fixture is analysed as a one-file workspace, so the call-graph and
+//! lock-graph rules run on it too.
 
+use melissa_analysis::engine::{analyze_workspace, Analysis};
 use melissa_analysis::manifest::{LockManifest, SeedManifest, UnsafeManifest};
-use melissa_analysis::rules::{apply_all, Finding};
 use melissa_analysis::scanner::FileModel;
+use melissa_analysis::symbols::Workspace;
 
-/// Scans one fixture under a synthetic library rel-path and returns its
+/// Analyses `source` as the only file of a workspace, at `rel`.
+fn analyze_one(
+    rel: &str,
+    source: &str,
+    locks: &LockManifest,
+    seeds: &SeedManifest,
+    unsafes: &UnsafeManifest,
+) -> Analysis {
+    let ws = Workspace::from_models(vec![FileModel::scan(rel, source)]);
+    analyze_workspace(&ws, locks, seeds, unsafes)
+}
+
+fn read_fixture(fixture: &str) -> String {
+    let path = format!("{}/tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).expect("fixture readable")
+}
+
+/// Analyses one fixture under a synthetic library rel-path and returns its
 /// findings as `(rule_key, line)` pairs, sorted.
 fn findings_for(
     fixture: &str,
@@ -14,18 +34,17 @@ fn findings_for(
     seeds: &SeedManifest,
     unsafes: &UnsafeManifest,
 ) -> Vec<(String, u32)> {
-    let path = format!("{}/tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
-    let source = std::fs::read_to_string(&path).expect("fixture readable");
     let rel = format!("crates/demo/src/{fixture}");
-    let model = FileModel::scan(&rel, &source);
+    let analysis = analyze_one(&rel, &read_fixture(fixture), locks, seeds, unsafes);
     assert!(
-        model.directives.malformed.is_empty(),
+        analysis.directive_errors.is_empty(),
         "fixture {fixture} has malformed directives: {:?}",
-        model.directives.malformed
+        analysis.directive_errors
     );
-    let mut out: Vec<(String, u32)> = apply_all(&model, locks, seeds, unsafes)
+    let mut out: Vec<(String, u32)> = analysis
+        .findings
         .into_iter()
-        .map(|f: Finding| (f.rule.key().to_string(), f.line))
+        .map(|f| (f.rule.key().to_string(), f.line))
         .collect();
     out.sort();
     out
@@ -55,6 +74,7 @@ fn hot_path_fixture_findings_line_for_line() {
             ("hot_path_alloc", 7),  // .to_vec()
             ("hot_path_alloc", 8),  // Vec::new
             ("hot_path_alloc", 31), // hot_path marker applies inside #[cfg(test)] too
+            ("hot_path_alloc", 37), // Vec::<u8>::with_capacity, turbofish on the type
         ])
     );
 }
@@ -70,8 +90,8 @@ fn lock_fixture_findings_line_for_line() {
     assert_eq!(
         findings_for("locks.rs", &locks, &seeds, &unsafes),
         expect(&[
-            ("lock_discipline", 20), // rank 10 acquired under rank 20
-            ("lock_discipline", 27), // undeclared receiver while a guard is held
+            ("lock_order", 20), // rank 10 acquired under rank 20, closing a cycle
+            ("lock_order", 27), // undeclared receiver while a guard is held
         ])
     );
 }
@@ -105,11 +125,15 @@ fn panic_fixture_findings_line_for_line() {
 #[test]
 fn panic_fixture_is_exempt_in_test_context() {
     let (locks, seeds, unsafes) = empty_manifests();
-    let path = format!("{}/tests/fixtures/panics.rs", env!("CARGO_MANIFEST_DIR"));
-    let source = std::fs::read_to_string(path).expect("fixture readable");
     // The same source under a tests/ rel-path: the panic rule stands down.
-    let model = FileModel::scan("crates/demo/tests/panics.rs", &source);
-    let findings = apply_all(&model, &locks, &seeds, &unsafes);
+    let findings = analyze_one(
+        "crates/demo/tests/panics.rs",
+        &read_fixture("panics.rs"),
+        &locks,
+        &seeds,
+        &unsafes,
+    )
+    .findings;
     assert!(
         findings.is_empty(),
         "test-context file should produce no findings, got {findings:?}"
@@ -169,29 +193,5 @@ fn lexer_hardening_fixture_findings_line_for_line() {
             ("hot_path_alloc", 21), // .collect::<Vec<Vec<char>>>() behind nested turbofish
             ("hot_path_alloc", 22), // String::from — the tail must not be masked
         ])
-    );
-}
-
-#[test]
-fn fixture_fingerprints_are_line_free_and_stable() {
-    let (locks, seeds, unsafes) = empty_manifests();
-    let path = format!("{}/tests/fixtures/panics.rs", env!("CARGO_MANIFEST_DIR"));
-    let source = std::fs::read_to_string(path).expect("fixture readable");
-    let model = FileModel::scan("crates/demo/src/panics.rs", &source);
-    let findings = apply_all(&model, &locks, &seeds, &unsafes);
-    // Prepend a comment line: every finding moves down one line, but the
-    // ratchet fingerprints must not change.
-    let shifted = format!("// shifted\n{source}");
-    let shifted_model = FileModel::scan("crates/demo/src/panics.rs", &shifted);
-    let shifted_findings = apply_all(&shifted_model, &locks, &seeds, &unsafes);
-    let stems: Vec<String> = findings.iter().map(Finding::fingerprint_stem).collect();
-    let shifted_stems: Vec<String> = shifted_findings
-        .iter()
-        .map(Finding::fingerprint_stem)
-        .collect();
-    assert_eq!(stems, shifted_stems);
-    assert_ne!(
-        findings.iter().map(|f| f.line).collect::<Vec<_>>(),
-        shifted_findings.iter().map(|f| f.line).collect::<Vec<_>>(),
     );
 }

@@ -31,3 +31,8 @@ mod tests {
         Vec::new() // line 31: hot_path applies inside tests too
     }
 }
+
+// analysis: hot_path
+pub fn hot_turbofish_ctor() -> usize {
+    Vec::<u8>::with_capacity(1).capacity() // line 37: turbofish on the type
+}

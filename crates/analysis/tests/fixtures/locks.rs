@@ -1,5 +1,5 @@
-//! Fixture: lock-discipline rule, against a manifest declaring
-//! `self.first` rank 10 and `self.second` rank 20 for this file.
+//! Fixture: lock-order rule, against a manifest declaring `self.first`
+//! rank 10 and `self.second` rank 20 for this file.
 
 pub struct Pair {
     first: std::sync::Mutex<u32>,
@@ -34,13 +34,5 @@ impl Pair {
         drop(b);
         let a = self.first.lock(); // previous guard dropped: fine
         drop(a);
-    }
-
-    pub fn granted_inversion(&self) {
-        let b = self.second.lock();
-        // analysis: allow(lock, reason = "fixture: deliberate inversion")
-        let a = self.first.lock();
-        drop(a);
-        drop(b);
     }
 }

@@ -1,13 +1,15 @@
 //! Debug-build runtime enforcement of the declared lock order.
 //!
 //! `analysis/locks.toml` declares every lock class of the data plane with an
-//! acquisition rank; the static lock graph (`melissa_analysis graph
-//! --check`) proves the ranks form a topological order of every inferred
-//! held→acquired edge. This module closes the dynamic gap: each thread
-//! tracks the highest rank it currently holds, and acquiring a rank at or
-//! below it aborts a debug build at the exact acquisition site — covering
-//! orderings the static graph cannot resolve (trait objects behind iterator
-//! pipelines, locks reached through function pointers).
+//! acquisition rank; the analyzer's `lock_order` rule, which `cargo test -q`
+//! runs, proves the ranks form a topological order of every held→acquired
+//! edge its static lock graph infers. This module closes the dynamic gap:
+//! each thread tracks the highest rank it currently holds, and acquiring a
+//! rank at or below it aborts a debug build at the exact acquisition site —
+//! covering orderings the static graph cannot resolve (trait objects behind
+//! iterator pipelines, locks reached through function pointers or closures).
+//! A `get_batch_with` visitor that re-enters its buffer is such a case, and
+//! `tests/visitor_reentry.rs` pins that the tracker catches it.
 //!
 //! The constants mirror `analysis/locks.toml`; keep the two in sync:
 //!
