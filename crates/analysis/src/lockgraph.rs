@@ -210,12 +210,6 @@ impl LockGraph {
         }
     }
 
-    /// Nodes with no declared rank (visible in reports so new locks get
-    /// classified instead of silently floating outside the order).
-    pub fn undeclared(&self) -> Vec<&LockNode> {
-        self.nodes.iter().filter(|n| n.rank.is_none()).collect()
-    }
-
     /// Renders one cycle as a human-readable witness trail.
     pub fn describe_cycle(&self, cycle: &Cycle) -> String {
         let mut parts = Vec::new();
@@ -707,7 +701,7 @@ mod tests {
             edges,
             ["crates/a/src/lib.rs::self.x->crates/a/src/lib.rs::self.y"]
         );
-        assert_eq!(lg.undeclared().len(), 2);
+        assert_eq!(lg.nodes.iter().filter(|n| n.rank.is_none()).count(), 2);
         assert!(
             lg.rank_violations().is_empty(),
             "undeclared ranks can't violate"

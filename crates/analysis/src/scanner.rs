@@ -90,17 +90,6 @@ pub struct FnSpan {
     pub owner_is_trait: bool,
 }
 
-impl FnSpan {
-    /// `Owner::name` for methods, plain `name` for free functions — the form
-    /// interprocedural findings and chain witnesses use.
-    pub fn display_name(&self) -> String {
-        match &self.owner {
-            Some(owner) => format!("{owner}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
-}
-
 /// The scanned model of one source file.
 pub struct FileModel {
     /// Workspace-relative path with `/` separators.
@@ -701,7 +690,6 @@ mod tests {
             .unwrap();
         assert_eq!(is_empty.owner.as_deref(), Some("Policy"));
         assert!(is_empty.owner_is_trait);
-        assert_eq!(is_empty.display_name(), "Policy::is_empty");
         // The `->` inside the impl generics must not unbalance the header.
         let len_impl = model
             .functions

@@ -19,9 +19,6 @@ pub const SKIP_COMPONENTS: [&str; 4] = ["target", "vendor", "fixtures", ".git"];
 /// path order, with its full [`FileModel`] retained for interprocedural
 /// passes.
 pub struct Workspace {
-    /// The workspace root the models were loaded from (empty for synthetic
-    /// test workspaces).
-    pub root: PathBuf,
     /// One model per file, sorted by `rel_path`.
     pub files: Vec<FileModel>,
 }
@@ -45,19 +42,13 @@ impl Workspace {
                 FileModel::scan_path(root, &rel).map_err(|e| format!("reading {rel}: {e}"))?;
             files.push(model);
         }
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-        })
+        Ok(Workspace { files })
     }
 
     /// Builds a synthetic workspace from pre-scanned models (tests).
     pub fn from_models(mut files: Vec<FileModel>) -> Workspace {
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        Workspace {
-            root: PathBuf::new(),
-            files,
-        }
+        Workspace { files }
     }
 }
 

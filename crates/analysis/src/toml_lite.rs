@@ -235,4 +235,12 @@ mod tests {
             .unwrap_err()
             .contains("unterminated"));
     }
+
+    #[test]
+    fn quote_roundtrips_specials() {
+        // A basic string carrying escaped quotes and backslashes parses back
+        // to the text it quotes.
+        let doc = parse("k = \"a \\\"b\\\" \\\\ c\"\n").unwrap();
+        assert_eq!(doc.root["k"].as_str(), Some("a \"b\" \\ c"));
+    }
 }
