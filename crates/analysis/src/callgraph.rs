@@ -596,7 +596,11 @@ impl Propagation {
 /// Evaluates the two hot-path rules over the resolved graph: every site in a
 /// marked root or in a fn it reaches is a finding, unless an allow grant
 /// covers the site or prunes a call on the way.
-pub fn hot_path_findings(ws: &Workspace, table: &SymbolTable, graph: &CallGraph) -> Vec<Finding> {
+pub(crate) fn hot_path_findings(
+    ws: &Workspace,
+    table: &SymbolTable,
+    graph: &CallGraph,
+) -> Vec<Finding> {
     type Detector = fn(&FileModel, std::ops::Range<usize>) -> Vec<Site>;
     let rules: [(Rule, &str, &str, Detector); 2] = [
         (Rule::HotPathAlloc, "alloc", "allocating call", alloc_sites),

@@ -233,7 +233,7 @@ impl LockGraph {
     /// undeclared class. Every cycle contains such an edge (ranks strictly
     /// rise along the others); the cycle is reported on the first one, or on
     /// its first edge should none offend.
-    pub fn findings(&self) -> Vec<Finding> {
+    pub(crate) fn findings(&self) -> Vec<Finding> {
         let mut reasons: Vec<Vec<String>> = vec![Vec::new(); self.edges.len()];
         for (e, why) in self.edges.iter().zip(&mut reasons) {
             let (held, acquired) = (&self.nodes[e.from], &self.nodes[e.to]);

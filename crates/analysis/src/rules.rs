@@ -919,6 +919,46 @@ mod tests {
     }
 
     #[test]
+    fn manifest_entries_matching_nothing_are_findings() {
+        let src = "\
+fn f(&self) -> u64 {
+    let guard = self.draw.lock();
+    seed
+}
+";
+        let locks = LockManifest::from_entries(vec![
+            ("crates/x/src/lib.rs".into(), "self.draw".into(), 10),
+            ("crates/x/src/lib.rs".into(), "self.gone".into(), 20),
+        ]);
+        let seeds = SeedManifest::from_entries(vec![(
+            "crates/x/src/lib.rs".to_string(),
+            vec!["f".to_string(), "renamed_away".to_string()],
+        )]);
+        let findings = analyze_one(
+            "crates/x/src/lib.rs",
+            src,
+            &locks,
+            &seeds,
+            &UnsafeManifest::default(),
+        );
+        let stale: Vec<(Rule, &str, &str)> = findings
+            .iter()
+            .map(|f| (f.rule, f.file.as_str(), f.detail.as_str()))
+            .collect();
+        assert_eq!(
+            stale,
+            [
+                (Rule::LockOrder, "analysis/locks.toml", "self.gone"),
+                (
+                    Rule::SeedPolicy,
+                    "analysis/seed_policy.toml",
+                    "renamed_away"
+                ),
+            ]
+        );
+    }
+
+    #[test]
     fn indexed_receivers_render_with_index_placeholder() {
         let src = "\
 fn f(&self, shard: usize) {
