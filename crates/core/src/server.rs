@@ -508,18 +508,13 @@ impl OnlineExperiment {
                             .finalize()
                             .map_err(|e| ClientError::crash(e.to_string()))
                     };
-                    let report = match &missing {
-                        Some(ids) => launcher.run_campaign_subset(
-                            &config.campaign,
-                            &space,
-                            ids,
-                            &events,
-                            client_fn,
-                        ),
-                        None => {
-                            launcher.run_campaign_with(&config.campaign, &space, &events, client_fn)
-                        }
-                    };
+                    let report = launcher.run_campaign_with(
+                        &config.campaign,
+                        &space,
+                        missing.as_deref(),
+                        &events,
+                        client_fn,
+                    );
                     // ordering: Release — publishes every rank's sends before the aggregator's Acquire gate can observe end-of-production
                     production_done.store(true, Ordering::Release);
                     *launcher_report.lock() = Some(report);

@@ -632,6 +632,7 @@ impl RankTrainer {
             }
             // Never waits unless the queue is full; then waiting for the
             // sidecar is the old synchronous behaviour as the worst case.
+            // analysis: allow(blocking, reason = "waits only for a snapshot round with QUEUE_DEPTH jobs in flight; the bounded channel has room below that depth")
             sidecar.submit(&mut state.losses);
         }
         state.losses.push(LossPoint {

@@ -1,12 +1,19 @@
-//! The launcher: submits, monitors, kills and restarts client jobs.
+//! The launcher: starts, monitors, kills and restarts client jobs.
 //!
 //! §3.1 of the paper: *"The launcher orchestrates and monitors the workflow. It
 //! interacts with the supercomputer batch scheduler to start clients or server
 //! jobs, monitor their progress, kill some of them or restart them in case of
-//! failure."* Here the batch scheduler is the in-process
-//! [`crate::scheduler::SimulatedScheduler`] and client jobs
-//! are closures executed on a bounded pool of worker threads, one series at a
-//! time, with retries on failure.
+//! failure."* Here client jobs are closures, and the launcher is its own
+//! scheduler: each series runs on a pool of at most `max_concurrent` worker
+//! threads, one client attempt per worker, so the pool is the series'
+//! allocation.
+//! Series run one after another, `CampaignPlan::inter_series_delay` apart.
+//!
+//! Each series keeps its state under one lock: the ready queue, the running
+//! attempts keyed by `(client_id, attempt)`, the report counters and the
+//! number of members not yet completed or abandoned. Idle workers and the
+//! watchdog wait on one condvar over that lock. Client closures and the
+//! abandonment callback run with the lock released.
 //!
 //! ## Failure detection and recovery
 //!
@@ -14,24 +21,25 @@
 //! progress (see [`ClientContext::beat`]). When the launcher is configured
 //! with a [`WatchdogConfig`], a watchdog thread scans the heartbeats and
 //! declares a client dead once its last stamp is older than the deadline: the
-//! job is killed through the scheduler ([`JobState::Killed`]), its heartbeat
-//! is cancelled so a merely-hung closure can observe the verdict and unwind,
-//! and the client is resubmitted under the [`RetryPolicy`] — capped
-//! exponential backoff, same parameters, a fresh attempt number. Failures are
-//! typed ([`ClientErrorKind`]): crashes and kills are retryable, while errors
-//! that can never succeed (invalid parameters, a dead server) abandon the
-//! client immediately. A client that exhausts its retry budget is reported in
+//! attempt leaves the running set, its heartbeat is cancelled so a
+//! merely-hung closure can observe the verdict and unwind, and the client is
+//! resubmitted under the [`RetryPolicy`] — capped exponential backoff, same
+//! parameters, a fresh attempt number. Whichever side removes an attempt from
+//! the running set (its worker or the watchdog) does its terminal accounting,
+//! so a killed attempt's late return is discarded. Failures are typed
+//! ([`ClientErrorKind`]): crashes and kills are retryable, while errors that
+//! can never succeed (invalid parameters, a dead server) abandon the client
+//! immediately. A client that exhausts its retry budget is reported in
 //! [`LauncherReport::abandoned_clients`] instead of wedging the campaign.
 
 use crate::campaign::CampaignPlan;
 use crate::sampler::ParameterSampler;
-use crate::scheduler::{JobId, JobState, SchedulerConfig, SimulatedScheduler};
 use melissa_workload::{ParamPoint, ParameterSpace};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -114,25 +122,13 @@ impl WatchdogConfig {
 }
 
 /// Configuration of the launcher.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct LauncherConfig {
     /// Resubmission policy for failed clients.
     pub retry: RetryPolicy,
-    /// Start-up delay applied to every client job (scheduling overhead).
-    pub job_startup_delay: Duration,
     /// Watchdog failure detection; `None` means hung clients are never
     /// declared dead (crash detection still works through returned errors).
     pub watchdog: Option<WatchdogConfig>,
-}
-
-impl Default for LauncherConfig {
-    fn default() -> Self {
-        Self {
-            retry: RetryPolicy::default(),
-            job_startup_delay: Duration::ZERO,
-            watchdog: None,
-        }
-    }
 }
 
 /// One client job handed to the user-provided execution closure.
@@ -251,15 +247,6 @@ impl From<&str> for ClientError {
     }
 }
 
-/// Outcome of one client execution, as reported by the closure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientOutcome {
-    /// The client ran to completion.
-    Completed,
-    /// The client failed.
-    Failed(ClientError),
-}
-
 /// The heartbeat cell shared between one running client attempt and the
 /// watchdog: an atomic last-progress stamp plus a cancellation flag.
 #[derive(Debug)]
@@ -268,8 +255,6 @@ struct Heartbeat {
     epoch: Instant,
     /// Microseconds since `epoch` of the client's last progress report.
     last_beat_micros: AtomicU64,
-    /// Number of progress reports so far.
-    beats: AtomicU64,
     /// Set by the watchdog when it declares the client dead.
     cancelled: AtomicBool,
 }
@@ -279,7 +264,6 @@ impl Heartbeat {
         let hb = Self {
             epoch,
             last_beat_micros: AtomicU64::new(0),
-            beats: AtomicU64::new(0),
             cancelled: AtomicBool::new(false),
         };
         hb.beat();
@@ -290,8 +274,6 @@ impl Heartbeat {
         let micros = self.epoch.elapsed().as_micros() as u64;
         // ordering: Relaxed — a monotonic liveness stamp; the watchdog only compares it against the clock, no other memory is published through it
         self.last_beat_micros.store(micros, Ordering::Relaxed);
-        // ordering: Relaxed — monitoring counter
-        self.beats.fetch_add(1, Ordering::Relaxed);
     }
 
     fn stale(&self, deadline: Duration) -> bool {
@@ -328,12 +310,6 @@ impl ClientContext {
     /// closure should poll this and unwind; its outcome is already discarded.
     pub fn cancelled(&self) -> bool {
         self.heartbeat.is_cancelled()
-    }
-
-    /// Number of progress reports this attempt has made.
-    pub fn beats(&self) -> u64 {
-        // ordering: Relaxed — monitoring counter read
-        self.heartbeat.beats.load(Ordering::Relaxed)
     }
 }
 
@@ -381,25 +357,35 @@ struct QueuedJob {
     ready_at: Instant,
 }
 
-/// Registry entry of a running attempt, owned by whoever removes it first —
-/// the worker (normal completion/failure) or the watchdog (kill). Removal is
-/// the arbiter of the terminal transition, so an attempt is never accounted
-/// twice.
-struct ActiveClient {
+/// A running attempt, as the watchdog sees it.
+struct Running {
     job: ClientJob,
     heartbeat: Arc<Heartbeat>,
 }
 
-/// Per-series counters, folded into the report when the series ends.
-#[derive(Default)]
-struct SeriesCounters {
-    completed: usize,
-    failed: usize,
-    retries: usize,
-    watchdog_kills: usize,
-    fatal_errors: usize,
-    abandoned: Vec<u64>,
-    recovered: Vec<u64>,
+/// Everything one series' workers and watchdog share, behind one lock.
+struct SeriesState {
+    /// Pending jobs of this series, retries included.
+    queue: VecDeque<QueuedJob>,
+    /// Running attempts keyed by `(client_id, attempt)`. Whoever removes an
+    /// entry (its worker on return, or the watchdog on a kill) owns the
+    /// attempt's terminal accounting, so it is never accounted twice.
+    running: HashMap<(u64, usize), Running>,
+    /// Members not yet completed or abandoned; the series ends at zero.
+    remaining: usize,
+    /// The campaign report, moved in for the series and out after it.
+    report: LauncherReport,
+}
+
+/// One series in flight: its shared state, the condvar idle workers and the
+/// watchdog wait on over that state's lock, and what every side reads.
+struct Series<'a> {
+    state: Mutex<SeriesState>,
+    wake: Condvar,
+    epoch: Instant,
+    retry: RetryPolicy,
+    campaign_seed: u64,
+    events: &'a CampaignEvents<'a>,
 }
 
 /// The workflow orchestrator.
@@ -418,15 +404,6 @@ impl Launcher {
         &self.config
     }
 
-    /// Runs a full campaign over the default (paper) parameter space. See
-    /// [`Launcher::run_campaign_in`].
-    pub fn run_campaign<F>(&self, plan: &CampaignPlan, client_fn: F) -> LauncherReport
-    where
-        F: Fn(&ClientJob) -> Result<(), ClientError> + Sync,
-    {
-        self.run_campaign_in(plan, &ParameterSpace::default(), client_fn)
-    }
-
     /// Runs a full campaign with a context-free closure. See
     /// [`Launcher::run_campaign_with`] for the full-featured variant.
     pub fn run_campaign_in<F>(
@@ -438,61 +415,27 @@ impl Launcher {
     where
         F: Fn(&ClientJob) -> Result<(), ClientError> + Sync,
     {
-        self.run_campaign_with(plan, space, &CampaignEvents::default(), |job, _ctx| {
-            client_fn(job)
-        })
+        self.run_campaign_with(
+            plan,
+            space,
+            None,
+            &CampaignEvents::default(),
+            |job, _ctx| client_fn(job),
+        )
     }
 
-    /// Runs a full campaign: every series in order, every client of a series
-    /// on a bounded worker pool, with watchdog failure detection and typed
+    /// Runs a campaign: every series in order, every client of a series on a
+    /// bounded worker pool, with watchdog failure detection and typed
     /// retries. Parameters are drawn from `space` (a workload's design
     /// space), making the launcher physics-agnostic. `client_fn` is invoked
     /// once per attempt with the job and its [`ClientContext`] and must
     /// return `Ok(())` on success.
-    pub fn run_campaign_with<F>(
-        &self,
-        plan: &CampaignPlan,
-        space: &ParameterSpace,
-        events: &CampaignEvents<'_>,
-        client_fn: F,
-    ) -> LauncherReport
-    where
-        F: Fn(&ClientJob, &ClientContext) -> Result<(), ClientError> + Sync,
-    {
-        self.run_campaign_filtered(plan, space, None, events, client_fn)
-    }
-
-    /// Runs only the campaign members in `client_ids` — the resume path: a
+    ///
+    /// `only` restricts the run to the listed members — the resume path: a
     /// restarted server re-plans the clients missing from its checkpoint, and
     /// every rerun member draws the exact parameters of the original run
     /// (the full campaign's sampler stream is replayed, then filtered).
-    pub fn run_campaign_subset<F>(
-        &self,
-        plan: &CampaignPlan,
-        space: &ParameterSpace,
-        client_ids: &[u64],
-        events: &CampaignEvents<'_>,
-        client_fn: F,
-    ) -> LauncherReport
-    where
-        F: Fn(&ClientJob, &ClientContext) -> Result<(), ClientError> + Sync,
-    {
-        self.run_campaign_filtered(plan, space, Some(client_ids), events, client_fn)
-    }
-
-    /// The campaign members a resumed run must rerun: every id of a
-    /// `total_clients`-member campaign that is not in `completed`. This is
-    /// the launcher-side restart contract (paper §3.1: "only the simulations
-    /// that were not entirely executed are rerun"), shared by the in-memory
-    /// and the on-disk resume paths so they can never disagree on the set.
-    pub fn missing_ids(total_clients: usize, completed: &[u64]) -> Vec<u64> {
-        let completed: std::collections::HashSet<u64> = completed.iter().copied().collect();
-        (0..total_clients as u64)
-            .filter(|id| !completed.contains(id))
-            .collect()
-    }
-
-    fn run_campaign_filtered<F>(
+    pub fn run_campaign_with<F>(
         &self,
         plan: &CampaignPlan,
         space: &ParameterSpace,
@@ -532,71 +475,46 @@ impl Launcher {
             }
             ran_series = true;
             let series_start = Instant::now();
-            let scheduler = SimulatedScheduler::new(SchedulerConfig {
-                max_concurrent_jobs: series.max_concurrent.max(1),
-                startup_delay: self.config.job_startup_delay,
-            });
-
-            // Work queue of pending jobs for this series (including retries).
-            let queue: Mutex<VecDeque<QueuedJob>> = Mutex::new(
-                members
-                    .iter()
-                    .map(|&client_id| QueuedJob {
-                        job: ClientJob {
-                            client_id,
-                            series: series_index,
-                            attempt: 1,
-                            parameters: all_params[client_id as usize],
-                            seed: RetryPolicy::attempt_seed(plan.seed, client_id, 1),
-                        },
-                        ready_at: series_start,
-                    })
-                    .collect(),
-            );
-            // Idle workers and the watchdog wait on this, over the queue lock.
-            let wake = Condvar::new();
-
-            // Members of this series not yet terminal (completed/abandoned);
-            // workers and the watchdog exit when it reaches zero.
-            let remaining = AtomicUsize::new(members.len());
-            let counters = Mutex::new(SeriesCounters::default());
-            let registry: Mutex<HashMap<JobId, ActiveClient>> = Mutex::new(HashMap::new());
-            let epoch = series_start;
+            let queue = members
+                .iter()
+                .map(|&client_id| QueuedJob {
+                    job: ClientJob {
+                        client_id,
+                        series: series_index,
+                        attempt: 1,
+                        parameters: all_params[client_id as usize],
+                        seed: RetryPolicy::attempt_seed(plan.seed, client_id, 1),
+                    },
+                    ready_at: series_start,
+                })
+                .collect();
+            let series_run = Series {
+                state: Mutex::new(SeriesState {
+                    queue,
+                    running: HashMap::new(),
+                    remaining: members.len(),
+                    report: std::mem::take(&mut report),
+                }),
+                wake: Condvar::new(),
+                epoch: series_start,
+                retry: self.config.retry,
+                campaign_seed: plan.seed,
+                events,
+            };
             let workers = series.max_concurrent.max(1).min(members.len());
+            let (run, client_fn) = (&series_run, &client_fn);
             crossbeam::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|_| {
-                        self.worker_loop(
-                            &queue, &wake, &remaining, &counters, &registry, &scheduler, epoch,
-                            events, plan.seed, &client_fn,
-                        )
-                    });
+                    scope.spawn(move |_| run.worker(client_fn));
                 }
                 if let Some(watchdog) = self.config.watchdog {
-                    let (queue, wake, remaining, counters, registry, scheduler) =
-                        (&queue, &wake, &remaining, &counters, &registry, &scheduler);
-                    scope.spawn(move |_| {
-                        self.watchdog_loop(
-                            watchdog, queue, wake, remaining, counters, registry, scheduler,
-                            events, plan.seed,
-                        )
-                    });
+                    scope.spawn(move |_| run.watchdog(watchdog));
                 }
             })
             // analysis: allow(panic, reason = "re-raises a launcher worker's panic; the campaign report would otherwise under-count silently")
             .expect("launcher worker panicked");
 
-            let series_counters = counters.into_inner();
-            report.completed += series_counters.completed;
-            report.failed += series_counters.failed;
-            report.retries += series_counters.retries;
-            report.watchdog_kills += series_counters.watchdog_kills;
-            report.fatal_errors += series_counters.fatal_errors;
-            report.abandoned_clients.extend(series_counters.abandoned);
-            report.recovered_clients.extend(series_counters.recovered);
-            report.peak_concurrency = report
-                .peak_concurrency
-                .max(scheduler.stats().peak_concurrency);
+            report = series_run.state.into_inner().report;
             report
                 .series_durations
                 .push(series_start.elapsed().as_secs_f64());
@@ -608,232 +526,178 @@ impl Launcher {
         report
     }
 
-    /// One worker: pops ready jobs, runs them through the scheduler, and
-    /// performs the terminal accounting for attempts it still owns (the
-    /// watchdog may have taken ownership of a hung attempt meanwhile).
-    ///
-    /// A worker that finds nothing ready waits on `wake` over the queue lock:
-    /// until the earliest queued `ready_at` when a retry is backing off,
-    /// untimed when the queue is empty. Two things wake it early: a requeue
-    /// ([`Launcher::handle_failure`]) and the decrement that ends the series
-    /// ([`retire_one`]). Each wake-up re-reads `remaining` and the queue
-    /// under the lock it waited on; a requeue pushes under that lock and the
-    /// final decrement takes it before notifying, so no wake-up falls between
-    /// a worker's check and its wait.
-    #[allow(clippy::too_many_arguments)]
-    fn worker_loop<F>(
-        &self,
-        queue: &Mutex<VecDeque<QueuedJob>>,
-        wake: &Condvar,
-        remaining: &AtomicUsize,
-        counters: &Mutex<SeriesCounters>,
-        registry: &Mutex<HashMap<JobId, ActiveClient>>,
-        scheduler: &SimulatedScheduler,
-        epoch: Instant,
-        events: &CampaignEvents<'_>,
-        campaign_seed: u64,
-        client_fn: &F,
-    ) where
-        F: Fn(&ClientJob, &ClientContext) -> Result<(), ClientError> + Sync,
-    {
-        loop {
-            let job = {
-                let mut queue = queue.lock();
-                loop {
-                    // ordering: Acquire — pairs with the AcqRel decrements; once zero, every terminal transition (and its queue/counter writes) is visible
-                    if remaining.load(Ordering::Acquire) == 0 {
-                        break None;
-                    }
-                    let now = Instant::now();
-                    if let Some(i) = queue.iter().position(|q| q.ready_at <= now) {
-                        break queue.remove(i).map(|q| q.job);
-                    }
-                    match queue.iter().map(|q| q.ready_at).min() {
-                        Some(earliest) => {
-                            wake.wait_for(&mut queue, earliest - now);
-                        }
-                        None => wake.wait(&mut queue),
-                    }
-                }
-            };
-            let Some(job) = job else {
-                break;
-            };
-
-            let job_id = scheduler.submit(job.attempt);
-            scheduler.acquire_slot(job_id);
-            let heartbeat = Arc::new(Heartbeat::new(epoch));
-            registry.lock().insert(
-                job_id,
-                ActiveClient {
-                    job: job.clone(),
-                    heartbeat: Arc::clone(&heartbeat),
-                },
-            );
-            let context = ClientContext {
-                heartbeat: Arc::clone(&heartbeat),
-            };
-            let outcome = client_fn(&job, &context);
-            // Removal arbitrates the worker/watchdog race: if the entry is
-            // gone, the watchdog already killed this attempt, accounted for
-            // it, and released the slot — the late outcome is discarded.
-            if registry.lock().remove(&job_id).is_none() {
-                continue;
-            }
-            match outcome {
-                Ok(()) => {
-                    scheduler.release_slot(job_id, JobState::Completed);
-                    let mut counters = counters.lock();
-                    counters.completed += 1;
-                    if job.attempt > 1 {
-                        counters.recovered.push(job.client_id);
-                    }
-                    drop(counters);
-                    retire_one(queue, wake, remaining);
-                }
-                Err(error) => {
-                    scheduler.release_slot(job_id, JobState::Failed);
-                    self.handle_failure(
-                        &job,
-                        &error,
-                        false,
-                        queue,
-                        wake,
-                        remaining,
-                        counters,
-                        events,
-                        campaign_seed,
-                    );
-                }
-            }
-        }
-    }
-
-    /// The watchdog: scans the registry for clients whose heartbeat missed
-    /// the deadline, kills them through the scheduler, and resubmits or
-    /// abandons them under the retry policy.
-    ///
-    /// Between scans it waits on the workers' `wake` for up to
-    /// `poll_interval`, re-reading `remaining` under the queue lock before
-    /// each wait, so it leaves as soon as the decrement that ends the series
-    /// notifies instead of sleeping out the interval. A requeue also wakes
-    /// it; the early scan that follows is harmless, since staleness is judged
-    /// against the deadline, not the interval.
-    #[allow(clippy::too_many_arguments)]
-    fn watchdog_loop(
-        &self,
-        config: WatchdogConfig,
-        queue: &Mutex<VecDeque<QueuedJob>>,
-        wake: &Condvar,
-        remaining: &AtomicUsize,
-        counters: &Mutex<SeriesCounters>,
-        registry: &Mutex<HashMap<JobId, ActiveClient>>,
-        scheduler: &SimulatedScheduler,
-        events: &CampaignEvents<'_>,
-        campaign_seed: u64,
-    ) {
-        loop {
-            {
-                let mut queue = queue.lock();
-                // ordering: Acquire — pairs with the AcqRel terminal decrements; zero means every member is accounted and the watchdog can retire
-                if remaining.load(Ordering::Acquire) == 0 {
-                    return;
-                }
-                wake.wait_for(&mut queue, config.poll_interval);
-            }
-            let expired: Vec<(JobId, ActiveClient)> = {
-                let mut registry = registry.lock();
-                let dead: Vec<JobId> = registry
-                    .iter()
-                    .filter(|(_, active)| active.heartbeat.stale(config.deadline))
-                    .map(|(&id, _)| id)
-                    .collect();
-                dead.into_iter()
-                    .filter_map(|id| registry.remove(&id).map(|active| (id, active)))
-                    .collect()
-            };
-            for (job_id, active) in expired {
-                // Owning the registry removal, the watchdog performs the
-                // terminal transition: cancel the heartbeat so the hung
-                // closure can unwind, kill the job in the scheduler
-                // (JobState::Killed frees the slot), then retry or abandon.
-                active.heartbeat.cancel();
-                scheduler.kill(job_id);
-                counters.lock().watchdog_kills += 1;
-                let error = ClientError::killed(format!(
-                    "no progress within {:?} (attempt {})",
-                    config.deadline, active.job.attempt
-                ));
-                self.handle_failure(
-                    &active.job,
-                    &error,
-                    true,
-                    queue,
-                    wake,
-                    remaining,
-                    counters,
-                    events,
-                    campaign_seed,
-                );
-            }
-        }
-    }
-
-    /// Shared failure accounting: resubmit with backoff when the error is
-    /// retryable and the budget allows, abandon otherwise. `remaining` is
-    /// only decremented on abandonment — a resubmitted client is still live.
-    /// A resubmission wakes every waiting worker, so the ones waiting untimed
-    /// on an empty queue learn its `ready_at`.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_failure(
-        &self,
-        job: &ClientJob,
-        error: &ClientError,
-        _killed: bool,
-        queue: &Mutex<VecDeque<QueuedJob>>,
-        wake: &Condvar,
-        remaining: &AtomicUsize,
-        counters: &Mutex<SeriesCounters>,
-        events: &CampaignEvents<'_>,
-        campaign_seed: u64,
-    ) {
-        let retryable = error.retryable();
-        if retryable && job.attempt <= self.config.retry.max_retries {
-            let mut retry = job.clone();
-            retry.attempt += 1;
-            retry.seed = RetryPolicy::attempt_seed(campaign_seed, retry.client_id, retry.attempt);
-            let ready_at = Instant::now() + self.config.retry.backoff(job.attempt);
-            counters.lock().retries += 1;
-            queue.lock().push_back(QueuedJob {
-                job: retry,
-                ready_at,
-            });
-            wake.notify_all();
-        } else {
-            let mut counters = counters.lock();
-            counters.failed += 1;
-            if !retryable {
-                counters.fatal_errors += 1;
-            }
-            counters.abandoned.push(job.client_id);
-            drop(counters);
-            if let Some(on_abandoned) = events.on_abandoned {
-                on_abandoned(job.client_id);
-            }
-            retire_one(queue, wake, remaining);
-        }
+    /// The campaign members a resumed run must rerun: every id of a
+    /// `total_clients`-member campaign that is not in `completed`. This is
+    /// the launcher-side restart contract (paper §3.1: "only the simulations
+    /// that were not entirely executed are rerun"), shared by the in-memory
+    /// and the on-disk resume paths so they can never disagree on the set.
+    pub fn missing_ids(total_clients: usize, completed: &[u64]) -> Vec<u64> {
+        let completed: std::collections::HashSet<u64> = completed.iter().copied().collect();
+        (0..total_clients as u64)
+            .filter(|id| !completed.contains(id))
+            .collect()
     }
 }
 
-/// Counts one member terminal (completed or abandoned). The decrement that
-/// ends the series wakes every waiting worker and the watchdog; taking the
-/// queue lock between that decrement and the notify means a waiter either
-/// reads zero before it waits or is already waiting when the notify comes.
-fn retire_one(queue: &Mutex<VecDeque<QueuedJob>>, wake: &Condvar, remaining: &AtomicUsize) {
-    // ordering: AcqRel — publishes this member's terminal accounting before the zero-observation that ends the series
-    if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        drop(queue.lock());
-        wake.notify_all();
+impl Series<'_> {
+    /// One worker: takes ready jobs, runs them with the lock released, and
+    /// does the terminal accounting for attempts it still owns (the watchdog
+    /// may have killed a hung attempt meanwhile).
+    fn worker<F>(&self, client_fn: &F)
+    where
+        F: Fn(&ClientJob, &ClientContext) -> Result<(), ClientError> + Sync,
+    {
+        while let Some((job, heartbeat)) = self.start_next() {
+            let outcome = client_fn(&job, &ClientContext { heartbeat });
+            let abandoned = {
+                let mut state = self.state.lock();
+                // If the entry is gone, the watchdog killed this attempt and
+                // accounted for it: the late outcome is discarded.
+                if state
+                    .running
+                    .remove(&(job.client_id, job.attempt))
+                    .is_none()
+                {
+                    continue;
+                }
+                match outcome {
+                    Ok(()) => {
+                        state.report.completed += 1;
+                        if job.attempt > 1 {
+                            state.report.recovered_clients.push(job.client_id);
+                        }
+                        self.retire(&mut state);
+                        None
+                    }
+                    Err(error) => self.handle_failure(&mut state, job, &error),
+                }
+            };
+            if let Some(client_id) = abandoned {
+                self.fire_abandoned(client_id);
+            }
+        }
+    }
+
+    /// Waits for a ready job and registers it as running, or returns `None`
+    /// once every member of the series is terminal.
+    ///
+    /// With nothing ready, the worker waits on `wake` until the earliest
+    /// queued `ready_at` when a retry is backing off, untimed when the queue
+    /// is empty. A requeue and the retirement that ends the series notify it;
+    /// both change the state under the lock this loop re-reads after every
+    /// wake-up, so no notify falls between a check and its wait.
+    fn start_next(&self) -> Option<(ClientJob, Arc<Heartbeat>)> {
+        let mut state = self.state.lock();
+        let job = loop {
+            if state.remaining == 0 {
+                return None;
+            }
+            let now = Instant::now();
+            let ready = state.queue.iter().position(|q| q.ready_at <= now);
+            if let Some(queued) = ready.and_then(|i| state.queue.remove(i)) {
+                break queued.job;
+            }
+            match state.queue.iter().map(|q| q.ready_at).min() {
+                Some(earliest) => {
+                    self.wake.wait_for(&mut state, earliest - now);
+                }
+                None => self.wake.wait(&mut state),
+            }
+        };
+        let heartbeat = Arc::new(Heartbeat::new(self.epoch));
+        let running = Running {
+            job: job.clone(),
+            heartbeat: Arc::clone(&heartbeat),
+        };
+        state.running.insert((job.client_id, job.attempt), running);
+        state.report.peak_concurrency = state.report.peak_concurrency.max(state.running.len());
+        Some((job, heartbeat))
+    }
+
+    /// The watchdog: every `poll_interval`, kills the running attempts whose
+    /// heartbeat missed the deadline and resubmits or abandons them under
+    /// the retry policy. It waits on the workers' `wake`, so the retirement
+    /// that ends the series lets it leave without sleeping out the interval;
+    /// a requeue wakes it early too, which is harmless, since staleness is
+    /// judged against the deadline, not the interval.
+    fn watchdog(&self, config: WatchdogConfig) {
+        loop {
+            let abandoned: Vec<u64> = {
+                let mut state = self.state.lock();
+                if state.remaining == 0 {
+                    return;
+                }
+                self.wake.wait_for(&mut state, config.poll_interval);
+                let dead: Vec<Running> = state
+                    .running
+                    .extract_if(|_, running| running.heartbeat.stale(config.deadline))
+                    .map(|(_, running)| running)
+                    .collect();
+                dead.into_iter()
+                    .filter_map(|Running { job, heartbeat }| {
+                        // Cancel the heartbeat so the hung closure can unwind.
+                        heartbeat.cancel();
+                        state.report.watchdog_kills += 1;
+                        let error = ClientError::killed(format!(
+                            "no progress within {:?} (attempt {})",
+                            config.deadline, job.attempt
+                        ));
+                        self.handle_failure(&mut state, job, &error)
+                    })
+                    .collect()
+            };
+            for client_id in abandoned {
+                self.fire_abandoned(client_id);
+            }
+        }
+    }
+
+    /// Failure accounting for an attempt the caller removed from the running
+    /// set: resubmit with backoff when the error is retryable and the budget
+    /// allows, abandon otherwise. Returns the abandoned client, whose event
+    /// the caller fires once the lock is released. A resubmission wakes
+    /// every waiting worker, so the ones waiting untimed on an empty queue
+    /// learn its `ready_at`.
+    fn handle_failure(
+        &self,
+        state: &mut SeriesState,
+        mut job: ClientJob,
+        error: &ClientError,
+    ) -> Option<u64> {
+        let retryable = error.retryable();
+        if retryable && job.attempt <= self.retry.max_retries {
+            let ready_at = Instant::now() + self.retry.backoff(job.attempt);
+            job.attempt += 1;
+            job.seed = RetryPolicy::attempt_seed(self.campaign_seed, job.client_id, job.attempt);
+            state.report.retries += 1;
+            state.queue.push_back(QueuedJob { job, ready_at });
+            self.wake.notify_all();
+            None
+        } else {
+            state.report.failed += 1;
+            if !retryable {
+                state.report.fatal_errors += 1;
+            }
+            state.report.abandoned_clients.push(job.client_id);
+            self.retire(state);
+            Some(job.client_id)
+        }
+    }
+
+    /// Counts one member terminal (completed or abandoned). The last one
+    /// wakes every waiting worker and the watchdog so they leave.
+    fn retire(&self, state: &mut SeriesState) {
+        state.remaining -= 1;
+        if state.remaining == 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Fires the abandonment event; called with no lock held.
+    fn fire_abandoned(&self, client_id: u64) {
+        if let Some(on_abandoned) = self.events.on_abandoned {
+            on_abandoned(client_id);
+        }
     }
 }
 
@@ -843,13 +707,15 @@ mod tests {
     use crate::campaign::CampaignPlan;
     use parking_lot::Mutex as PlMutex;
     use std::collections::HashMap;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     #[test]
     fn runs_every_client_of_every_series() {
         let plan = CampaignPlan::series_of(&[5, 3, 2], 4);
         let launcher = Launcher::new(LauncherConfig::default());
         let seen = PlMutex::new(Vec::new());
-        let report = launcher.run_campaign(&plan, |job| {
+        let report = launcher.run_campaign_in(&plan, &ParameterSpace::default(), |job| {
             seen.lock().push((job.client_id, job.series));
             Ok(())
         });
@@ -878,7 +744,7 @@ mod tests {
         let launcher = Launcher::new(LauncherConfig::default());
         let in_flight = AtomicUsize::new(0);
         let max_in_flight = AtomicUsize::new(0);
-        let report = launcher.run_campaign(&plan, |_| {
+        let report = launcher.run_campaign_in(&plan, &ParameterSpace::default(), |_| {
             // ordering: Relaxed throughout — per-variable RMW atomicity is all fetch_add/fetch_max need for a correct high-water mark; no other memory is published through these counters
             let now = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
             max_in_flight.fetch_max(now, Ordering::Relaxed);
@@ -888,9 +754,28 @@ mod tests {
             Ok(())
         });
         assert_eq!(report.completed, 16);
-        // ordering: Relaxed — read after run_campaign joined its workers
+        // ordering: Relaxed — read after run_campaign_in joined its workers
         assert!(max_in_flight.load(Ordering::Relaxed) <= 3);
         assert!(report.peak_concurrency <= 3);
+    }
+
+    #[test]
+    fn peak_concurrency_is_exact() {
+        let launcher = Launcher::new(LauncherConfig::default());
+        let space = ParameterSpace::default();
+        // All three clients are running at once when they pass the barrier.
+        let barrier = Barrier::new(3);
+        let report = launcher.run_campaign_in(&CampaignPlan::single_series(3, 3), &space, |_| {
+            barrier.wait();
+            Ok(())
+        });
+        assert_eq!(report.completed, 3);
+        assert_eq!(report.peak_concurrency, 3);
+
+        let report =
+            launcher.run_campaign_in(&CampaignPlan::single_series(4, 1), &space, |_| Ok(()));
+        assert_eq!(report.completed, 4);
+        assert_eq!(report.peak_concurrency, 1);
     }
 
     #[test]
@@ -906,7 +791,7 @@ mod tests {
         // Per client: the (attempt index, sampled parameters) of every try.
         type AttemptLog = HashMap<u64, Vec<(usize, [f64; 5])>>;
         let attempts: PlMutex<AttemptLog> = PlMutex::new(HashMap::new());
-        let report = launcher.run_campaign(&plan, |job| {
+        let report = launcher.run_campaign_in(&plan, &ParameterSpace::default(), |job| {
             attempts
                 .lock()
                 .entry(job.client_id)
@@ -940,7 +825,7 @@ mod tests {
             },
             ..LauncherConfig::default()
         });
-        let report = launcher.run_campaign(&plan, |job| {
+        let report = launcher.run_campaign_in(&plan, &ParameterSpace::default(), |job| {
             if job.client_id == 0 {
                 Err("always fails".into())
             } else {
@@ -959,7 +844,7 @@ mod tests {
             CampaignPlan::series_of(&[1, 1], 1).with_inter_series_delay(Duration::from_millis(40));
         let launcher = Launcher::new(LauncherConfig::default());
         let start = Instant::now();
-        let report = launcher.run_campaign(&plan, |_| Ok(()));
+        let report = launcher.run_campaign_in(&plan, &ParameterSpace::default(), |_| Ok(()));
         assert_eq!(report.completed, 2);
         assert!(start.elapsed() >= Duration::from_millis(35));
     }
@@ -975,7 +860,7 @@ mod tests {
             ..LauncherConfig::default()
         });
         let attempts = AtomicUsize::new(0);
-        let report = launcher.run_campaign(&plan, |job| {
+        let report = launcher.run_campaign_in(&plan, &ParameterSpace::default(), |job| {
             if job.client_id == 1 {
                 // ordering: Relaxed — test tally read after the campaign joins
                 attempts.fetch_add(1, Ordering::Relaxed);
@@ -989,7 +874,7 @@ mod tests {
         assert_eq!(report.retries, 0, "fatal failures skip the retry budget");
         assert_eq!(report.fatal_errors, 1);
         assert_eq!(report.abandoned_clients, vec![1]);
-        // ordering: Relaxed — read after run_campaign joined its workers
+        // ordering: Relaxed — read after run_campaign_in joined its workers
         assert_eq!(attempts.load(Ordering::Relaxed), 1, "exactly one attempt");
     }
 
@@ -1006,17 +891,18 @@ mod tests {
 
         // Reference: parameters every member draws in a full campaign.
         let full_params = PlMutex::new(std::collections::HashMap::new());
-        launcher.run_campaign_with(&plan, &space, &events, |job, _| {
+        launcher.run_campaign_with(&plan, &space, None, &events, |job, _| {
             full_params.lock().insert(job.client_id, job.parameters);
             Ok(())
         });
 
         let resumed = PlMutex::new(Vec::new());
         let missing = Launcher::missing_ids(plan.total_clients(), &[1, 3]);
-        let report = launcher.run_campaign_subset(&plan, &space, &missing, &events, |job, _| {
-            resumed.lock().push((job.client_id, job.parameters));
-            Ok(())
-        });
+        let report =
+            launcher.run_campaign_with(&plan, &space, Some(&missing), &events, |job, _| {
+                resumed.lock().push((job.client_id, job.parameters));
+                Ok(())
+            });
         assert_eq!(report.completed, 3);
         let mut resumed = resumed.into_inner();
         resumed.sort_by_key(|(id, _)| *id);
@@ -1067,7 +953,7 @@ mod tests {
             ..LauncherConfig::default()
         });
         let seeds = PlMutex::new(Vec::new());
-        let report = launcher.run_campaign(&plan, |job| {
+        let report = launcher.run_campaign_in(&plan, &ParameterSpace::default(), |job| {
             seeds.lock().push((job.attempt, job.seed));
             if job.attempt == 1 {
                 Err(ClientError::new("first attempt crashes"))
@@ -1093,11 +979,14 @@ mod tests {
                 ..RetryPolicy::default()
             },
             watchdog: Some(WatchdogConfig::with_deadline(Duration::from_millis(40))),
-            ..LauncherConfig::default()
         });
         let events = CampaignEvents::default();
-        let report =
-            launcher.run_campaign_with(&plan, &ParameterSpace::default(), &events, |job, ctx| {
+        let report = launcher.run_campaign_with(
+            &plan,
+            &ParameterSpace::default(),
+            None,
+            &events,
+            |job, ctx| {
                 if job.client_id == 1 && job.attempt == 1 {
                     // Hang: no beats, no return — until the watchdog cancels.
                     while !ctx.cancelled() {
@@ -1109,13 +998,74 @@ mod tests {
                     ctx.beat();
                 }
                 Ok(())
-            });
+            },
+        );
         assert_eq!(report.completed, 3, "the retried client completes");
         assert_eq!(report.failed, 0);
         assert!(report.watchdog_kills >= 1, "the hang was detected");
         assert!(report.retries >= 1, "the killed client was resubmitted");
         assert_eq!(report.recovered_clients, vec![1]);
         assert!(report.abandoned_clients.is_empty());
+    }
+
+    #[test]
+    fn killed_attempts_late_return_is_discarded_after_its_retry_registered() {
+        let plan = CampaignPlan::single_series(3, 3).with_seed(5);
+        let launcher = Launcher::new(LauncherConfig {
+            retry: RetryPolicy {
+                max_retries: 2,
+                base_backoff: Duration::from_millis(5),
+                ..RetryPolicy::default()
+            },
+            watchdog: Some(WatchdogConfig::with_deadline(Duration::from_millis(100))),
+        });
+        let retry_started = AtomicBool::new(false);
+        let late_returned = AtomicBool::new(false);
+        let events = CampaignEvents::default();
+        let report = launcher.run_campaign_with(
+            &plan,
+            &ParameterSpace::default(),
+            None,
+            &events,
+            |job, ctx| {
+                if job.client_id != 1 {
+                    return Ok(());
+                }
+                if job.attempt == 1 {
+                    // Hang until killed, then return a late success while
+                    // the retry is running.
+                    while !ctx.cancelled() {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    // ordering: Relaxed throughout — test flags polled in sleep loops; they order nothing else
+                    while !retry_started.load(Ordering::Relaxed) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    // ordering: Relaxed — see above
+                    late_returned.store(true, Ordering::Relaxed);
+                    return Ok(());
+                }
+                // ordering: Relaxed — see the flags above
+                retry_started.store(true, Ordering::Relaxed);
+                while !late_returned.load(Ordering::Relaxed) {
+                    ctx.beat();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                // Stay registered while attempt 1's worker handles the late
+                // return; nothing the closure can observe marks that point.
+                for _ in 0..4 {
+                    std::thread::sleep(Duration::from_millis(5));
+                    ctx.beat();
+                }
+                Ok(())
+            },
+        );
+        // Keyed by client id alone, the late `Ok` would take the retry's
+        // entry and complete client 1 as a first attempt.
+        assert_eq!(report.completed, 3);
+        assert_eq!(report.watchdog_kills, 1);
+        assert_eq!(report.retries, 1);
+        assert_eq!(report.recovered_clients, vec![1]);
     }
 
     #[test]
@@ -1128,14 +1078,17 @@ mod tests {
                 ..RetryPolicy::default()
             },
             watchdog: Some(WatchdogConfig::with_deadline(Duration::from_millis(30))),
-            ..LauncherConfig::default()
         });
         let abandoned = PlMutex::new(Vec::new());
         let events = CampaignEvents {
             on_abandoned: Some(&|client_id| abandoned.lock().push(client_id)),
         };
-        let report =
-            launcher.run_campaign_with(&plan, &ParameterSpace::default(), &events, |job, ctx| {
+        let report = launcher.run_campaign_with(
+            &plan,
+            &ParameterSpace::default(),
+            None,
+            &events,
+            |job, ctx| {
                 if job.client_id == 0 {
                     // Hangs on every attempt.
                     while !ctx.cancelled() {
@@ -1144,7 +1097,8 @@ mod tests {
                     return Err(ClientError::killed("unwound after cancellation"));
                 }
                 Ok(())
-            });
+            },
+        );
         assert_eq!(report.completed, 1);
         assert_eq!(report.failed, 1, "the hung client is eventually abandoned");
         assert_eq!(report.watchdog_kills, 2, "initial attempt + one retry");
@@ -1159,18 +1113,22 @@ mod tests {
         let launcher = Launcher::new(LauncherConfig {
             retry: RetryPolicy::default(),
             watchdog: Some(WatchdogConfig::with_deadline(Duration::from_millis(30))),
-            ..LauncherConfig::default()
         });
         let events = CampaignEvents::default();
-        let report =
-            launcher.run_campaign_with(&plan, &ParameterSpace::default(), &events, |_job, ctx| {
+        let report = launcher.run_campaign_with(
+            &plan,
+            &ParameterSpace::default(),
+            None,
+            &events,
+            |_job, ctx| {
                 // Runs well past the deadline but beats regularly: never killed.
                 for _ in 0..10 {
                     std::thread::sleep(Duration::from_millis(10));
                     ctx.beat();
                 }
                 Ok(())
-            });
+            },
+        );
         assert_eq!(report.completed, 1);
         assert_eq!(report.watchdog_kills, 0, "steady progress is never killed");
         assert!(report.abandoned_clients.is_empty());
@@ -1182,17 +1140,17 @@ mod tests {
         let launcher = Launcher::new(LauncherConfig::default());
         // Full campaign: record every member's parameters.
         let full: PlMutex<HashMap<u64, [f64; 5]>> = PlMutex::new(HashMap::new());
-        launcher.run_campaign(&plan, |job| {
+        launcher.run_campaign_in(&plan, &ParameterSpace::default(), |job| {
             full.lock().insert(job.client_id, job.parameters);
             Ok(())
         });
         // Subset rerun: only clients 1 and 4 (one from each series).
         let seen: PlMutex<HashMap<u64, [f64; 5]>> = PlMutex::new(HashMap::new());
         let events = CampaignEvents::default();
-        let report = launcher.run_campaign_subset(
+        let report = launcher.run_campaign_with(
             &plan,
             &ParameterSpace::default(),
-            &[1, 4],
+            Some(&[1, 4]),
             &events,
             |job, _ctx| {
                 seen.lock().insert(job.client_id, job.parameters);
@@ -1229,7 +1187,7 @@ mod tests {
         });
         let failed_at = PlMutex::new(None);
         let retried_at = PlMutex::new(None);
-        let report = launcher.run_campaign(&plan, |job| {
+        let report = launcher.run_campaign_in(&plan, &ParameterSpace::default(), |job| {
             if job.client_id != 0 {
                 return Ok(());
             }
@@ -1255,7 +1213,7 @@ mod tests {
         let launcher = Launcher::new(LauncherConfig::default());
         let finished_others = AtomicUsize::new(0);
         let returned_at = PlMutex::new(None);
-        let report = launcher.run_campaign(&plan, |job| {
+        let report = launcher.run_campaign_in(&plan, &ParameterSpace::default(), |job| {
             if job.client_id != 0 {
                 // ordering: Relaxed — a test tally; client 0 only spins on it
                 finished_others.fetch_add(1, Ordering::Relaxed);
@@ -1287,7 +1245,7 @@ mod tests {
             ..LauncherConfig::default()
         });
         let start = Instant::now();
-        let report = launcher.run_campaign(&plan, |_| {
+        let report = launcher.run_campaign_in(&plan, &ParameterSpace::default(), |_| {
             // Long enough for the watchdog to be waiting when the series ends.
             std::thread::sleep(Duration::from_millis(20));
             Ok(())

@@ -7,13 +7,10 @@
 //! * [`sampler`] — experimental-design samplers drawing the input parameters
 //!   `X` of each client: Monte Carlo, Latin hypercube and the Halton sequence,
 //!   the three methods the paper's data-aggregator thread supports.
-//! * [`scheduler`] — a simulated batch scheduler (the Slurm/OAR stand-in) with a
-//!   bounded number of concurrent slots, per-job start-up delays, and job
-//!   lifecycle records. The paper's throughput dips at client-series boundaries
-//!   (Figure 2) are caused by exactly this admission behaviour.
-//! * [`launcher`] — orchestrates the workflow: submits client jobs in series,
-//!   monitors them, kills and resubmits failed clients (fault tolerance), and
-//!   supports elastic per-series concurrency.
+//! * [`launcher`] — orchestrates the workflow and is its own batch scheduler:
+//!   runs client jobs in series on a per-series worker pool (elastic
+//!   per-series concurrency), monitors them, and kills and resubmits failed
+//!   clients (fault tolerance).
 //! * [`campaign`] — the description of one ensemble campaign: how many
 //!   simulations, in which series, with which sampler and which solver
 //!   configuration.
@@ -21,19 +18,15 @@
 pub mod campaign;
 pub mod launcher;
 pub mod sampler;
-pub mod scheduler;
 
 pub use campaign::{CampaignPlan, ClientSeries};
 pub use launcher::{
-    CampaignEvents, ClientContext, ClientError, ClientErrorKind, ClientJob, ClientOutcome,
-    Launcher, LauncherConfig, LauncherReport, RetryPolicy, WatchdogConfig,
+    CampaignEvents, ClientContext, ClientError, ClientErrorKind, ClientJob, Launcher,
+    LauncherConfig, LauncherReport, RetryPolicy, WatchdogConfig,
 };
 pub use sampler::{
     ExperimentalDesign, HaltonSampler, LatinHypercubeSampler, MonteCarloSampler, ParameterSampler,
     SamplerKind,
-};
-pub use scheduler::{
-    JobId, JobRecord, JobState, SchedulerConfig, SchedulerStats, SimulatedScheduler,
 };
 
 #[cfg(test)]

@@ -79,7 +79,7 @@ proptest! {
         let plan = CampaignPlan::series_of(&sizes, concurrency).with_seed(seed);
         let launcher = Launcher::new(LauncherConfig::default());
         let seen = Mutex::new(Vec::new());
-        let report = launcher.run_campaign(&plan, |job| {
+        let report = launcher.run_campaign_in(&plan, &ParameterSpace::default(), |job| {
             seen.lock().push(job.client_id);
             Ok(())
         });
@@ -104,7 +104,7 @@ proptest! {
             ..LauncherConfig::default()
         });
         let attempts = Mutex::new(vec![0usize; clients]);
-        let report = launcher.run_campaign(&plan, |job| {
+        let report = launcher.run_campaign_in(&plan, &ParameterSpace::default(), |job| {
             let mut attempts = attempts.lock();
             attempts[job.client_id as usize] += 1;
             if attempts[job.client_id as usize] <= failures_per_client {

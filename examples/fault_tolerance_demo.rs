@@ -32,8 +32,8 @@ fn base_config() -> melissa::ExperimentConfigBuilder {
 fn main() {
     // Part 1: watchdog failure detection — two clients crash outright and one
     // hangs on its first attempt. The watchdog declares the hung client dead
-    // after the heartbeat deadline, the scheduler kills it, and the launcher
-    // resubmits all three with capped exponential backoff.
+    // after the heartbeat deadline and kills it, and the launcher resubmits
+    // all three with capped exponential backoff.
     println!("Part 1: scripted crashes and hangs, watchdog kills, retries");
     let plan = FaultPlan::none()
         .with_client_crash(1, 0, 4)
@@ -52,7 +52,6 @@ fn main() {
                 ..RetryPolicy::default()
             },
             watchdog: Some(WatchdogConfig::with_deadline(Duration::from_millis(150))),
-            ..LauncherConfig::default()
         })
         .build()
         .expect("valid configuration");

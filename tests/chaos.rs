@@ -56,7 +56,6 @@ fn chaos_config(kind: BufferKind, plan: FaultPlan) -> ExperimentConfig {
                 ..RetryPolicy::default()
             },
             watchdog: Some(WatchdogConfig::with_deadline(Duration::from_millis(100))),
-            ..LauncherConfig::default()
         })
         .build()
         .expect("consistent chaos configuration")
