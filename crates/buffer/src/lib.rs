@@ -43,6 +43,7 @@ pub use fifo::FifoBuffer;
 pub use firo::FiroBuffer;
 pub use reservoir::ReservoirBuffer;
 pub use sharded::{shard_draw_seed, shard_seed, ShardedBuffer};
+use shell::Shard;
 pub use stats::{BufferStats, OccupancySnapshot};
 pub use traits::{BufferConfig, BufferKind, Evicted, EvictionObserver, TrainingBuffer};
 
@@ -51,6 +52,11 @@ pub use traits::{BufferConfig, BufferKind, Evicted, EvictionObserver, TrainingBu
 pub fn build_buffer<T: Clone + Send + 'static>(
     config: &BufferConfig,
 ) -> Box<dyn TrainingBuffer<T>> {
+    build_shard(config)
+}
+
+/// [`build_buffer`], as a sub-buffer of [`ShardedBuffer`].
+pub(crate) fn build_shard<T: Clone + Send + 'static>(config: &BufferConfig) -> Box<dyn Shard<T>> {
     match config.kind {
         BufferKind::Fifo => Box::new(FifoBuffer::new(config.capacity)),
         BufferKind::Firo => Box::new(FiroBuffer::new(

@@ -36,8 +36,9 @@
 //! the same shard count reproduce the same serving decisions whenever the
 //! stored populations evolve the same way.
 
-use crate::build_buffer;
+use crate::build_shard;
 use crate::lock_order;
+use crate::shell::Shard;
 use crate::stats::BufferStats;
 use crate::traits::{BufferConfig, BufferKind, EvictionObserver, TrainingBuffer};
 use parking_lot::{Condvar, Mutex};
@@ -71,6 +72,8 @@ struct DrawState {
     /// Reusable scratch for the per-sample shard populations, so the serving
     /// loop allocates nothing in steady state.
     lens: Vec<usize>,
+    /// The shards served from since their producers were last woken.
+    served_from: Vec<bool>,
 }
 
 /// N per-shard sub-buffers of one policy behind the [`TrainingBuffer`] trait.
@@ -83,7 +86,7 @@ struct DrawState {
 /// per-shard threshold: the gate — the configured threshold, or 0 for FIFO,
 /// which ignores it — applies to the **total** population at the facade.
 pub struct ShardedBuffer<T: Clone + Send + 'static> {
-    shards: Vec<Box<dyn TrainingBuffer<T>>>,
+    shards: Vec<Box<dyn Shard<T>>>,
     /// Facade-level serving gate: total population must exceed this before
     /// samples may be served (0 for FIFO; lifted once reception is over).
     gate: usize,
@@ -112,14 +115,14 @@ impl<T: Clone + Send + 'static> ShardedBuffer<T> {
             BufferKind::Fifo => 0,
             BufferKind::Firo | BufferKind::Reservoir => config.threshold,
         };
-        let sub_buffers: Vec<Box<dyn TrainingBuffer<T>>> = if shards == 1 {
+        let sub_buffers: Vec<Box<dyn Shard<T>>> = if shards == 1 {
             // The exact unsharded buffer, gating itself.
-            vec![build_buffer::<T>(config)]
+            vec![build_shard::<T>(config)]
         } else {
             let per_shard_capacity = config.capacity.div_ceil(shards).max(gate + 1);
             (0..shards)
                 .map(|shard| {
-                    build_buffer::<T>(&BufferConfig {
+                    build_shard::<T>(&BufferConfig {
                         kind: config.kind,
                         capacity: per_shard_capacity,
                         threshold: 0,
@@ -134,6 +137,7 @@ impl<T: Clone + Send + 'static> ShardedBuffer<T> {
             draw: Mutex::new(DrawState {
                 rng: ChaCha8Rng::seed_from_u64(shard_draw_seed(config.seed)),
                 lens: vec![0; shards],
+                served_from: vec![false; shards],
             }),
             wait: Mutex::new(()),
             ready: Condvar::new(),
@@ -211,6 +215,8 @@ impl<T: Clone + Send + 'static> ShardedBuffer<T> {
                     break;
                 }
             } else if total <= self.gate || total == 0 {
+                // Room made before the wait must not strand a producer.
+                self.wake_served(&mut draw_state.served_from);
                 // Wait at the facade gate; re-check under the wait lock so a
                 // producer's insert+notify cannot slip between check and wait.
                 // The wait is timed: a producer that fills its shard mid-burst
@@ -245,10 +251,22 @@ impl<T: Clone + Send + 'static> ShardedBuffer<T> {
                 }
                 pick -= len;
             }
-            served += self.shards[shard].get_batch_with(1, visit);
+            served += self.shards[shard].serve_quietly(1, visit);
+            draw_state.served_from[shard] = true;
         }
+        self.wake_served(&mut draw.served_from);
         drop(draw);
         served
+    }
+
+    /// Wakes the producers of each shard served from since the last call,
+    /// once per shard.
+    fn wake_served(&self, served_from: &mut [bool]) {
+        for (shard, served) in self.shards.iter().zip(served_from) {
+            if std::mem::take(served) {
+                shard.wake_producers();
+            }
+        }
     }
 }
 
@@ -333,6 +351,7 @@ impl<T: Clone + Send + 'static> TrainingBuffer<T> for ShardedBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build_buffer;
     use std::collections::HashSet;
     use std::sync::Arc;
     use std::time::Duration;

@@ -229,40 +229,10 @@ impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
         }
     }
 
-    /// One lock acquisition per batch. Per sample: wait while the population
-    /// is at or below the gate (lifted once reception is over), then let the
-    /// policy select and serve one. Ends early only when reception is over
-    /// and the buffer has emptied.
     // analysis: hot_path
     fn get_batch_with(&self, n: usize, visit: &mut dyn FnMut(&T)) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        // analysis: allow(blocking, reason = "one bounded lock acquisition per batch is the serving contract; contention is with producers only")
-        let mut inner = self.lock_inner();
-        let mut served = 0;
-        while served < n {
-            let draining = inner.reception_over;
-            let gate = if draining { 0 } else { self.gate };
-            if inner.policy.len() > gate {
-                let Inner {
-                    policy, retired, ..
-                } = &mut *inner;
-                let repeated = policy.serve(draining, served, visit, retired);
-                inner.stats.gets += 1;
-                inner.stats.repeated_gets += usize::from(repeated);
-                served += 1;
-            } else if draining {
-                break;
-            } else {
-                inner.stats.consumer_waits += 1;
-                self.not_full.notify_all();
-                // analysis: allow(blocking, reason = "consumer backpressure: population at or below the gate while reception is live — waiting here IS the policy")
-                self.available.wait(&mut inner.guard);
-            }
-        }
-        drop(inner);
-        self.not_full.notify_all();
+        let served = self.serve_quietly(n, visit);
+        self.wake_producers();
         served
     }
 
@@ -305,6 +275,56 @@ impl<T: Clone + Send, P: Policy<T>> TrainingBuffer<T> for Shell<T, P> {
 
     fn kind(&self) -> BufferKind {
         P::KIND
+    }
+}
+
+/// A sub-buffer of [`crate::ShardedBuffer`]: it serves without waking its
+/// producers, which the facade does once per batch for each shard it drew
+/// from instead of once per sample.
+pub(crate) trait Shard<T: Clone + Send>: TrainingBuffer<T> {
+    /// [`TrainingBuffer::get_batch_with`] without the closing wake-up of the
+    /// producers waiting for room.
+    fn serve_quietly(&self, n: usize, visit: &mut dyn FnMut(&T)) -> usize;
+
+    /// Wakes the producers waiting for room.
+    fn wake_producers(&self);
+}
+
+impl<T: Clone + Send, P: Policy<T>> Shard<T> for Shell<T, P> {
+    /// One lock acquisition per batch. Per sample: wait while the population
+    /// is at or below the gate (lifted once reception is over), then let the
+    /// policy select and serve one. Ends early only when reception is over
+    /// and the buffer has emptied.
+    // analysis: hot_path
+    fn serve_quietly(&self, n: usize, visit: &mut dyn FnMut(&T)) -> usize {
+        // analysis: allow(blocking, reason = "one bounded lock acquisition per batch is the serving contract; contention is with producers only")
+        let mut inner = self.lock_inner();
+        let mut served = 0;
+        while served < n {
+            let draining = inner.reception_over;
+            let gate = if draining { 0 } else { self.gate };
+            if inner.policy.len() > gate {
+                let Inner {
+                    policy, retired, ..
+                } = &mut *inner;
+                let repeated = policy.serve(draining, served, visit, retired);
+                inner.stats.gets += 1;
+                inner.stats.repeated_gets += usize::from(repeated);
+                served += 1;
+            } else if draining {
+                break;
+            } else {
+                inner.stats.consumer_waits += 1;
+                self.not_full.notify_all();
+                // analysis: allow(blocking, reason = "consumer backpressure: population at or below the gate while reception is live — waiting here IS the policy")
+                self.available.wait(&mut inner.guard);
+            }
+        }
+        served
+    }
+
+    fn wake_producers(&self) {
+        self.not_full.notify_all();
     }
 }
 

@@ -30,7 +30,7 @@ use crate::validation::ValidationSet;
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use surrogate_nn::{Mlp, MlpConfig};
+use surrogate_nn::{InitScheme, Mlp, MlpConfig};
 
 /// Jobs the learner may have handed over without having them back. The
 /// durable directory lags the learner by at most this many jobs.
@@ -230,9 +230,13 @@ impl Sidecar {
         // The shadow model only ever receives snapshots: same architecture,
         // workspace geometry, GEMM threading and ISA as the learner's, so
         // every validation value is the one the learner would have computed.
-        // Its gradient arena is never written (and so never becomes resident).
+        // Its gradient arena is never written (and so never becomes resident),
+        // and its initial weights are zeros: every snapshot overwrites them.
         let mut shadow = self.validation.as_ref().map(|set| {
-            let model = Mlp::new(self.model_config.clone());
+            let model = Mlp::new(MlpConfig {
+                init: InitScheme::Zeros,
+                ..self.model_config.clone()
+            });
             let ws = model
                 .workspace(self.training.batch_size.max(1))
                 .with_threads(self.training.effective_gemm_threads())

@@ -61,23 +61,13 @@ impl Batch {
     /// Panics when `samples` is empty or the samples have inconsistent sizes.
     pub fn from_samples(samples: &[&Sample]) -> Self {
         assert!(!samples.is_empty(), "cannot build an empty batch");
-        let input_dim = samples[0].input.len();
-        let output_dim = samples[0].target.len();
-        let mut inputs = Vec::with_capacity(samples.len() * input_dim);
-        let mut targets = Vec::with_capacity(samples.len() * output_dim);
-        let mut keys = Vec::with_capacity(samples.len());
+        let (input_dim, output_dim) = (samples[0].input.len(), samples[0].target.len());
+        let mut batch = Self::with_capacity(samples.len(), input_dim, output_dim);
+        batch.clear();
         for s in samples {
-            assert_eq!(s.input.len(), input_dim, "inconsistent input size");
-            assert_eq!(s.target.len(), output_dim, "inconsistent target size");
-            inputs.extend_from_slice(&s.input);
-            targets.extend_from_slice(&s.target);
-            keys.push(s.key());
+            batch.push_sample(s);
         }
-        Self {
-            inputs: Matrix::from_vec(samples.len(), input_dim, inputs),
-            targets: Matrix::from_vec(samples.len(), output_dim, targets),
-            keys,
-        }
+        batch
     }
 
     /// Assembles a batch from owned samples.
@@ -106,18 +96,9 @@ impl Batch {
     /// batch dimensions.
     pub fn fill_owned(&mut self, samples: &[Sample]) {
         assert!(!samples.is_empty(), "cannot build an empty batch");
-        let input_dim = self.inputs.cols();
-        let output_dim = self.targets.cols();
-        self.inputs.resize_rows(samples.len());
-        self.targets.resize_rows(samples.len());
-        self.keys.clear();
-        for (r, s) in samples.iter().enumerate() {
-            assert_eq!(s.input.len(), input_dim, "inconsistent input size");
-            assert_eq!(s.target.len(), output_dim, "inconsistent target size");
-            self.inputs.data_mut()[r * input_dim..(r + 1) * input_dim].copy_from_slice(&s.input);
-            self.targets.data_mut()[r * output_dim..(r + 1) * output_dim]
-                .copy_from_slice(&s.target);
-            self.keys.push(s.key());
+        self.clear();
+        for s in samples {
+            self.push_sample(s);
         }
     }
 
@@ -142,12 +123,12 @@ impl Batch {
         let output_dim = self.targets.cols();
         assert_eq!(sample.input.len(), input_dim, "inconsistent input size");
         assert_eq!(sample.target.len(), output_dim, "inconsistent target size");
+        // Rows without a key (a fresh `with_capacity` batch's) give way.
         let r = self.keys.len();
-        self.inputs.resize_rows(r + 1);
-        self.targets.resize_rows(r + 1);
-        self.inputs.data_mut()[r * input_dim..(r + 1) * input_dim].copy_from_slice(&sample.input);
-        self.targets.data_mut()[r * output_dim..(r + 1) * output_dim]
-            .copy_from_slice(&sample.target);
+        self.inputs.resize_rows(r);
+        self.targets.resize_rows(r);
+        self.inputs.push_row(&sample.input);
+        self.targets.push_row(&sample.target);
         self.keys.push(sample.key());
     }
 

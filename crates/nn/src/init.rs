@@ -4,6 +4,7 @@
 //! same holds here. He (Kaiming) initialisation suits the ReLU surrogate used
 //! in the paper, Xavier suits tanh baselines.
 
+use crate::simd;
 use rand::distributions::{Distribution, Uniform};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -37,11 +38,6 @@ impl WeightInit {
         }
     }
 
-    /// The configured scheme.
-    pub fn scheme(&self) -> InitScheme {
-        self.scheme
-    }
-
     /// Generates the weight matrix (`fan_out × fan_in` entries, row-major) for a
     /// linear layer.
     pub fn weights(&mut self, fan_in: usize, fan_out: usize) -> Vec<f32> {
@@ -64,9 +60,29 @@ impl WeightInit {
         vec![0.0; fan_out]
     }
 
+    /// `n` draws of `U[-bound, bound]`: key-stream words from
+    /// [`simd::chacha8_keystream`] in stack-buffer chunks, each pair mapped
+    /// with `Uniform::new_inclusive`'s f64 arithmetic, or else the per-draw
+    /// loop; the weights and the generator's final position agree bit for bit.
     fn uniform(&mut self, n: usize, bound: f32) -> Vec<f32> {
         let dist = Uniform::new_inclusive(-bound, bound);
-        (0..n).map(|_| dist.sample(&mut self.rng)).collect()
+        let (low, high) = (-bound as f64, bound as f64);
+        let isa = simd::detect();
+        let mut weights = Vec::with_capacity(n);
+        let mut words = [0u32; 1024];
+        while weights.len() < n {
+            let chunk = &mut words[..(2 * (n - weights.len())).min(1024)];
+            if simd::chacha8_keystream(isa, &mut self.rng, chunk) {
+                weights.extend(chunk.chunks_exact(2).map(|pair| {
+                    let x = pair[0] as u64 | (pair[1] as u64) << 32;
+                    let unit = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                    (low + unit * (high - low)) as f32
+                }));
+            } else {
+                weights.push(dist.sample(&mut self.rng));
+            }
+        }
+        weights
     }
 }
 

@@ -107,6 +107,16 @@ impl Matrix {
         self.data.resize(rows * self.cols, 0.0);
     }
 
+    /// Appends one row. No heap allocation while the storage has room.
+    ///
+    /// # Panics
+    /// Panics when `row.len() != cols`.
+    pub fn push_row(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.cols, "row length");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+
     /// Accumulates the column-wise sums into `acc` without allocating.
     ///
     /// # Panics

@@ -751,3 +751,104 @@ pub(super) fn normalize_dims(values: &mut [f32], mins: &[f32], spans: &[f32]) {
         idx += 1;
     }
 }
+
+/// Eight ChaCha8 blocks, `block .. block + 8`, of the stream keyed by `seed`
+/// with nonce zero, written to `out` in stream order (block `block + b` is
+/// `out[16·b..16·b + 16]`). Lane `b` of the sixteen state vectors is block
+/// `block + b`, its 64-bit counter carried per lane. Rotations by 16 and 8
+/// are byte shuffles; an 8×8 transpose in registers turns the lanes back
+/// into blocks. Integer arithmetic only, so the words are the vendored
+/// generator's exactly.
+#[target_feature(enable = "avx2")]
+pub(super) fn chacha8_blocks(seed: &[u8; 32], block: u64, out: &mut [u32; 128]) {
+    let word = |w: u32| _mm256_set1_epi32(w as i32);
+    // Lane b counts block + b: a low word that wraps carries into the high.
+    let base = word(block as u32);
+    let lo = _mm256_add_epi32(base, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    let flip = word(1 << 31);
+    let wrapped = _mm256_cmpgt_epi32(_mm256_xor_si256(base, flip), _mm256_xor_si256(lo, flip));
+    let hi = _mm256_sub_epi32(word((block >> 32) as u32), wrapped);
+    let init: [__m256i; 16] = core::array::from_fn(|j| match j {
+        // "expand 32-byte k"
+        0..4 => word([0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574][j]),
+        4..12 => word(u32::from_le_bytes(seed.as_chunks::<4>().0[j - 4])),
+        12 => lo,
+        13 => hi,
+        _ => _mm256_setzero_si256(),
+    });
+    let rot16 = _mm256_setr_epi8(
+        2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, //
+        2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+    );
+    let rot8 = _mm256_setr_epi8(
+        3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14, //
+        3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+    );
+    let mut x = init;
+    let mut quarter = |a: usize, b: usize, c: usize, d: usize| {
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = _mm256_shuffle_epi8(_mm256_xor_si256(x[d], x[a]), rot16);
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        let t = _mm256_xor_si256(x[b], x[c]);
+        x[b] = _mm256_or_si256(_mm256_slli_epi32::<12>(t), _mm256_srli_epi32::<20>(t));
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = _mm256_shuffle_epi8(_mm256_xor_si256(x[d], x[a]), rot8);
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        let t = _mm256_xor_si256(x[b], x[c]);
+        x[b] = _mm256_or_si256(_mm256_slli_epi32::<7>(t), _mm256_srli_epi32::<25>(t));
+    };
+    for _ in 0..4 {
+        quarter(0, 4, 8, 12);
+        quarter(1, 5, 9, 13);
+        quarter(2, 6, 10, 14);
+        quarter(3, 7, 11, 15);
+        quarter(0, 5, 10, 15);
+        quarter(1, 6, 11, 12);
+        quarter(2, 7, 8, 13);
+        quarter(3, 4, 9, 14);
+    }
+    for (xj, init_j) in x.iter_mut().zip(init) {
+        *xj = _mm256_add_epi32(*xj, init_j);
+    }
+    for (half, rows) in x.chunks_exact(LANES).enumerate() {
+        for (b, words) in transpose8x8(rows).into_iter().enumerate() {
+            // SAFETY: 16·b + 8·half + 8 <= 128 for b < 8, half < 2;
+            // unaligned store.
+            unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(16 * b + 8 * half).cast(), words) };
+        }
+    }
+}
+
+/// Transposes an 8×8 matrix of u32 held as eight row vectors: output `j`
+/// holds lane `j` of rows 0 to 7.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn transpose8x8(r: &[__m256i]) -> [__m256i; 8] {
+    let t0 = _mm256_unpacklo_epi32(r[0], r[1]);
+    let t1 = _mm256_unpackhi_epi32(r[0], r[1]);
+    let t2 = _mm256_unpacklo_epi32(r[2], r[3]);
+    let t3 = _mm256_unpackhi_epi32(r[2], r[3]);
+    let t4 = _mm256_unpacklo_epi32(r[4], r[5]);
+    let t5 = _mm256_unpackhi_epi32(r[4], r[5]);
+    let t6 = _mm256_unpacklo_epi32(r[6], r[7]);
+    let t7 = _mm256_unpackhi_epi32(r[6], r[7]);
+    // u_j: lanes j (low half) and j + 4 (high half) of four rows each.
+    let u0 = _mm256_unpacklo_epi64(t0, t2);
+    let u1 = _mm256_unpackhi_epi64(t0, t2);
+    let u2 = _mm256_unpacklo_epi64(t1, t3);
+    let u3 = _mm256_unpackhi_epi64(t1, t3);
+    let u4 = _mm256_unpacklo_epi64(t4, t6);
+    let u5 = _mm256_unpackhi_epi64(t4, t6);
+    let u6 = _mm256_unpacklo_epi64(t5, t7);
+    let u7 = _mm256_unpackhi_epi64(t5, t7);
+    [
+        _mm256_permute2x128_si256::<0x20>(u0, u4),
+        _mm256_permute2x128_si256::<0x20>(u1, u5),
+        _mm256_permute2x128_si256::<0x20>(u2, u6),
+        _mm256_permute2x128_si256::<0x20>(u3, u7),
+        _mm256_permute2x128_si256::<0x31>(u0, u4),
+        _mm256_permute2x128_si256::<0x31>(u1, u5),
+        _mm256_permute2x128_si256::<0x31>(u2, u6),
+        _mm256_permute2x128_si256::<0x31>(u3, u7),
+    ]
+}

@@ -55,7 +55,8 @@
 //! documents). Flushing is applied per operation, identically by scalar and
 //! vector instructions, so through the entry points above bit-identity holds
 //! across ISAs, across GEMM thread counts *and* across calling-thread FP
-//! modes.
+//! modes. [`chacha8_keystream`], which draws the initial weights, is integer
+//! arithmetic and returns the vendored generator's words exactly.
 //!
 //! On `aarch64`, NEON currently accelerates the element-wise streams; the
 //! GEMM family falls back to the blocked scalar kernels there (explicit NEON
@@ -63,6 +64,7 @@
 
 use crate::kernels;
 use crate::mlp::Activation;
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};
 use std::sync::OnceLock;
 
@@ -718,6 +720,40 @@ pub fn normalize_dims(isa: ResolvedIsa, values: &mut [f32], mins: &[f32], spans:
                 *v = if span != 0.0 { (*v - min) / span } else { 0.0 };
             }
         }
+    }
+}
+
+/// Fills `out` with the next `out.len()` words of `rng`'s key stream and
+/// advances it past them: what as many `next_u32` calls return, drawn eight
+/// blocks per vector pass. Returns `false`, leaving `rng` untouched, on an
+/// ISA without a keystream kernel; there the caller's per-word draws are the
+/// path (and, everywhere, the oracle).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub fn chacha8_keystream(isa: ResolvedIsa, rng: &mut ChaCha8Rng, out: &mut [u32]) -> bool {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        ResolvedIsa::Avx2 => {
+            assert!(
+                avx2_available(),
+                "ResolvedIsa::Avx2 on a CPU without AVX2+FMA"
+            );
+            let seed = rng.get_seed();
+            let mut pos = rng.get_word_pos();
+            let mut pass = [0u32; 128];
+            let mut done = 0;
+            while done < out.len() {
+                // SAFETY: AVX2 availability asserted above.
+                unsafe { avx2::chacha8_blocks(&seed, (pos >> 4) as u64, &mut pass) };
+                let skip = (pos & 15) as usize;
+                let n = (128 - skip).min(out.len() - done);
+                out[done..done + n].copy_from_slice(&pass[skip..skip + n]);
+                done += n;
+                pos = pos.wrapping_add(n as u128);
+            }
+            rng.set_word_pos(pos);
+            true
+        }
+        _ => false,
     }
 }
 

@@ -14,9 +14,12 @@
 //! what CI's forced-scalar re-run asserts.
 
 use proptest::prelude::*;
+use rand::distributions::{Distribution, Uniform};
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use surrogate_nn::kernels;
 use surrogate_nn::simd::{self, AdamStep, Epilogue, KernelIsa, ResolvedIsa};
-use surrogate_nn::Activation;
+use surrogate_nn::{Activation, InitScheme, WeightInit};
 
 /// The widest ISA the machine (or the `MELISSA_KERNEL_ISA` override) offers.
 fn vector_isa() -> ResolvedIsa {
@@ -444,5 +447,69 @@ fn underflowing_training_is_bit_identical_across_dispatch_and_threads() {
             "{isa}, {threads} threads: gradients"
         );
         assert!(params == reference, "{isa}, {threads} threads: parameters");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The keystream kernel returns the words per-word `next_u32` returns
+    /// and leaves the generator where they leave it, from any position (mid
+    /// block, or in the sixteen blocks around the carry of the block counter
+    /// into its high word) and for any length.
+    #[test]
+    fn chacha8_keystream_matches_next_u32(
+        seed in any::<u64>(),
+        offset in 0u64..256,
+        at_carry in any::<bool>(),
+        len in 0usize..700,
+    ) {
+        let base = if at_carry { ((1u128 << 32) - 8) * 16 } else { 0 };
+        let mut oracle = ChaCha8Rng::seed_from_u64(seed);
+        oracle.set_word_pos(base + u128::from(offset));
+        let mut bulk = oracle.clone();
+        let expected: Vec<u32> = (0..len).map(|_| oracle.next_u32()).collect();
+        let mut words = vec![0u32; len];
+        if simd::chacha8_keystream(vector_isa(), &mut bulk, &mut words) {
+            prop_assert_eq!(words, expected);
+            prop_assert_eq!(bulk.get_word_pos(), oracle.get_word_pos());
+            prop_assert_eq!(bulk.next_u32(), oracle.next_u32());
+        }
+    }
+}
+
+/// `WeightInit::weights` draws what the per-draw loop draws, and leaves the
+/// generator where it does (the second layer follows on from the first), for
+/// every scheme, fan-ins 1 to 300 and odd fan-outs: layers start and end at
+/// every even word of a block.
+#[test]
+fn bulk_weights_match_the_per_draw_loop() {
+    let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for scheme in [
+        InitScheme::HeUniform,
+        InitScheme::XavierUniform,
+        InitScheme::Zeros,
+    ] {
+        for fan_in in 1..=300 {
+            let fan_out = 2 * (fan_in % 5) + 1;
+            let mut init = WeightInit::new(scheme, fan_in as u64);
+            let mut rng = ChaCha8Rng::seed_from_u64(fan_in as u64);
+            for (fi, fo) in [(fan_in, fan_out), (fan_out, fan_in)] {
+                let bound = match scheme {
+                    InitScheme::HeUniform => (6.0 / fi as f64).sqrt() as f32,
+                    InitScheme::XavierUniform => (6.0 / (fi + fo) as f64).sqrt() as f32,
+                    InitScheme::Zeros => 0.0,
+                };
+                let dist = Uniform::new_inclusive(-bound, bound);
+                let expected: Vec<f32> = (0..fi * fo)
+                    .map(|_| match scheme {
+                        InitScheme::Zeros => 0.0,
+                        _ => dist.sample(&mut rng),
+                    })
+                    .collect();
+                let drawn = init.weights(fi, fo);
+                assert_eq!(bits(&drawn), bits(&expected), "{scheme:?} {fi}x{fo}");
+            }
+        }
     }
 }
