@@ -111,7 +111,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics when `row.len() != cols`.
-    pub fn push_row(&mut self, row: &[f32]) {
+    pub(crate) fn push_row(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.cols, "row length");
         self.data.extend_from_slice(row);
         self.rows += 1;
