@@ -12,8 +12,8 @@
 //! * `--ranks <n>`  — number of data-parallel ranks for single-run harnesses.
 
 use melissa::{
-    DeviceProfile, DiskConfig, ExperimentConfig, ExperimentConfigBuilder, ExperimentReport,
-    OfflineExperiment, OnlineExperiment,
+    DiskConfig, ExperimentConfig, ExperimentConfigBuilder, ExperimentReport, OfflineExperiment,
+    OnlineExperiment,
 };
 use surrogate_nn::Mlp;
 use training_buffer::BufferKind;
@@ -44,12 +44,7 @@ pub fn arg_usize(key: &str, default: usize) -> usize {
 /// paper's §4.3 campaign (three series of clients) scaled down by `scale`,
 /// with the requested buffer policy and rank count.
 pub fn figure_config(scale: f64, kind: BufferKind, num_ranks: usize) -> ExperimentConfig {
-    // A small artificial per-batch cost keeps the consumer/producer balance in
-    // the regime the paper studies (GPUs much faster than one client).
     ExperimentConfigBuilder::from_config(ExperimentConfig::paper_scaled(scale, kind, num_ranks))
-        .device(DeviceProfile {
-            extra_batch_micros: 200,
-        })
         // The figure harnesses run the full data plane: overlap batch
         // assembly with the train step (results are bit-identical either way).
         .prefetch(true)

@@ -13,7 +13,6 @@ use melissa_transport::FaultConfig;
 use melissa_workload::PARAM_DIM;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 use surrogate_nn::{Activation, InitScheme, KernelIsa, MlpConfig};
 use training_buffer::{BufferConfig, BufferKind};
 
@@ -56,26 +55,6 @@ impl SurrogateConfig {
     }
 }
 
-/// Emulated training-device characteristics.
-///
-/// On the reproduction machine the "GPU" is a CPU worker thread; the real batch
-/// compute cost is the CPU matmul time. An additional artificial per-batch
-/// delay lets experiments emulate slower or faster devices, which moves the
-/// producer/consumer crossover the paper studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct DeviceProfile {
-    /// Extra wall-clock time added to every batch (forward + backward), in
-    /// microseconds.
-    pub extra_batch_micros: u64,
-}
-
-impl DeviceProfile {
-    /// The artificial per-batch delay.
-    pub fn extra_batch_delay(&self) -> Duration {
-        Duration::from_micros(self.extra_batch_micros)
-    }
-}
-
 /// Training-loop parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainingConfig {
@@ -93,8 +72,6 @@ pub struct TrainingConfig {
     pub validation_interval_batches: usize,
     /// Number of held-out simulations in the validation set (paper: 10).
     pub validation_simulations: usize,
-    /// Emulated device characteristics.
-    pub device: DeviceProfile,
     /// GEMM threads per rank for the blocked training kernels; 0 = auto
     /// (all available cores for a single rank, serial when ranks already
     /// occupy the cores). Results are bit-identical for every value.
@@ -122,7 +99,6 @@ impl Default for TrainingConfig {
             lr_halving_samples: 10_000,
             validation_interval_batches: 100,
             validation_simulations: 10,
-            device: DeviceProfile::default(),
             gemm_threads: 0,
             prefetch: false,
             kernel_isa: KernelIsa::Auto,
@@ -205,8 +181,7 @@ pub struct ExperimentConfig {
     pub campaign: CampaignPlan,
     /// Transport fault injection.
     pub fault: FaultConfig,
-    /// Launcher behaviour: retry policy, watchdog failure detection, job
-    /// start-up delays.
+    /// Launcher behaviour: retry policy and watchdog failure detection.
     #[serde(default)]
     pub launcher: LauncherConfig,
     /// Capture a server checkpoint every this many trained batches on rank 0
@@ -354,7 +329,8 @@ impl ExperimentConfig {
     /// the run — which simulations exist, what they stream, how training
     /// consumes it. Durable checkpoints and journals are stamped with this so
     /// a resume against a semantically different configuration is rejected.
-    /// Operational knobs (delays, channel capacities, device emulation) are
+    /// Operational knobs (the split of the clients into series, the delay
+    /// between series, channel capacities, kernel ISA, launcher policy) are
     /// deliberately excluded: changing them must not block a resume.
     pub fn config_fingerprint(&self) -> u64 {
         let semantic = format!(
@@ -482,7 +458,7 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Sets the launcher behaviour (retry policy, watchdog, start-up delay).
+    /// Sets the launcher behaviour (retry policy, watchdog).
     pub fn launcher(mut self, launcher: LauncherConfig) -> Self {
         self.config.launcher = launcher;
         self
@@ -537,12 +513,6 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Sets the emulated device profile.
-    pub fn device(mut self, device: DeviceProfile) -> Self {
-        self.config.training.device = device;
-        self
-    }
-
     /// Sets the per-rank GEMM thread count (0 = auto).
     pub fn gemm_threads(mut self, threads: usize) -> Self {
         self.config.training.gemm_threads = threads;
@@ -580,6 +550,7 @@ impl ExperimentConfigBuilder {
 mod tests {
     use super::*;
     use melissa_workload::AdvectionConfig;
+    use std::time::Duration;
 
     #[test]
     fn small_scale_is_valid() {
@@ -652,14 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn device_profile_delay() {
-        let d = DeviceProfile {
-            extra_batch_micros: 1500,
-        };
-        assert_eq!(d.extra_batch_delay(), Duration::from_micros(1500));
-    }
-
-    #[test]
     fn derived_seeds_are_deterministic_and_distinct() {
         let config = ExperimentConfig::small_scale();
         assert_eq!(config.rank_seed(0), config.seed);
@@ -703,10 +666,12 @@ mod tests {
         resized.buffer.capacity += 1;
         assert_ne!(resized.config_fingerprint(), base.config_fingerprint());
 
-        // Operational knobs must not perturb the fingerprint.
+        // Operational knobs must not perturb the fingerprint. The SIGKILL
+        // harness in `tests/durability.rs` depends on the series layout and
+        // `inter_series_delay` staying out: its child idles in a two-series
+        // gap and the parent resumes with the single-series config.
         let mut operational = base.clone();
         operational.channel_capacity *= 2;
-        operational.training.device.extra_batch_micros = 999;
         operational.campaign.inter_series_delay = Duration::from_millis(5);
         assert_eq!(operational.config_fingerprint(), base.config_fingerprint());
     }

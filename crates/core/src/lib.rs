@@ -62,8 +62,7 @@ pub mod workload_spec;
 pub use aggregator::{Aggregator, AggregatorOutcome};
 pub use checkpoint::ServerCheckpoint;
 pub use config::{
-    DeviceProfile, DurabilityConfig, ExperimentConfig, ExperimentConfigBuilder, SurrogateConfig,
-    TrainingConfig,
+    DurabilityConfig, ExperimentConfig, ExperimentConfigBuilder, SurrogateConfig, TrainingConfig,
 };
 pub use disk::{DiskConfig, SimulatedDisk};
 pub use durable::{

@@ -1,27 +1,18 @@
 //! Experiment instrumentation: throughput, losses, buffer population and
 //! sample-occurrence histograms — the raw material of every figure and table.
 
-use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use serde::Serialize;
+use std::time::Instant;
 use training_buffer::OccupancySnapshot;
 
 /// One throughput measurement, as the paper computes it: the number of samples
 /// per second processed by the learning thread over a window of batches.
-///
-/// Emulated-device stalls ([`crate::DeviceProfile::extra_batch_micros`]) are
-/// measured separately, so reports can distinguish what the compute kernels
-/// deliver from what the emulated device throttles the loop to.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ThroughputPoint {
     /// Seconds since the start of training.
     pub elapsed_seconds: f64,
-    /// Samples per second over the last window (wall clock, stalls included).
+    /// Samples per second over the last window (wall clock).
     pub samples_per_second: f64,
-    /// Samples per second over the last window with the emulated-device stall
-    /// time subtracted — the rate the training kernels actually sustained.
-    pub compute_samples_per_second: f64,
-    /// Seconds of the last window spent in emulated-device stalls.
-    pub stall_seconds: f64,
     /// Number of batches processed so far (on this rank).
     pub batches: usize,
 }
@@ -35,10 +26,8 @@ pub struct ThroughputTracker {
     window_started: Instant,
     batches_in_window: usize,
     samples_in_window: usize,
-    stall_in_window: Duration,
     total_batches: usize,
     total_samples: usize,
-    total_stall: Duration,
     points: Vec<ThroughputPoint>,
 }
 
@@ -52,54 +41,32 @@ impl ThroughputTracker {
             window_started: now,
             batches_in_window: 0,
             samples_in_window: 0,
-            stall_in_window: Duration::ZERO,
             total_batches: 0,
             total_samples: 0,
-            total_stall: Duration::ZERO,
             points: Vec::new(),
         }
     }
 
-    /// Records emulated-device stall time that was not attached to a data
-    /// batch (idle collective rounds still sleep the device delay); it is
-    /// subtracted from the compute-throughput denominators like batch stalls.
-    pub fn record_stall(&mut self, stall: Duration) {
-        self.stall_in_window += stall;
-        self.total_stall += stall;
-    }
-
-    /// Records one processed batch (of `samples` samples, which may be smaller
-    /// than the nominal batch size for the last batch) together with the time
-    /// this batch spent in an emulated-device stall.
-    pub fn record_batch(&mut self, samples: usize, stall: Duration) {
+    /// Records one processed batch of `samples` samples, which may be smaller
+    /// than the nominal batch size for the last batch.
+    pub fn record_batch(&mut self, samples: usize) {
         self.batches_in_window += 1;
         self.samples_in_window += samples;
         self.total_batches += 1;
         self.total_samples += samples;
-        self.stall_in_window += stall;
-        self.total_stall += stall;
         if self.batches_in_window >= self.window_batches {
             let elapsed = self.window_started.elapsed().as_secs_f64();
-            let stall_seconds = self.stall_in_window.as_secs_f64();
-            let compute = (elapsed - stall_seconds).max(0.0);
-            let samples_in_window = self.samples_in_window;
-            let rate = |seconds: f64| {
-                if seconds > 0.0 {
-                    samples_in_window as f64 / seconds
-                } else {
-                    f64::INFINITY
-                }
-            };
             self.points.push(ThroughputPoint {
                 elapsed_seconds: self.started.elapsed().as_secs_f64(),
-                samples_per_second: rate(elapsed),
-                compute_samples_per_second: rate(compute),
-                stall_seconds,
+                samples_per_second: if elapsed > 0.0 {
+                    self.samples_in_window as f64 / elapsed
+                } else {
+                    f64::INFINITY
+                },
                 batches: self.total_batches,
             });
             self.batches_in_window = 0;
             self.samples_in_window = 0;
-            self.stall_in_window = Duration::ZERO;
             self.window_started = Instant::now();
         }
     }
@@ -114,11 +81,6 @@ impl ThroughputTracker {
         self.total_batches
     }
 
-    /// Total time spent in emulated-device stalls.
-    pub fn total_stall(&self) -> Duration {
-        self.total_stall
-    }
-
     /// Mean throughput over the whole run (samples per second, wall clock),
     /// counting the samples actually trained on — partial drain batches are
     /// not rounded up to the nominal batch size.
@@ -130,16 +92,6 @@ impl ThroughputTracker {
         self.total_samples as f64 / elapsed
     }
 
-    /// Mean throughput with the emulated-device stall time subtracted.
-    pub fn mean_compute_throughput(&self) -> f64 {
-        let compute =
-            (self.started.elapsed() - self.total_stall.min(self.started.elapsed())).as_secs_f64();
-        if compute == 0.0 {
-            return 0.0;
-        }
-        self.total_samples as f64 / compute
-    }
-
     /// Consumes the tracker, returning its points.
     pub fn into_points(self) -> Vec<ThroughputPoint> {
         self.points
@@ -147,7 +99,7 @@ impl ThroughputTracker {
 }
 
 /// One loss measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LossPoint {
     /// Number of batches processed on the recording rank when measured.
     pub batches: usize,
@@ -209,7 +161,7 @@ impl OccurrenceTable {
 
 /// Histogram of how many times each unique sample appeared in training batches
 /// (Figure 3 of the paper).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct OccurrenceHistogram {
     /// `histogram[k]` = number of unique samples that appeared exactly `k` times
     /// (index 0 counts produced-but-never-trained-on samples when known).
@@ -261,7 +213,7 @@ impl OccurrenceHistogram {
 }
 
 /// Everything measured during one experiment run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ExperimentMetrics {
     /// Loss history (training and periodic validation).
     pub losses: Vec<LossPoint>,
@@ -290,30 +242,6 @@ impl ExperimentMetrics {
     pub fn final_validation_loss(&self) -> Option<f32> {
         self.losses.iter().rev().find_map(|p| p.validation_loss)
     }
-
-    /// Mean throughput over all recorded windows (samples per second).
-    pub fn mean_throughput(&self) -> f64 {
-        if self.throughput.is_empty() {
-            return 0.0;
-        }
-        self.throughput
-            .iter()
-            .map(|p| p.samples_per_second)
-            .sum::<f64>()
-            / self.throughput.len() as f64
-    }
-
-    /// Mean stall-corrected throughput over all recorded windows.
-    pub fn mean_compute_throughput(&self) -> f64 {
-        if self.throughput.is_empty() {
-            return 0.0;
-        }
-        self.throughput
-            .iter()
-            .map(|p| p.compute_samples_per_second)
-            .sum::<f64>()
-            / self.throughput.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -325,63 +253,25 @@ mod tests {
     fn throughput_tracker_emits_one_point_per_window() {
         let mut tracker = ThroughputTracker::new(5);
         for _ in 0..23 {
-            tracker.record_batch(10, Duration::ZERO);
+            tracker.record_batch(10);
         }
         assert_eq!(tracker.points().len(), 4);
         assert_eq!(tracker.total_batches(), 23);
         for p in tracker.points() {
             assert!(p.samples_per_second > 0.0);
-            // No stalls recorded: both rates agree.
-            assert_eq!(p.samples_per_second, p.compute_samples_per_second);
-            assert_eq!(p.stall_seconds, 0.0);
         }
     }
 
     #[test]
     fn throughput_rate_reflects_elapsed_time() {
         let mut tracker = ThroughputTracker::new(2);
-        tracker.record_batch(10, Duration::ZERO);
+        tracker.record_batch(10);
         std::thread::sleep(Duration::from_millis(20));
-        tracker.record_batch(10, Duration::ZERO);
+        tracker.record_batch(10);
         let p = tracker.points()[0];
         // 20 samples in ≥ 20 ms → at most 1000 samples/s (generous upper bound).
         assert!(p.samples_per_second <= 1100.0, "{}", p.samples_per_second);
         assert!(tracker.mean_throughput() > 0.0);
-    }
-
-    #[test]
-    fn stall_time_is_separated_from_compute_throughput() {
-        let mut tracker = ThroughputTracker::new(2);
-        // Each batch sleeps 15 ms and reports it as an emulated-device stall.
-        for _ in 0..2 {
-            std::thread::sleep(Duration::from_millis(15));
-            tracker.record_batch(10, Duration::from_millis(15));
-        }
-        let p = tracker.points()[0];
-        assert!(p.stall_seconds >= 0.03 - 1e-3, "{}", p.stall_seconds);
-        // Subtracting the stall must report a (much) higher compute rate.
-        assert!(
-            p.compute_samples_per_second > p.samples_per_second,
-            "compute {} vs wall {}",
-            p.compute_samples_per_second,
-            p.samples_per_second
-        );
-        assert!(tracker.mean_compute_throughput() > tracker.mean_throughput());
-        assert!(tracker.total_stall() >= Duration::from_millis(30));
-    }
-
-    #[test]
-    fn idle_round_stalls_count_against_compute_time() {
-        let mut tracker = ThroughputTracker::new(1);
-        std::thread::sleep(Duration::from_millis(5));
-        tracker.record_stall(Duration::from_millis(5));
-        std::thread::sleep(Duration::from_millis(5));
-        tracker.record_batch(10, Duration::ZERO);
-        let p = tracker.points()[0];
-        // The idle stall belongs to the window even though no batch carried it.
-        assert!(p.stall_seconds >= 0.005 - 1e-3, "{}", p.stall_seconds);
-        assert!(p.compute_samples_per_second > p.samples_per_second);
-        assert!(tracker.total_stall() >= Duration::from_millis(5));
     }
 
     #[test]
@@ -460,7 +350,6 @@ mod tests {
         let metrics = ExperimentMetrics::default();
         assert_eq!(metrics.min_validation_loss(), None);
         assert_eq!(metrics.final_validation_loss(), None);
-        assert_eq!(metrics.mean_throughput(), 0.0);
         assert_eq!(OccurrenceHistogram::default().mean_repetitions(), 0.0);
     }
 }

@@ -5,7 +5,7 @@ use crate::metrics::{ExperimentMetrics, OccurrenceHistogram, OccurrenceTable};
 use crate::trainer::RankOutcome;
 use melissa_ensemble::LauncherReport;
 use melissa_transport::TransportStats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use surrogate_nn::Mlp;
 use training_buffer::{BufferKind, BufferStats};
 
@@ -13,7 +13,7 @@ use training_buffer::{BufferKind, BufferStats};
 /// checkpoint persistence and journal work taken off the learning thread, and
 /// what handing it over cost the learner. When a slow disk turns the sidecar
 /// back into a stall, `learner_blocked_seconds` is where it shows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct SidecarReport {
     /// Periodic validation passes run.
     pub validations: usize,
@@ -29,7 +29,7 @@ pub struct SidecarReport {
 }
 
 /// A complete record of one experiment (online or offline).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ExperimentReport {
     /// Human-readable label ("Reservoir", "Offline", …).
     pub label: String,
@@ -62,11 +62,9 @@ pub struct ExperimentReport {
     pub min_validation_mse: Option<f32>,
     /// Validation MSE at the end of training (normalised units).
     pub final_validation_mse: Option<f32>,
-    /// Aggregate throughput in samples per second (summed over ranks).
+    /// Aggregate throughput: each rank's samples trained over its wall-clock
+    /// training time, summed over ranks (samples per second).
     pub mean_throughput: f64,
-    /// Aggregate throughput with emulated-device stall time subtracted —
-    /// the rate the training kernels sustained (summed over ranks).
-    pub mean_compute_throughput: f64,
     /// Detailed time series (losses, throughput, occupancy, occurrences).
     pub metrics: ExperimentMetrics,
     /// Per-rank buffer counters (empty for offline).
@@ -78,41 +76,30 @@ pub struct ExperimentReport {
     /// True when the run ended in a (scripted) server crash instead of
     /// draining normally; resume from [`ExperimentReport::checkpoints_taken`]
     /// via `OnlineExperiment::resume`.
-    #[serde(default)]
     pub crashed: bool,
     /// Number of server checkpoints captured during the run.
-    #[serde(default)]
     pub checkpoints_taken: usize,
     /// Clients abandoned after exhausting their retry budget (or failing
     /// fatally); the run completed without their data.
-    #[serde(default)]
     pub abandoned_clients: Vec<u64>,
     /// Clients that failed at least once but eventually completed.
-    #[serde(default)]
     pub recovered_clients: Vec<u64>,
     /// The batch counter of the checkpoint this run resumed from, when it was
     /// restarted after a crash.
-    #[serde(default)]
     pub resumed_from_batches: Option<usize>,
     /// Number of checkpoints durably written to disk (0 when the run had no
     /// durability directory configured).
-    #[serde(default)]
     pub durable_checkpoints: usize,
     /// First durability error encountered; when set, the run completed but
     /// its on-disk recovery state stopped updating at that point.
-    #[serde(default)]
     pub durable_error: Option<String>,
     /// The kernel ISA the compute core resolved to ("scalar", "avx2+fma",
-    /// "neon"); empty in reports written before the SIMD dispatch existed.
-    #[serde(default)]
+    /// "neon").
     pub kernel_isa: String,
     /// The floating-point mode the kernels ran in (`simd::fp_mode`): "ftz+daz",
-    /// "fz" or "ieee"; empty in reports written before it was recorded.
-    #[serde(default)]
+    /// "fz" or "ieee".
     pub fp_mode: String,
-    /// What rank 0's sidecar did (all zero in reports written before it
-    /// existed).
-    #[serde(default)]
+    /// What rank 0's sidecar did (all zero on runs without a sidecar).
     pub sidecar: SidecarReport,
 }
 
@@ -163,7 +150,6 @@ impl ExperimentReport {
             min_validation_mse: metrics.min_validation_loss(),
             final_validation_mse: metrics.final_validation_loss(),
             mean_throughput: outcomes.iter().map(|o| o.mean_throughput).sum(),
-            mean_compute_throughput: outcomes.iter().map(|o| o.mean_compute_throughput).sum(),
             metrics,
             kernel_isa: training.kernel_isa.resolve().name().to_string(),
             fp_mode: surrogate_nn::simd::fp_mode().to_string(),
@@ -228,14 +214,13 @@ impl ExperimentReport {
     /// A short one-line summary used by the examples.
     pub fn summary(&self) -> String {
         format!(
-            "{}: {} ranks, {} sims, {} unique samples, {} batches, {:.1} samples/s ({:.1} compute), min val MSE {}",
+            "{}: {} ranks, {} sims, {} unique samples, {} batches, {:.1} samples/s, min val MSE {}",
             self.label,
             self.num_ranks,
             self.simulations,
             self.unique_samples_produced,
             self.batches,
             self.mean_throughput,
-            self.mean_compute_throughput,
             self.min_validation_mse
                 .map(|m| format!("{m:.5}"))
                 .unwrap_or_else(|| "n/a".to_string()),
@@ -265,7 +250,6 @@ mod tests {
             min_validation_mse: Some(0.012),
             final_validation_mse: Some(0.013),
             mean_throughput: 41.7,
-            mean_compute_throughput: 55.2,
             metrics: ExperimentMetrics::default(),
             buffer_stats: Vec::new(),
             transport: None,
@@ -300,26 +284,6 @@ mod tests {
         assert!(row2.contains("5,120C"));
         assert!(row2.contains("2500"));
         assert!(!r.summary().is_empty());
-    }
-
-    #[test]
-    fn sidecar_block_roundtrips_and_defaults_in_older_reports() {
-        let mut r = report();
-        r.sidecar = SidecarReport {
-            validations: 13,
-            checkpoints_persisted: 12,
-            journal_flushes: 250,
-            busy_seconds: 0.75,
-            learner_blocked_seconds: 0.01,
-        };
-        let json = serde_json::to_string(&r).unwrap();
-        let back: ExperimentReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.sidecar, r.sidecar);
-        // A report written before the sidecar existed carries no such key.
-        let start = json.find(",\"sidecar\"").expect("the block is serialised");
-        let older = format!("{}}}", &json[..start]);
-        let back: ExperimentReport = serde_json::from_str(&older).unwrap();
-        assert_eq!(back.sidecar, SidecarReport::default());
     }
 
     #[test]

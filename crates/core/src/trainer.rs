@@ -47,7 +47,7 @@
 //! batch finished — only its `validation_loss` arrives a little later.
 
 use crate::checkpoint::ServerCheckpoint;
-use crate::config::{DeviceProfile, TrainingConfig};
+use crate::config::TrainingConfig;
 use crate::metrics::{LossPoint, OccurrenceTable, ThroughputPoint, ThroughputTracker};
 use crate::offline::EpochReader;
 use crate::recovery::RecoveryHooks;
@@ -58,7 +58,7 @@ use crate::validation::ValidationSet;
 use crossbeam::channel::bounded;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use surrogate_nn::{
     Adam, AdamConfig, Batch, GradientSynchronizer, Loss, LrSchedule, Mlp, MseLoss, Sample,
     SampleBasedHalving, Verdict, Vote, Workspace,
@@ -153,8 +153,6 @@ pub struct RankOutcome {
     pub throughput: Vec<ThroughputPoint>,
     /// Mean throughput of this rank in samples per second (wall clock).
     pub mean_throughput: f64,
-    /// Mean throughput with emulated-device stall time subtracted.
-    pub mean_compute_throughput: f64,
     /// What this rank's sidecar did (all zero on ranks without one).
     pub sidecar: SidecarReport,
 }
@@ -451,7 +449,6 @@ impl RankTrainer {
     // analysis: hot_path
     fn round(&mut self, state: &mut RoundState, batch: Option<&Batch>, start: Instant) -> bool {
         let loss_fn = MseLoss;
-        let device: DeviceProfile = self.config.device;
         let batch_size = self.config.batch_size.max(1);
         let has_data = batch.is_some();
 
@@ -546,26 +543,11 @@ impl RankTrainer {
             }
         }
 
-        // The emulated-device stall is measured so throughput reports can
-        // separate kernel time from what the device emulation adds.
-        let stall = if device.extra_batch_delay().is_zero() {
-            Duration::ZERO
-        } else {
-            let stall_start = Instant::now();
-            // analysis: allow(blocking, reason = "the emulated device delay is the configured behaviour; zero on every production profile")
-            std::thread::sleep(device.extra_batch_delay());
-            stall_start.elapsed()
-        };
-
         state.rounds += 1;
         if let Some(batch) = batch {
             state.batches_with_data += 1;
             state.samples_consumed += batch.len();
-            state.tracker.record_batch(batch.len(), stall);
-        } else {
-            // Idle rounds still pay the emulated-device delay; count it so
-            // the compute-throughput metric is not diluted by it.
-            state.tracker.record_stall(stall);
+            state.tracker.record_batch(batch.len());
         }
 
         // Recovery bookkeeping, after the weight update so a checkpoint never
@@ -683,7 +665,6 @@ impl RankTrainer {
         }
 
         let mean_throughput = state.tracker.mean_throughput();
-        let mean_compute_throughput = state.tracker.mean_compute_throughput();
         RankOutcome {
             rank: self.rank,
             model: self.model,
@@ -695,7 +676,6 @@ impl RankTrainer {
             losses: state.losses,
             throughput: state.tracker.into_points(),
             mean_throughput,
-            mean_compute_throughput,
             sidecar: sidecar_report,
         }
     }

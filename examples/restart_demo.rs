@@ -27,19 +27,26 @@ use training_buffer::{BufferConfig, BufferKind};
 const CLIENTS: usize = 10;
 const STEPS: usize = 12;
 
-/// The experiment both processes run. `slow` adds an emulated per-batch
-/// device delay so the parent has time to kill the child mid-run; device
-/// emulation is excluded from the config fingerprint, so both variants name
-/// the same experiment on disk.
+/// The experiment both processes run. `slow` splits the clients into two
+/// series two minutes apart: the child checkpoints the first series'
+/// completions and idles in the gap, so the parent has time to kill it
+/// mid-run. The series layout and the gap are excluded from the config
+/// fingerprint, so both variants name the same experiment on disk.
 fn demo_config(dir: &Path, slow: bool) -> ExperimentConfig {
-    let mut config = ExperimentConfig::builder()
+    let campaign = if slow {
+        CampaignPlan::series_of(&[CLIENTS / 2, CLIENTS / 2], 5)
+            .with_inter_series_delay(Duration::from_secs(120))
+    } else {
+        CampaignPlan::single_series(CLIENTS, 5)
+    };
+    ExperimentConfig::builder()
         .workload(WorkloadSpec::heat_analytic(SolverConfig {
             nx: 10,
             ny: 10,
             steps: STEPS,
             ..SolverConfig::default()
         }))
-        .campaign(CampaignPlan::single_series(CLIENTS, 5))
+        .campaign(campaign)
         .buffer(BufferConfig {
             kind: BufferKind::Fifo,
             capacity: 48,
@@ -52,11 +59,7 @@ fn demo_config(dir: &Path, slow: bool) -> ExperimentConfig {
         .checkpoint_every_batches(2)
         .durability(DurabilityConfig::new(dir.to_string_lossy()))
         .build()
-        .expect("valid configuration");
-    if slow {
-        config.training.device.extra_batch_micros = 100_000;
-    }
-    config
+        .expect("valid configuration")
 }
 
 fn identity_of(config: &ExperimentConfig) -> DurableIdentity {

@@ -51,20 +51,28 @@ const STEPS: usize = 10;
 /// child process; when unset, the hidden child test is a no-op pass.
 const CHILD_DIR_ENV: &str = "MELISSA_DURABILITY_CHILD_DIR";
 
-/// The experiment both the child and the resuming parent run. `slow` adds an
-/// emulated per-batch device delay so the parent has seconds — not
-/// milliseconds — to observe a checkpoint and kill the child mid-run. Device
-/// emulation is an operational knob, excluded from the config fingerprint, so
-/// the fast resume and the slow child agree on the experiment identity.
+/// The experiment both the child and the resuming parent run. `slow` splits
+/// the clients into two series two minutes apart: the child checkpoints the
+/// first series' completions, then idles in the gap with the second series
+/// unsubmitted, so the parent has seconds — not milliseconds — to observe a
+/// durable completion and kill the child mid-run. The series layout and the
+/// gap are operational knobs, excluded from the config fingerprint, so the
+/// single-series resume and the slow child agree on the experiment identity.
 fn durable_config(dir: &Path, slow: bool) -> ExperimentConfig {
-    let mut config = ExperimentConfig::builder()
+    let campaign = if slow {
+        CampaignPlan::series_of(&[CLIENTS / 2, CLIENTS / 2], 4)
+            .with_inter_series_delay(Duration::from_secs(120))
+    } else {
+        CampaignPlan::single_series(CLIENTS, 4)
+    };
+    ExperimentConfig::builder()
         .workload(WorkloadSpec::heat_analytic(SolverConfig {
             nx: 8,
             ny: 8,
             steps: STEPS,
             ..SolverConfig::default()
         }))
-        .campaign(CampaignPlan::single_series(CLIENTS, 4))
+        .campaign(campaign)
         .buffer(BufferConfig {
             kind: BufferKind::Fifo,
             capacity: 32,
@@ -78,11 +86,7 @@ fn durable_config(dir: &Path, slow: bool) -> ExperimentConfig {
         .checkpoint_every_batches(1)
         .durability(DurabilityConfig::new(dir.to_string_lossy()))
         .build()
-        .expect("consistent durable configuration");
-    if slow {
-        config.training.device.extra_batch_micros = 150_000;
-    }
-    config
+        .expect("consistent durable configuration")
 }
 
 fn identity_of(config: &ExperimentConfig) -> DurableIdentity {
@@ -191,6 +195,14 @@ fn sigkill_mid_run_then_resume_from_disk_reruns_only_missing_sims() {
     use std::process::{Command, Stdio};
 
     let dir = temp_dir("sigkill");
+    let config = durable_config(&dir, false);
+    let identity = identity_of(&config);
+    assert_eq!(
+        identity_of(&durable_config(&dir, true)),
+        identity,
+        "the slow child's two-series layout must stay out of the config \
+         fingerprint, or the single-series resume would reject its directory"
+    );
     let exe = std::env::current_exe().expect("test binary path");
     let mut child = Command::new(exe)
         .args([
@@ -212,8 +224,6 @@ fn sigkill_mid_run_then_resume_from_disk_reruns_only_missing_sims() {
     // concurrent read-side scan never observes a torn file — only
     // fully-renamed checkpoints are visible. (The journal is not polled: a
     // concurrent `CompletionJournal::open` would truncate in-flight tails.)
-    let config = durable_config(&dir, false);
-    let identity = identity_of(&config);
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         if let Some(status) = child.try_wait().unwrap() {
@@ -270,10 +280,10 @@ fn sigkill_mid_run_then_resume_from_disk_reruns_only_missing_sims() {
     );
     assert!(
         !missing.is_empty(),
-        "killed mid-run with the slow device profile: there is work to rerun"
+        "killed mid-run by the slow two-series child: there is work to rerun"
     );
 
-    // Restart purely from the directory (fast device profile this time).
+    // Restart purely from the directory (one series, no gap this time).
     let (model, resume_report, final_checkpoint) =
         OnlineExperiment::resume_from_dir(&dir, config).expect("resume from the killed run's dir");
     assert!(model.params_flat().iter().all(|p| p.is_finite()));
