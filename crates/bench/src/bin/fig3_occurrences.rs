@@ -8,12 +8,16 @@
 use melissa_bench::{arg_f64, figure_config, header, print_series, print_summary, run_online};
 use training_buffer::BufferKind;
 
+/// The paper's "rarely more than ~8" repetitions of one sample.
+const PAPER_MAX_REPETITIONS: usize = 8;
+
 fn main() {
     let scale = arg_f64("--scale", 0.06);
     header(&format!(
         "Figure 3: sample occurrence counts in Reservoir batches (scale {scale})"
     ));
 
+    let mut repetitions = Vec::new();
     for num_ranks in [1usize, 2, 4] {
         let config = figure_config(scale, BufferKind::Reservoir, num_ranks);
         let (_, report) = run_online(config);
@@ -39,11 +43,25 @@ fn main() {
             histogram.mean_repetitions(),
             histogram.max_repetitions()
         );
+        repetitions.push((
+            num_ranks,
+            histogram.mean_repetitions(),
+            histogram.max_repetitions(),
+        ));
     }
 
     println!();
     println!(
-        "Expected shape (paper): most samples are seen a couple of times, rarely more than ~8;\n\
+        "Paper's expected shape: most samples are seen a couple of times, rarely more than \
+         ~{PAPER_MAX_REPETITIONS};\n\
          increasing the number of GPUs at fixed data production increases repetition."
     );
+    for (num_ranks, mean, max) in repetitions {
+        let regime = if max <= PAPER_MAX_REPETITIONS {
+            "in the paper's regime"
+        } else {
+            "outside the paper's regime: the learner outruns the producers"
+        };
+        println!("This run, {num_ranks} rank(s): mean repetitions {mean:.2}, max {max}: {regime}.");
+    }
 }

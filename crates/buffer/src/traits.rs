@@ -1,7 +1,7 @@
 //! The [`TrainingBuffer`] abstraction shared by all buffer policies.
 
 use crate::stats::BufferStats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Why a buffer permanently removed a sample outside the normal serve path.
@@ -29,7 +29,7 @@ pub enum Evicted {
 pub type EvictionObserver<T> = Arc<dyn Fn(&T, Evicted) + Send + Sync>;
 
 /// The available buffer policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BufferKind {
     /// First In, First Out (pure streaming).
     Fifo,
@@ -58,7 +58,7 @@ impl BufferKind {
 /// The paper's experiments use a capacity of 6,000 samples (about a fourth of
 /// the 25,000 generated samples) and a threshold of 1,000 samples for FIRO and
 /// Reservoir; FIFO ignores the threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BufferConfig {
     /// Which policy to build.
     pub kind: BufferKind,

@@ -11,13 +11,13 @@ use melissa_ensemble::{CampaignPlan, LauncherConfig};
 use melissa_transport::fingerprint64;
 use melissa_transport::FaultConfig;
 use melissa_workload::PARAM_DIM;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 use surrogate_nn::{Activation, InitScheme, KernelIsa, MlpConfig};
 use training_buffer::{BufferConfig, BufferKind};
 
 /// The surrogate architecture description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SurrogateConfig {
     /// Width of the hidden layers (the paper uses 256).
     pub hidden_width: usize,
@@ -56,7 +56,7 @@ impl SurrogateConfig {
 }
 
 /// Training-loop parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrainingConfig {
     /// Batch size per rank (the paper uses 10).
     pub batch_size: usize,
@@ -86,7 +86,6 @@ pub struct TrainingConfig {
     /// kernels, a named ISA (`avx2`, `neon`) degrades to scalar when the CPU
     /// lacks it. Every resolved ISA is bit-identical on the training path, so
     /// this is an operational knob (excluded from the config fingerprint).
-    #[serde(default)]
     pub kernel_isa: KernelIsa,
 }
 
@@ -130,7 +129,7 @@ impl TrainingConfig {
 /// checkpoints and an append-only completion journal into `directory`, and
 /// [`crate::OnlineExperiment::resume_from_dir`] can restart the experiment
 /// from that directory after a process kill.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DurabilityConfig {
     /// Directory holding the checkpoint files and the journal (a string
     /// rather than a `PathBuf` because the vendored serde has no path
@@ -138,7 +137,6 @@ pub struct DurabilityConfig {
     pub directory: String,
     /// Durably save a checkpoint every this many trained batches on rank 0;
     /// 0 inherits [`ExperimentConfig::checkpoint_every_batches`].
-    #[serde(default)]
     pub checkpoint_every_batches: usize,
 }
 
@@ -167,7 +165,7 @@ impl DurabilityConfig {
 }
 
 /// The full description of one experiment (online or offline).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentConfig {
     /// The physics the clients stream (grid, steps, Δt, variant).
     pub workload: WorkloadSpec,
@@ -182,18 +180,15 @@ pub struct ExperimentConfig {
     /// Transport fault injection.
     pub fault: FaultConfig,
     /// Launcher behaviour: retry policy and watchdog failure detection.
-    #[serde(default)]
     pub launcher: LauncherConfig,
     /// Capture a server checkpoint every this many trained batches on rank 0
     /// (0 disables periodic checkpointing). Checkpoints are what a restarted
     /// server resumes from after a crash (§3.1).
-    #[serde(default)]
     pub checkpoint_every_batches: usize,
     /// On-disk durability of the recovery state: when set, checkpoints and
     /// the completion journal are persisted into the configured directory so
     /// a killed process can resume from disk. `None` (the default) keeps the
     /// PR 8 in-memory behaviour.
-    #[serde(default)]
     pub durability: Option<DurabilityConfig>,
     /// Capacity of each shard's inbound channel.
     pub channel_capacity: usize,
@@ -391,11 +386,11 @@ impl ExperimentConfig {
 /// the result, so a successfully built configuration is always runnable.
 ///
 /// ```
+/// use heat_solver::SolverConfig;
 /// use melissa::{ExperimentConfig, WorkloadSpec};
-/// use melissa_workload::AdvectionConfig;
 ///
 /// let config = ExperimentConfig::builder()
-///     .workload(WorkloadSpec::advection_analytic(AdvectionConfig::default()))
+///     .workload(WorkloadSpec::heat_analytic(SolverConfig::default()))
 ///     .ranks(2)
 ///     .batch_size(8)
 ///     .build()
@@ -549,7 +544,6 @@ impl ExperimentConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use melissa_workload::AdvectionConfig;
     use std::time::Duration;
 
     #[test]
@@ -636,7 +630,12 @@ mod tests {
     #[test]
     fn builder_composes_and_validates() {
         let config = ExperimentConfig::builder()
-            .workload(WorkloadSpec::advection_analytic(AdvectionConfig::default()))
+            .workload(WorkloadSpec::heat_analytic(SolverConfig {
+                nx: 16,
+                ny: 16,
+                steps: 25,
+                ..SolverConfig::default()
+            }))
             .campaign(CampaignPlan::single_series(6, 3))
             .buffer_paper_proportions(BufferKind::Fifo)
             .ranks(2)

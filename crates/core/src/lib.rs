@@ -27,10 +27,11 @@
 //! * [`ExperimentConfig`] describes one experiment (workload, surrogate,
 //!   buffer, rank count, schedules, validation); it is assembled fluently with
 //!   [`ExperimentConfig::builder`] and validated into typed [`ConfigError`]s.
-//! * [`WorkloadSpec`] names the physics the clients stream. The pipeline only
-//!   ever sees it through the physics-agnostic `melissa_workload::Workload`
-//!   trait, so any physics implementing that trait trains the same way (the
-//!   heat equation and the advection–diffusion reference both ship).
+//! * [`WorkloadSpec`] describes the heat workload the clients stream. The
+//!   pipeline only ever sees it through the physics-agnostic
+//!   `melissa_workload::Workload` trait, so another physics implementing that
+//!   trait would train the same way; the paper's heat equation is the one
+//!   that ships.
 //! * [`OnlineExperiment`] runs the full online pipeline and returns an
 //!   [`ExperimentReport`] with losses, throughput, buffer population and sample
 //!   occurrence histograms — everything needed to regenerate the paper's

@@ -41,7 +41,9 @@ pub struct ExperimentReport {
     pub batch_size: usize,
     /// Number of simulations the campaign ran.
     pub simulations: usize,
-    /// Number of unique samples produced by the campaign.
+    /// Number of unique samples produced by the campaign: for an online run,
+    /// the time steps the servers accepted past the dedup filter, so a
+    /// crashed or resumed run counts only what streamed in it.
     pub unique_samples_produced: usize,
     /// Number of unique samples actually used in at least one training batch.
     pub unique_samples_trained: usize,

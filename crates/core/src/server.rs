@@ -564,7 +564,7 @@ impl OnlineExperiment {
             label: config.buffer.kind.label().to_string(),
             buffer: Some(config.buffer.kind),
             simulations: config.total_simulations(),
-            unique_samples_produced: config.total_unique_samples(),
+            unique_samples_produced: aggregator_outcomes.iter().map(|o| o.accepted).sum(),
             dataset_bytes: config.dataset_bytes() as u64,
             generation_seconds: None,
             training_seconds: total_seconds,

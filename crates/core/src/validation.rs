@@ -203,7 +203,6 @@ mod tests {
     use crate::workload_spec::WorkloadSpec;
     use heat_solver::SolverConfig;
     use melissa_ensemble::{ParameterSampler, SamplerKind};
-    use melissa_workload::AdvectionConfig;
     use surrogate_nn::MlpConfig;
 
     /// Serial generation — one whole trajectory after another on the calling
@@ -248,17 +247,10 @@ mod tests {
             steps: 8,
             ..SolverConfig::default()
         };
-        let advection = AdvectionConfig {
-            nx: 8,
-            ny: 8,
-            steps: 5,
-            ..AdvectionConfig::default()
-        };
         let workloads = [
             WorkloadSpec::heat_analytic(analytic),
             WorkloadSpec::heat(solver),
             WorkloadSpec::heat_noisy(analytic, 5.0),
-            WorkloadSpec::advection_analytic(advection),
         ];
         for workload in workloads {
             for simulations in [0, 1, 5] {
@@ -328,27 +320,6 @@ mod tests {
         assert!(mse >= 0.0);
         let kelvin = validation.evaluate_physical(&model);
         assert!((kelvin - mse * 400.0 * 400.0).abs() < kelvin.abs() * 1e-4 + 1e-6);
-    }
-
-    #[test]
-    fn advection_workload_validates_too() {
-        let mut config = tiny_config();
-        config.workload = WorkloadSpec::advection_analytic(AdvectionConfig {
-            nx: 8,
-            ny: 8,
-            steps: 5,
-            ..AdvectionConfig::default()
-        });
-        let validation = ValidationSet::generate(&config);
-        assert_eq!(validation.len(), 2 * 5);
-        for s in validation.samples() {
-            assert_eq!(s.input.len(), 6);
-            assert_eq!(s.target.len(), 64);
-            // Inputs are normalised through the advection design space.
-            assert!(s.input.iter().all(|&v| (-1e-6..=1.0 + 1e-6).contains(&v)));
-        }
-        let model = Mlp::new(config.surrogate.mlp_config(config.output_size()));
-        assert!(validation.evaluate(&model).is_finite());
     }
 
     #[test]

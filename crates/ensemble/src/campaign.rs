@@ -6,11 +6,11 @@
 //! plus the experimental-design choice.
 
 use crate::sampler::SamplerKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Duration;
 
 /// One series of clients submitted together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ClientSeries {
     /// Number of simulations in this series.
     pub num_clients: usize,
@@ -19,7 +19,7 @@ pub struct ClientSeries {
 }
 
 /// The plan of a full ensemble campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignPlan {
     /// The successive client series.
     pub series: Vec<ClientSeries>,

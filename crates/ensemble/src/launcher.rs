@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 /// retry budget. The policy also owns the per-attempt seed derivation, so a
 /// restarted client can re-randomize anything that must *not* replay (e.g.
 /// transport jitter) while its simulation parameters stay fixed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RetryPolicy {
     /// How many times a failed client is resubmitted before giving up.
     pub max_retries: usize,
@@ -103,7 +103,7 @@ impl RetryPolicy {
 }
 
 /// Failure-detection deadlines of the launcher-side watchdog.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WatchdogConfig {
     /// A client whose heartbeat is older than this is declared dead.
     pub deadline: Duration,
@@ -122,7 +122,7 @@ impl WatchdogConfig {
 }
 
 /// Configuration of the launcher.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct LauncherConfig {
     /// Resubmission policy for failed clients.
     pub retry: RetryPolicy,

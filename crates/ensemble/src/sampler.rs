@@ -10,10 +10,10 @@ use melissa_workload::{ParamPoint, ParameterSpace, PARAM_DIM};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The sampler families supported by the framework.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
 pub enum SamplerKind {
     /// Independent uniform draws.
     #[default]

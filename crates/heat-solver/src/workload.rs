@@ -5,8 +5,8 @@
 //! balance, scheduler effects) does not require paying the full solver cost for
 //! every sample, so this module provides a [`SyntheticWorkload`] that can emit
 //! time steps either from the real solver ([`WorkloadKind::Solver`]) or from a
-//! cheap closed-form approximation ([`WorkloadKind::Analytic`]) with an optional
-//! per-step artificial compute delay to emulate a given solver cost.
+//! cheap closed-form approximation ([`WorkloadKind::Analytic`]), optionally
+//! with seeded observation noise on top (`noise_amplitude`).
 
 use crate::analytic::TransientTable;
 use crate::boundary::BoundaryConditions;
@@ -15,7 +15,7 @@ use crate::solver::{HeatSolver, SolverConfig, SolverError, TimeStepField};
 use melissa_workload::{
     ParamPoint, ParamRange, ParameterSpace, Workload, WorkloadError, WorkloadStep,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 impl From<SolverError> for WorkloadError {
     fn from(error: SolverError) -> Self {
@@ -25,7 +25,7 @@ impl From<SolverError> for WorkloadError {
 }
 
 /// How the workload produces its time steps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub enum WorkloadKind {
     /// Run the actual finite-difference solver (accurate, slower).
     #[default]

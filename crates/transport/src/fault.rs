@@ -15,11 +15,11 @@
 //! senders never serialize on the injector and the same seed yields the same
 //! fault schedule no matter how threads interleave.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Duration;
 
 /// One scripted failure in a [`FaultPlan`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum FaultEvent {
     /// Attempt `attempt` of client `client_id` crashes (returns an error)
     /// after emitting `after_steps` time steps.
@@ -87,7 +87,7 @@ pub struct ScriptedClientFault {
 /// The plan is data, not state: querying it never mutates anything, so the
 /// same plan replayed against the same experiment produces the same failure
 /// trace and therefore the same recovery trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// The scripted failures, in no particular order.
     pub events: Vec<FaultEvent>,
@@ -241,20 +241,16 @@ impl FaultPlan {
 }
 
 /// Probabilities and scripted faults applied to transport traffic.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultConfig {
     /// Probability that a message is silently dropped.
-    #[serde(default)]
     pub drop_probability: f64,
     /// Probability that a message is delivered twice (emulating a client
     /// retransmitting after an acknowledgement was lost).
-    #[serde(default)]
     pub duplicate_probability: f64,
     /// Seed of the injector's per-message fault decisions.
-    #[serde(default)]
     pub seed: u64,
     /// Scripted failures (client crashes/hangs, server crash, shard stalls).
-    #[serde(default)]
     pub plan: FaultPlan,
 }
 
@@ -440,28 +436,6 @@ mod tests {
         assert_eq!(plan.shard_stall(1, 1), None);
         assert!(FaultPlan::none().is_empty());
         assert!(!plan.is_empty());
-    }
-
-    #[test]
-    fn plan_survives_serde_roundtrip_inside_the_config() {
-        let config = FaultConfig {
-            drop_probability: 0.1,
-            seed: 9,
-            plan: FaultPlan::none()
-                .with_client_crash(1, 0, 3)
-                .with_server_crash(12),
-            ..FaultConfig::default()
-        };
-        let json = serde_json::to_string(&config).unwrap();
-        let back: FaultConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, config);
-        // Configs serialized before plans existed still deserialize.
-        let legacy: FaultConfig = serde_json::from_str(
-            r#"{"drop_probability":0.5,"duplicate_probability":0.0,"seed":1}"#,
-        )
-        .unwrap();
-        assert_eq!(legacy.drop_probability, 0.5);
-        assert!(legacy.plan.is_empty());
     }
 
     #[test]

@@ -14,37 +14,16 @@
 //! * [`ParameterSpace`] / [`ParamRange`] / [`ParamPoint`] — the sampled design
 //!   space, shared by the experimental-design samplers in `melissa-ensemble`
 //!   and by every workload.
-//! * [`WorkloadError`] — the typed error hierarchy for workload validation and
+//! * [`WorkloadError`] — the typed error of workload validation and
 //!   generation.
-//! * [`advection`] — the reference second physics: 2D advection–diffusion of a
-//!   Gaussian tracer, with analytic and finite-difference variants, proving the
-//!   training stack runs unchanged on a physics it was not written for. (The
-//!   first physics, the paper's 2D heat equation, lives in the `heat-solver`
-//!   crate and implements [`Workload`] there.)
+//!
+//! One physics ships: the paper's 2D heat equation, which lives in the
+//! `heat-solver` crate and implements [`Workload`] there. Another physics
+//! would plug in the same way, by implementing [`Workload`] and being what
+//! `melissa::WorkloadSpec::build` returns.
 
-pub mod advection;
 pub mod space;
 pub mod traits;
 
-pub use advection::{AdvectionConfig, AdvectionVariant, AdvectionWorkload};
 pub use space::{ParamPoint, ParamRange, ParameterSpace, PARAM_DIM};
 pub use traits::{Workload, WorkloadError, WorkloadStep};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn advection_workload_through_the_trait_object() {
-        let workload: Box<dyn Workload> =
-            Box::new(AdvectionWorkload::analytic(AdvectionConfig::default()));
-        assert_eq!(workload.shape(), vec![16, 16]);
-        assert_eq!(workload.field_len(), 256);
-        assert_eq!(workload.step_bytes(), 1024);
-        assert_eq!(workload.trajectory_bytes(), 1024 * 25);
-        assert!((workload.duration() - 0.5).abs() < 1e-12);
-        let params = workload.parameter_space().midpoint();
-        let steps = workload.trajectory(params).unwrap();
-        assert_eq!(steps.len(), workload.steps());
-    }
-}

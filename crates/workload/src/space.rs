@@ -2,8 +2,7 @@
 //!
 //! The framework streams time steps of black-box simulations whose behaviour is
 //! controlled by a fixed-dimension parameter vector `X` (the paper uses five
-//! temperatures; the advection–diffusion reference workload reinterprets the
-//! same five slots as pulse amplitude, velocity, diffusivity and width).
+//! temperatures, one per boundary edge plus the initial condition).
 //! Experimental-design samplers draw points on the unit hypercube and map them
 //! through a [`ParameterSpace`] — per-dimension [`ParamRange`]s — so neither
 //! the samplers nor the launcher need to know anything about the physics.

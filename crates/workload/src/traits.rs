@@ -17,30 +17,12 @@ use std::fmt;
 pub enum WorkloadError {
     /// The workload configuration is inconsistent.
     InvalidConfig(String),
-    /// The numerical scheme would be unstable on the requested discretisation.
-    Unstable {
-        /// The offending stability number (scheme-specific; must be ≤ 1 after
-        /// normalisation by the scheme's own limit).
-        stability_number: f64,
-    },
-    /// The parameter vector lies outside the workload's parameter space.
-    InvalidParams(String),
 }
 
 impl fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WorkloadError::InvalidConfig(reason) => {
-                write!(f, "invalid workload configuration: {reason}")
-            }
-            WorkloadError::Unstable { stability_number } => write!(
-                f,
-                "numerical scheme unstable: stability number {stability_number:.3} exceeds its limit"
-            ),
-            WorkloadError::InvalidParams(reason) => {
-                write!(f, "invalid workload parameters: {reason}")
-            }
-        }
+        let WorkloadError::InvalidConfig(reason) = self;
+        write!(f, "invalid workload configuration: {reason}")
     }
 }
 
@@ -82,7 +64,7 @@ impl WorkloadStep {
 /// restarted clients replay the exact same trajectory and validation sets are
 /// reproducible from a seed alone.
 pub trait Workload: Send + Sync {
-    /// A short, stable physics label ("heat2d", "advection-diffusion-2d", …).
+    /// A short, stable physics label (e.g. "heat2d", "heat2d-analytic").
     fn name(&self) -> &'static str;
 
     /// The grid dimensions of one emitted field (e.g. `[nx, ny]`); the field
@@ -181,11 +163,5 @@ mod tests {
     fn errors_render_their_context() {
         let e = WorkloadError::InvalidConfig("grid must be non-empty".into());
         assert!(e.to_string().contains("grid must be non-empty"));
-        let e = WorkloadError::Unstable {
-            stability_number: 2.5,
-        };
-        assert!(e.to_string().contains("2.5"));
-        let e = WorkloadError::InvalidParams("negative diffusivity".into());
-        assert!(e.to_string().contains("negative diffusivity"));
     }
 }

@@ -188,6 +188,7 @@ fn main() {
     );
     assert_eq!(report.durable_error, None);
     assert_eq!(transport.messages_sent, missing.len() * STEPS);
+    assert_eq!(report.unique_samples_produced, missing.len() * STEPS);
     let final_checkpoint = final_checkpoint.expect("the clean resume checkpoints");
     assert_eq!(
         final_checkpoint.completed_simulations,

@@ -219,6 +219,10 @@ fn retry_exhaustion_abandons_the_client_instead_of_hanging() {
     // sequence numbers, which the message log discarded.
     let total_unique = (CLIENTS - 1) * STEPS + 2;
     assert_eq!(report.unique_samples_trained, total_unique);
+    assert_eq!(
+        report.unique_samples_produced, total_unique,
+        "the report counts what streamed, not the configured campaign"
+    );
 }
 
 #[test]
@@ -250,6 +254,15 @@ fn server_crash_resume_reruns_only_missing_sims_with_exactly_once_accounting() {
 
     assert!(crash_report.crashed, "the scripted server crash must fire");
     assert!(crash_report.checkpoints_taken >= 1);
+    // The report counts what streamed before the crash: at least what was
+    // trained, at most the campaign (the producers usually finish first).
+    assert!(
+        (crash_report.unique_samples_trained..=CLIENTS * STEPS)
+            .contains(&crash_report.unique_samples_produced),
+        "the crashed run produced {} samples and trained {}",
+        crash_report.unique_samples_produced,
+        crash_report.unique_samples_trained
+    );
     let checkpoint = checkpoint.expect("checkpoints were being captured");
     assert!(
         !checkpoint.completed_simulations.is_empty(),
@@ -300,6 +313,11 @@ fn server_crash_resume_reruns_only_missing_sims_with_exactly_once_accounting() {
         resume_report.unique_samples_trained,
         missing.len() * STEPS,
         "completed simulations must not be retrained"
+    );
+    assert_eq!(
+        resume_report.unique_samples_produced,
+        missing.len() * STEPS,
+        "the resumed run produces only the rerun simulations' samples"
     );
 
     // The final checkpoint of the resumed run carries the union forward:

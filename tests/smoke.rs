@@ -1,13 +1,12 @@
 //! Fast workspace-wiring smoke test.
 //!
-//! Runs one tiny `OnlineExperiment` end-to-end for each shipped physics (8×8
-//! grid, 10 steps, 4 clients) so CI catches pipeline breakage in well under a
-//! second without paying the cost of the full `end_to_end.rs` suite.
+//! Runs one tiny `OnlineExperiment` end-to-end (8×8 grid, 10 steps, 4
+//! clients) so CI catches pipeline breakage in well under a second without
+//! paying the cost of the full `end_to_end.rs` suite.
 
 use heat_solver::SolverConfig;
 use melissa::{ExperimentConfig, OnlineExperiment, WorkloadSpec};
 use melissa_ensemble::CampaignPlan;
-use melissa_workload::AdvectionConfig;
 use surrogate_nn::Matrix;
 
 #[test]
@@ -47,32 +46,4 @@ fn tiny_online_experiment_runs_end_to_end() {
     );
     // Speed is kept by construction (8×8 grid, 10 steps, ~20 ms in debug);
     // no wall-clock assertion here — timing asserts are flaky on loaded CI.
-}
-
-#[test]
-fn tiny_advection_experiment_runs_end_to_end() {
-    // The same pipeline, untouched, on the second physics: the acceptance
-    // smoke test for the physics-agnostic Workload seam.
-    let config = ExperimentConfig::builder()
-        .workload(WorkloadSpec::advection_analytic(AdvectionConfig {
-            nx: 8,
-            ny: 8,
-            steps: 10,
-            ..AdvectionConfig::default()
-        }))
-        .campaign(CampaignPlan::single_series(4, 2))
-        .validation(2, 4)
-        .build()
-        .expect("config must validate");
-
-    let (model, report) = OnlineExperiment::new(config).expect("valid config").run();
-    assert_eq!(report.unique_samples_trained, 40);
-    let final_mse = report
-        .final_validation_mse
-        .expect("validation must have run");
-    assert!(
-        final_mse.is_finite() && final_mse >= 0.0,
-        "advection validation loss must be finite, got {final_mse}"
-    );
-    assert!(model.params_flat().iter().all(|p| p.is_finite()));
 }
