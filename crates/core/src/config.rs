@@ -128,7 +128,8 @@ impl TrainingConfig {
 /// When present on an [`ExperimentConfig`], rank 0 writes crash-safe
 /// checkpoints and an append-only completion journal into `directory`, and
 /// [`crate::OnlineExperiment::resume_from_dir`] can restart the experiment
-/// from that directory after a process kill.
+/// from that directory after a server crash or a process kill. The directory
+/// is the only place a checkpoint lives: a run without it captures none.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DurabilityConfig {
     /// Directory holding the checkpoint files and the journal (a string
@@ -136,12 +137,12 @@ pub struct DurabilityConfig {
     /// impls; use [`DurabilityConfig::directory_path`] to consume it).
     pub directory: String,
     /// Durably save a checkpoint every this many trained batches on rank 0;
-    /// 0 inherits [`ExperimentConfig::checkpoint_every_batches`].
+    /// 0 saves only the final checkpoint of a run that drains.
     pub checkpoint_every_batches: usize,
 }
 
 impl DurabilityConfig {
-    /// A configuration with the default cadence and retention for `directory`.
+    /// A configuration for `directory` that saves only the final checkpoint.
     pub fn new(directory: impl Into<String>) -> Self {
         Self {
             directory: directory.into(),
@@ -152,15 +153,6 @@ impl DurabilityConfig {
     /// The durability directory as a path.
     pub fn directory_path(&self) -> PathBuf {
         Path::new(&self.directory).to_path_buf()
-    }
-
-    /// The checkpoint cadence after inheriting `fallback` when unset here.
-    pub fn effective_checkpoint_every(&self, fallback: usize) -> usize {
-        if self.checkpoint_every_batches > 0 {
-            self.checkpoint_every_batches
-        } else {
-            fallback
-        }
     }
 }
 
@@ -181,14 +173,10 @@ pub struct ExperimentConfig {
     pub fault: FaultConfig,
     /// Launcher behaviour: retry policy and watchdog failure detection.
     pub launcher: LauncherConfig,
-    /// Capture a server checkpoint every this many trained batches on rank 0
-    /// (0 disables periodic checkpointing). Checkpoints are what a restarted
-    /// server resumes from after a crash (§3.1).
-    pub checkpoint_every_batches: usize,
-    /// On-disk durability of the recovery state: when set, checkpoints and
-    /// the completion journal are persisted into the configured directory so
-    /// a killed process can resume from disk. `None` (the default) keeps the
-    /// PR 8 in-memory behaviour.
+    /// On-disk durability of the recovery state: when set, checkpoints (at
+    /// its cadence) and the completion journal are persisted into the
+    /// configured directory, which a restarted server resumes from after a
+    /// crash (§3.1). `None` (the default) checkpoints nothing.
     pub durability: Option<DurabilityConfig>,
     /// Capacity of each shard's inbound channel.
     pub channel_capacity: usize,
@@ -233,7 +221,6 @@ impl ExperimentConfig {
             campaign: CampaignPlan::single_series(8, 4),
             fault: FaultConfig::none(),
             launcher: LauncherConfig::default(),
-            checkpoint_every_batches: 0,
             durability: None,
             channel_capacity: 256,
             ingest_shards: 1,
@@ -265,7 +252,6 @@ impl ExperimentConfig {
             campaign,
             fault: FaultConfig::none(),
             launcher: LauncherConfig::default(),
-            checkpoint_every_batches: 0,
             durability: None,
             channel_capacity: 1024,
             ingest_shards: 1,
@@ -456,12 +442,6 @@ impl ExperimentConfigBuilder {
     /// Sets the launcher behaviour (retry policy, watchdog).
     pub fn launcher(mut self, launcher: LauncherConfig) -> Self {
         self.config.launcher = launcher;
-        self
-    }
-
-    /// Sets the checkpoint cadence in trained batches (0 disables).
-    pub fn checkpoint_every_batches(mut self, batches: usize) -> Self {
-        self.config.checkpoint_every_batches = batches;
         self
     }
 
@@ -676,14 +656,9 @@ mod tests {
     }
 
     #[test]
-    fn durability_config_defaults_and_inheritance() {
+    fn durability_config_defaults_to_the_final_checkpoint_only() {
         let d = DurabilityConfig::new("/tmp/somewhere");
-        assert_eq!(d.effective_checkpoint_every(25), 25);
-        let explicit = DurabilityConfig {
-            checkpoint_every_batches: 10,
-            ..d
-        };
-        assert_eq!(explicit.effective_checkpoint_every(25), 10);
+        assert_eq!(d.checkpoint_every_batches, 0);
 
         let config = ExperimentConfig::builder()
             .durability(DurabilityConfig::new("/tmp/somewhere"))

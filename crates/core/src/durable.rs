@@ -1,10 +1,11 @@
 //! Crash-safe on-disk durability for the recovery state: checkpoint store,
 //! completion journal and the recorder that feeds both from the training loop.
 //!
-//! PR 8 implemented the paper's §3.1 fault-tolerance protocol for *in-process*
-//! crashes only: checkpoints lived in a [`crate::recovery::CheckpointStore`]
-//! in memory, so a real `kill -9` discarded every batch trained. This module
-//! makes the recovery state survive process death:
+//! The paper's §3.1 protocol restarts a failed server "from the last
+//! checkpoint". The durability directory is the only place a checkpoint
+//! lives, so the same restart, `OnlineExperiment::resume_from_dir`, follows
+//! a scripted server crash and a `kill -9` alike. This module makes that
+//! state survive process death:
 //!
 //! * [`DurableCheckpointStore`] — writes each [`ServerCheckpoint`] with the
 //!   atomic protocol (serialize → temp file → fsync → rename → fsync

@@ -76,7 +76,7 @@ pub use metrics::{
     ThroughputTracker,
 };
 pub use offline::OfflineExperiment;
-pub use recovery::{CheckpointStore, IngestControl, ReceptionGate, RecoveryHooks, RecoveryTracker};
+pub use recovery::{IngestControl, ReceptionGate, RecoveryHooks, RecoveryTracker};
 pub use report::{ExperimentReport, SidecarReport};
 pub use sample::{
     fill_batch_from_buffer, payload_into_sample, payload_to_sample, step_to_payload, step_to_sample,

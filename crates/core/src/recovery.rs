@@ -4,7 +4,7 @@
 //! §3.1: *"The server is regularly checkpointed. If a server failure is
 //! detected by the launcher, it first kills all running clients and next
 //! restarts a new server instance from the last checkpoint."* This module
-//! holds the shared state that makes that loop work in-process:
+//! holds the state the server's threads share to run that loop:
 //!
 //! * [`ReceptionGate`] — how many clients the aggregators still wait on. The
 //!   launcher decrements it when a client exhausts its retry budget, so the
@@ -14,11 +14,12 @@
 //!   accounting across every rank, from which the set of *completed*
 //!   simulations is derived. Only completed simulations enter a checkpoint;
 //!   on restart, everything else is rerun from scratch.
-//! * [`CheckpointStore`] — the latest [`ServerCheckpoint`] plus a capture
-//!   counter, written by rank 0's training thread between batches.
-//! * [`RecoveryHooks`] — the bundle of the above handed to each
-//!   [`crate::trainer::RankTrainer`], including the scripted server-crash
-//!   fault and the `server_down` flag every thread polls.
+//! * [`RecoveryHooks`] — what each [`crate::trainer::RankTrainer`] needs
+//!   for it: the checkpoint cadence, the tracker, the checkpoint being
+//!   resumed, the durable recorder rank 0's sidecar persists captures into,
+//!   the scripted server-crash fault and the `server_down` flag every thread
+//!   polls. A checkpoint lives only in the durability directory
+//!   ([`crate::durable`]); a restart reads it back from there.
 //! * [`IngestControl`] — the control surface of one rank's
 //!   [`crate::aggregator::Aggregator`]: gate, termination flags, tracker and
 //!   the completed simulations whose replayed traffic must be discarded.
@@ -271,54 +272,13 @@ impl RecoveryTracker {
     }
 }
 
-/// The latest checkpoint of the run plus how many were taken.
-#[derive(Debug, Default)]
-pub struct CheckpointStore {
-    inner: Mutex<StoreState>,
-}
-
-#[derive(Debug, Default)]
-struct StoreState {
-    latest: Option<Arc<ServerCheckpoint>>,
-    taken: usize,
-}
-
-impl CheckpointStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a freshly captured checkpoint as the latest. Takes the
-    /// checkpoint by value or already shared: rank 0 hands the same `Arc` to
-    /// its sidecar for persistence, so the parameter copy is made once.
-    pub fn record(&self, checkpoint: impl Into<Arc<ServerCheckpoint>>) {
-        let mut inner = self.inner.lock();
-        inner.latest = Some(checkpoint.into());
-        inner.taken += 1;
-    }
-
-    /// The latest checkpoint, if any was taken.
-    pub fn latest(&self) -> Option<ServerCheckpoint> {
-        let latest = self.inner.lock().latest.clone();
-        latest.map(Arc::unwrap_or_clone)
-    }
-
-    /// Number of checkpoints taken so far.
-    pub fn taken(&self) -> usize {
-        self.inner.lock().taken
-    }
-}
-
 /// Everything a [`crate::trainer::RankTrainer`] needs to participate in
 /// crash recovery. Cloned per rank; all state is shared through `Arc`s.
 #[derive(Clone)]
 pub struct RecoveryHooks {
-    /// Capture a checkpoint every this many data batches on rank 0; 0
-    /// disables periodic checkpointing.
+    /// Capture a checkpoint every this many data batches on rank 0 and hand
+    /// it to the sidecar to persist; 0 disables periodic checkpointing.
     pub checkpoint_every_batches: usize,
-    /// Where rank 0 deposits captured checkpoints.
-    pub store: Arc<CheckpointStore>,
     /// Cross-rank per-simulation accounting.
     pub tracker: Arc<RecoveryTracker>,
     /// Scripted fault: rank 0 takes the whole server down after this many
@@ -334,7 +294,7 @@ pub struct RecoveryHooks {
     pub resume: Option<Arc<ServerCheckpoint>>,
     /// On-disk durability sink (checkpoint store + completion journal),
     /// written by rank 0's sidecar thread from the snapshots the learner
-    /// hands it; `None` keeps the in-memory-only behaviour.
+    /// hands it; `None` persists nothing.
     pub durable: Option<Arc<crate::durable::DurableRecorder>>,
 }
 
@@ -375,7 +335,6 @@ impl IngestControl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use surrogate_nn::{Activation, InitScheme, Mlp, MlpConfig};
 
     #[test]
     fn gate_counts_down_and_saturates() {
@@ -484,23 +443,5 @@ mod tests {
         // consumed >= received holds vacuously, the received>0 guard rejects it.
         tracker.record_finalized(4);
         assert!(tracker.completed_simulations().is_empty());
-    }
-
-    #[test]
-    fn checkpoint_store_keeps_the_latest_and_counts() {
-        let model = Mlp::new(MlpConfig {
-            layer_sizes: vec![2, 4, 1],
-            activation: Activation::ReLU,
-            init: InitScheme::HeUniform,
-            seed: 1,
-        });
-        let store = CheckpointStore::new();
-        assert!(store.latest().is_none());
-        store.record(ServerCheckpoint::capture(&model, 5, 50, vec![0], 9));
-        store.record(ServerCheckpoint::capture(&model, 10, 100, vec![0, 1], 9));
-        assert_eq!(store.taken(), 2);
-        let latest = store.latest().unwrap();
-        assert_eq!(latest.batches_trained, 10);
-        assert_eq!(latest.completed_simulations, vec![0, 1]);
     }
 }

@@ -39,7 +39,9 @@ pub struct ExperimentReport {
     pub num_ranks: usize,
     /// Batch size per rank.
     pub batch_size: usize,
-    /// Number of simulations the campaign ran.
+    /// Number of simulations the run submitted: for an online run, the
+    /// launcher's completed plus abandoned clients, so a resumed run counts
+    /// only the simulations it reran.
     pub simulations: usize,
     /// Number of unique samples produced by the campaign: for an online run,
     /// the time steps the servers accepted past the dedup filter, so a
@@ -76,10 +78,14 @@ pub struct ExperimentReport {
     /// Launcher report of the data-generation campaign, when one ran.
     pub launcher: Option<LauncherReport>,
     /// True when the run ended in a (scripted) server crash instead of
-    /// draining normally; resume from [`ExperimentReport::checkpoints_taken`]
-    /// via `OnlineExperiment::resume`.
+    /// draining normally; `OnlineExperiment::resume_from_dir` restarts it
+    /// from its durability directory.
     pub crashed: bool,
-    /// Number of server checkpoints captured during the run.
+    /// Number of server checkpoints captured during the run: rank 0's
+    /// captures at the checkpoint cadence plus the final one of a run that
+    /// drained. Counted where they are captured, apart from
+    /// [`ExperimentReport::durable_checkpoints`], which counts what landed on
+    /// disk.
     pub checkpoints_taken: usize,
     /// Clients abandoned after exhausting their retry budget (or failing
     /// fatally); the run completed without their data.
@@ -109,11 +115,11 @@ impl ExperimentReport {
     /// What the ranks of a run trained, merged for its report: rank 0's
     /// replica (every replica is identical) and a report holding the training
     /// fields — losses, throughput and occurrences from every rank, their
-    /// sample, batch and throughput sums, rank 0's sidecar and the resolved
-    /// kernel ISA and FP mode. The caller fills in the rest. Occurrence tables
-    /// are moved out of `outcomes`: counted rank-locally in the hot loop, they
-    /// are summed here, after the rank threads joined, so no cross-rank lock
-    /// is ever taken for them.
+    /// sample, batch, checkpoint-capture and throughput sums, rank 0's
+    /// sidecar and the resolved kernel ISA and FP mode. The caller fills in
+    /// the rest. Occurrence tables are moved out of `outcomes`: counted
+    /// rank-locally in the hot loop, they are summed here, after the rank
+    /// threads joined, so no cross-rank lock is ever taken for them.
     pub(crate) fn from_rank_outcomes(
         outcomes: &mut [RankOutcome],
         training: &TrainingConfig,
@@ -149,6 +155,7 @@ impl ExperimentReport {
             unique_samples_trained: occurrences.counts().count(),
             samples_trained: outcomes.iter().map(|o| o.samples_consumed).sum(),
             batches: outcomes.iter().map(|o| o.batches_with_data).sum(),
+            checkpoints_taken: outcomes.iter().map(|o| o.checkpoints_captured).sum(),
             min_validation_mse: metrics.min_validation_loss(),
             final_validation_mse: metrics.final_validation_loss(),
             mean_throughput: outcomes.iter().map(|o| o.mean_throughput).sum(),

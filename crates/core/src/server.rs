@@ -21,9 +21,7 @@ use crate::durable::{
 };
 use crate::error::ExperimentError;
 use crate::metrics::OccurrenceTable;
-use crate::recovery::{
-    CheckpointStore, IngestControl, ReceptionGate, RecoveryHooks, RecoveryTracker,
-};
+use crate::recovery::{IngestControl, ReceptionGate, RecoveryHooks, RecoveryTracker};
 use crate::report::ExperimentReport;
 use crate::sample::step_to_payload;
 use crate::trainer::{RankOutcome, RankTrainer, TrainerShared};
@@ -45,6 +43,15 @@ const KEEP_LAST_CHECKPOINTS: usize = 3;
 /// Completion records appended between two journal fsyncs (the recorder also
 /// flushes after each batch of completions).
 const JOURNAL_FLUSH_EVERY: usize = 8;
+
+/// What [`OnlineExperiment::open_durable`] opened in a durability directory.
+struct OpenedDurable {
+    recorder: Arc<DurableRecorder>,
+    /// The newest checkpoint that validates, when one was asked for.
+    checkpoint: Option<ServerCheckpoint>,
+    /// The simulations the completion journal replayed.
+    journaled: Vec<u64>,
+}
 
 /// A scripted hang: the client stops reporting progress and waits for the
 /// launcher's watchdog to declare the attempt dead, then unwinds. A safety
@@ -80,44 +87,40 @@ impl OnlineExperiment {
         &self.config
     }
 
-    /// Runs the experiment and returns the trained surrogate and its report.
+    /// Runs the experiment from a fresh start and returns the trained
+    /// surrogate and its report. When the configuration carries a
+    /// [`DurabilityConfig`], rank 0 persists checkpoints at its cadence, the
+    /// completion journal and, when the run drains, a final checkpoint into
+    /// its directory, which [`OnlineExperiment::resume_from_dir`] restarts
+    /// from — after a scripted server crash (the report's `crashed` flag) or
+    /// a process kill alike. Persistence runs on rank 0's sidecar thread,
+    /// which is joined before this returns — after a crash too — so the
+    /// directory is quiescent (no write in flight, as many durable
+    /// checkpoints as were taken) and can be resumed from at once. A
+    /// durability *open* failure is surfaced through the report's
+    /// `durable_error` and the run trains on without checkpoints: training is
+    /// never refused because a disk was unavailable.
     pub fn run(&self) -> (Mlp, ExperimentReport) {
-        let (model, report, _checkpoint) = self.run_with_durability(None);
-        (model, report)
+        let Some(durability) = &self.config.durability else {
+            return self.run_internal(None, &[], None);
+        };
+        match self.open_durable(&durability.directory_path(), false) {
+            Ok(opened) => self.run_internal(None, &[], Some(opened.recorder)),
+            Err(error) => {
+                let (model, mut report) = self.run_internal(None, &[], None);
+                report.durable_error = Some(error.to_string());
+                (model, report)
+            }
+        }
     }
 
-    /// Runs the experiment like [`OnlineExperiment::run`], additionally
-    /// returning the latest [`ServerCheckpoint`]. When the run ends in a
-    /// (scripted) server crash, the report's `crashed` flag is set and the
-    /// checkpoint is what [`OnlineExperiment::resume`] restarts from. When
-    /// the configuration carries a [`DurabilityConfig`], checkpoints and the
-    /// completion journal are additionally persisted to its directory, so a
-    /// *process* kill can be resumed with
-    /// [`OnlineExperiment::resume_from_dir`]. Persistence runs on rank 0's
-    /// sidecar thread, which is joined before this returns — after a crash
-    /// too — so the directory is quiescent (no write in flight, as many
-    /// durable checkpoints as were taken) and can be resumed from at once.
-    pub fn run_recoverable(&self) -> (Mlp, ExperimentReport, Option<ServerCheckpoint>) {
-        self.run_with_durability(None)
-    }
-
-    /// Restarts the experiment from a checkpoint (§3.1): the model resumes
-    /// from the checkpointed weights and progress counters, only the
-    /// simulations missing from `checkpoint.completed_simulations` are
-    /// resubmitted to the launcher, and any replayed traffic of completed
-    /// simulations is discarded by the message logs.
-    pub fn resume(
-        &self,
-        checkpoint: &ServerCheckpoint,
-    ) -> (Mlp, ExperimentReport, Option<ServerCheckpoint>) {
-        self.run_with_durability(Some(checkpoint))
-    }
-
-    /// Restarts an experiment purely from its durability directory: the
-    /// newest checkpoint that validates supplies the model and progress
+    /// Restarts an experiment from its durability directory (§3.1: the
+    /// server restarts "from the last checkpoint"): the newest checkpoint
+    /// that validates supplies the model, the optimizer and the progress
     /// counters, the completion journal supplies the simulations that
     /// completed after that checkpoint was taken, and only simulations in
-    /// neither are rerun. The directory must exist ([`DurabilityError`]
+    /// neither are rerun; replayed traffic of the others is discarded by the
+    /// message logs. The directory must exist ([`DurabilityError`]
     /// otherwise); an existing-but-empty directory starts a fresh run that
     /// persists into it. `config.durability` is overridden to point at `dir`.
     ///
@@ -129,7 +132,7 @@ impl OnlineExperiment {
     pub fn resume_from_dir(
         dir: impl AsRef<Path>,
         mut config: ExperimentConfig,
-    ) -> Result<(Mlp, ExperimentReport, Option<ServerCheckpoint>), DurabilityError> {
+    ) -> Result<(Mlp, ExperimentReport), DurabilityError> {
         let dir = dir.as_ref();
         if !dir.is_dir() {
             return Err(DurabilityError::MissingDirectory(dir.to_path_buf()));
@@ -139,7 +142,7 @@ impl OnlineExperiment {
             .take()
             .unwrap_or_else(|| DurabilityConfig::new(dir.to_string_lossy()));
         durability.directory = dir.to_string_lossy().into_owned();
-        config.durability = Some(durability.clone());
+        config.durability = Some(durability);
         let experiment = Self::new(config)?;
         let identity = experiment.durable_identity();
         if let Some(stored) = crate::durable::peek_identity(dir)? {
@@ -167,21 +170,12 @@ impl OnlineExperiment {
             }
         }
 
-        let store = DurableCheckpointStore::open(dir, identity, KEEP_LAST_CHECKPOINTS)?;
-        let latest = store.load_latest()?;
-        let checkpoint = latest.latest.map(|(_, checkpoint)| checkpoint);
-        let (journal, journaled) = CompletionJournal::open(dir, identity, JOURNAL_FLUSH_EVERY)?;
-        let already_durable: Vec<u64> = journaled
-            .iter()
-            .copied()
-            .chain(
-                checkpoint
-                    .iter()
-                    .flat_map(|cp| cp.completed_simulations.iter().copied()),
-            )
-            .collect();
-        let recorder = Arc::new(DurableRecorder::new(store, journal, already_durable));
-        Ok(experiment.run_internal(checkpoint.map(Arc::new), &journaled, Some(recorder)))
+        let opened = experiment.open_durable(dir, true)?;
+        Ok(experiment.run_internal(
+            opened.checkpoint.map(Arc::new),
+            &opened.journaled,
+            Some(opened.recorder),
+        ))
     }
 
     /// The identity stamped into this experiment's durable files.
@@ -192,56 +186,34 @@ impl OnlineExperiment {
         }
     }
 
-    /// Opens the durable recorder for `durability`, seeding its
-    /// already-journaled set from the journal replay and the resumed
-    /// checkpoint, so a run never re-appends completions that are already
-    /// durable.
-    fn open_durable(
-        &self,
-        durability: &DurabilityConfig,
-        resume: Option<&ServerCheckpoint>,
-    ) -> Result<Arc<DurableRecorder>, DurabilityError> {
+    /// Opens the checkpoint store and the completion journal in `dir` and
+    /// the recorder over both. With `resume`, the newest checkpoint that
+    /// validates is loaded too. The recorder's already-durable set is seeded
+    /// from the journal replay and that checkpoint, so a run never
+    /// re-appends completions that are already durable.
+    fn open_durable(&self, dir: &Path, resume: bool) -> Result<OpenedDurable, DurabilityError> {
         let identity = self.durable_identity();
-        let dir = durability.directory_path();
-        let store = DurableCheckpointStore::open(&dir, identity, KEEP_LAST_CHECKPOINTS)?;
-        let (journal, journaled) = CompletionJournal::open(&dir, identity, JOURNAL_FLUSH_EVERY)?;
-        let already_durable: Vec<u64> = journaled
-            .into_iter()
-            .chain(
-                resume
-                    .iter()
-                    .flat_map(|cp| cp.completed_simulations.iter().copied()),
-            )
-            .collect();
-        Ok(Arc::new(DurableRecorder::new(
-            store,
-            journal,
-            already_durable,
-        )))
-    }
-
-    /// Common entry of [`OnlineExperiment::run`], `run_recoverable` and
-    /// `resume`: opens the durable recorder when one is configured. A
-    /// durability *open* failure degrades the run to in-memory recovery and
-    /// is surfaced through the report's `durable_error` — training is never
-    /// refused because a disk was unavailable.
-    fn run_with_durability(
-        &self,
-        resume: Option<&ServerCheckpoint>,
-    ) -> (Mlp, ExperimentReport, Option<ServerCheckpoint>) {
-        let (durable, open_error) = match &self.config.durability {
-            Some(durability) => match self.open_durable(durability, resume) {
-                Ok(recorder) => (Some(recorder), None),
-                Err(error) => (None, Some(error.to_string())),
-            },
-            None => (None, None),
+        let store = DurableCheckpointStore::open(dir, identity, KEEP_LAST_CHECKPOINTS)?;
+        let checkpoint = if resume {
+            store
+                .load_latest()?
+                .latest
+                .map(|(_, checkpoint)| checkpoint)
+        } else {
+            None
         };
-        let resume = resume.cloned().map(Arc::new);
-        let (model, mut report, checkpoint) = self.run_internal(resume, &[], durable);
-        if report.durable_error.is_none() {
-            report.durable_error = open_error;
-        }
-        (model, report, checkpoint)
+        let (journal, journaled) = CompletionJournal::open(dir, identity, JOURNAL_FLUSH_EVERY)?;
+        let already_durable = journaled.iter().copied().chain(
+            checkpoint
+                .iter()
+                .flat_map(|cp| cp.completed_simulations.iter().copied()),
+        );
+        let recorder = Arc::new(DurableRecorder::new(store, journal, already_durable));
+        Ok(OpenedDurable {
+            recorder,
+            checkpoint,
+            journaled,
+        })
     }
 
     fn run_internal(
@@ -249,7 +221,7 @@ impl OnlineExperiment {
         resume: Option<Arc<ServerCheckpoint>>,
         journaled: &[u64],
         durable: Option<Arc<DurableRecorder>>,
-    ) -> (Mlp, ExperimentReport, Option<ServerCheckpoint>) {
+    ) -> (Mlp, ExperimentReport) {
         let config = &self.config;
         let start = Instant::now();
 
@@ -335,19 +307,14 @@ impl OnlineExperiment {
             }));
         }
 
-        // The durable cadence can override the in-memory one (and inherits it
-        // when unset), so a durability-configured run checkpoints on disk and
-        // in memory at the same batches.
-        let checkpoint_every_batches = match &config.durability {
-            Some(durability) => {
-                durability.effective_checkpoint_every(config.checkpoint_every_batches)
-            }
-            None => config.checkpoint_every_batches,
+        // A checkpoint lives only in the durability directory, so a run
+        // without an open recorder never captures one.
+        let checkpoint_every_batches = match (&config.durability, &durable) {
+            (Some(durability), Some(_)) => durability.checkpoint_every_batches,
+            _ => 0,
         };
-        let store = Arc::new(CheckpointStore::new());
         let hooks = RecoveryHooks {
             checkpoint_every_batches,
-            store: Arc::clone(&store),
             tracker: Arc::clone(&tracker),
             // A scripted server crash fires once: the restarted incarnation
             // must be able to finish the run.
@@ -537,8 +504,9 @@ impl OnlineExperiment {
 
         // ordering: Acquire — pairs with the trainer's Release store; observes whether the run ended in a scripted server crash
         let crashed = server_down.load(Ordering::Acquire);
-        if !crashed && (checkpoint_every_batches > 0 || durable.is_some()) {
-            // Capture a final checkpoint so a clean run also leaves a
+        let mut checkpoints_taken = training.checkpoints_taken;
+        if let Some(durable) = durable.as_ref().filter(|_| !crashed) {
+            // Persist a final checkpoint so a clean run also leaves a
             // restart point covering everything it consumed. It takes rank
             // 0's optimizer rather than a copy, and the other ranks' outcomes
             // are freed first, so the run's last allocations stay small.
@@ -553,17 +521,18 @@ impl OnlineExperiment {
                 config.seed,
             );
             final_checkpoint.optimizer = rank0.map(|o| o.optimizer);
-            if let Some(durable) = &durable {
-                durable.record_completions(&final_checkpoint.completed_simulations);
-                durable.record_checkpoint(&final_checkpoint);
-            }
-            store.record(final_checkpoint);
+            durable.record_completions(&final_checkpoint.completed_simulations);
+            durable.record_checkpoint(&final_checkpoint);
+            checkpoints_taken += 1;
         }
 
         let mut report = ExperimentReport {
             label: config.buffer.kind.label().to_string(),
             buffer: Some(config.buffer.kind),
-            simulations: config.total_simulations(),
+            // Every client this incarnation submitted, retried or not.
+            simulations: launcher_report
+                .as_ref()
+                .map_or(0, |r| r.completed + r.failed),
             unique_samples_produced: aggregator_outcomes.iter().map(|o| o.accepted).sum(),
             dataset_bytes: config.dataset_bytes() as u64,
             generation_seconds: None,
@@ -572,7 +541,7 @@ impl OnlineExperiment {
             buffer_stats,
             transport: Some(fabric.stats()),
             crashed,
-            checkpoints_taken: store.taken(),
+            checkpoints_taken,
             abandoned_clients: launcher_report
                 .as_ref()
                 .map(|r| r.abandoned_clients.clone())
@@ -593,7 +562,7 @@ impl OnlineExperiment {
         }
         occupancy.sort_by(|a, b| a.elapsed_seconds.total_cmp(&b.elapsed_seconds));
 
-        (model, report, store.latest())
+        (model, report)
     }
 }
 
@@ -707,6 +676,23 @@ mod tests {
         assert!(OnlineExperiment::new(config).is_err());
     }
 
+    /// Durability into `dir`, saving a checkpoint every 2 batches.
+    fn every_2_batches(dir: &Path) -> DurabilityConfig {
+        DurabilityConfig {
+            checkpoint_every_batches: 2,
+            ..DurabilityConfig::new(dir.to_string_lossy())
+        }
+    }
+
+    /// The newest checkpoint in `dir`, read the way a restart reads it.
+    fn latest_checkpoint(dir: &Path, config: &ExperimentConfig) -> Option<ServerCheckpoint> {
+        let identity = OnlineExperiment::new(config.clone())
+            .unwrap()
+            .durable_identity();
+        let store = DurableCheckpointStore::open(dir, identity, KEEP_LAST_CHECKPOINTS).unwrap();
+        store.load_latest().unwrap().latest.map(|(_, cp)| cp)
+    }
+
     #[test]
     fn durable_run_persists_and_resume_from_dir_reruns_nothing() {
         let dir =
@@ -715,22 +701,21 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
 
         let mut config = tiny_config(BufferKind::Reservoir, 1);
-        config.checkpoint_every_batches = 2;
-        config.durability = Some(crate::DurabilityConfig::new(dir.to_string_lossy()));
-        let (_, report, checkpoint) = OnlineExperiment::new(config.clone())
-            .unwrap()
-            .run_recoverable();
+        config.durability = Some(every_2_batches(&dir));
+        let (_, report) = OnlineExperiment::new(config.clone()).unwrap().run();
         assert_eq!(report.durable_error, None);
         assert!(report.durable_checkpoints >= 1, "final save always lands");
+        let checkpoint = latest_checkpoint(&dir, &config);
         assert_eq!(checkpoint.unwrap().completed_simulations.len(), 4);
 
         // Resuming the directory of a finished run reruns nothing: every
         // simulation is already covered by the checkpoint + journal, so no
         // client ever streams a message.
-        let (model, resume_report, resumed) =
-            OnlineExperiment::resume_from_dir(&dir, config).unwrap();
+        let (model, resume_report) =
+            OnlineExperiment::resume_from_dir(&dir, config.clone()).unwrap();
         assert!(model.params_flat().iter().all(|p| p.is_finite()));
         assert_eq!(resume_report.transport.unwrap().messages_sent, 0);
+        let resumed = latest_checkpoint(&dir, &config);
         assert_eq!(resumed.unwrap().completed_simulations.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -753,11 +738,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
 
         let mut config = tiny_config(BufferKind::Reservoir, 1);
-        config.checkpoint_every_batches = 2;
-        config.durability = Some(crate::DurabilityConfig::new(dir.to_string_lossy()));
-        let (_, report, _) = OnlineExperiment::new(config.clone())
-            .unwrap()
-            .run_recoverable();
+        config.durability = Some(every_2_batches(&dir));
+        let (_, report) = OnlineExperiment::new(config.clone()).unwrap().run();
         assert_eq!(report.durable_error, None);
 
         // Same configuration, different seed: the message must name the seed
@@ -795,7 +777,7 @@ mod tests {
         );
 
         // The matching configuration still resumes fine afterwards.
-        let (_, resume_report, _) = OnlineExperiment::resume_from_dir(&dir, config).unwrap();
+        let (_, resume_report) = OnlineExperiment::resume_from_dir(&dir, config).unwrap();
         assert_eq!(resume_report.transport.unwrap().messages_sent, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -807,14 +789,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
 
         let mut config = tiny_config(BufferKind::Reservoir, 1);
-        config.checkpoint_every_batches = 2;
-        let (model, report, checkpoint) = OnlineExperiment::resume_from_dir(&dir, config).unwrap();
+        config.durability = Some(every_2_batches(&dir));
+        let (model, report) = OnlineExperiment::resume_from_dir(&dir, config.clone()).unwrap();
         assert!(model.params_flat().iter().all(|p| p.is_finite()));
         assert_eq!(report.unique_samples_trained, 40);
         assert!(
             report.durable_checkpoints >= 1,
             "fresh run persists into the dir"
         );
+        let checkpoint = latest_checkpoint(&dir, &config);
         assert_eq!(checkpoint.unwrap().completed_simulations.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -143,6 +143,8 @@ pub struct RankOutcome {
     pub batches_with_data: usize,
     /// Number of samples this rank consumed from its buffer.
     pub samples_consumed: usize,
+    /// Checkpoints this rank captured at the recovery cadence (rank 0 only).
+    pub checkpoints_captured: usize,
     /// Per-sample occurrence counts of this rank (Figure 3). Counted locally
     /// in the hot loop and merged across ranks by the orchestrator after the
     /// rank threads join, replacing the former global occurrence mutex.
@@ -166,6 +168,7 @@ struct RoundState {
     rounds: usize,
     batches_with_data: usize,
     samples_consumed: usize,
+    checkpoints_captured: usize,
     /// Rank 0's end of its sidecar; `None` on the other ranks and when the
     /// run has neither periodic validation nor a durable recorder.
     sidecar: Option<SidecarHandle>,
@@ -436,6 +439,7 @@ impl RankTrainer {
             rounds: 0,
             batches_with_data: 0,
             samples_consumed: 0,
+            checkpoints_captured: 0,
             sidecar,
         }
     }
@@ -568,10 +572,12 @@ impl RankTrainer {
         // snapshot and the sidecar does the work, in the order this code used
         // to — journal the completions, persist the checkpoint, validate.
         // The checkpoint this round voted for. Capturing is the parameter
-        // copy; the in-memory store takes it by move, the sidecar shares it.
+        // copy, which the sidecar persists and, on a validation round,
+        // validates.
         let checkpoint = self.recovery.as_ref().filter(|_| capture).map(|hooks| {
-            // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the store keeps the copy, so it cannot be recycled")
-            let checkpoint = Arc::new(ServerCheckpoint {
+            state.checkpoints_captured += 1;
+            // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the sidecar keeps the copy until it is on disk, so it cannot be recycled")
+            Arc::new(ServerCheckpoint {
                 // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the two moment vectors, copied like the parameters")
                 optimizer: Some(self.optimizer.clone()),
                 // analysis: allow(alloc, reason = "checkpoint cadence, not per batch: the parameter copy")
@@ -584,9 +590,7 @@ impl RankTrainer {
                     hooks.tracker.completed_simulations(),
                     hooks.experiment_seed,
                 )
-            });
-            hooks.store.record(Arc::clone(&checkpoint));
-            checkpoint
+            })
         });
         if let Some(sidecar) = &mut state.sidecar {
             let validate = self.validation.is_some()
@@ -672,6 +676,7 @@ impl RankTrainer {
             rounds: state.rounds,
             batches_with_data: state.batches_with_data,
             samples_consumed: state.samples_consumed,
+            checkpoints_captured: state.checkpoints_captured,
             occurrences: state.occurrences,
             losses: state.losses,
             throughput: state.tracker.into_points(),

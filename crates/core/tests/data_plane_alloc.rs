@@ -42,7 +42,7 @@ use heat_solver::{SolverConfig, SyntheticWorkload};
 use melissa::offline::EpochReader;
 use melissa::trainer::{RankTrainer, TrainerShared};
 use melissa::{
-    fill_batch_from_buffer, payload_into_sample, CheckpointStore, CompletionJournal, DiskConfig,
+    fill_batch_from_buffer, payload_into_sample, CompletionJournal, DiskConfig,
     DurableCheckpointStore, DurableIdentity, DurableRecorder, ExperimentConfig, OccurrenceTable,
     RecoveryHooks, RecoveryTracker, ServerCheckpoint, SimulatedDisk, TrainingConfig, ValidationSet,
 };
@@ -207,7 +207,6 @@ fn learner_allocations_per_round() -> Vec<(usize, usize)> {
     let recorder = Arc::new(DurableRecorder::new(store, journal, []));
     let hooks = RecoveryHooks {
         checkpoint_every_batches: 25,
-        store: Arc::new(CheckpointStore::new()),
         tracker,
         crash_after_batches: None,
         server_down: Arc::new(AtomicBool::new(false)),

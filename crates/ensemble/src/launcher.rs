@@ -529,8 +529,8 @@ impl Launcher {
     /// The campaign members a resumed run must rerun: every id of a
     /// `total_clients`-member campaign that is not in `completed`. This is
     /// the launcher-side restart contract (paper §3.1: "only the simulations
-    /// that were not entirely executed are rerun"), shared by the in-memory
-    /// and the on-disk resume paths so they can never disagree on the set.
+    /// that were not entirely executed are rerun"), which the server's
+    /// restart hands the launcher.
     pub fn missing_ids(total_clients: usize, completed: &[u64]) -> Vec<u64> {
         let completed: std::collections::HashSet<u64> = completed.iter().copied().collect();
         (0..total_clients as u64)

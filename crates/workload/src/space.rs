@@ -83,20 +83,6 @@ impl Default for ParameterSpace {
 }
 
 impl ParameterSpace {
-    /// A space where every dimension shares the same range.
-    pub fn uniform(range: ParamRange) -> Self {
-        Self {
-            ranges: [range; PARAM_DIM],
-        }
-    }
-
-    /// A space built from per-dimension `(min, max)` bounds.
-    pub fn from_bounds(bounds: [(f64, f64); PARAM_DIM]) -> Self {
-        Self {
-            ranges: bounds.map(|(min, max)| ParamRange::new(min, max)),
-        }
-    }
-
     /// Maps a unit hypercube point into a parameter vector.
     pub fn from_unit(&self, u: ParamPoint) -> ParamPoint {
         let mut x = [0.0; PARAM_DIM];
@@ -126,22 +112,6 @@ impl ParameterSpace {
     /// The centre of the space (every dimension at its midpoint).
     pub fn midpoint(&self) -> ParamPoint {
         self.ranges.map(|r| r.midpoint())
-    }
-
-    /// The smallest single range covering every dimension, used to build an
-    /// affine input normaliser when the dimensions share comparable scales.
-    pub fn bounding_range(&self) -> ParamRange {
-        let min = self
-            .ranges
-            .iter()
-            .map(|r| r.min)
-            .fold(f64::INFINITY, f64::min);
-        let max = self
-            .ranges
-            .iter()
-            .map(|r| r.max)
-            .fold(f64::NEG_INFINITY, f64::max);
-        ParamRange { min, max }
     }
 }
 
@@ -191,22 +161,5 @@ mod tests {
         let high = space.from_unit([1.0; PARAM_DIM]);
         assert!(low.iter().all(|&v| v == 100.0));
         assert!(high.iter().all(|&v| v == 500.0));
-    }
-
-    #[test]
-    fn per_dimension_bounds_and_bounding_range() {
-        let space = ParameterSpace::from_bounds([
-            (0.5, 1.0),
-            (-0.3, 0.3),
-            (-0.3, 0.3),
-            (5e-4, 5e-3),
-            (0.04, 0.1),
-        ]);
-        let mid = space.midpoint();
-        assert!((mid[0] - 0.75).abs() < 1e-12);
-        assert!(mid[1].abs() < 1e-12);
-        let bounding = space.bounding_range();
-        assert_eq!(bounding.min, -0.3);
-        assert_eq!(bounding.max, 1.0);
     }
 }

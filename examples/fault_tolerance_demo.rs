@@ -1,16 +1,20 @@
 //! Fault-tolerance demonstration, end to end: clients crash and hang on a
 //! scripted schedule, the watchdog declares the hung ones dead and the
 //! launcher resubmits them with exponential backoff; the training server
-//! checkpoints every few batches, gets killed mid-run by a scripted fault,
-//! and resumes from its latest checkpoint — rerunning only the simulations
-//! the checkpoint does not cover.
+//! checkpoints every few batches into its durability directory, gets killed
+//! mid-run by a scripted fault, and resumes from that directory — rerunning
+//! only the simulations its newest checkpoint and completion journal do not
+//! cover.
 //!
 //! ```bash
 //! cargo run --release --example fault_tolerance_demo
 //! ```
 
 use heat_solver::SolverConfig;
-use melissa::{ExperimentConfig, OnlineExperiment, WorkloadSpec};
+use melissa::{
+    DurabilityConfig, DurableCheckpointStore, DurableIdentity, ExperimentConfig, OnlineExperiment,
+    WorkloadSpec,
+};
 use melissa_ensemble::{CampaignPlan, LauncherConfig, RetryPolicy, WatchdogConfig};
 use melissa_transport::{FaultConfig, FaultPlan};
 use std::time::Duration;
@@ -107,55 +111,63 @@ fn main() {
     assert!(report.unique_samples_trained <= report.unique_samples_produced);
     assert!(report.min_validation_mse.is_some());
 
-    // Part 3: checkpoint-resume — the server checkpoints every 10 batches and
-    // is killed by a scripted fault mid-run. The resumed server restores the
-    // model and progress counters from the latest checkpoint and reruns only
-    // the simulations the checkpoint does not cover.
-    println!("\nPart 3: server crash mid-run, resume from the latest checkpoint");
-    let crashing = base_config()
-        .buffer(training_buffer::BufferConfig {
-            kind: BufferKind::Fifo,
-            capacity: 64,
-            threshold: 8,
-            seed: 5,
-        })
+    // Part 3: checkpoint-resume — the server checkpoints every 4 batches
+    // into its durability directory and is killed by a scripted fault
+    // mid-run. The restarted server reads the newest checkpoint and the
+    // completion journal back from that directory, restores the model and
+    // progress counters, and reruns only the simulations neither covers.
+    println!("\nPart 3: server crash mid-run, resume from the durability directory");
+    let dir = std::env::temp_dir().join(format!("melissa-fault-demo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the durability directory");
+    let fifo = || {
+        base_config()
+            .buffer(training_buffer::BufferConfig {
+                kind: BufferKind::Fifo,
+                capacity: 64,
+                threshold: 8,
+                seed: 5,
+            })
+            .durability(DurabilityConfig {
+                checkpoint_every_batches: 4,
+                ..DurabilityConfig::new(dir.to_string_lossy())
+            })
+    };
+    let crashing = fifo()
         .fault(FaultConfig {
             plan: FaultPlan::none().with_server_crash(16),
             ..FaultConfig::default()
         })
-        .checkpoint_every_batches(4)
         .build()
         .expect("valid configuration");
+    let identity = DurableIdentity {
+        experiment_seed: crashing.seed,
+        config_fingerprint: crashing.config_fingerprint(),
+    };
 
-    let (_, crash_report, checkpoint) = OnlineExperiment::new(crashing)
+    let (_, crash_report) = OnlineExperiment::new(crashing)
         .expect("valid configuration")
-        .run_recoverable();
+        .run();
     assert!(crash_report.crashed, "the scripted server crash must fire");
-    let checkpoint = checkpoint.expect("checkpoints were being taken");
+    let (_, checkpoint) = DurableCheckpointStore::open(&dir, identity, 3)
+        .and_then(|store| store.load_latest())
+        .expect("scan the durability directory")
+        .latest
+        .expect("checkpoints were being taken");
     println!(
-        "  crashed after {} checkpoints; latest covers {} completed simulations at batch {}",
+        "  crashed after {} checkpoints; the newest covers {} completed simulations at batch {}",
         crash_report.checkpoints_taken,
         checkpoint.completed_simulations.len(),
         checkpoint.batches_trained
     );
 
-    let resumed = base_config()
-        .buffer(training_buffer::BufferConfig {
-            kind: BufferKind::Fifo,
-            capacity: 64,
-            threshold: 8,
-            seed: 5,
-        })
-        .checkpoint_every_batches(4)
-        .build()
-        .expect("valid configuration");
-    let (_, resume_report, _) = OnlineExperiment::new(resumed)
-        .expect("valid configuration")
-        .resume(&checkpoint);
+    let resumed = fifo().build().expect("valid configuration");
+    let (_, resume_report) =
+        OnlineExperiment::resume_from_dir(&dir, resumed).expect("resume from the directory");
     println!("  resumed: {}", resume_report.summary());
     println!(
         "  reran {} of {} simulations, starting from batch {}",
-        10 - checkpoint.completed_simulations.len(),
+        resume_report.simulations,
         10,
         resume_report.resumed_from_batches.expect("resumed run"),
     );
@@ -164,6 +176,7 @@ fn main() {
         resume_report.resumed_from_batches,
         Some(checkpoint.batches_trained)
     );
+    let _ = std::fs::remove_dir_all(&dir);
 
     println!("\nTraining completed despite the injected faults.");
 }

@@ -56,8 +56,10 @@ fn demo_config(dir: &Path, slow: bool) -> ExperimentConfig {
         .batch_size(5)
         .validation(2, 10)
         .seed(7)
-        .checkpoint_every_batches(2)
-        .durability(DurabilityConfig::new(dir.to_string_lossy()))
+        .durability(DurabilityConfig {
+            checkpoint_every_batches: 2,
+            ..DurabilityConfig::new(dir.to_string_lossy())
+        })
         .build()
         .expect("valid configuration")
 }
@@ -72,9 +74,9 @@ fn identity_of(config: &ExperimentConfig) -> DurableIdentity {
 /// Child role: run the slow durable experiment and expect to be killed.
 fn run_child(dir: &Path) {
     let config = demo_config(dir, true);
-    let (_, report, _) = OnlineExperiment::new(config)
+    let (_, report) = OnlineExperiment::new(config)
         .expect("valid configuration")
-        .run_recoverable();
+        .run();
     // Only reached if the parent never killed us.
     println!("child finished unkilled: {}", report.summary());
 }
@@ -177,8 +179,7 @@ fn main() {
 
     // Part 4: restart purely from the directory.
     println!("\nPart 3: resume from the directory — only the missing simulations rerun");
-    let (_, report, final_checkpoint) =
-        OnlineExperiment::resume_from_dir(&dir, config).expect("resume from disk");
+    let (_, report) = OnlineExperiment::resume_from_dir(&dir, config).expect("resume from disk");
     let transport = report.transport.as_ref().expect("online stats");
     println!("  resumed: {}", report.summary());
     println!(
@@ -189,7 +190,16 @@ fn main() {
     assert_eq!(report.durable_error, None);
     assert_eq!(transport.messages_sent, missing.len() * STEPS);
     assert_eq!(report.unique_samples_produced, missing.len() * STEPS);
-    let final_checkpoint = final_checkpoint.expect("the clean resume checkpoints");
+    assert_eq!(
+        report.simulations,
+        missing.len(),
+        "the summary counts the reruns"
+    );
+    let (_, final_checkpoint) = DurableCheckpointStore::open(&dir, identity, 3)
+        .and_then(|store| store.load_latest())
+        .expect("scan the directory")
+        .latest
+        .expect("the clean resume checkpoints");
     assert_eq!(
         final_checkpoint.completed_simulations,
         (0..CLIENTS as u64).collect::<Vec<_>>(),

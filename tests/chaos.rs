@@ -16,9 +16,15 @@
 //! * **Monotone accounting**: unique-sample and launcher counters stay
 //!   consistent with the fault schedule.
 
-use melissa::{ExperimentConfig, OnlineExperiment, WorkloadSpec};
+use melissa::{
+    CompletionJournal, DurabilityConfig, DurableCheckpointStore, DurableIdentity, ExperimentConfig,
+    OnlineExperiment, ServerCheckpoint, WorkloadSpec,
+};
 use melissa_ensemble::{CampaignPlan, LauncherConfig, RetryPolicy, WatchdogConfig};
 use melissa_transport::{FaultConfig, FaultPlan};
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 use training_buffer::{BufferConfig, BufferKind};
 
@@ -59,6 +65,40 @@ fn chaos_config(kind: BufferKind, plan: FaultPlan) -> ExperimentConfig {
         })
         .build()
         .expect("consistent chaos configuration")
+}
+
+/// A fresh durability directory for one test. A passing test removes it; a
+/// failing one leaves it behind for inspection.
+fn durable_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("melissa-chaos-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `config` persisting into `dir`, a checkpoint every `every` batches (0:
+/// only the final one).
+fn with_durability(mut config: ExperimentConfig, dir: &Path, every: usize) -> ExperimentConfig {
+    config.durability = Some(DurabilityConfig {
+        checkpoint_every_batches: every,
+        ..DurabilityConfig::new(dir.to_string_lossy())
+    });
+    config
+}
+
+/// What a restart reads from `dir`: the newest checkpoint that validates
+/// and the simulations the completion journal replays.
+fn durable_state(dir: &Path, config: &ExperimentConfig) -> (Option<ServerCheckpoint>, Vec<u64>) {
+    let identity = DurableIdentity {
+        experiment_seed: config.seed,
+        config_fingerprint: config.config_fingerprint(),
+    };
+    let latest = DurableCheckpointStore::open(dir, identity, 3)
+        .and_then(|store| store.load_latest())
+        .expect("scan the durability directory");
+    assert!(latest.rejected.is_empty(), "{:?}", latest.rejected);
+    let (_, journaled) = CompletionJournal::open(dir, identity, 1).expect("replay the journal");
+    (latest.latest.map(|(_, checkpoint)| checkpoint), journaled)
 }
 
 /// The number of scripted faults (crashes + hangs) and hangs in a plan,
@@ -243,19 +283,47 @@ fn scripted_shard_stall_delays_but_loses_nothing() {
 
 #[test]
 fn server_crash_resume_reruns_only_missing_sims_with_exactly_once_accounting() {
-    // One rank, FIFO, checkpoints every 2 batches, server killed after 8
-    // batches with data (40 of the 60 samples consumed).
-    let crash_plan = FaultPlan::none().with_server_crash(8);
-    let mut config = chaos_config(BufferKind::Fifo, crash_plan);
-    config.checkpoint_every_batches = 2;
-    let (_, crash_report, checkpoint) = OnlineExperiment::new(config)
+    // Placement by construction: one rank, FIFO, one client at a time, so
+    // the buffer serves the samples in the order they were streamed. By the
+    // round the crash votes in, what the server can hold is
+    //     (CRASH_AFTER + 1) × BATCH   served, the crash round's batch included
+    //   + FIFO_CAPACITY               waiting in the buffer
+    //   + CHANNEL                     queued on the shard's channel
+    //   + CHANNEL + 1                 one burst the aggregator pulled off it
+    //   = 26 + 8 + 4 + 5 = 43 < CLIENTS × STEPS = 60,
+    // so the crash lands while clients are still streaming. FIFO serves at
+    // least one sample per batch, so by the checkpoint at batch CRASH_AFTER
+    // (a multiple of the cadence, 2) the first simulation's 10 steps and the
+    // second's first step were
+    // trained: the first is complete, its finalize counted before the
+    // second's samples reached the buffer.
+    const CRASH_AFTER: usize = 12;
+    const BATCH: usize = 2;
+    const FIFO_CAPACITY: usize = 8;
+    const CHANNEL: usize = 4;
+    let held = (CRASH_AFTER + 1) * BATCH + FIFO_CAPACITY + CHANNEL + (CHANNEL + 1);
+    assert!(held < CLIENTS * STEPS && CRASH_AFTER > STEPS);
+    let dir = durable_dir("crash-resume");
+    let placed = |plan: FaultPlan| {
+        let mut config = chaos_config(BufferKind::Fifo, plan);
+        config.campaign = CampaignPlan::single_series(CLIENTS, 1);
+        config.training.batch_size = BATCH;
+        config.buffer.capacity = FIFO_CAPACITY;
+        config.channel_capacity = CHANNEL;
+        with_durability(config, &dir, 2)
+    };
+
+    // Checkpoints every 2 batches, server killed after CRASH_AFTER batches
+    // with data.
+    let config = placed(FaultPlan::none().with_server_crash(CRASH_AFTER));
+    let (_, crash_report) = OnlineExperiment::new(config.clone())
         .expect("valid chaos configuration")
-        .run_recoverable();
+        .run();
 
     assert!(crash_report.crashed, "the scripted server crash must fire");
     assert!(crash_report.checkpoints_taken >= 1);
     // The report counts what streamed before the crash: at least what was
-    // trained, at most the campaign (the producers usually finish first).
+    // trained, and by the placement above less than the campaign.
     assert!(
         (crash_report.unique_samples_trained..=CLIENTS * STEPS)
             .contains(&crash_report.unique_samples_produced),
@@ -263,37 +331,53 @@ fn server_crash_resume_reruns_only_missing_sims_with_exactly_once_accounting() {
         crash_report.unique_samples_produced,
         crash_report.unique_samples_trained
     );
+    assert!(
+        crash_report.unique_samples_produced < CLIENTS * STEPS,
+        "the crash must land mid-stream: {} of {} samples were accepted",
+        crash_report.unique_samples_produced,
+        CLIENTS * STEPS
+    );
+    let (checkpoint, journaled) = durable_state(&dir, &config);
     let checkpoint = checkpoint.expect("checkpoints were being captured");
     assert!(
         !checkpoint.completed_simulations.is_empty(),
-        "8 consumed batches must cover at least one full simulation"
+        "CRASH_AFTER consumed batches must cover at least one full simulation"
     );
 
-    // The checkpoint's completed set and the missing set partition the
-    // campaign.
-    let missing = checkpoint.missing_simulations(CLIENTS as u64);
-    let mut union: Vec<u64> = checkpoint
+    // What the directory knows complete (newest checkpoint ∪ journal) and
+    // the rerun set partition the campaign.
+    let missing: Vec<u64> = checkpoint
+        .missing_simulations(CLIENTS as u64)
+        .into_iter()
+        .filter(|id| !journaled.contains(id))
+        .collect();
+    let union: Vec<u64> = checkpoint
         .completed_simulations
         .iter()
         .copied()
+        .chain(journaled.iter().copied())
         .chain(missing.iter().copied())
+        .collect::<BTreeSet<u64>>()
+        .into_iter()
         .collect();
-    union.sort_unstable();
     assert_eq!(union, (0..CLIENTS as u64).collect::<Vec<_>>());
 
-    // Restart from the checkpoint with a fault-free plan (the crash already
+    // Restart from the directory with a fault-free plan (the crash already
     // happened) and the same experiment configuration.
-    let mut resumed_config = chaos_config(BufferKind::Fifo, FaultPlan::none());
-    resumed_config.checkpoint_every_batches = 2;
-    let (model, resume_report, final_checkpoint) = OnlineExperiment::new(resumed_config)
-        .expect("valid chaos configuration")
-        .resume(&checkpoint);
+    let resumed_config = placed(FaultPlan::none());
+    let (model, resume_report) = OnlineExperiment::resume_from_dir(&dir, resumed_config.clone())
+        .expect("resume from the crashed run's directory");
 
     assert!(!resume_report.crashed, "the resumed run completes");
     assert!(model.params_flat().iter().all(|p| p.is_finite()));
     assert_eq!(
         resume_report.resumed_from_batches,
         Some(checkpoint.batches_trained)
+    );
+    assert_eq!(
+        resume_report.simulations,
+        missing.len(),
+        "the report counts the simulations this incarnation ran"
     );
 
     // Only the missing simulations were resubmitted: the transport of the
@@ -308,7 +392,7 @@ fn server_crash_resume_reruns_only_missing_sims_with_exactly_once_accounting() {
 
     // Exactly-once accounting: the resumed run trains each missing
     // simulation's samples exactly once (FIFO), and nothing from the
-    // checkpoint-completed simulations.
+    // completed ones.
     assert_eq!(
         resume_report.unique_samples_trained,
         missing.len() * STEPS,
@@ -322,6 +406,7 @@ fn server_crash_resume_reruns_only_missing_sims_with_exactly_once_accounting() {
 
     // The final checkpoint of the resumed run carries the union forward:
     // every simulation of the campaign is now covered.
+    let (final_checkpoint, _) = durable_state(&dir, &resumed_config);
     let final_checkpoint = final_checkpoint.expect("the clean run leaves a checkpoint");
     assert_eq!(
         final_checkpoint.completed_simulations,
@@ -329,6 +414,7 @@ fn server_crash_resume_reruns_only_missing_sims_with_exactly_once_accounting() {
         "exactly-once per-simulation accounting across the crash"
     );
     assert!(final_checkpoint.batches_trained > checkpoint.batches_trained);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -345,39 +431,45 @@ fn reservoir_eviction_does_not_force_needless_reruns_after_a_crash() {
     // producer/consumer interleaving (the Reservoir draws from whatever has
     // arrived), so scan crash points until one leaves a checkpoint that is
     // partially complete — some simulations done, some still open.
+    let dir = durable_dir("reservoir");
+    let config_with = |plan: FaultPlan| {
+        let mut config = chaos_config(BufferKind::Reservoir, plan);
+        config.buffer.capacity = 12;
+        with_durability(config, &dir, 2)
+    };
     let mut partial = None;
     for crash_after in [10, 12, 14, 16, 18] {
-        let crash_plan = FaultPlan::none().with_server_crash(crash_after);
-        let mut config = chaos_config(BufferKind::Reservoir, crash_plan);
-        config.buffer.capacity = 12;
-        config.checkpoint_every_batches = 2;
-        let (_, crash_report, checkpoint) = OnlineExperiment::new(config)
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let config = config_with(FaultPlan::none().with_server_crash(crash_after));
+        let (_, crash_report) = OnlineExperiment::new(config.clone())
             .expect("valid chaos configuration")
-            .run_recoverable();
+            .run();
         if !crash_report.crashed {
             break; // later crash points only fire even later
         }
-        let Some(checkpoint) = checkpoint else {
+        let (Some(checkpoint), journaled) = durable_state(&dir, &config) else {
             continue;
         };
         let completed = checkpoint.completed_simulations.len();
         if (1..CLIENTS).contains(&completed) {
-            partial = Some(checkpoint);
+            partial = Some((checkpoint, journaled));
             break;
         }
     }
-    let checkpoint = partial.expect(
+    let (checkpoint, journaled) = partial.expect(
         "some crash point must catch the run with trained-and-evicted \
          simulations complete and others still open",
     );
-    let missing = checkpoint.missing_simulations(CLIENTS as u64);
+    let missing: Vec<u64> = checkpoint
+        .missing_simulations(CLIENTS as u64)
+        .into_iter()
+        .filter(|id| !journaled.contains(id))
+        .collect();
 
-    let mut resumed_config = chaos_config(BufferKind::Reservoir, FaultPlan::none());
-    resumed_config.buffer.capacity = 12;
-    resumed_config.checkpoint_every_batches = 2;
-    let (model, resume_report, final_checkpoint) = OnlineExperiment::new(resumed_config)
-        .expect("valid chaos configuration")
-        .resume(&checkpoint);
+    let resumed_config = config_with(FaultPlan::none());
+    let (model, resume_report) = OnlineExperiment::resume_from_dir(&dir, resumed_config.clone())
+        .expect("resume from the crashed run's directory");
 
     assert!(!resume_report.crashed, "the resumed run completes");
     assert!(model.params_flat().iter().all(|p| p.is_finite()));
@@ -390,25 +482,32 @@ fn reservoir_eviction_does_not_force_needless_reruns_after_a_crash() {
         missing.len() * STEPS,
         "evicted-but-trained simulations must not rerun"
     );
+    let (final_checkpoint, _) = durable_state(&dir, &resumed_config);
     let final_checkpoint = final_checkpoint.expect("the clean run leaves a checkpoint");
     assert_eq!(
         final_checkpoint.completed_simulations,
         (0..CLIENTS as u64).collect::<Vec<_>>(),
         "exactly-once per-simulation accounting despite eviction"
     );
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn server_crash_without_checkpointing_still_terminates_gracefully() {
+    // Durable, but with no periodic cadence: only a run that drains would
+    // save its final checkpoint.
+    let dir = durable_dir("no-checkpoints");
     let plan = FaultPlan::none().with_server_crash(4);
-    let config = chaos_config(BufferKind::Firo, plan);
-    let (_, report, checkpoint) = OnlineExperiment::new(config)
+    let config = with_durability(chaos_config(BufferKind::Firo, plan), &dir, 0);
+    let (_, report) = OnlineExperiment::new(config.clone())
         .expect("valid chaos configuration")
-        .run_recoverable();
+        .run();
 
     // The crash fires, nothing was checkpointed — and the run still winds
     // down instead of deadlocking on blocked producers.
     assert!(report.crashed);
     assert_eq!(report.checkpoints_taken, 0);
+    let (checkpoint, _) = durable_state(&dir, &config);
     assert!(checkpoint.is_none());
+    let _ = fs::remove_dir_all(&dir);
 }

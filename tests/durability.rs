@@ -83,8 +83,10 @@ fn durable_config(dir: &Path, slow: bool) -> ExperimentConfig {
         .validation(2, 4)
         .hidden_width(16)
         .seed(4242)
-        .checkpoint_every_batches(1)
-        .durability(DurabilityConfig::new(dir.to_string_lossy()))
+        .durability(DurabilityConfig {
+            checkpoint_every_batches: 1,
+            ..DurabilityConfig::new(dir.to_string_lossy())
+        })
         .build()
         .expect("consistent durable configuration")
 }
@@ -94,6 +96,16 @@ fn identity_of(config: &ExperimentConfig) -> DurableIdentity {
         experiment_seed: config.seed,
         config_fingerprint: config.config_fingerprint(),
     }
+}
+
+/// The newest checkpoint in `dir` that validates: what a restart reads.
+fn newest_checkpoint(dir: &Path, config: &ExperimentConfig) -> Option<ServerCheckpoint> {
+    let store = DurableCheckpointStore::open(dir, identity_of(config), 3).unwrap();
+    store
+        .load_latest()
+        .unwrap()
+        .latest
+        .map(|(_, checkpoint)| checkpoint)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -155,9 +167,9 @@ fn reseal(bytes: &mut [u8]) {
 /// files and a journal in `dir`, and returns its configuration.
 fn seed_durable_dir(dir: &Path) -> ExperimentConfig {
     let config = durable_config(dir, false);
-    let (_, report, _) = OnlineExperiment::new(config.clone())
+    let (_, report) = OnlineExperiment::new(config.clone())
         .expect("valid configuration")
-        .run_recoverable();
+        .run();
     assert_eq!(report.durable_error, None, "the seeding run must persist");
     assert!(
         report.durable_checkpoints >= 2,
@@ -180,9 +192,9 @@ fn sigkill_child_runs_durable_experiment() {
         return;
     };
     let config = durable_config(Path::new(&dir), true);
-    let (_, report, _) = OnlineExperiment::new(config)
+    let (_, report) = OnlineExperiment::new(config)
         .expect("valid configuration")
-        .run_recoverable();
+        .run();
     // Only reached if the parent failed to kill us in time; persisting must
     // still have worked so the parent's resume finds a finished directory.
     assert_eq!(report.durable_error, None);
@@ -284,8 +296,8 @@ fn sigkill_mid_run_then_resume_from_disk_reruns_only_missing_sims() {
     );
 
     // Restart purely from the directory (one series, no gap this time).
-    let (model, resume_report, final_checkpoint) =
-        OnlineExperiment::resume_from_dir(&dir, config).expect("resume from the killed run's dir");
+    let (model, resume_report) = OnlineExperiment::resume_from_dir(&dir, config.clone())
+        .expect("resume from the killed run's dir");
     assert!(model.params_flat().iter().all(|p| p.is_finite()));
     assert_eq!(resume_report.durable_error, None);
     assert_eq!(
@@ -309,7 +321,8 @@ fn sigkill_mid_run_then_resume_from_disk_reruns_only_missing_sims() {
     );
 
     // The final checkpoint closes the campaign: every simulation covered.
-    let final_checkpoint = final_checkpoint.expect("the clean resume leaves a checkpoint");
+    let final_checkpoint =
+        newest_checkpoint(&dir, &config).expect("the clean resume leaves a checkpoint");
     assert_eq!(
         final_checkpoint.completed_simulations,
         (0..CLIENTS as u64).collect::<Vec<_>>(),
@@ -328,9 +341,9 @@ fn scripted_crash_returns_a_quiescent_directory_that_resumes_at_once() {
     let dir = temp_dir("crash-quiescent");
     let mut config = durable_config(&dir, false);
     config.fault.plan = FaultPlan::none().with_server_crash(6);
-    let (_, report, checkpoint) = OnlineExperiment::new(config)
+    let (model, report) = OnlineExperiment::new(config)
         .expect("valid configuration")
-        .run_recoverable();
+        .run();
     assert!(report.crashed, "the scripted server crash must fire");
     assert_eq!(report.durable_error, None);
     assert_eq!(report.checkpoints_taken, 6, "one per batch until the crash");
@@ -338,7 +351,8 @@ fn scripted_crash_returns_a_quiescent_directory_that_resumes_at_once() {
     assert_eq!(report.sidecar.checkpoints_persisted, 6);
 
     // Nothing half-written is left behind, and the newest file on disk is
-    // the checkpoint the learner captured last.
+    // the checkpoint the learner captured last: the state after the last
+    // trained batch, which the crash round left the model in.
     let leftovers: Vec<PathBuf> = fs::read_dir(&dir)
         .unwrap()
         .map(|entry| entry.unwrap().path())
@@ -350,7 +364,6 @@ fn scripted_crash_returns_a_quiescent_directory_that_resumes_at_once() {
         })
         .collect();
     assert!(leftovers.is_empty(), "in-flight temp files: {leftovers:?}");
-    let checkpoint = checkpoint.expect("checkpoints were being captured");
     let fast = durable_config(&dir, false);
     let latest = DurableCheckpointStore::open(&dir, identity_of(&fast), 3)
         .unwrap()
@@ -358,19 +371,21 @@ fn scripted_crash_returns_a_quiescent_directory_that_resumes_at_once() {
         .unwrap();
     assert!(latest.rejected.is_empty(), "{:?}", latest.rejected);
     let (_, on_disk) = latest.latest.expect("six checkpoints were persisted");
-    assert_eq!(on_disk.batches_trained, checkpoint.batches_trained);
-    assert_eq!(on_disk.model.params, checkpoint.model.params);
+    assert_eq!(on_disk.batches_trained, report.checkpoints_taken);
+    assert_eq!(on_disk.model.params, model.params_flat());
 
-    let (_, resume_report, final_checkpoint) =
-        OnlineExperiment::resume_from_dir(&dir, fast).expect("resume straight after the crash");
+    let (_, resume_report) = OnlineExperiment::resume_from_dir(&dir, fast.clone())
+        .expect("resume straight after the crash");
     assert!(!resume_report.crashed);
     assert_eq!(resume_report.durable_error, None);
     assert_eq!(
         resume_report.resumed_from_batches,
-        Some(checkpoint.batches_trained)
+        Some(on_disk.batches_trained)
     );
     assert_eq!(
-        final_checkpoint.unwrap().completed_simulations,
+        newest_checkpoint(&dir, &fast)
+            .unwrap()
+            .completed_simulations,
         (0..CLIENTS as u64).collect::<Vec<_>>()
     );
     let _ = fs::remove_dir_all(&dir);
@@ -409,7 +424,8 @@ fn bit_flipped_newest_checkpoint_falls_back_to_the_previous_one() {
     // The journal still covers every completion recorded after the fallback
     // checkpoint, so resuming the corrupted directory reruns nothing.
     assert!(fallback.completed_simulations.len() <= CLIENTS);
-    let (_, report, resumed) = OnlineExperiment::resume_from_dir(&dir, config).unwrap();
+    let (_, report) = OnlineExperiment::resume_from_dir(&dir, config.clone()).unwrap();
+    let resumed = newest_checkpoint(&dir, &config);
     assert_eq!(report.durable_error, None);
     assert_eq!(report.transport.unwrap().messages_sent, 0);
     assert_eq!(
@@ -524,7 +540,8 @@ fn corrupt_mid_journal_record_loses_the_tail_but_the_resume_still_completes() {
     let (_, replayed) = CompletionJournal::open(&dir, identity, 8).unwrap();
     assert_eq!(replayed.len(), damaged_index, "replay ends at the damage");
 
-    let (model, report, resumed) = OnlineExperiment::resume_from_dir(&dir, config).unwrap();
+    let (model, report) = OnlineExperiment::resume_from_dir(&dir, config.clone()).unwrap();
+    let resumed = newest_checkpoint(&dir, &config);
     assert!(model.params_flat().iter().all(|p| p.is_finite()));
     assert_eq!(report.durable_error, None);
     assert_eq!(
@@ -620,7 +637,8 @@ fn a_length_field_of_erased_flash_is_a_typed_error_in_debug_and_release() {
     let mut bytes = fx.checkpoint_bytes.clone();
     bytes[40..48].copy_from_slice(&[0xFF; 8]);
     fs::write(dir.join("ckpt-0000000000"), &bytes).unwrap();
-    let (_, report, resumed) = OnlineExperiment::resume_from_dir(&dir, fx.config.clone()).unwrap();
+    let (_, report) = OnlineExperiment::resume_from_dir(&dir, fx.config.clone()).unwrap();
+    let resumed = newest_checkpoint(&dir, &fx.config);
     assert_eq!(report.durable_error, None);
     assert_eq!(report.resumed_from_batches, None, "nothing valid to resume");
     assert_eq!(resumed.unwrap().completed_simulations.len(), CLIENTS);
@@ -635,9 +653,9 @@ fn a_directory_of_version_1_checkpoints_resumes_and_is_continued_in_version_2() 
     let dir = temp_dir("v1-directory");
     let mut config = durable_config(&dir, false);
     config.fault.plan = FaultPlan::none().with_server_crash(6);
-    let (_, report, _) = OnlineExperiment::new(config)
+    let (_, report) = OnlineExperiment::new(config)
         .expect("valid configuration")
-        .run_recoverable();
+        .run();
     assert!(report.crashed);
     let config = durable_config(&dir, false);
     let identity = identity_of(&config);
@@ -662,14 +680,14 @@ fn a_directory_of_version_1_checkpoints_resumes_and_is_continued_in_version_2() 
     assert!(legacy.optimizer.is_none(), "version 1 never had one");
     drop(store);
 
-    let (_, resume_report, final_checkpoint) =
-        OnlineExperiment::resume_from_dir(&dir, config).expect("resume a version-1 directory");
+    let (_, resume_report) = OnlineExperiment::resume_from_dir(&dir, config.clone())
+        .expect("resume a version-1 directory");
     assert_eq!(resume_report.durable_error, None);
     assert_eq!(
         resume_report.resumed_from_batches,
         Some(legacy.batches_trained)
     );
-    let final_checkpoint = final_checkpoint.unwrap();
+    let final_checkpoint = newest_checkpoint(&dir, &config).unwrap();
     assert_eq!(
         final_checkpoint.completed_simulations,
         (0..CLIENTS as u64).collect::<Vec<_>>()
