@@ -182,6 +182,11 @@ pub enum DurabilityError {
         /// fingerprint fields naively.
         diff: IdentityDiff,
     },
+    /// A fresh run was pointed at a directory that already holds checkpoints
+    /// or journal records of an earlier run. Starting over next to them would
+    /// let a later resume skip simulations this run never trained, so only
+    /// `OnlineExperiment::resume_from_dir` continues from such a directory.
+    UsedDirectory(PathBuf),
 }
 
 /// Which knob class separates a stored durable identity from the resuming
@@ -252,6 +257,11 @@ impl std::fmt::Display for DurabilityError {
                     ),
                 }
             }
+            DurabilityError::UsedDirectory(dir) => write!(
+                f,
+                "durability directory {} already holds checkpoints or journal records of an earlier run; resume from it or start this run in an empty directory",
+                dir.display()
+            ),
         }
     }
 }
@@ -685,6 +695,25 @@ fn list_checkpoint_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurabilityEr
     }
     files.sort_by_key(|(epoch, _)| *epoch);
     Ok(files)
+}
+
+/// Whether `dir` holds what an earlier run persisted: a checkpoint file,
+/// valid or not, or a journal with bytes past its header. A missing
+/// directory holds nothing. Reads metadata only, so a refused directory is
+/// left exactly as it was.
+pub(crate) fn holds_records(dir: &Path) -> Result<bool, DurabilityError> {
+    if !dir.is_dir() {
+        return Ok(false);
+    }
+    if !list_checkpoint_files(dir)?.is_empty() {
+        return Ok(true);
+    }
+    let journal = dir.join(JOURNAL_FILE);
+    match fs::metadata(&journal) {
+        Ok(meta) => Ok(meta.len() > JOURNAL_HEADER_LEN as u64),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(io_err(&journal, e)),
+    }
 }
 
 /// Reads the [`DurableIdentity`] stamped into a directory's durable headers

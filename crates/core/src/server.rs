@@ -99,7 +99,12 @@ impl OnlineExperiment {
     /// checkpoints as were taken) and can be resumed from at once. A
     /// durability *open* failure is surfaced through the report's
     /// `durable_error` and the run trains on without checkpoints: training is
-    /// never refused because a disk was unavailable.
+    /// never refused because a disk was unavailable. A directory that already
+    /// holds an earlier run's checkpoints or journal records is refused the
+    /// same way ([`DurabilityError::UsedDirectory`]) and left untouched:
+    /// a fresh start next to them would let a later resume skip simulations
+    /// this run never trained. Only [`OnlineExperiment::resume_from_dir`]
+    /// continues from such a directory.
     pub fn run(&self) -> (Mlp, ExperimentReport) {
         let Some(durability) = &self.config.durability else {
             return self.run_internal(None, &[], None);
@@ -188,10 +193,15 @@ impl OnlineExperiment {
 
     /// Opens the checkpoint store and the completion journal in `dir` and
     /// the recorder over both. With `resume`, the newest checkpoint that
-    /// validates is loaded too. The recorder's already-durable set is seeded
-    /// from the journal replay and that checkpoint, so a run never
-    /// re-appends completions that are already durable.
+    /// validates is loaded too; without it, a directory that already holds
+    /// checkpoints or journal records is refused before anything is opened.
+    /// The recorder's already-durable set is seeded from the journal replay
+    /// and that checkpoint, so a run never re-appends completions that are
+    /// already durable.
     fn open_durable(&self, dir: &Path, resume: bool) -> Result<OpenedDurable, DurabilityError> {
+        if !resume && crate::durable::holds_records(dir)? {
+            return Err(DurabilityError::UsedDirectory(dir.to_path_buf()));
+        }
         let identity = self.durable_identity();
         let store = DurableCheckpointStore::open(dir, identity, KEEP_LAST_CHECKPOINTS)?;
         let checkpoint = if resume {

@@ -17,7 +17,7 @@ use crate::sample::step_to_sample;
 use melissa_ensemble::{CampaignPlan, ClientError, Launcher, LauncherConfig, RetryPolicy};
 use melissa_workload::Workload;
 use std::sync::OnceLock;
-use surrogate_nn::{Batch, InputNormalizer, Mlp, OutputNormalizer, Sample, Workspace};
+use surrogate_nn::{Batch, InputNormalizer, Mlp, MseLoss, OutputNormalizer, Sample, Workspace};
 
 /// A fixed set of held-out samples with a method to score a model on them.
 ///
@@ -97,8 +97,10 @@ impl ValidationSet {
 
     /// Mean squared error of the model through a reusable [`Workspace`]:
     /// every chunk is assembled into one reused batch buffer and run through
-    /// [`Mlp::predict_ws`]; the per-batch MSE is reduced without
-    /// materialising a difference matrix.
+    /// [`Mlp::predict_ws`]; each chunk's squared errors are summed by
+    /// [`MseLoss::squared_error_sum`], in the training loss's order and
+    /// without a difference matrix, and the chunk means are weighted by the
+    /// chunk's sample count.
     pub fn evaluate_with(&self, model: &Mlp, ws: &mut Workspace) -> f32 {
         if self.samples.is_empty() {
             return 0.0;
@@ -114,15 +116,7 @@ impl ValidationSet {
             batch.fill_owned(chunk);
             let prediction = model.predict_ws(&batch.inputs, ws);
             let n = (prediction.rows() * prediction.cols()).max(1) as f32;
-            let sum: f32 = prediction
-                .data()
-                .iter()
-                .zip(batch.targets.data())
-                .map(|(p, t)| {
-                    let d = p - t;
-                    d * d
-                })
-                .sum();
+            let sum = MseLoss.squared_error_sum(prediction, &batch.targets);
             total += (sum / n) as f64 * chunk.len() as f64;
             count += chunk.len();
         }
@@ -367,6 +361,40 @@ mod tests {
             seed: 0,
         });
         assert_eq!(validation.evaluate(&model), 0.0);
+    }
+
+    #[test]
+    fn evaluate_sums_each_chunk_in_the_tree_order_and_weights_it_by_size() {
+        // A zero model predicts 0, so the errors are the targets. Chunk 1 is
+        // two samples × 4 outputs, one block of eight: it errs by 1 once and
+        // by 2⁻¹² seven times. One serial chain would lose every 2⁻²⁴ square
+        // against the 1; the 8-lane tree keeps six of them, so its sum is
+        // 1 + 3·2⁻²³. Chunk 2 is one sample, four tail elements of 0.5.
+        let small = 2.0f32.powi(-12);
+        let samples = vec![
+            Sample::new(vec![0.0; 3], vec![1.0, small, small, small], 1, 0),
+            Sample::new(vec![0.0; 3], vec![small; 4], 1, 1),
+            Sample::new(vec![0.0; 3], vec![0.5; 4], 1, 2),
+        ];
+        let validation = ValidationSet::from_samples(samples, 2);
+        let model = Mlp::new(MlpConfig {
+            layer_sizes: vec![3, 4],
+            activation: surrogate_nn::Activation::ReLU,
+            init: surrogate_nn::InitScheme::Zeros,
+            seed: 0,
+        });
+        let chunk_sums = [1.0 + 3.0 * 2.0f32.powi(-23), 1.0];
+        let serial_first = [1.0f32]
+            .into_iter()
+            .chain([small; 7])
+            .fold(0.0f32, |s, d| s + d * d);
+        assert_eq!(serial_first, 1.0);
+        assert_ne!(chunk_sums[0], serial_first);
+        let mut total = 0.0f64;
+        total += (chunk_sums[0] / 8.0) as f64 * 2.0;
+        total += (chunk_sums[1] / 4.0) as f64 * 1.0;
+        let expected = (total / 3.0) as f32;
+        assert_eq!(validation.evaluate(&model).to_bits(), expected.to_bits());
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn one_rank_offline_training_is_pinned() {
         16,
         vec![0, 0, 40],
         0x9dbc_51bd_91c6_5b09,
-        0xc97b_79ee_3fbc_4748,
+        0xbb22_dc15_29ec_921f,
     );
     assert_eq!(pin, expected, "{pin:#x?}");
 }
@@ -110,7 +110,7 @@ fn two_rank_offline_training_is_pinned() {
         16,
         vec![0, 0, 40],
         0x2dfb_971f_0ef7_f111,
-        0x7e30_df79_efab_fcfe,
+        0x5061_1955_2f9a_2ac7,
     );
     assert_eq!(pin, expected, "{pin:#x?}");
 }

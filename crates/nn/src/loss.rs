@@ -22,10 +22,26 @@ pub trait Loss: Send + Sync {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MseLoss;
 
+impl MseLoss {
+    /// `Σ (prediction − target)²` over the whole batch, without a gradient,
+    /// summed in the order [`Loss::evaluate_into`] sums (the fixed 8-lane tree
+    /// of "Numeric contracts" in [`crate::simd`]) and with subnormals flushed.
+    ///
+    /// # Panics
+    /// Panics when the shapes of `prediction` and `target` differ.
+    pub fn squared_error_sum(&self, prediction: &Matrix, target: &Matrix) -> f32 {
+        let _flush = FlushGuard::enter();
+        assert_eq!(prediction.rows(), target.rows(), "batch size mismatch");
+        assert_eq!(prediction.cols(), target.cols(), "output size mismatch");
+        simd::squared_error_sum(simd::detect(), prediction.data(), target.data())
+    }
+}
+
 impl Loss for MseLoss {
-    /// One fused pass computing the loss and writing the gradient,
-    /// bit-compatible with the naive `sub → mean_square → ×2/n` (same element
-    /// order, same `diff · 2/n` scaling).
+    /// One fused pass computing the loss and writing the gradient: the
+    /// gradient is `diff · 2/n` element by element, and the loss is the
+    /// squared-error sum in the fixed 8-lane tree order (see "Numeric
+    /// contracts" in [`crate::simd`]) divided by `n`.
     fn evaluate_into(&self, prediction: &Matrix, target: &Matrix, grad: &mut Matrix) -> f32 {
         let _flush = FlushGuard::enter();
         assert_eq!(prediction.rows(), target.rows(), "batch size mismatch");

@@ -566,39 +566,51 @@ pub(super) fn act_derivative_mul(grad: &mut [f32], ys: &[f32], activation: Activ
     }
 }
 
-/// Fused MSE: vectorised gradient store, scalar-ordered loss accumulation —
-/// the lanes are spilled to a stack array and summed in ascending element
-/// order so the loss equals the scalar single-accumulator loop bit for bit.
+/// Squared-error sum with an optional fused gradient store — see
+/// [`super::squared_error_sum`]. One register holds the eight lane sums, so
+/// element `k` lands in lane `k mod 8` as the scalar arm's array does, and
+/// the lanes, the tail and their fold are the scalar arm's bit for bit.
 #[target_feature(enable = "avx2")]
-pub(super) fn mse_fused(pred: &[f32], target: &[f32], scale: f32, grad: &mut [f32]) -> f32 {
+pub(super) fn squared_error(
+    pred: &[f32],
+    target: &[f32],
+    mut grad: Option<(&mut [f32], f32)>,
+) -> f32 {
     debug_assert_eq!(pred.len(), target.len());
-    debug_assert_eq!(pred.len(), grad.len());
-    let scale_v = _mm256_set1_ps(scale);
+    debug_assert!(grad
+        .as_ref()
+        .is_none_or(|(grad, _)| grad.len() == pred.len()));
+    let scale_v = _mm256_set1_ps(grad.as_ref().map_or(0.0, |&(_, scale)| scale));
     let n = pred.len();
-    let mut sum = 0.0f32;
+    let mut acc = _mm256_setzero_ps();
     let mut idx = 0;
-    let mut lanes = [0.0f32; LANES];
     while idx + LANES <= n {
-        // SAFETY: idx + 8 <= n and all three slices have equal length;
-        // unaligned loads/stores.
+        // SAFETY: idx + 8 <= n and the slices have equal length; unaligned
+        // loads.
         let p = unsafe { _mm256_loadu_ps(pred.as_ptr().add(idx)) };
         let t = unsafe { _mm256_loadu_ps(target.as_ptr().add(idx)) };
         let diff = _mm256_sub_ps(p, t);
-        unsafe { _mm256_storeu_ps(grad.as_mut_ptr().add(idx), _mm256_mul_ps(diff, scale_v)) };
-        // SAFETY: lanes is exactly 8 elements; unaligned store.
-        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), diff) };
-        for d in lanes {
-            sum += d * d;
+        if let Some((grad, _)) = grad.as_mut() {
+            // SAFETY: the gradient is as long as `pred` (asserted by the
+            // dispatcher); unaligned store.
+            unsafe { _mm256_storeu_ps(grad.as_mut_ptr().add(idx), _mm256_mul_ps(diff, scale_v)) };
         }
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
         idx += LANES;
     }
+    let mut lanes = [0.0f32; LANES];
+    // SAFETY: lanes is exactly 8 elements; unaligned store.
+    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc) };
+    let mut tail = 0.0f32;
     while idx < n {
         let diff = pred[idx] - target[idx];
-        sum += diff * diff;
-        grad[idx] = diff * scale;
+        tail += diff * diff;
+        if let Some((grad, scale)) = grad.as_mut() {
+            grad[idx] = diff * *scale;
+        }
         idx += 1;
     }
-    sum
+    super::mse_tree(lanes, tail)
 }
 
 /// Fused Adam update — pure streaming with correctly-rounded div/sqrt and no

@@ -39,28 +39,36 @@
 //! MXCSR/FPCR of whichever thread calls in; a checkpoint written before this
 //! contract loads unchanged (weights only — a subnormal weight reads as
 //! zero). The naive test oracle (`tests/support/reference.rs`: the i-k-j
-//! products, the pre-activation derivative, the allocating MSE) runs in the
-//! caller's mode and agrees with the kernels bit for bit wherever no
-//! subnormal arises.
+//! products, the pre-activation derivative, the allocating tree-order MSE)
+//! runs in the caller's mode and agrees with the kernels bit for bit
+//! wherever no subnormal arises.
 //!
 //! **Bit-identity.** One class: every kernel here — [`gemm_nn`], [`gemm_tn`],
 //! [`gemm_nt`] and all element-wise streams ([`act_derivative_mul`],
-//! [`mse_fused`], [`adam_update`], the normaliser ops) — is bit-identical to
-//! its scalar reference. They vectorise across *independent output elements*
-//! while keeping each element's reduction a single accumulator in ascending
-//! order, and use separate multiply + add instructions: there is no FMA
-//! anywhere in `simd/` (a fused multiply-add rounds once where the scalar
-//! reference rounds twice). The results therefore match the scalar kernels bit for bit
-//! (modulo the sign of exact zeros, the tolerance [`crate::kernels`] already
-//! documents). Flushing is applied per operation, identically by scalar and
-//! vector instructions, so through the entry points above bit-identity holds
-//! across ISAs, across GEMM thread counts *and* across calling-thread FP
-//! modes. [`chacha8_keystream`], which draws the initial weights, is integer
+//! [`mse_fused`], [`squared_error_sum`], [`adam_update`], the normaliser ops)
+//! — is bit-identical to its scalar reference. The GEMMs and the streams
+//! vectorise across *independent output elements* while keeping each
+//! element's reduction a single accumulator in ascending order. The one
+//! reduction across elements, the MSE's `Σ diff²`, has a fixed order of its
+//! own instead, the same in every arm: element `k` of the flattened batch is
+//! accumulated into lane `k mod 8` in ascending `k`, the lanes are folded as
+//! `(((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7)))` and the serial sum of the tail
+//! beyond the last full block of eight is added last — the order of
+//! `heat_solver::linalg::dot`, so a batch's loss is eight short chains and
+//! not one chain as long as the batch. Every kernel uses separate multiply +
+//! add instructions: there is no FMA anywhere in `simd/` (a fused
+//! multiply-add rounds once where the scalar reference rounds twice). The
+//! results therefore match the scalar kernels bit for bit (modulo the sign of
+//! exact zeros, the tolerance [`crate::kernels`] already documents).
+//! Flushing is applied per operation, identically by scalar and vector
+//! instructions, so through the entry points above bit-identity holds across
+//! ISAs, across GEMM thread counts *and* across calling-thread FP modes. [`chacha8_keystream`], which draws the initial weights, is integer
 //! arithmetic and returns the vendored generator's words exactly.
 //!
-//! On `aarch64`, NEON currently accelerates the element-wise streams; the
-//! GEMM family falls back to the blocked scalar kernels there (explicit NEON
-//! micro-kernels are a recorded follow-up in `ROADMAP.md`).
+//! On `aarch64`, NEON currently accelerates the element-wise streams except
+//! the MSE, which takes its scalar arm there; the GEMM family falls back to
+//! the blocked scalar kernels (explicit NEON micro-kernels are a recorded
+//! follow-up in `ROADMAP.md`).
 
 use crate::kernels;
 use crate::mlp::Activation;
@@ -501,9 +509,9 @@ pub fn act_derivative_mul(isa: ResolvedIsa, grad: &mut [f32], ys: &[f32], activa
 }
 
 /// Fused MSE pass: writes `grad[i] = (pred[i] − target[i]) · scale` and
-/// returns `Σ diff²`. The gradient store is vectorised; the sum is
-/// accumulated *scalar, in ascending element order*, so the loss stays
-/// bit-identical to the scalar single-accumulator loop on every ISA.
+/// returns `Σ diff²` in the fixed 8-lane tree order of
+/// [`squared_error_sum`]. The gradient store and the sum are vectorised; the
+/// order is the same on every ISA, so the loss is too.
 ///
 /// # Panics
 /// Panics when the slice lengths differ.
@@ -515,8 +523,34 @@ pub fn mse_fused(
     scale: f32,
     grad: &mut [f32],
 ) -> f32 {
-    assert_eq!(pred.len(), target.len(), "mse_fused: length mismatch");
-    assert_eq!(pred.len(), grad.len(), "mse_fused: gradient length");
+    squared_error(isa, pred, target, Some((grad, scale)))
+}
+
+/// `Σ (pred[i] − target[i])²` without a gradient store, in the MSE's fixed
+/// 8-lane tree order (see "Numeric contracts" above).
+///
+/// # Panics
+/// Panics when the slice lengths differ.
+// analysis: hot_path
+pub fn squared_error_sum(isa: ResolvedIsa, pred: &[f32], target: &[f32]) -> f32 {
+    squared_error(isa, pred, target, None)
+}
+
+/// Lanes of the squared-error reduction tree.
+const MSE_LANES: usize = 8;
+
+/// The shared body of [`mse_fused`] and [`squared_error_sum`]: `grad`, when
+/// given, receives `diff · scale`.
+fn squared_error(
+    isa: ResolvedIsa,
+    pred: &[f32],
+    target: &[f32],
+    grad: Option<(&mut [f32], f32)>,
+) -> f32 {
+    assert_eq!(pred.len(), target.len(), "squared error: length mismatch");
+    if let Some((grad, _)) = &grad {
+        assert_eq!(pred.len(), grad.len(), "mse_fused: gradient length");
+    }
     match isa {
         #[cfg(target_arch = "x86_64")]
         ResolvedIsa::Avx2 => {
@@ -525,20 +559,40 @@ pub fn mse_fused(
                 "ResolvedIsa::Avx2 on a CPU without AVX2+FMA"
             );
             // SAFETY: AVX2 availability and equal lengths asserted above.
-            unsafe { avx2::mse_fused(pred, target, scale, grad) }
+            unsafe { avx2::squared_error(pred, target, grad) }
         }
-        #[cfg(target_arch = "aarch64")]
-        ResolvedIsa::Neon => neon::mse_fused(pred, target, scale, grad),
         _ => {
-            let mut sum = 0.0f32;
-            for ((g, &p), &t) in grad.iter_mut().zip(pred).zip(target) {
-                let diff = p - t;
-                sum += diff * diff;
-                *g = diff * scale;
+            if let Some((grad, scale)) = grad {
+                for ((g, &p), &t) in grad.iter_mut().zip(pred).zip(target) {
+                    *g = (p - t) * scale;
+                }
             }
-            sum
+            let (pred_blocks, pred_tail) = pred.as_chunks::<MSE_LANES>();
+            let (target_blocks, target_tail) = target.as_chunks::<MSE_LANES>();
+            let mut lanes = [0.0f32; MSE_LANES];
+            for (pb, tb) in pred_blocks.iter().zip(target_blocks) {
+                for l in 0..MSE_LANES {
+                    let diff = pb[l] - tb[l];
+                    lanes[l] += diff * diff;
+                }
+            }
+            let tail = pred_tail
+                .iter()
+                .zip(target_tail)
+                .fold(0.0f32, |sum, (p, t)| {
+                    let diff = p - t;
+                    sum + diff * diff
+                });
+            mse_tree(lanes, tail)
         }
     }
+}
+
+/// Folds the lane sums and the tail of a squared-error reduction — the
+/// halving tree an 8-wide register reduces in, as `heat_solver::linalg::dot`
+/// does.
+fn mse_tree([l0, l1, l2, l3, l4, l5, l6, l7]: [f32; MSE_LANES], tail: f32) -> f32 {
+    (((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))) + tail
 }
 
 /// Loop-invariant inputs of one fused Adam update, precomputed once per step.

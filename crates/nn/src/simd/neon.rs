@@ -5,10 +5,10 @@
 //! The same numeric discipline as the AVX2 arm applies: separate
 //! `vmulq`/`vaddq` (never the fused `vfmaq`), correctly-rounded
 //! `vdivq`/`vsqrtq`, per-element op order identical to the scalar reference —
-//! every function here is bit-identical to its scalar counterpart. The GEMM
-//! family intentionally has no NEON arm yet (the blocked scalar kernels run
-//! there; explicit micro-kernels are a ROADMAP follow-up), which keeps this
-//! file small enough to audit without aarch64 hardware in CI.
+//! every function here is bit-identical to its scalar counterpart. The fused
+//! MSE and the GEMM family have no NEON arm: aarch64 runs their scalar
+//! kernels (explicit micro-kernels are a ROADMAP follow-up), which keeps
+//! this file small enough to audit without aarch64 hardware in CI.
 
 use super::AdamStep;
 use crate::mlp::Activation;
@@ -50,42 +50,6 @@ pub(super) fn act_derivative_mul(grad: &mut [f32], ys: &[f32], activation: Activ
         grad[idx] *= activation.derivative_from_output(ys[idx]);
         idx += 1;
     }
-}
-
-/// Fused MSE — vector gradient store, scalar-ordered loss sum
-/// (see [`super::mse_fused`]).
-pub(super) fn mse_fused(pred: &[f32], target: &[f32], scale: f32, grad: &mut [f32]) -> f32 {
-    debug_assert_eq!(pred.len(), target.len());
-    debug_assert_eq!(pred.len(), grad.len());
-    let n = pred.len();
-    let mut sum = 0.0f32;
-    let mut idx = 0;
-    let mut lanes = [0.0f32; LANES];
-    while idx + LANES <= n {
-        // SAFETY: idx + 4 <= n and all three slices have equal length;
-        // unaligned loads/stores (lanes is exactly 4 elements).
-        unsafe {
-            let p = vld1q_f32(pred.as_ptr().add(idx));
-            let t = vld1q_f32(target.as_ptr().add(idx));
-            let diff = vsubq_f32(p, t);
-            vst1q_f32(
-                grad.as_mut_ptr().add(idx),
-                vmulq_f32(diff, vdupq_n_f32(scale)),
-            );
-            vst1q_f32(lanes.as_mut_ptr(), diff);
-        }
-        for d in lanes {
-            sum += d * d;
-        }
-        idx += LANES;
-    }
-    while idx < n {
-        let diff = pred[idx] - target[idx];
-        sum += diff * diff;
-        grad[idx] = diff * scale;
-        idx += 1;
-    }
-    sum
 }
 
 /// Fused Adam update — op-for-op the scalar sequence

@@ -13,6 +13,9 @@
 //! checks — the suite stays green on every dispatch decision, which is exactly
 //! what CI's forced-scalar re-run asserts.
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use proptest::prelude::*;
 use rand::distributions::{Distribution, Uniform};
 use rand::{RngCore, SeedableRng};
@@ -114,21 +117,21 @@ proptest! {
         }
     }
 
-    /// The fused MSE pass returns a bit-identical loss sum and gradient.
+    /// The fused MSE pass returns a bit-identical gradient and the loss sum
+    /// in the 8-lane tree order, and the gradient-free sum agrees with it.
     #[test]
     fn mse_fused_bit_identical(len in 1usize..40, seed in 0u64..1000, scale in 0.01f32..2.0) {
         let (pred, target) = seeded_operands(len, len, seed);
-        let mut ref_grad = vec![0.0f32; len];
-        let mut ref_sum = 0.0f32;
-        for ((g, &p), &t) in ref_grad.iter_mut().zip(&pred).zip(&target) {
-            let diff = p - t;
-            ref_sum += diff * diff;
-            *g = diff * scale;
+        let ref_grad: Vec<f32> = pred.iter().zip(&target).map(|(p, t)| (p - t) * scale).collect();
+        let ref_sum = tree_order_sum(&pred, &target);
+        for isa in [ResolvedIsa::Scalar, vector_isa()] {
+            let mut grad = vec![0.0f32; len];
+            let sum = simd::mse_fused(isa, &pred, &target, scale, &mut grad);
+            prop_assert_eq!(ref_sum.to_bits(), sum.to_bits());
+            prop_assert_eq!(&ref_grad, &grad);
+            let sum = simd::squared_error_sum(isa, &pred, &target);
+            prop_assert_eq!(ref_sum.to_bits(), sum.to_bits());
         }
-        let mut grad = vec![0.0f32; len];
-        let sum = simd::mse_fused(vector_isa(), &pred, &target, scale, &mut grad);
-        prop_assert_eq!(ref_sum.to_bits(), sum.to_bits());
-        prop_assert_eq!(&ref_grad, &grad);
     }
 
     /// The fused Adam pass is bit-identical to the scalar op order, with and
@@ -259,6 +262,59 @@ fn seeded_operands(len_a: usize, len_b: usize, seed: u64) -> (Vec<f32>, Vec<f32>
     let a = (0..len_a).map(|_| next()).collect();
     let b = (0..len_b).map(|_| next()).collect();
     (a, b)
+}
+
+/// `Σ (pred − target)²` in the MSE's order, by the naive oracle.
+fn tree_order_sum(pred: &[f32], target: &[f32]) -> f32 {
+    let diffs: Vec<f32> = pred.iter().zip(target).map(|(p, t)| p - t).collect();
+    reference::sum_of_squares(&diffs)
+}
+
+/// Known answers for the MSE sum on errors whose serial sum and tree sum
+/// differ: element 0 errs by 1 and every other element by 2⁻¹², so each
+/// later square, 2⁻²⁴, is half an ulp of 1 and rounds away against it. One
+/// serial accumulator therefore ends at exactly 1. In the tree only lane 0
+/// holds the 1, and the seven other lanes keep their small squares, so from
+/// the first full block of eight on the two orders differ. On an even number
+/// of whole blocks `b`, every partial sum of the tree is exact (a multiple of
+/// 2⁻²³ above 1), and the answer is `1 + 7·b·2⁻²⁴` — for the batch shapes of
+/// the benchmark's `stream_bound` (10×576) and `solver_bound` (10×4,096) as
+/// well as for short lengths.
+#[test]
+fn mse_sum_known_answers_follow_the_tree_not_the_serial_chain() {
+    let small = 2.0f32.powi(-12);
+    let errors =
+        |len: usize| -> Vec<f32> { (0..len).map(|k| if k == 0 { 1.0 } else { small }).collect() };
+    let lengths = (1..=40).chain([10 * 576, 10 * 4096]);
+    for len in lengths {
+        let pred = errors(len);
+        let target = vec![0.0f32; len];
+        let serial = pred.iter().fold(0.0f32, |sum, d| sum + d * d);
+        assert_eq!(
+            serial, 1.0,
+            "len {len}: the serial chain loses every small square"
+        );
+        let expected = tree_order_sum(&pred, &target);
+        if len % 16 == 0 {
+            let blocks = (len / 8) as f32;
+            assert_eq!(expected, 1.0 + 7.0 * blocks * 2.0f32.powi(-24), "len {len}");
+        }
+        if len >= 8 {
+            assert_ne!(expected, serial, "len {len}: the orders must differ");
+        }
+        for isa in [ResolvedIsa::Scalar, vector_isa()] {
+            let mut grad = vec![0.0f32; len];
+            let sum = simd::mse_fused(isa, &pred, &target, 0.5, &mut grad);
+            assert_eq!(sum.to_bits(), expected.to_bits(), "len {len}, {isa:?}");
+            assert_eq!(
+                simd::squared_error_sum(isa, &pred, &target).to_bits(),
+                expected.to_bits(),
+                "len {len}, {isa:?}"
+            );
+            assert_eq!(grad[0], 0.5);
+            assert!(grad[1..].iter().all(|&g| g == small * 0.5));
+        }
+    }
 }
 
 /// A forced-`scalar` request resolves to the scalar reference arm regardless

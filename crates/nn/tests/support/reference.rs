@@ -3,9 +3,10 @@
 //! This is the crate's original allocating forward/backward pass, kept as a
 //! test oracle: i-k-j matrix products that skip zero entries of the left
 //! operand, the activation derivative evaluated on the *pre-activation*, and
-//! MSE as `sub → mean_square → ×2/n`. The production step
-//! (`forward_ws` / `MseLoss::evaluate_into` / `backward_ws`) must reproduce
-//! it bit for bit wherever no subnormal arises.
+//! MSE as `sub → mean_square → ×2/n`, whose sum runs in the crate's 8-lane
+//! tree order. The production step (`forward_ws` / `MseLoss::evaluate_into`
+//! / `backward_ws`) must reproduce it bit for bit wherever no subnormal
+//! arises.
 //!
 //! Nothing here sets a floating-point mode: the oracle runs in whatever mode
 //! the calling thread is in (gradual underflow on a default thread), while the
@@ -158,12 +159,29 @@ fn sub(a: &Matrix, b: &Matrix) -> Matrix {
     )
 }
 
+/// Sum of the squared values in the crate's MSE order: value `k` into lane
+/// `k mod 8` up to the last full block of eight, the lanes folded as
+/// `(((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7)))`, then the serial sum of the rest
+/// added.
+pub fn sum_of_squares(values: &[f32]) -> f32 {
+    let blocked = values.len() - values.len() % 8;
+    let mut l = [0.0f32; 8];
+    for (k, v) in values[..blocked].iter().enumerate() {
+        l[k % 8] += v * v;
+    }
+    let mut tail = 0.0f32;
+    for v in &values[blocked..] {
+        tail += v * v;
+    }
+    (((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))) + tail
+}
+
 /// Mean of the squared elements.
 fn mean_square(m: &Matrix) -> f32 {
     if m.data().is_empty() {
         return 0.0;
     }
-    m.data().iter().map(|v| v * v).sum::<f32>() / m.data().len() as f32
+    sum_of_squares(m.data()) / m.data().len() as f32
 }
 
 /// Mean squared error: `(loss, dLoss/dPrediction)`.

@@ -391,6 +391,63 @@ fn scripted_crash_returns_a_quiescent_directory_that_resumes_at_once() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A fresh `run` into a directory an earlier run of the same experiment
+/// filled is refused: started over next to the earlier run's checkpoints
+/// and journal, it would let a later resume skip simulations this run never
+/// trained. The refusal goes through the open-failure policy —
+/// `durable_error` is set and training goes on — and leaves the directory
+/// byte for byte as the first run left it, so a resume still continues from
+/// the first run's final checkpoint.
+#[test]
+fn a_fresh_run_refuses_a_directory_that_holds_an_earlier_runs_records() {
+    let dir = temp_dir("used-directory");
+    let config = seed_durable_dir(&dir);
+    let snapshot = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let bytes = fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = snapshot(&dir);
+    let first = newest_checkpoint(&dir, &config).expect("the seeding run's final checkpoint");
+    assert_eq!(first.completed_simulations.len(), CLIENTS);
+
+    let mut crashing = config.clone();
+    crashing.fault.plan = FaultPlan::none().with_server_crash(3);
+    let (_, report) = OnlineExperiment::new(crashing)
+        .expect("valid configuration")
+        .run();
+    assert!(report.crashed, "the scripted server crash must fire");
+    assert_eq!(report.batches, 3, "training goes on without durability");
+    assert_eq!(report.durable_checkpoints, 0);
+    let error = report.durable_error.expect("the used directory is refused");
+    assert_eq!(
+        error,
+        DurabilityError::UsedDirectory(dir.clone()).to_string(),
+        "{error}"
+    );
+    assert!(
+        before == snapshot(&dir),
+        "the refused run wrote into the directory"
+    );
+
+    let (_, resumed) =
+        OnlineExperiment::resume_from_dir(&dir, config.clone()).expect("resume the first run");
+    assert_eq!(resumed.durable_error, None);
+    assert_eq!(resumed.resumed_from_batches, Some(first.batches_trained));
+    assert_eq!(
+        resumed.simulations, 0,
+        "the first run trained every simulation"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Corruption handling
 // ---------------------------------------------------------------------------
