@@ -1,9 +1,9 @@
 //! Instrumentation counters shared by all buffer implementations.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Counters describing the life of a buffer during one experiment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct BufferStats {
     /// Number of samples inserted by the data-aggregator side.
     pub puts: usize,
@@ -39,7 +39,7 @@ impl BufferStats {
 
 /// A timestamped snapshot of the buffer population, used to reproduce the
 /// population curves of Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OccupancySnapshot {
     /// Seconds since the start of the experiment.
     pub elapsed_seconds: f64,

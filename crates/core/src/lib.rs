@@ -78,9 +78,7 @@ pub use metrics::{
 pub use offline::OfflineExperiment;
 pub use recovery::{IngestControl, ReceptionGate, RecoveryHooks, RecoveryTracker};
 pub use report::{ExperimentReport, SidecarReport};
-pub use sample::{
-    fill_batch_from_buffer, payload_into_sample, payload_to_sample, step_to_payload, step_to_sample,
-};
+pub use sample::{fill_batch_from_buffer, payload_into_sample, payload_to_sample, step_to_payload};
 pub use server::OnlineExperiment;
 pub use trainer::{RankTrainer, TrainerShared};
 pub use validation::ValidationSet;

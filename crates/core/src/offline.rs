@@ -20,7 +20,7 @@ use crate::disk::{DiskConfig, SimulatedDisk};
 use crate::error::ExperimentError;
 use crate::metrics::OccurrenceTable;
 use crate::report::ExperimentReport;
-use crate::sample::step_to_sample;
+use crate::sample::{payload_into_sample, step_into_payload};
 use crate::trainer::{BatchSource, RankOutcome, RankTrainer, TrainerShared};
 use crate::validation::ValidationSet;
 use melissa_ensemble::{ClientError, Launcher, LauncherConfig};
@@ -163,12 +163,8 @@ impl OfflineExperiment {
             let mut local = Vec::with_capacity(workload.steps());
             workload
                 .generate(job.parameters, &mut |step| {
-                    local.push(step_to_sample(
-                        &step,
-                        job.client_id,
-                        &input_norm,
-                        &output_norm,
-                    ));
+                    let payload = step_into_payload(step, job.client_id);
+                    local.push(payload_into_sample(payload, &input_norm, &output_norm));
                 })
                 .map_err(|e| ClientError::new(e.to_string()))?;
             let mut disk = disk.lock();

@@ -8,8 +8,10 @@ use surrogate_nn::{Batch, InputNormalizer, OutputNormalizer, Sample};
 use training_buffer::TrainingBuffer;
 
 /// Converts a workload time step into the transport payload streamed to the
-/// server.
-pub fn step_to_payload(step: &WorkloadStep, simulation_id: u64) -> SamplePayload {
+/// server, moving the step's field values into the payload. The online
+/// clients, the offline generation and the held-out set all convert through
+/// it.
+pub(crate) fn step_into_payload(step: WorkloadStep, simulation_id: u64) -> SamplePayload {
     // One spare slot beyond the parameters: the server-side ingestion appends
     // the time entry in place (see [`payload_into_sample`]) without
     // reallocating.
@@ -20,8 +22,14 @@ pub fn step_to_payload(step: &WorkloadStep, simulation_id: u64) -> SamplePayload
         step: step.step,
         time: step.time,
         parameters,
-        values: step.values.clone(),
+        values: step.values,
     }
+}
+
+/// Converts a workload time step the caller keeps into the transport payload
+/// streamed to the server: the moving conversion applied to a copy.
+pub fn step_to_payload(step: &WorkloadStep, simulation_id: u64) -> SamplePayload {
+    step_into_payload(step.clone(), simulation_id)
 }
 
 /// Converts a received payload into a normalised training sample.
@@ -57,18 +65,6 @@ pub fn payload_into_sample(
     input_norm.normalize_in_place(&mut input);
     output_norm.normalize_in_place(&mut values);
     Sample::new(input, values, simulation_id, step)
-}
-
-/// Converts a workload time step directly into a normalised training sample
-/// (used by the offline path, which bypasses the transport).
-pub fn step_to_sample(
-    step: &WorkloadStep,
-    simulation_id: u64,
-    input_norm: &InputNormalizer,
-    output_norm: &OutputNormalizer,
-) -> Sample {
-    let payload = step_to_payload(step, simulation_id);
-    payload_to_sample(&payload, input_norm, output_norm)
 }
 
 /// Assembles up to `n` samples from a training buffer **directly into the
@@ -121,13 +117,15 @@ mod tests {
     }
 
     #[test]
-    fn direct_and_two_step_conversion_agree() {
+    fn a_moved_step_converts_to_the_borrowed_steps_sample() {
         let input_norm = InputNormalizer::for_trajectory(100, 0.01);
         let output_norm = OutputNormalizer::default();
-        let via_payload =
-            payload_to_sample(&step_to_payload(&step(), 5), &input_norm, &output_norm);
-        let direct = step_to_sample(&step(), 5, &input_norm, &output_norm);
-        assert_eq!(via_payload, direct);
+        let borrowed = payload_to_sample(&step_to_payload(&step(), 5), &input_norm, &output_norm);
+        let moved = payload_into_sample(step_into_payload(step(), 5), &input_norm, &output_norm);
+        assert_eq!(moved.key(), borrowed.key());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&moved.input), bits(&borrowed.input));
+        assert_eq!(bits(&moved.target), bits(&borrowed.target));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::error::ExperimentError;
 use crate::metrics::OccurrenceTable;
 use crate::recovery::{IngestControl, ReceptionGate, RecoveryHooks, RecoveryTracker};
 use crate::report::ExperimentReport;
-use crate::sample::step_to_payload;
+use crate::sample::step_into_payload;
 use crate::trainer::{RankOutcome, RankTrainer, TrainerShared};
 use crate::validation::ValidationSet;
 use melissa_ensemble::{CampaignEvents, ClientContext, ClientError, Launcher, LauncherReport};
@@ -470,7 +470,7 @@ impl OnlineExperiment {
                                     ));
                                     return;
                                 }
-                                let payload = step_to_payload(&step, job.client_id);
+                                let payload = step_into_payload(step, job.client_id);
                                 // A send only fails when the server is gone, in
                                 // which case the client simply stops producing.
                                 let _ = connection.send(payload);

@@ -13,7 +13,7 @@
 //! is bit-identical to generating the simulations one after another.
 
 use crate::config::ExperimentConfig;
-use crate::sample::step_to_sample;
+use crate::sample::{payload_into_sample, step_into_payload};
 use melissa_ensemble::{CampaignPlan, ClientError, Launcher, LauncherConfig, RetryPolicy};
 use melissa_workload::Workload;
 use std::sync::OnceLock;
@@ -162,12 +162,8 @@ impl ValidationSet {
             // held-out noise must not depend on the launcher's attempt seed.
             workload
                 .generate(job.parameters, &mut |step| {
-                    samples.push(step_to_sample(
-                        &step,
-                        u64::MAX - job.client_id,
-                        input_norm,
-                        output_norm,
-                    ));
+                    let payload = step_into_payload(step, u64::MAX - job.client_id);
+                    samples.push(payload_into_sample(payload, input_norm, output_norm));
                 })
                 .map_err(|e| ClientError::crash(e.to_string()))?;
             // Without retries every client runs once, so its slot is empty.
@@ -194,13 +190,16 @@ impl ValidationSet {
 mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
+    use crate::sample::{payload_to_sample, step_to_payload};
     use crate::workload_spec::WorkloadSpec;
     use heat_solver::SolverConfig;
     use melissa_ensemble::{ParameterSampler, SamplerKind};
     use surrogate_nn::MlpConfig;
 
     /// Serial generation — one whole trajectory after another on the calling
-    /// thread — kept as the oracle the launcher campaign must equal.
+    /// thread, each step converted through the borrowing
+    /// `step_to_payload` → `payload_to_sample` — kept as the oracle the
+    /// launcher campaign, which moves its steps, must equal.
     fn serial_oracle(config: &ExperimentConfig) -> Vec<Sample> {
         let workload = config.workload.build();
         let input_norm = config.workload.input_normalizer();
@@ -216,12 +215,8 @@ mod tests {
         for sim in 0..simulations {
             let trajectory = workload.trajectory(sampler.parameters(sim)).unwrap();
             for step in &trajectory {
-                samples.push(step_to_sample(
-                    step,
-                    u64::MAX - sim as u64,
-                    &input_norm,
-                    &output_norm,
-                ));
+                let payload = step_to_payload(step, u64::MAX - sim as u64);
+                samples.push(payload_to_sample(&payload, &input_norm, &output_norm));
             }
         }
         samples

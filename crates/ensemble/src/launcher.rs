@@ -36,7 +36,7 @@ use crate::campaign::CampaignPlan;
 use crate::sampler::ParameterSampler;
 use melissa_workload::{ParamPoint, ParameterSpace};
 use parking_lot::{Condvar, Mutex};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -149,7 +149,7 @@ pub struct ClientJob {
 
 /// What kind of failure a client reported — the launcher's retry policy keys
 /// off this: crashes and kills are worth retrying, the rest never succeed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ClientErrorKind {
     /// The client crashed (solver error, lost connection mid-run, …);
     /// a restart may well succeed. Retryable.
@@ -324,7 +324,7 @@ pub struct CampaignEvents<'a> {
 }
 
 /// Aggregate report of a campaign execution.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct LauncherReport {
     /// Clients that eventually completed.
     pub completed: usize,

@@ -3,6 +3,13 @@
 //! The paper seeds the network weight initialisation for reproducibility; the
 //! same holds here. He (Kaiming) initialisation suits the ReLU surrogate used
 //! in the paper, Xavier suits tanh baselines.
+//!
+//! The uniform schemes draw what `Uniform::new_inclusive(-bound, bound)`
+//! draws from the seeded `ChaCha8Rng`, one `next_u64` per weight. Where the
+//! dispatch layer has vector kernels (AVX2), the words come from
+//! [`simd::chacha8_keystream`] and become weights in
+//! [`simd::uniform_from_words`], four per step; elsewhere the weights are
+//! drawn one at a time. Both routes give the same weights bit for bit.
 
 use crate::simd;
 use rand::distributions::{Distribution, Uniform};
@@ -61,25 +68,28 @@ impl WeightInit {
     }
 
     /// `n` draws of `U[-bound, bound]`: key-stream words from
-    /// [`simd::chacha8_keystream`] in stack-buffer chunks, each pair mapped
-    /// with `Uniform::new_inclusive`'s f64 arithmetic, or else the per-draw
-    /// loop; the weights and the generator's final position agree bit for bit.
+    /// [`simd::chacha8_keystream`] in stack-buffer chunks of 1,024 words,
+    /// each chunk's pairs mapped by [`simd::uniform_from_words`] (the f64
+    /// arithmetic of `Uniform::new_inclusive`) straight into the preallocated
+    /// weights, or else the per-draw loop; the weights and the generator's
+    /// final position agree bit for bit.
     fn uniform(&mut self, n: usize, bound: f32) -> Vec<f32> {
         let dist = Uniform::new_inclusive(-bound, bound);
         let (low, high) = (-bound as f64, bound as f64);
         let isa = simd::detect();
-        let mut weights = Vec::with_capacity(n);
+        let mut weights = vec![0.0; n];
         let mut words = [0u32; 1024];
-        while weights.len() < n {
-            let chunk = &mut words[..(2 * (n - weights.len())).min(1024)];
+        let mut filled = 0;
+        while filled < n {
+            let draws = (n - filled).min(words.len() / 2);
+            let chunk = &mut words[..2 * draws];
             if simd::chacha8_keystream(isa, &mut self.rng, chunk) {
-                weights.extend(chunk.chunks_exact(2).map(|pair| {
-                    let x = pair[0] as u64 | (pair[1] as u64) << 32;
-                    let unit = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                    (low + unit * (high - low)) as f32
-                }));
+                let out = &mut weights[filled..filled + draws];
+                simd::uniform_from_words(isa, chunk, low, high, out);
+                filled += draws;
             } else {
-                weights.push(dist.sample(&mut self.rng));
+                weights[filled] = dist.sample(&mut self.rng);
+                filled += 1;
             }
         }
         weights

@@ -764,6 +764,48 @@ pub(super) fn normalize_dims(values: &mut [f32], mins: &[f32], spans: &[f32]) {
     }
 }
 
+/// Key-stream word pairs to `f32` draws, four u64 lanes per step. The 53-bit
+/// integer `x >> 11` becomes an f64 exactly by the two-part magic-number
+/// trick: its low 32 bits under the exponent of 2⁵², its high 21 bits under
+/// the exponent of 2⁸⁴, and `(hi − (2⁸⁴ + 2⁵²)) + lo` = `x >> 11`, each step
+/// exact. Then the scalar's multiply, multiply and add (no FMA) and one
+/// round-to-nearest conversion to f32, as `as f32` does.
+#[target_feature(enable = "avx2")]
+pub(super) fn uniform_from_words(words: &[u32], low: f64, high: f64, out: &mut [f32]) {
+    debug_assert_eq!(words.len(), 2 * out.len());
+    let range = high - low;
+    let magic_lo = _mm256_set1_epi64x(0x4330_0000_0000_0000); // 2⁵²
+    let magic_hi = _mm256_set1_epi64x(0x4530_0000_0000_0000); // 2⁸⁴
+    let magic_both = _mm256_set1_pd(f64::from_bits(0x4530_0000_0010_0000)); // 2⁸⁴ + 2⁵²
+    let scale = _mm256_set1_pd(1.0 / (1u64 << 53) as f64);
+    let low_v = _mm256_set1_pd(low);
+    let range_v = _mm256_set1_pd(range);
+    let n = out.len();
+    let mut idx = 0;
+    while idx + 4 <= n {
+        // SAFETY: idx + 4 <= n, so words[2·idx .. 2·idx + 8] and
+        // out[idx .. idx + 4] are in bounds; unaligned load/store. Lane j is
+        // the little-endian pair words[2(idx+j)] | words[2(idx+j)+1] << 32.
+        unsafe {
+            let x = _mm256_srli_epi64::<11>(_mm256_loadu_si256(words.as_ptr().add(2 * idx).cast()));
+            let lo = _mm256_blend_epi32::<0b1010_1010>(x, magic_lo);
+            let hi = _mm256_or_si256(_mm256_srli_epi64::<32>(x), magic_hi);
+            let whole = _mm256_add_pd(
+                _mm256_sub_pd(_mm256_castsi256_pd(hi), magic_both),
+                _mm256_castsi256_pd(lo),
+            );
+            let unit = _mm256_mul_pd(whole, scale);
+            let draw = _mm256_add_pd(low_v, _mm256_mul_pd(unit, range_v));
+            _mm_storeu_ps(out.as_mut_ptr().add(idx), _mm256_cvtpd_ps(draw));
+        }
+        idx += 4;
+    }
+    while idx < n {
+        out[idx] = super::uniform_from_pair(words[2 * idx], words[2 * idx + 1], low, range);
+        idx += 1;
+    }
+}
+
 /// Eight ChaCha8 blocks, `block .. block + 8`, of the stream keyed by `seed`
 /// with nonce zero, written to `out` in stream order (block `block + b` is
 /// `out[16·b..16·b + 16]`). Lane `b` of the sixteen state vectors is block

@@ -62,8 +62,16 @@
 //! exact zeros, the tolerance [`crate::kernels`] already documents).
 //! Flushing is applied per operation, identically by scalar and vector
 //! instructions, so through the entry points above bit-identity holds across
-//! ISAs, across GEMM thread counts *and* across calling-thread FP modes. [`chacha8_keystream`], which draws the initial weights, is integer
-//! arithmetic and returns the vendored generator's words exactly.
+//! ISAs, across GEMM thread counts *and* across calling-thread FP modes.
+//!
+//! **Initial weights.** `Mlp::new`'s weights come from two kernels here.
+//! [`chacha8_keystream`] is integer arithmetic and returns the vendored
+//! generator's words exactly. [`uniform_from_words`] turns each word pair
+//! into a weight with `Uniform::new_inclusive`'s f64 arithmetic: the 53-bit
+//! integer converts to f64 exactly, then one multiply by 2⁻⁵³, one multiply
+//! by the range, one add and one rounding to f32, the same on every arm. On
+//! an ISA without the keystream kernel, `WeightInit` draws per word instead,
+//! and the weights are the same bit for bit.
 //!
 //! On `aarch64`, NEON currently accelerates the element-wise streams except
 //! the MSE, which takes its scalar arm there; the GEMM family falls back to
@@ -775,6 +783,48 @@ pub fn normalize_dims(isa: ResolvedIsa, values: &mut [f32], mins: &[f32], spans:
             }
         }
     }
+}
+
+/// Maps key-stream word pairs to `f32` draws of `U[low, high]`:
+/// `out[i] = (low + (x >> 11)·2⁻⁵³ · (high − low)) as f32` with
+/// `x = words[2i] | words[2i + 1] << 32`, the f64 arithmetic of
+/// `Uniform::<f32>::new_inclusive` on the pair `next_u64` would return. The
+/// AVX2 arm converts four pairs per step; every arm rounds the same
+/// operations the same way, so the draws agree bit for bit.
+///
+/// # Panics
+/// Panics when `words` is not two words per output.
+pub fn uniform_from_words(isa: ResolvedIsa, words: &[u32], low: f64, high: f64, out: &mut [f32]) {
+    assert_eq!(
+        words.len(),
+        2 * out.len(),
+        "uniform_from_words: two words per draw"
+    );
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        ResolvedIsa::Avx2 => {
+            assert!(
+                avx2_available(),
+                "ResolvedIsa::Avx2 on a CPU without AVX2+FMA"
+            );
+            // SAFETY: AVX2 availability and the lengths asserted above.
+            unsafe { avx2::uniform_from_words(words, low, high, out) };
+        }
+        _ => {
+            let range = high - low;
+            for (i, draw) in out.iter_mut().enumerate() {
+                *draw = uniform_from_pair(words[2 * i], words[2 * i + 1], low, range);
+            }
+        }
+    }
+}
+
+/// One draw of [`uniform_from_words`]: the scalar formula every arm matches.
+#[inline(always)]
+pub(crate) fn uniform_from_pair(w0: u32, w1: u32, low: f64, range: f64) -> f32 {
+    let x = w0 as u64 | (w1 as u64) << 32;
+    let unit = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    (low + unit * range) as f32
 }
 
 /// Fills `out` with the next `out.len()` words of `rng`'s key stream and

@@ -534,6 +534,58 @@ proptest! {
     }
 }
 
+/// `uniform_from_words` gives the per-draw oracle's draws bit for bit on the
+/// scalar and the vector arm: on pairs whose 53-bit integer `x >> 11` sits
+/// at the edges of the two-part f64 conversion (0, 1, 2³² − 1, 2³², 2⁵²,
+/// 2⁵³ − 1, each with low 11 bits the shift must drop), at every length 0 to
+/// 9 and lane offset (the vector arm's four-pair steps and its scalar tail),
+/// and over a random sweep of 2²⁰ pairs (2¹⁴ in a debug build).
+#[test]
+fn uniform_from_words_matches_the_per_draw_oracle() {
+    let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let he = (6.0f64 / 256.0).sqrt() as f32;
+    let ranges = [
+        (-f64::from(he), f64::from(he)),
+        (-0.3, 1.7),
+        (-1e-3, 1e-3),
+        (2.5, 2.5),
+        (-1e30, 1e30),
+    ];
+    let check = |words: &[u32], what: &str| {
+        for (low, high) in ranges {
+            let expected = reference::uniform_from_words(words, low, high);
+            for isa in [ResolvedIsa::Scalar, vector_isa()] {
+                let mut out = vec![f32::NAN; words.len() / 2];
+                simd::uniform_from_words(isa, words, low, high, &mut out);
+                assert_eq!(
+                    bits(&out),
+                    bits(&expected),
+                    "{what}, [{low}, {high}], {isa:?}"
+                );
+            }
+        }
+    };
+    let edges = [0, 1, (1u64 << 32) - 1, 1 << 32, 1 << 52, (1 << 53) - 1];
+    let pair = |k: usize| {
+        let x = edges[k % edges.len()] << 11 | [0x7FF, 0x001, 0x400, 0x2AA, 0x555][k % 5];
+        [x as u32, (x >> 32) as u32]
+    };
+    for len in 0..=9 {
+        for start in 0..edges.len() {
+            let words: Vec<u32> = (start..start + len).flat_map(pair).collect();
+            check(&words, &format!("edges, {len} pairs from {start}"));
+        }
+    }
+    let pairs = if cfg!(debug_assertions) {
+        1 << 14
+    } else {
+        1 << 20
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(44);
+    let words: Vec<u32> = (0..2 * pairs).map(|_| rng.next_u32()).collect();
+    check(&words, "random sweep");
+}
+
 /// `WeightInit::weights` draws what the per-draw loop draws, and leaves the
 /// generator where it does (the second layer follows on from the first), for
 /// every scheme, fan-ins 1 to 300 and odd fan-outs: layers start and end at

@@ -14,11 +14,16 @@
 //! oracle an underflowing batch therefore sees the subnormals the production
 //! path flushes.
 //!
+//! It also holds the per-draw route of the initial weights: `Uniform` sampled
+//! from a generator that replays given key-stream words.
+//!
 //! Include it with `#[path = "support/reference.rs"] mod reference;`.
 
 // Each test crate uses a different subset of the oracle.
 #![allow(dead_code)]
 
+use rand::distributions::{Distribution, Uniform};
+use rand::RngCore;
 use surrogate_nn::{Activation, Matrix, Mlp};
 
 /// Matrix product `a · b`, i-k-j order, skipping zero entries of `a`.
@@ -269,4 +274,30 @@ pub fn backward(model: &Mlp, trace: &Trace, grad_output: &Matrix) -> (Vec<f32>, 
         grad = matmul_transpose(&grad_pre, &layer.weights);
     }
     (grads, grad)
+}
+
+/// A generator that returns the given key-stream words, in order, as
+/// `ChaCha8Rng` returns its own: `next_u64` is two words, low word first.
+struct Replay<'a>(std::slice::Iter<'a, u32>);
+
+impl RngCore for Replay<'_> {
+    fn next_u32(&mut self) -> u32 {
+        *self.0.next().expect("a word for every draw")
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let low = u64::from(self.next_u32());
+        low | u64::from(self.next_u32()) << 32
+    }
+}
+
+/// One f32 draw of `U[low, high]` per word pair: the vendored
+/// `Uniform::<f64>::new_inclusive(low, high)` sampled from a generator that
+/// replays `words`, rounded to f32 — the per-draw route of `WeightInit`.
+pub fn uniform_from_words(words: &[u32], low: f64, high: f64) -> Vec<f32> {
+    let dist = Uniform::new_inclusive(low, high);
+    let mut rng = Replay(words.iter());
+    (0..words.len() / 2)
+        .map(|_| dist.sample(&mut rng) as f32)
+        .collect()
 }

@@ -1,10 +1,10 @@
 //! Transport-level instrumentation counters.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Counters describing the traffic that went through a fabric.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TransportStats {
     /// Time-step messages sent by clients.
     pub messages_sent: usize,
