@@ -30,11 +30,6 @@ impl BufferStats {
             self.repeated_gets as f64 / self.gets as f64
         }
     }
-
-    /// Number of distinct samples served at least once.
-    pub fn unique_gets(&self) -> usize {
-        self.gets - self.repeated_gets
-    }
 }
 
 /// A timestamped snapshot of the buffer population, used to reproduce the
@@ -68,6 +63,5 @@ mod tests {
             ..BufferStats::default()
         };
         assert!((s.repeat_fraction() - 0.4).abs() < 1e-12);
-        assert_eq!(s.unique_gets(), 6);
     }
 }

@@ -82,10 +82,10 @@ pub struct TrainingConfig {
     /// training results are bit-identical to the non-prefetch path.
     pub prefetch: bool,
     /// Kernel ISA the compute core dispatches on: `auto` (default) picks the
-    /// widest ISA the CPU supports, `scalar` forces the blocked reference
-    /// kernels, a named ISA (`avx2`, `neon`) degrades to scalar when the CPU
-    /// lacks it. Every resolved ISA is bit-identical on the training path, so
-    /// this is an operational knob (excluded from the config fingerprint).
+    /// widest ISA the CPU supports (AVX2+FMA on x86_64, scalar elsewhere),
+    /// `scalar` forces the blocked reference kernels. Every resolved ISA is
+    /// bit-identical on the training path, so this is an operational knob
+    /// (excluded from the config fingerprint).
     pub kernel_isa: KernelIsa,
 }
 
@@ -491,13 +491,6 @@ impl ExperimentConfigBuilder {
     /// Sets the per-rank GEMM thread count (0 = auto).
     pub fn gemm_threads(mut self, threads: usize) -> Self {
         self.config.training.gemm_threads = threads;
-        self
-    }
-
-    /// Sets the kernel-ISA request the compute core dispatches on
-    /// (`auto` / `scalar` / a named ISA; bit-identical either way).
-    pub fn kernel_isa(mut self, isa: KernelIsa) -> Self {
-        self.config.training.kernel_isa = isa;
         self
     }
 

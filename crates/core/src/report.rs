@@ -101,8 +101,7 @@ pub struct ExperimentReport {
     /// First durability error encountered; when set, the run completed but
     /// its on-disk recovery state stopped updating at that point.
     pub durable_error: Option<String>,
-    /// The kernel ISA the compute core resolved to ("scalar", "avx2+fma",
-    /// "neon").
+    /// The kernel ISA the compute core resolved to ("scalar" or "avx2+fma").
     pub kernel_isa: String,
     /// The floating-point mode the kernels ran in (`simd::fp_mode`): "ftz+daz",
     /// "fz" or "ieee".

@@ -60,8 +60,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use surrogate_nn::{
-    Adam, AdamConfig, Batch, GradientSynchronizer, Loss, LrSchedule, Mlp, MseLoss, Sample,
-    SampleBasedHalving, Verdict, Vote, Workspace,
+    Adam, AdamConfig, Batch, GradientSynchronizer, Loss, Mlp, MseLoss, Sample, SampleBasedHalving,
+    Verdict, Vote, Workspace,
 };
 use training_buffer::TrainingBuffer;
 
@@ -507,9 +507,7 @@ impl RankTrainer {
         // the schedule over hot.
         let progress_rounds = self.resume_rounds() + state.rounds + 1;
         let nominal_samples_seen = progress_rounds * batch_size * self.shared.num_ranks;
-        let lr = self
-            .schedule
-            .learning_rate(progress_rounds, nominal_samples_seen);
+        let lr = self.schedule.learning_rate(nominal_samples_seen);
 
         // Synchronous data parallelism: every rank reduces and Adam-steps its
         // shard of the mean gradient and gathers the others, so the same

@@ -7,10 +7,10 @@
 
 use crate::grid::Grid2D;
 use crate::params::SimulationParams;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The four constant Dirichlet boundary temperatures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BoundaryConditions {
     /// Temperature on the `x = 0` edge (`T_x1`).
     pub west: f64,

@@ -6,13 +6,13 @@
 //! (`y` outer, `x` inner), which is also the layout the solver streams to the
 //! training server.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A regular 2D Cartesian grid over the rectangular domain `[0, lx] × [0, ly]`.
 ///
 /// `nx` and `ny` count the *interior* nodes carried by a [`Field`]; boundary
 /// values are imposed by [`crate::BoundaryConditions`] and never stored.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Grid2D {
     /// Number of interior nodes along x.
     pub nx: usize,
@@ -85,7 +85,7 @@ impl Grid2D {
 }
 
 /// A scalar field (e.g. temperature) defined on the interior nodes of a [`Grid2D`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Field {
     grid: Grid2D,
     values: Vec<f64>,
@@ -212,16 +212,6 @@ impl Field {
         (sum / self.values.len() as f64).sqrt()
     }
 
-    /// Maximum absolute difference with another field defined on the same grid.
-    pub fn max_abs_diff(&self, other: &Field) -> f64 {
-        assert_eq!(self.values.len(), other.values.len());
-        self.values
-            .iter()
-            .zip(&other.values)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
-    }
-
     /// Down-converts to `f32`, the precision streamed to the training server
     /// (the paper gathers on rank zero and converts from 64 to 32 bits in situ).
     pub fn to_f32(&self) -> Vec<f32> {
@@ -301,7 +291,6 @@ mod tests {
         let a = Field::constant(grid, 1.0);
         let b = Field::constant(grid, 3.0);
         assert!((a.rms_diff(&b) - 2.0).abs() < 1e-12);
-        assert!((a.max_abs_diff(&b) - 2.0).abs() < 1e-12);
     }
 
     #[test]

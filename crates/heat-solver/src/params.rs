@@ -11,7 +11,7 @@
 //! re-exported here; [`SimulationParams`] is the heat-specific view of one
 //! sampled [`ParamPoint`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 pub use melissa_workload::{ParamPoint, ParamRange, ParameterSpace, PARAM_DIM};
 
@@ -23,7 +23,7 @@ pub const DEFAULT_T_MAX: f64 = 500.0;
 /// The five sampled temperatures of one ensemble member.
 ///
 /// Order matches the paper: `[T_ic, T_x1, T_y1, T_x2, T_y2]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SimulationParams {
     /// Initial temperature of the whole domain.
     pub t_initial: f64,
@@ -64,12 +64,6 @@ impl SimulationParams {
             v[3] as f32,
             v[4] as f32,
         ]
-    }
-
-    /// Mean of the four boundary temperatures — the steady-state mean temperature
-    /// the solution converges towards, useful for sanity checks.
-    pub fn boundary_mean(&self) -> f64 {
-        (self.t_x1 + self.t_x2 + self.t_y1 + self.t_y2) / 4.0
     }
 
     /// Smallest of the five temperatures.
@@ -122,7 +116,6 @@ mod tests {
     #[test]
     fn params_boundary_mean_and_extrema() {
         let p = SimulationParams::new([300.0, 100.0, 200.0, 300.0, 400.0]);
-        assert!((p.boundary_mean() - 250.0).abs() < 1e-12);
         assert_eq!(p.min_temperature(), 100.0);
         assert_eq!(p.max_temperature(), 400.0);
     }

@@ -10,7 +10,7 @@ use crate::boundary::BoundaryConditions;
 use crate::grid::{Field, Grid2D};
 use crate::params::SimulationParams;
 use crate::scheme::{ImplicitEuler, ImplicitStepper};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Configuration of one solver run.
@@ -50,16 +50,6 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// Configuration matching the paper's large runs (1000×1000 × 100 steps).
-    /// Only used for documentation and cost estimates — far too large for tests.
-    pub fn paper_scale() -> Self {
-        Self {
-            nx: 1000,
-            ny: 1000,
-            ..Self::default()
-        }
-    }
-
     /// The grid described by this configuration.
     pub fn grid(&self) -> Grid2D {
         Grid2D::rectangle(self.nx, self.ny, self.lx, self.ly)
@@ -129,7 +119,7 @@ impl std::error::Error for SolverError {}
 
 /// One gathered, down-converted time step — the unit of data streamed to the
 /// training server (one training sample together with its input `(X, t)`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimeStepField {
     /// Zero-based time-step index.
     pub step: usize,
@@ -200,14 +190,6 @@ impl HeatSolver {
             params: self.params,
             next_step: 0,
         })
-    }
-
-    /// Runs the full trajectory, pushing every step into `sink`.
-    pub fn run_with_sink(&self, mut sink: impl FnMut(TimeStepField)) -> Result<(), SolverError> {
-        for step in self.run()? {
-            sink(step);
-        }
-        Ok(())
     }
 
     /// Runs the full trajectory eagerly and returns all steps.
@@ -363,14 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn run_with_sink_collects_all_steps() {
-        let solver = HeatSolver::new(small_config(), params()).unwrap();
-        let mut count = 0;
-        solver.run_with_sink(|_| count += 1).unwrap();
-        assert_eq!(count, 8);
-    }
-
-    #[test]
     fn config_size_accounting() {
         let c = SolverConfig {
             nx: 100,
@@ -381,15 +355,5 @@ mod tests {
         assert_eq!(c.field_len(), 10_000);
         assert_eq!(c.step_bytes(), 40_000);
         assert_eq!(c.trajectory_bytes(), 400_000);
-    }
-
-    #[test]
-    fn paper_scale_config_matches_paper_numbers() {
-        let c = SolverConfig::paper_scale();
-        assert_eq!(c.nx, 1000);
-        assert_eq!(c.ny, 1000);
-        assert_eq!(c.steps, 100);
-        // One sample is a 1M-value field: 4 MB in f32.
-        assert_eq!(c.step_bytes(), 4_000_000);
     }
 }

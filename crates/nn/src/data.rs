@@ -6,10 +6,10 @@
 //! MLP consumes.
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One training sample: input vector and target vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Sample {
     /// Surrogate input `(X, t)`.
     pub input: Vec<f32>,

@@ -21,9 +21,9 @@
 //!   gradient with respect to the network output in one pass.
 //! * [`Adam`] / [`Optimizer`] — the optimizer, updating the parameters in place
 //!   from the gradient arena.
-//! * [`LrSchedule`] — the paper's "halve every N batches with a floor" schedule
-//!   plus constant and sample-based variants (§4.5 scales the schedule with the
-//!   number of GPUs so the decay happens per-sample, not per-batch).
+//! * [`SampleBasedHalving`] — the learning-rate schedule: halve every N
+//!   training samples down to a floor (§4.5 schedules the decay per sample,
+//!   not per batch, so every GPU count decays at the same point).
 //! * [`GradientSynchronizer`] — the data-parallel training round of the
 //!   server's replicas (each worker thread plays the role of one GPU): every
 //!   rank reduces its 1/N of the gradient in rank order, Adam-steps that
@@ -57,7 +57,7 @@ pub use matrix::Matrix;
 pub use mlp::{Activation, Mlp, MlpConfig};
 pub use normalize::{InputNormalizer, OutputNormalizer};
 pub use optim::{Adam, AdamConfig, Optimizer};
-pub use schedule::{ConstantLr, LrSchedule, SampleBasedHalving, StepHalving};
+pub use schedule::SampleBasedHalving;
 pub use serialize::{load_mlp, save_mlp, ModelCheckpoint};
 pub use simd::{KernelIsa, ResolvedIsa};
 pub use workspace::Workspace;

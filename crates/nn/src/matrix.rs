@@ -7,10 +7,10 @@
 //! (the naive reference products live in the crate's test support, as the
 //! oracle the training-path pins compare against).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Dense row-major matrix of `f32` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -67,7 +67,7 @@ impl Activation {
 
 /// One fully connected layer with its activation. Its parameter gradients
 /// live in the owning [`Mlp`]'s gradient arena, not on the layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DenseLayer {
     /// Weight matrix, shape `fan_in × fan_out`.
     pub weights: Matrix,

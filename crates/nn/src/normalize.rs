@@ -7,14 +7,13 @@
 //! sizes and physics. The defaults reproduce the paper's heat-equation setup
 //! (five temperatures in `[100, 500]` K over a 1-second trajectory).
 
-use crate::matrix::Matrix;
 use crate::simd;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Affine normaliser for surrogate inputs `(X, t)`: one `(min, span)` pair per
 /// parameter dimension, plus the trajectory duration for the trailing time
 /// entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InputNormalizer {
     /// Per-dimension lower bounds of the parameter ranges.
     pub mins: Vec<f32>,
@@ -103,7 +102,7 @@ impl InputNormalizer {
 }
 
 /// Affine normaliser for output fields (the surrogate targets).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OutputNormalizer {
     /// Lower bound of the physical output range.
     pub value_min: f32,
@@ -165,15 +164,6 @@ impl OutputNormalizer {
         let mut out = values.to_vec();
         simd::affine_map(simd::detect(), &mut out, self.span(), self.value_min);
         out
-    }
-
-    /// Maps a normalised prediction matrix back to physical units.
-    pub fn denormalize_matrix(&self, values: &Matrix) -> Matrix {
-        Matrix::from_vec(
-            values.rows(),
-            values.cols(),
-            self.denormalize(values.data()),
-        )
     }
 
     /// Converts an MSE computed on normalised values back to squared physical
@@ -254,14 +244,6 @@ mod tests {
     fn mse_denormalization_scales_by_span_squared() {
         let norm = OutputNormalizer::default();
         assert!((norm.denormalize_mse(1e-4) - 16.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn denormalize_matrix_matches_vector_path() {
-        let norm = OutputNormalizer::default();
-        let m = Matrix::from_rows(&[vec![0.0, 0.5, 1.0]]);
-        let d = norm.denormalize_matrix(&m);
-        assert_eq!(d.data(), &[100.0, 300.0, 500.0]);
     }
 
     #[test]

@@ -1,83 +1,17 @@
-//! Learning-rate schedules.
+//! The learning-rate schedule.
 //!
-//! The paper halves the learning rate every 1,000 batches during the training
-//! quality experiment (§4.4). In the multi-GPU experiment (§4.5) the halving is
-//! rescheduled per *training sample* — every 10,000 samples — so that 1, 2 and
-//! 4 GPU runs decay at the same point in data space (1,000/500/250 batches for
-//! batch size 10). Both variants are provided, plus a constant schedule, and a
-//! floor matching the paper's minimum of `2.5e-4`.
-
-use serde::{Deserialize, Serialize};
-
-/// A learning-rate schedule queried once per optimizer step.
-pub trait LrSchedule: Send + Sync {
-    /// Learning rate to use for the given progress counters.
-    ///
-    /// `batches` counts optimizer steps taken so far; `samples` counts training
-    /// samples consumed so far (batch size × batches × ranks for data-parallel
-    /// training).
-    fn learning_rate(&self, batches: usize, samples: usize) -> f32;
-
-    /// Human-readable schedule name.
-    fn name(&self) -> &'static str;
-}
-
-/// Constant learning rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConstantLr {
-    /// The learning rate returned for every step.
-    pub learning_rate: f32,
-}
-
-impl LrSchedule for ConstantLr {
-    fn learning_rate(&self, _batches: usize, _samples: usize) -> f32 {
-        self.learning_rate
-    }
-
-    fn name(&self) -> &'static str {
-        "constant"
-    }
-}
-
-/// Halve the learning rate every `interval_batches` optimizer steps (§4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StepHalving {
-    /// Initial learning rate (paper: 1e-3).
-    pub initial: f32,
-    /// Number of batches between halvings (paper: 1,000).
-    pub interval_batches: usize,
-    /// Lower bound on the learning rate (paper: 2.5e-4).
-    pub floor: f32,
-}
-
-impl Default for StepHalving {
-    fn default() -> Self {
-        Self {
-            initial: 1e-3,
-            interval_batches: 1_000,
-            floor: 2.5e-4,
-        }
-    }
-}
-
-impl LrSchedule for StepHalving {
-    fn learning_rate(&self, batches: usize, _samples: usize) -> f32 {
-        let halvings = batches.checked_div(self.interval_batches).unwrap_or(0) as i32;
-        (self.initial * 0.5f32.powi(halvings)).max(self.floor)
-    }
-
-    fn name(&self) -> &'static str {
-        "step-halving"
-    }
-}
+//! In the multi-GPU experiment (§4.5) the paper halves the learning rate every
+//! 10,000 *training samples*, so that 1, 2 and 4 GPU runs decay at the same
+//! point in data space (1,000/500/250 batches for batch size 10), down to a
+//! floor of `2.5e-4`.
 
 /// Halve the learning rate every `interval_samples` *training samples* (§4.5),
 /// so runs with different GPU counts decay at the same point in data space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleBasedHalving {
     /// Initial learning rate (paper: 1e-3).
     pub initial: f32,
-    /// Number of samples between halvings (paper: 10,000).
+    /// Number of samples between halvings (paper: 10,000); 0 never decays.
     pub interval_samples: usize,
     /// Lower bound on the learning rate (paper: 2.5e-4).
     pub floor: f32,
@@ -93,14 +27,12 @@ impl Default for SampleBasedHalving {
     }
 }
 
-impl LrSchedule for SampleBasedHalving {
-    fn learning_rate(&self, _batches: usize, samples: usize) -> f32 {
+impl SampleBasedHalving {
+    /// Learning rate after `samples` training samples (batch size × batches ×
+    /// ranks for data-parallel training).
+    pub fn learning_rate(&self, samples: usize) -> f32 {
         let halvings = samples.checked_div(self.interval_samples).unwrap_or(0) as i32;
         (self.initial * 0.5f32.powi(halvings)).max(self.floor)
-    }
-
-    fn name(&self) -> &'static str {
-        "sample-based-halving"
     }
 }
 
@@ -109,66 +41,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constant_is_constant() {
-        let s = ConstantLr {
-            learning_rate: 0.01,
-        };
-        assert_eq!(s.learning_rate(0, 0), 0.01);
-        assert_eq!(s.learning_rate(1_000_000, 99), 0.01);
-    }
-
-    #[test]
-    fn step_halving_matches_paper_section_4_4() {
-        let s = StepHalving::default();
-        assert_eq!(s.learning_rate(0, 0), 1e-3);
-        assert_eq!(s.learning_rate(999, 0), 1e-3);
-        assert_eq!(s.learning_rate(1_000, 0), 5e-4);
-        assert_eq!(s.learning_rate(1_999, 0), 5e-4);
-        assert_eq!(s.learning_rate(2_000, 0), 2.5e-4);
-        // Floor: never below 2.5e-4.
-        assert_eq!(s.learning_rate(50_000, 0), 2.5e-4);
-    }
-
-    #[test]
     fn sample_based_halving_is_gpu_count_invariant() {
         let s = SampleBasedHalving::default();
         // 1 GPU, batch 10: 1000 batches = 10,000 samples.
-        let lr_1gpu = s.learning_rate(1_000, 10_000);
+        let lr_1gpu = s.learning_rate(1_000 * 10);
         // 4 GPUs, batch 10: 250 batches = 10,000 samples.
-        let lr_4gpu = s.learning_rate(250, 10_000);
+        let lr_4gpu = s.learning_rate(250 * 10 * 4);
         assert_eq!(lr_1gpu, lr_4gpu);
         assert_eq!(lr_1gpu, 5e-4);
+        assert_eq!(s.learning_rate(9_999), 1e-3);
     }
 
     #[test]
     fn sample_based_floor_applies() {
         let s = SampleBasedHalving::default();
-        assert_eq!(s.learning_rate(0, 1_000_000), 2.5e-4);
+        assert_eq!(s.learning_rate(1_000_000), 2.5e-4);
     }
 
     #[test]
     fn zero_interval_means_no_decay() {
-        let s = StepHalving {
-            interval_batches: 0,
-            ..StepHalving::default()
-        };
-        assert_eq!(s.learning_rate(10_000, 0), 1e-3);
         let s = SampleBasedHalving {
             interval_samples: 0,
             ..SampleBasedHalving::default()
         };
-        assert_eq!(s.learning_rate(0, 10_000), 1e-3);
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        assert_ne!(
-            StepHalving::default().name(),
-            SampleBasedHalving::default().name()
-        );
-        assert_ne!(
-            StepHalving::default().name(),
-            ConstantLr { learning_rate: 1.0 }.name()
-        );
+        assert_eq!(s.learning_rate(10_000), 1e-3);
     }
 }

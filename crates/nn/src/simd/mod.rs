@@ -8,14 +8,14 @@
 //!
 //! # Dispatch
 //!
-//! * [`KernelIsa`] is the *configuration* knob (`auto` / `scalar` / `avx2` /
-//!   `neon`), threaded through `TrainingConfig` and the experiment builder.
+//! * [`KernelIsa`] is the *configuration* knob (`auto` / `scalar`), threaded
+//!   through `TrainingConfig`.
 //! * [`ResolvedIsa`] is the *decision*: [`KernelIsa::resolve`] maps a request
-//!   onto what the hardware actually offers (a named ISA the CPU lacks falls
-//!   back to scalar rather than faulting), and [`detect`] caches the
-//!   auto-detected answer once per process. The `MELISSA_KERNEL_ISA`
-//!   environment variable overrides auto-detection globally — CI uses it to
-//!   re-run the whole suite on the forced-scalar path.
+//!   onto what the hardware actually offers, and [`detect`] caches the
+//!   auto-detected answer once per process: AVX2+FMA on an x86_64 CPU that
+//!   has it, scalar everywhere else. The `MELISSA_KERNEL_ISA` environment
+//!   variable overrides auto-detection globally — CI uses it to re-run the
+//!   whole suite on the forced-scalar path.
 //! * Every AVX2 arm re-asserts `is_x86_feature_detected!` before entering the
 //!   `#[target_feature]` code, so even a hand-constructed [`ResolvedIsa`]
 //!   value cannot reach vector instructions the CPU does not have.
@@ -73,22 +73,19 @@
 //! an ISA without the keystream kernel, `WeightInit` draws per word instead,
 //! and the weights are the same bit for bit.
 //!
-//! On `aarch64`, NEON currently accelerates the element-wise streams except
-//! the MSE, which takes its scalar arm there; the GEMM family falls back to
-//! the blocked scalar kernels (explicit NEON micro-kernels are a recorded
-//! follow-up in `ROADMAP.md`).
+//! Every architecture other than x86_64 runs the scalar arms. On `aarch64`
+//! the flush guard still sets FPCR.FZ, so the floating-point contract above
+//! holds there too.
 
 use crate::kernels;
 use crate::mlp::Activation;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 mod flush;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 
 pub use flush::fp_mode;
 pub(crate) use flush::FlushGuard;
@@ -101,20 +98,14 @@ pub enum KernelIsa {
     Auto,
     /// Force the blocked scalar reference kernels.
     Scalar,
-    /// Request AVX2+FMA; falls back to scalar when the CPU lacks it.
-    Avx2,
-    /// Request NEON (aarch64); falls back to scalar elsewhere.
-    Neon,
 }
 
 impl KernelIsa {
-    /// Resolves the request against the running hardware. A named ISA the CPU
-    /// cannot execute degrades to [`ResolvedIsa::Scalar`] instead of faulting;
-    /// `Auto` consults the cached [`detect`] decision.
+    /// Resolves the request: `Auto` consults the cached [`detect`] decision.
     pub fn resolve(self) -> ResolvedIsa {
         match self {
             KernelIsa::Auto => detect(),
-            other => resolve_requested(other),
+            KernelIsa::Scalar => ResolvedIsa::Scalar,
         }
     }
 }
@@ -124,8 +115,6 @@ impl std::fmt::Display for KernelIsa {
         let name = match self {
             KernelIsa::Auto => "auto",
             KernelIsa::Scalar => "scalar",
-            KernelIsa::Avx2 => "avx2",
-            KernelIsa::Neon => "neon",
         };
         f.write_str(name)
     }
@@ -138,29 +127,18 @@ impl std::str::FromStr for KernelIsa {
         match s.trim().to_ascii_lowercase().as_str() {
             "auto" => Ok(KernelIsa::Auto),
             "scalar" => Ok(KernelIsa::Scalar),
-            "avx2" | "avx2+fma" => Ok(KernelIsa::Avx2),
-            "neon" => Ok(KernelIsa::Neon),
             other => Err(format!(
-                "unknown kernel ISA {other:?} (expected auto, scalar, avx2 or neon)"
+                "unknown kernel ISA {other:?} (expected auto or scalar)"
             )),
         }
     }
 }
 
-// Manual serde impls: the knob round-trips as its lowercase name ("auto",
-// "scalar", "avx2", "neon") so configs stay hand-editable.
+// Serialized as its lowercase name ("auto", "scalar"), the spelling
+// `MELISSA_KERNEL_ISA` accepts.
 impl Serialize for KernelIsa {
     fn serialize(&self) -> Value {
         Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for KernelIsa {
-    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
-        let name = value
-            .as_str()
-            .ok_or_else(|| serde::Error::expected("a string", "KernelIsa"))?;
-        name.parse().map_err(serde::Error::custom)
     }
 }
 
@@ -171,8 +149,6 @@ pub enum ResolvedIsa {
     Scalar,
     /// AVX2 + FMA vector kernels (x86_64).
     Avx2,
-    /// NEON element-wise streams (aarch64); GEMMs stay scalar.
-    Neon,
 }
 
 impl ResolvedIsa {
@@ -181,16 +157,6 @@ impl ResolvedIsa {
         match self {
             ResolvedIsa::Scalar => "scalar",
             ResolvedIsa::Avx2 => "avx2+fma",
-            ResolvedIsa::Neon => "neon",
-        }
-    }
-
-    /// f32 lanes per vector register on this path.
-    pub fn lane_width(&self) -> usize {
-        match self {
-            ResolvedIsa::Scalar => 1,
-            ResolvedIsa::Avx2 => 8,
-            ResolvedIsa::Neon => 4,
         }
     }
 }
@@ -202,7 +168,7 @@ impl std::fmt::Display for ResolvedIsa {
 }
 
 // Serialized as the same name reports and bench JSON print ("scalar",
-// "avx2+fma", "neon"). Deserialization is not needed — the decision is
+// "avx2+fma"). Deserialization is not needed — the decision is
 // derived from [`KernelIsa`] at runtime, never read back.
 impl Serialize for ResolvedIsa {
     fn serialize(&self) -> Value {
@@ -216,53 +182,32 @@ fn avx2_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
-/// Maps an explicit (non-auto) request onto the hardware.
-fn resolve_requested(request: KernelIsa) -> ResolvedIsa {
-    match request {
-        KernelIsa::Auto => best_available(),
-        KernelIsa::Scalar => ResolvedIsa::Scalar,
-        KernelIsa::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx2_available() {
-                return ResolvedIsa::Avx2;
-            }
-            ResolvedIsa::Scalar
-        }
-        KernelIsa::Neon => {
-            #[cfg(target_arch = "aarch64")]
-            return ResolvedIsa::Neon;
-            #[cfg(not(target_arch = "aarch64"))]
-            ResolvedIsa::Scalar
-        }
-    }
-}
-
 /// Widest ISA the running CPU offers.
 fn best_available() -> ResolvedIsa {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         return ResolvedIsa::Avx2;
     }
-    #[cfg(target_arch = "aarch64")]
-    return ResolvedIsa::Neon;
-    #[allow(unreachable_code)]
     ResolvedIsa::Scalar
 }
 
 static DETECTED: OnceLock<ResolvedIsa> = OnceLock::new();
 
 /// The process-wide auto-detection decision, resolved once. Honors the
-/// `MELISSA_KERNEL_ISA` environment variable (`auto`, `scalar`, `avx2`,
-/// `neon`) as a global override so CI and tests can force the scalar path
-/// without touching every call site; unknown values fall back to detection.
+/// `MELISSA_KERNEL_ISA` environment variable (`auto`, `scalar`) as a global
+/// override so CI and tests can force the scalar path without touching every
+/// call site; unknown values fall back to detection.
 pub fn detect() -> ResolvedIsa {
-    *DETECTED.get_or_init(|| match std::env::var("MELISSA_KERNEL_ISA") {
-        Ok(name) => match name.parse::<KernelIsa>() {
-            Ok(request) => resolve_requested(request),
-            Err(_) => best_available(),
-        },
-        Err(_) => best_available(),
-    })
+    *DETECTED.get_or_init(|| resolve_override(std::env::var("MELISSA_KERNEL_ISA").ok().as_deref()))
+}
+
+/// What a `MELISSA_KERNEL_ISA` value resolves to: `scalar` forces the scalar
+/// kernels; `auto`, any other value and no value detect.
+fn resolve_override(value: Option<&str>) -> ResolvedIsa {
+    match value.map(str::parse) {
+        Some(Ok(KernelIsa::Scalar)) => ResolvedIsa::Scalar,
+        _ => best_available(),
+    }
 }
 
 /// Fused GEMM epilogue, the enum counterpart of the closure
@@ -506,8 +451,6 @@ pub fn act_derivative_mul(isa: ResolvedIsa, grad: &mut [f32], ys: &[f32], activa
             // SAFETY: AVX2 availability and equal lengths asserted above.
             unsafe { avx2::act_derivative_mul(grad, ys, activation) };
         }
-        #[cfg(target_arch = "aarch64")]
-        ResolvedIsa::Neon => neon::act_derivative_mul(grad, ys, activation),
         _ => {
             for (g, &y) in grad.iter_mut().zip(ys) {
                 *g *= activation.derivative_from_output(y);
@@ -666,8 +609,6 @@ pub fn adam_update(
             // SAFETY: AVX2 availability and equal lengths asserted above.
             unsafe { avx2::adam_update(params, grads, first, second, step) };
         }
-        #[cfg(target_arch = "aarch64")]
-        ResolvedIsa::Neon => neon::adam_update(params, grads, first, second, step),
         _ => adam_update_scalar(params, grads, first, second, step),
     }
 }
@@ -724,8 +665,6 @@ pub fn affine_normalize(isa: ResolvedIsa, values: &mut [f32], min: f32, span: f3
             // in aligned-agnostic 8-lane chunks with a scalar tail.
             unsafe { avx2::affine_normalize(values, min, span) };
         }
-        #[cfg(target_arch = "aarch64")]
-        ResolvedIsa::Neon => neon::affine_normalize(values, min, span),
         _ => {
             for v in values {
                 *v = (*v - min) / span;
@@ -748,8 +687,6 @@ pub fn affine_map(isa: ResolvedIsa, values: &mut [f32], scale: f32, offset: f32)
             // in aligned-agnostic 8-lane chunks with a scalar tail.
             unsafe { avx2::affine_map(values, scale, offset) };
         }
-        #[cfg(target_arch = "aarch64")]
-        ResolvedIsa::Neon => neon::affine_map(values, scale, offset),
         _ => {
             for v in values {
                 *v = *v * scale + offset;
@@ -867,47 +804,72 @@ mod tests {
 
     #[test]
     fn isa_names_round_trip() {
-        for (name, isa) in [
-            ("auto", KernelIsa::Auto),
-            ("scalar", KernelIsa::Scalar),
-            ("avx2", KernelIsa::Avx2),
-            ("neon", KernelIsa::Neon),
-        ] {
+        for (name, isa) in [("auto", KernelIsa::Auto), ("scalar", KernelIsa::Scalar)] {
             assert_eq!(name.parse::<KernelIsa>().unwrap(), isa);
-            if isa != KernelIsa::Avx2 {
-                assert_eq!(isa.to_string(), name);
-            }
+            assert_eq!(isa.to_string(), name);
         }
-        assert_eq!("AVX2+FMA".parse::<KernelIsa>().unwrap(), KernelIsa::Avx2);
+        assert_eq!(" Scalar ".parse::<KernelIsa>().unwrap(), KernelIsa::Scalar);
         assert!("sse9".parse::<KernelIsa>().is_err());
     }
 
     #[test]
     fn scalar_is_always_selectable() {
         assert_eq!(KernelIsa::Scalar.resolve(), ResolvedIsa::Scalar);
-        assert_eq!(ResolvedIsa::Scalar.lane_width(), 1);
+        assert_eq!(resolve_override(Some("scalar")), ResolvedIsa::Scalar);
     }
 
     #[test]
     fn unsupported_named_isa_degrades_to_scalar() {
-        #[cfg(not(target_arch = "aarch64"))]
-        assert_eq!(KernelIsa::Neon.resolve(), ResolvedIsa::Scalar);
+        // Detection picks AVX2 only where the CPU runs it; every other host,
+        // aarch64 included, runs the scalar kernels.
+        #[cfg(target_arch = "x86_64")]
+        let vector = avx2_available();
         #[cfg(not(target_arch = "x86_64"))]
-        assert_eq!(KernelIsa::Avx2.resolve(), ResolvedIsa::Scalar);
+        let vector = false;
+        let expected = if vector {
+            ResolvedIsa::Avx2
+        } else {
+            ResolvedIsa::Scalar
+        };
+        assert_eq!(best_available(), expected);
+        // ISA names are not requests: as an override they detect like `auto`.
+        for name in ["avx2", "avx2+fma"] {
+            assert!(name.parse::<KernelIsa>().is_err(), "{name}");
+            assert_eq!(resolve_override(Some(name)), best_available(), "{name}");
+        }
     }
 
     #[test]
     fn auto_resolves_to_the_detected_isa() {
         assert_eq!(KernelIsa::Auto.resolve(), detect());
-        assert!(detect().lane_width() >= 1);
+        assert_eq!(resolve_override(Some("auto")), best_available());
+        assert_eq!(resolve_override(None), best_available());
+    }
+
+    /// CI re-runs the suite with `MELISSA_KERNEL_ISA=scalar`; a misspelt
+    /// value would quietly re-test the detected ISA, so the override must be
+    /// an accepted name and must be what the kernels route on.
+    #[test]
+    fn kernel_isa_override_names_the_dispatched_isa() {
+        let Ok(name) = std::env::var("MELISSA_KERNEL_ISA") else {
+            return;
+        };
+        let request: KernelIsa = name
+            .parse()
+            .unwrap_or_else(|err| panic!("MELISSA_KERNEL_ISA: {err}"));
+        let expected = match request {
+            KernelIsa::Auto => best_available(),
+            KernelIsa::Scalar => ResolvedIsa::Scalar,
+        };
+        assert_eq!(detect(), expected, "MELISSA_KERNEL_ISA={name}");
     }
 
     #[test]
     fn kernel_isa_serde_uses_lowercase_names() {
         assert_eq!(serde_json::to_string(&KernelIsa::Auto).unwrap(), "\"auto\"");
         assert_eq!(
-            serde_json::from_str::<KernelIsa>("\"scalar\"").unwrap(),
-            KernelIsa::Scalar
+            serde_json::to_string(&KernelIsa::Scalar).unwrap(),
+            "\"scalar\""
         );
     }
 }

@@ -5,11 +5,11 @@
 //! number their time-step messages with a per-client sequence number; the log
 //! remembers which sequence numbers have been seen.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeSet, HashMap};
 
 /// Per-client record of received sequence numbers.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 struct ClientLog {
     /// All sequence numbers below this value have been received.
     contiguous_until: u64,
@@ -48,7 +48,7 @@ impl ClientLog {
 }
 
 /// Server-side log of received messages, one record per client.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct MessageLog {
     clients: HashMap<u64, ClientLog>,
     duplicates_discarded: u64,
@@ -102,11 +102,6 @@ impl MessageLog {
             .unwrap_or(0)
     }
 
-    /// Number of clients that appear in the log.
-    pub fn known_clients(&self) -> usize {
-        self.clients.len()
-    }
-
     /// Total number of replayed messages discarded so far.
     pub fn duplicates_discarded(&self) -> u64 {
         self.duplicates_discarded
@@ -130,7 +125,6 @@ mod tests {
         assert!(log.observe(2, 0));
         assert_eq!(log.received_from(1), 2);
         assert_eq!(log.received_from(2), 1);
-        assert_eq!(log.known_clients(), 2);
         assert_eq!(log.duplicates_discarded(), 0);
     }
 

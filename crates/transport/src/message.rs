@@ -5,10 +5,10 @@
 //! its input parameters), and a finalisation message signalling that a client
 //! will send no more data.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The data carried by one time-step message: one training sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SamplePayload {
     /// Ensemble-member identifier (which simulation produced this step).
     pub simulation_id: u64,
@@ -30,7 +30,7 @@ impl SamplePayload {
 }
 
 /// A message on a client→server connection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Message {
     /// One computed time step.
     TimeStep {

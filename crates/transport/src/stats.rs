@@ -22,22 +22,6 @@ pub struct TransportStats {
     pub finalized_clients: usize,
 }
 
-impl TransportStats {
-    /// Dataset size in gigabytes (10⁹ bytes), as the paper reports it.
-    pub fn gigabytes_sent(&self) -> f64 {
-        self.bytes_sent as f64 / 1e9
-    }
-
-    /// Fraction of sent messages that were dropped.
-    pub fn drop_fraction(&self) -> f64 {
-        if self.messages_sent == 0 {
-            0.0
-        } else {
-            self.messages_dropped as f64 / self.messages_sent as f64
-        }
-    }
-}
-
 /// The fabric's live traffic accumulator: every counter is a relaxed atomic,
 /// so the per-message send/receive accounting is lock-free — clients and
 /// endpoints never contend on a stats mutex in the hot path. Snapshots
@@ -86,25 +70,5 @@ mod tests {
         assert_eq!(snap.bytes_sent, 1024);
         assert_eq!(snap.finalized_clients, 1);
         assert_eq!(snap.messages_dropped, 0);
-    }
-
-    #[test]
-    fn gigabyte_conversion() {
-        let stats = TransportStats {
-            bytes_sent: 2_500_000_000,
-            ..TransportStats::default()
-        };
-        assert!((stats.gigabytes_sent() - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn drop_fraction_handles_zero() {
-        assert_eq!(TransportStats::default().drop_fraction(), 0.0);
-        let stats = TransportStats {
-            messages_sent: 10,
-            messages_dropped: 2,
-            ..TransportStats::default()
-        };
-        assert!((stats.drop_fraction() - 0.2).abs() < 1e-12);
     }
 }
